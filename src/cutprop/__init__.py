@@ -16,7 +16,6 @@ from .annealing import (
     SAConfig,
     accept_move,
     anneal,
-    objective,
     optimize_budget,
     parallel_anneal,
 )

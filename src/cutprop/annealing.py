@@ -2,7 +2,10 @@
 
 The objective for an integer budget w is: backpropagate the observable
 with max_qwc_groups=w, then count the executions needed to cut whatever
-circuit remains (zero if everything was absorbed). The annealer keeps two
+circuit remains (zero if everything was absorbed). Budgets differ only in
+where absorption stops, so :class:`ObjectiveEvaluator` derives every
+budget's value from a single backpropagation at the largest budget, plus
+one memoized cut search per distinct leftover circuit. The annealer keeps two
 deliberate quirks of the procedure it implements: neighbors are drawn
 around the best-so-far point rather than the accepted point, and the
 default temperature schedule divides by the running iteration counter
@@ -18,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .backprop import backpropagate
+from .backprop import BackpropResult, backpropagate
 from .circuits import Circuit
-from .cutting import cost, find_cuts
+from .cutting import CutPlan, cost, find_cuts, total_executions
 from .paulis import Observable, canonicalize, group_qwc
 
 
@@ -52,106 +55,71 @@ class SAConfig:
             raise AnnealError(f"unknown cooling schedule {self.cooling!r}")
 
 
-def objective(
-    circuit: Circuit,
-    obs: Observable,
-    w: int,
-    slicing: str = "auto",
-    trunc_budget_per_slice: float = 0.0,
-    cut_seed: int = 0,
-) -> int:
-    """Executions needed after backpropagating with budget w and cutting."""
-    if w < 1:
-        raise AnnealError("w must be >= 1")
-    result = backpropagate(circuit, obs, w, trunc_budget_per_slice, slicing)
-    if result.fully_absorbed:
-        return 0
-    plan = find_cuts(result.reduced_circuit, force_bipartition=True, seed=cut_seed)
-    return cost(plan, result.evolved_obs).total_executions
-
-
 class ObjectiveEvaluator:
-    """Shares the w-independent absorption trajectory across objective calls.
+    """The budget objective of one circuit and observable, from one backpropagation.
 
-    The conjugated observable after k slices does not depend on w; only the
-    stopping slice does. One sweep records the running-max group count and
-    snapshots at each point where it increases, so evaluating the objective
-    for any w is a lookup plus one cut search (also memoized).
+    The observable after k absorbed slices does not depend on the budget;
+    only the stopping slice does. So ``backpropagate`` at the cap ``w_cap``
+    settles every budget w <= w_cap at once: w absorbs k slices, where k is
+    the index of the first ``group_history`` entry greater than w (all of
+    them when none is). The circuit left over ends at the start of the k-th
+    absorbed slice, and its observable has ``group_history[k-1]`` groups (the
+    input observable's count when k = 0). The value is zero when every slice
+    is absorbed. Cut plans are memoized per boundary, so each leftover
+    circuit is searched once.
     """
 
     def __init__(
         self,
         circuit: Circuit,
         obs: Observable,
-        w_cap: int,  # budgets above this cannot be evaluated (sweep stops there)
+        w_cap: int,  # budgets above this cannot be evaluated (absorption stops there)
         slicing: str = "auto",
         trunc_budget_per_slice: float = 0.0,
         cut_seed: int = 0,
     ):
-        self.circuit = circuit
-        self.obs = canonicalize(obs)
-        self.slicing = slicing
-        self.trunc = trunc_budget_per_slice
-        self.cut_seed = cut_seed
-        self.w_cap = w_cap
-        self.calls = 0
-        self._cost_by_boundary: dict[int, int] = {}
-        self._sweep(w_cap)
-
-    def _sweep(self, w_cap: int) -> None:
+        # Looked up at call time, where perfbench/spans.py traces it.
         from .circuits import slice_circuit
-        from .backprop import conjugate_gate, truncate
 
-        slices = slice_circuit(self.circuit, self.slicing)
-        current = self.obs
-        running_max = 0
-        boundary = len(self.circuit.gates)
-        # checkpoints[i] = (threshold, boundary, obs): absorbing is blocked
-        # beyond `boundary` unless w >= the next checkpoint's threshold.
-        self.checkpoints: list[tuple[int, int, Observable]] = []
-        for sl in reversed(slices):
-            cand = current
-            for gate in reversed(self.circuit.gates[sl.start : sl.stop]):
-                cand = conjugate_gate(cand, gate)
-            if self.trunc > 0:
-                cand, _ = truncate(cand, self.trunc)
-            groups = group_qwc(cand).group_count
-            if groups > w_cap:
-                self.checkpoints.append((running_max, boundary, current))
-                self.full_absorption_max = None
-                return
-            if groups > running_max:
-                self.checkpoints.append((running_max, boundary, current))
-                running_max = groups
-            current = cand
-            boundary = sl.start
-        self.checkpoints.append((running_max, boundary, current))
-        self.full_absorption_max = running_max
+        self.circuit = circuit
+        self.w_cap = w_cap
+        self.cut_seed = cut_seed
+        self.result = backpropagate(circuit, obs, w_cap, trunc_budget_per_slice, slicing)
+        slices = slice_circuit(circuit, slicing)
+        absorbed = slices[len(slices) - self.result.slices_absorbed :]
+        canonical = canonicalize(obs)
+        # Indexed by k, the number of absorbed slices.
+        self._boundaries = [len(circuit.gates), *(sl.start for sl in reversed(absorbed))]
+        self._groups = [
+            group_qwc(canonical).group_count if canonical.terms else 1,
+            *self.result.group_history,
+        ]
+        self._plans: dict[int, CutPlan] = {}
 
-    def evaluate(self, w: int) -> int:
-        """Same value as :func:`objective` for this circuit/observable."""
-        if w < 1:
-            raise AnnealError("w must be >= 1")
-        if w > self.w_cap and self.full_absorption_max is None:
-            raise AnnealError(f"budget {w} exceeds the sweep cap {self.w_cap}")
-        self.calls += 1
-        if self.full_absorption_max is not None and w >= self.full_absorption_max:
-            return 0
-        chosen = self.checkpoints[0]
-        for threshold, boundary, obs in self.checkpoints:
-            if w >= threshold:
-                chosen = (threshold, boundary, obs)
-        _, boundary, obs = chosen
-        if boundary in self._cost_by_boundary:
-            base_plan_cost = self._cost_by_boundary[boundary]
-        else:
-            plan = find_cuts(
+    def absorbed(self, w: int) -> int:
+        """Number of slices that backpropagation with budget w absorbs."""
+        history = self.result.group_history
+        return next((k for k, groups in enumerate(history) if groups > w), len(history))
+
+    def plan(self, boundary: int) -> CutPlan:
+        """The cut plan of the circuit's first ``boundary`` gates (memoized)."""
+        if boundary not in self._plans:
+            self._plans[boundary] = find_cuts(
                 self.circuit.prefix(boundary), force_bipartition=True, seed=self.cut_seed
             )
-            base_plan_cost = 9**plan.kg * 16**plan.kw
-            self._cost_by_boundary[boundary] = base_plan_cost
-        groups = group_qwc(obs).group_count if obs.terms else 1
-        return groups * base_plan_cost
+        return self._plans[boundary]
+
+    def evaluate(self, w: int) -> int:
+        """Executions needed after backpropagating with budget w and cutting."""
+        if w < 1:
+            raise AnnealError("w must be >= 1")
+        if w > self.w_cap and not self.result.fully_absorbed:
+            raise AnnealError(f"budget {w} exceeds the backpropagation cap {self.w_cap}")
+        k = self.absorbed(w)
+        if self.result.fully_absorbed and k == self.result.slices_absorbed:
+            return 0
+        plan = self.plan(self._boundaries[k])
+        return total_executions(plan.kg, plan.kw, self._groups[k])
 
     def __call__(self, w: int) -> int:
         return self.evaluate(w)
@@ -176,10 +144,8 @@ class AnnealResult:
 
 
 def anneal(
-    circuit: Circuit | None,
-    obs: Observable | None,
     config: SAConfig,
-    objective_fn: Callable[[int], int] | None = None,
+    objective_fn: Callable[[int], int],
     cache: dict[int, int] | None = None,
     run_index: int = 0,
 ) -> AnnealResult:
@@ -188,10 +154,6 @@ def anneal(
     Every probed w is clamped to the bounds and the objective is evaluated
     at most once per distinct w thanks to the shared cache.
     """
-    if objective_fn is None:
-        if circuit is None or obs is None:
-            raise AnnealError("need a circuit and observable or an objective_fn")
-        objective_fn = ObjectiveEvaluator(circuit, obs, config.bound_upper)
     cache = {} if cache is None else cache
     rng = np.random.default_rng((config.seed, run_index))
 
@@ -246,10 +208,7 @@ class ParallelAnnealResult:
 
 
 def parallel_anneal(
-    circuit: Circuit | None,
-    obs: Observable | None,
-    config: SAConfig,
-    objective_fn: Callable[[int], int] | None = None,
+    config: SAConfig, objective_fn: Callable[[int], int]
 ) -> ParallelAnnealResult:
     """Restart runs with derived seeds sharing one evaluation cache.
 
@@ -257,13 +216,9 @@ def parallel_anneal(
     the cache is idempotent, the best (cost, w) pair is independent of any
     interleaving, so this matches a concurrent execution of the same seeds.
     """
-    if objective_fn is None:
-        if circuit is None or obs is None:
-            raise AnnealError("need a circuit and observable or an objective_fn")
-        objective_fn = ObjectiveEvaluator(circuit, obs, config.bound_upper)
     shared: dict[int, int] = {}
     runs = [
-        anneal(circuit, obs, config, objective_fn=objective_fn, cache=shared, run_index=i)
+        anneal(config, objective_fn, cache=shared, run_index=i)
         for i in range(config.restarts)
     ]
     best = min(runs, key=lambda r: (r.opt_num_circuits, r.w_opt))
@@ -279,6 +234,9 @@ class OptimizeResult:
     vanilla_cost: int
     cache: dict[int, int]
     runs: list[AnnealResult]
+    vanilla_plan: CutPlan
+    backprop: BackpropResult | None  # the backpropagation at w_opt; None when w_opt is
+    plan: CutPlan | None  # the chosen circuit's cut plan, None when fully absorbed
 
 
 def optimize_budget(
@@ -293,20 +251,25 @@ def optimize_budget(
 
     The returned recommendation is never worse than cutting the original
     circuit directly: the vanilla cost enters the final comparison as a
-    candidate.
+    candidate. The result carries the plans it chose between, so callers
+    need no further search.
     """
     evaluator = ObjectiveEvaluator(
         circuit, obs, config.bound_upper, slicing, trunc_budget_per_slice, cut_seed
     )
-    par = parallel_anneal(None, None, config, objective_fn=evaluator)
-    vanilla_plan = find_cuts(circuit, force_bipartition=True, seed=cut_seed)
+    par = parallel_anneal(config, evaluator)
+    vanilla_plan = evaluator.plan(len(circuit.gates))
     vanilla_cost = cost(vanilla_plan, obs).total_executions
-    if par.opt_num_circuits <= vanilla_cost:
+    if par.opt_num_circuits > vanilla_cost:
         return OptimizeResult(
-            par.w_opt, par.opt_num_circuits, par.opt_num_circuits, par.w_opt,
-            vanilla_cost, par.cache, par.runs,
+            None, vanilla_cost, par.opt_num_circuits, par.w_opt,
+            vanilla_cost, par.cache, par.runs, vanilla_plan, None, vanilla_plan,
         )
+    bp = evaluator.result
+    if evaluator.absorbed(par.w_opt) != bp.slices_absorbed:
+        bp = backpropagate(circuit, obs, par.w_opt, trunc_budget_per_slice, slicing)
+    plan = None if bp.fully_absorbed else evaluator.plan(len(bp.reduced_circuit.gates))
     return OptimizeResult(
-        None, vanilla_cost, par.opt_num_circuits, par.w_opt,
-        vanilla_cost, par.cache, par.runs,
+        par.w_opt, par.opt_num_circuits, par.opt_num_circuits, par.w_opt,
+        vanilla_cost, par.cache, par.runs, vanilla_plan, bp, plan,
     )

@@ -241,6 +241,16 @@ def _eval_angle(expr: str, lineno: int) -> float:
         raise QasmError(f"malformed angle expression {expr!r}", lineno) from None
 
     def ev(node: ast.AST) -> float:
+        try:
+            value = term(node)
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        # A negative base to a fractional power gives a complex number.
+        if not isinstance(value, float) or not math.isfinite(value):
+            raise QasmError(f"angle {expr!r} is not a finite real number", lineno)
+        return value
+
+    def term(node: ast.AST) -> float:
         if not isinstance(node, _ALLOWED_AST):
             raise QasmError(f"unsupported construct in angle {expr!r}", lineno)
         if isinstance(node, ast.Expression):

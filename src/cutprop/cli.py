@@ -331,43 +331,32 @@ def _bench_instances(suite: str, seed: int):
 def _bench_row(name: str, circuit: Circuit, obs: Observable, seed: int, large: bool) -> dict:
     config = SAConfig(seed=seed)
     result = optimize_budget(circuit, obs, config, cut_seed=seed)
-    vanilla_plan = find_cuts(circuit, force_bipartition=True, seed=seed)
-    vanilla = cost(vanilla_plan, obs)
+    bp, plan = result.backprop, result.plan
     row = {
         "circuit": name,
         "qubits": circuit.n,
         "gates": len(circuit.gates),
-        "vanilla_gate_cuts": vanilla.kg,
-        "vanilla_wire_cuts": vanilla.kw,
+        "vanilla_gate_cuts": result.vanilla_plan.kg,
+        "vanilla_wire_cuts": result.vanilla_plan.kw,
         "vanilla_num_circuits": result.vanilla_cost,
         "obp_w_opt": result.w_opt,
         "obp_num_circuits": result.chosen_cost,
         "ratio": result.chosen_cost / result.vanilla_cost if result.vanilla_cost else 0.0,
         "beneficial": result.chosen_cost <= result.vanilla_cost,
     }
-    if result.w_opt is not None:
-        bp = backpropagate(circuit, obs, result.w_opt)
+    if bp is not None:
         row["obp_slices_absorbed"] = bp.slices_absorbed
-        if bp.fully_absorbed:
-            row["obp_gate_cuts"] = 0
-            row["obp_wire_cuts"] = 0
-        else:
-            plan = find_cuts(bp.reduced_circuit, force_bipartition=True, seed=seed)
-            row["obp_gate_cuts"] = plan.kg
-            row["obp_wire_cuts"] = plan.kw
+        row["obp_gate_cuts"] = plan.kg if plan else 0
+        row["obp_wire_cuts"] = plan.kw if plan else 0
     if large and circuit.n <= sim_limit():
         exact = uncut_expectation(circuit, obs)
-        if result.w_opt is None:
-            rec = cut_and_reconstruct(circuit, vanilla_plan, canonicalize(obs))
-            delta = abs(rec.value - exact)
+        if bp is None:
+            value = cut_and_reconstruct(circuit, plan, canonicalize(obs)).value
+        elif plan is None:
+            value = _zero_state_expectation(bp.evolved_obs)
         else:
-            bp = backpropagate(circuit, obs, result.w_opt)
-            if bp.fully_absorbed:
-                delta = abs(_zero_state_expectation(bp.evolved_obs) - exact)
-            else:
-                plan = find_cuts(bp.reduced_circuit, force_bipartition=True, seed=seed)
-                rec = cut_and_reconstruct(bp.reduced_circuit, plan, bp.evolved_obs)
-                delta = abs(rec.value - exact)
+            value = cut_and_reconstruct(bp.reduced_circuit, plan, bp.evolved_obs).value
+        delta = abs(value - exact)
         row["oracle_abs_delta"] = delta
         row["oracle_ok"] = delta < 1e-9
     return row

@@ -273,8 +273,7 @@ class _Bipartitioner:
         return len(self.crossing_gates(labels, cuts)), len(cuts)
 
     def plan_cost(self, labels, cuts: dict[int, int]) -> int:
-        kg, kw = self.counts(labels, cuts)
-        return GATE_CUT_FACTOR**kg * WIRE_CUT_FACTOR**kw
+        return total_executions(*self.counts(labels, cuts), 1)
 
     def _own_crossings(self, w: int, labels, cuts: dict[int, int], pos: int | None) -> int:
         count = 0
@@ -310,7 +309,7 @@ class _Bipartitioner:
                 for pos in self._candidates(w):
                     kg = others_kg + self._own_crossings(w, labels, cuts, pos)
                     kw = len(cuts) + (0 if pos is None else 1)
-                    c = GATE_CUT_FACTOR**kg * WIRE_CUT_FACTOR**kw
+                    c = total_executions(kg, kw, 1)
                     key = (c, pos is not None, pos if pos is not None else -1)
                     if best_key is None or key < best_key:
                         best_key, best_pos = key, pos
@@ -429,7 +428,7 @@ def _search_annealed(problem: _Bipartitioner, max_side, seed: int, restarts: int
     # Fully re-refine only the most promising labelings found by the walk.
     ranked = sorted(
         memo.items(),
-        key=lambda kv: (GATE_CUT_FACTOR ** kv[1][0] * WIRE_CUT_FACTOR ** kv[1][1], kv[0]),
+        key=lambda kv: (total_executions(kv[1][0], kv[1][1], 1), kv[0]),
     )
     best = None
     for labels, _ in ranked[:24]:
@@ -474,7 +473,7 @@ def find_cuts(
     if best is None:
         raise CutError("no bipartition satisfies the constraints")
     _, labels, cut_items = best
-    state = _PlanState(circuit, list(labels), dict(), [])
+    state = _PlanState(circuit, list(labels))
     for w, pos in cut_items:
         state.add_wire_cut(w, pos, labels[w] ^ 1)
     if max_qubits is not None:
@@ -487,11 +486,11 @@ def find_cuts(
 class _PlanState:
     """Mutable partition state used while building multi-part plans."""
 
-    def __init__(self, circuit: Circuit, labels: list[int], wire_cuts: dict, _unused):
+    def __init__(self, circuit: Circuit, labels: list[int]):
         self.circuit = circuit
         self.n = circuit.n
         self.labels = labels  # segment-0 label per qubit
-        self.wire_cuts: dict[int, tuple[int, int]] = dict(wire_cuts)  # q -> (pos, new_label)
+        self.wire_cuts: dict[int, tuple[int, int]] = {}  # q -> (pos, new_label)
 
     def add_wire_cut(self, q: int, pos: int, new_label: int) -> None:
         if q in self.wire_cuts:

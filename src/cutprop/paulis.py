@@ -12,6 +12,7 @@ qubit 1 and X on qubit 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -268,6 +269,8 @@ def parse_observable(text: str) -> Observable:
             coeff = float(fields[0])
         except ValueError:
             raise PauliError(f"line {lineno}: bad coefficient {fields[0]!r}") from None
+        if not math.isfinite(coeff):
+            raise PauliError(f"line {lineno}: non-finite coefficient {fields[0]!r}")
         word = fields[1].upper()
         if width is None:
             width = len(word)

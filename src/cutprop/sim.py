@@ -27,7 +27,11 @@ class SimulationError(ValueError):
 
 
 def sim_limit() -> int:
-    return int(os.environ.get("QCUT_SIM_LIMIT", DEFAULT_SIM_LIMIT))
+    value = os.environ.get("QCUT_SIM_LIMIT", DEFAULT_SIM_LIMIT)
+    try:
+        return int(value)
+    except ValueError:
+        raise SimulationError(f"QCUT_SIM_LIMIT must be an integer, got {value!r}") from None
 
 
 _S2 = 1.0 / math.sqrt(2.0)

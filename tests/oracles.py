@@ -1,11 +1,17 @@
-"""Dense-matrix reference implementations used to check the package.
+"""Reference implementations used to check the package.
 
-Everything here is built directly from 2x2 matrices and Kronecker
-products, independently of the package's simulator and Pauli algebra, so
-the two sides of every comparison are computed by different code.
+The dense-matrix references are built directly from 2x2 matrices and
+Kronecker products, independently of the package's simulator and Pauli
+algebra, so the two sides of every comparison are computed by different
+code. ``objective`` composes the public pipeline stages directly, as the
+reference for the annealer's single-pass objective evaluator.
 """
 
 import numpy as np
+
+from cutprop.annealing import AnnealError
+from cutprop.backprop import backpropagate
+from cutprop.cutting import cost, find_cuts
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -107,3 +113,18 @@ def obs_matrix(obs) -> np.ndarray:
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return v / np.linalg.norm(v)
+
+
+def objective(circuit, obs, w, slicing="auto", trunc_budget_per_slice=0.0, cut_seed=0):
+    """Executions needed after backpropagating with budget w and cutting.
+
+    One fresh backpropagation and cut search per call, with no sharing
+    between budgets.
+    """
+    if w < 1:
+        raise AnnealError("w must be >= 1")
+    result = backpropagate(circuit, obs, w, trunc_budget_per_slice, slicing)
+    if result.fully_absorbed:
+        return 0
+    plan = find_cuts(result.reduced_circuit, force_bipartition=True, seed=cut_seed)
+    return cost(plan, result.evolved_obs).total_executions

@@ -161,7 +161,7 @@ def test_criterion_7_sa_fidelity():
         calls.append(w)
         return (w - 6) ** 2 + 2
 
-    result = anneal(None, None, SAConfig(seed=11), objective_fn=counting)
+    result = anneal(SAConfig(seed=11), objective_fn=counting)
     memo_ok = len(calls) == len(set(calls))
 
     rng = np.random.default_rng(777)

@@ -9,7 +9,6 @@ from cutprop.annealing import (
     SAConfig,
     accept_move,
     anneal,
-    objective,
     optimize_budget,
     parallel_anneal,
 )
@@ -22,6 +21,8 @@ from cutprop.generators import (
     random_observable,
     weight_z_observable,
 )
+
+from oracles import objective
 
 
 class CountingObjective:
@@ -66,9 +67,12 @@ def test_objective_evaluator_agrees_with_objective():
         r = np.random.default_rng((17, trial))
         circ = lower_rotations(random_circuit(5, 18, r))
         obs = random_observable(5, r, max_weight=2)
-        evaluator = ObjectiveEvaluator(circ, obs, w_cap=12)
-        for w in range(1, 13):
-            assert evaluator.evaluate(w) == objective(circ, obs, w), (trial, w)
+        for slicing in ("auto", "per-gate", "per-layer"):
+            for trunc in (0.0, 0.05):
+                evaluator = ObjectiveEvaluator(circ, obs, 12, slicing, trunc)
+                for w in range(1, 13):
+                    expected = objective(circ, obs, w, slicing, trunc)
+                    assert evaluator.evaluate(w) == expected, (trial, slicing, trunc, w)
 
 
 def test_objective_rejects_bad_w():
@@ -116,34 +120,34 @@ def test_config_validation():
 
 def test_constant_objective_returns_first_sample():
     counting = CountingObjective(lambda w: 42)
-    result = anneal(None, None, SAConfig(seed=3), objective_fn=counting)
+    result = anneal(SAConfig(seed=3), objective_fn=counting)
     assert result.opt_num_circuits == 42
     assert result.w_opt == counting.seen[0]
 
 
 def test_memoization_one_eval_per_distinct_w():
     counting = CountingObjective(lambda w: (w - 7) ** 2)
-    result = anneal(None, None, SAConfig(seed=5), objective_fn=counting)
+    result = anneal(SAConfig(seed=5), objective_fn=counting)
     assert counting.calls == len(set(counting.seen))
     assert set(result.cache) == set(counting.seen)
 
 
 def test_cache_contents_match_direct_evaluation():
     fn = lambda w: (w % 5) * 100 + w
-    result = anneal(None, None, SAConfig(seed=9), objective_fn=fn)
+    result = anneal(SAConfig(seed=9), objective_fn=fn)
     for w, value in result.cache.items():
         assert value == fn(w)
 
 
 def test_probes_stay_in_bounds():
     config = SAConfig(bound_lower=3, bound_upper=11, step_size=6, seed=13)
-    result = anneal(None, None, config, objective_fn=lambda w: w)
+    result = anneal(config, objective_fn=lambda w: w)
     probed = [it["w"] for it in result.iterations]
     assert all(3 <= w <= 11 for w in probed)
 
 
 def test_best_so_far_monotone():
-    result = anneal(None, None, SAConfig(seed=21), objective_fn=lambda w: (w * 13) % 29)
+    result = anneal(SAConfig(seed=21), objective_fn=lambda w: (w * 13) % 29)
     bests = [it["best_num_circuits"] for it in result.iterations]
     assert bests == sorted(bests, reverse=True)
     assert result.opt_num_circuits == bests[-1]
@@ -151,7 +155,7 @@ def test_best_so_far_monotone():
 
 
 def test_literal_cooling_schedule():
-    result = anneal(None, None, SAConfig(t0=10.0, seed=2), objective_fn=lambda w: w)
+    result = anneal(SAConfig(t0=10.0, seed=2), objective_fn=lambda w: w)
     temps = [it["temperature"] for it in result.iterations]
     assert temps[0] == 10.0
     assert temps[1] == 10.0  # first division is by (0 + 1)
@@ -161,7 +165,7 @@ def test_literal_cooling_schedule():
 
 def test_geometric_cooling_flag():
     result = anneal(
-        None, None, SAConfig(t0=10.0, cooling="geometric", seed=2), objective_fn=lambda w: w
+        SAConfig(t0=10.0, cooling="geometric", seed=2), objective_fn=lambda w: w
     )
     temps = [it["temperature"] for it in result.iterations]
     assert temps[1] == pytest.approx(9.0)
@@ -170,8 +174,8 @@ def test_geometric_cooling_flag():
 
 def test_anneal_deterministic_given_seed():
     config = SAConfig(seed=31)
-    r1 = anneal(None, None, config, objective_fn=lambda w: (w * 7) % 13)
-    r2 = anneal(None, None, config, objective_fn=lambda w: (w * 7) % 13)
+    r1 = anneal(config, objective_fn=lambda w: (w * 7) % 13)
+    r2 = anneal(config, objective_fn=lambda w: (w * 7) % 13)
     assert r1.iterations == r2.iterations
     assert (r1.w_opt, r1.opt_num_circuits) == (r2.w_opt, r2.opt_num_circuits)
 
@@ -182,14 +186,14 @@ def test_anneal_deterministic_given_seed():
 def test_single_restart_equals_plain_anneal():
     fn = lambda w: (w - 11) ** 2 + 3
     config = SAConfig(seed=8, restarts=1)
-    single = anneal(None, None, config, objective_fn=fn, run_index=0)
-    par = parallel_anneal(None, None, config, objective_fn=fn)
+    single = anneal(config, objective_fn=fn, run_index=0)
+    par = parallel_anneal(config, objective_fn=fn)
     assert (par.w_opt, par.opt_num_circuits) == (single.w_opt, single.opt_num_circuits)
 
 
 def test_shared_cache_bounds_total_evaluations():
     counting = CountingObjective(lambda w: (w - 9) ** 2)
-    par = parallel_anneal(None, None, SAConfig(seed=4, restarts=5), objective_fn=counting)
+    par = parallel_anneal(SAConfig(seed=4, restarts=5), objective_fn=counting)
     assert counting.calls == len(set(counting.seen))
     assert counting.calls <= len(par.cache) + 1
     assert par.opt_num_circuits == min(par.cache.values())
@@ -197,7 +201,7 @@ def test_shared_cache_bounds_total_evaluations():
 
 def test_parallel_best_across_runs():
     fn = lambda w: abs(w - 2) * 10 + 1
-    par = parallel_anneal(None, None, SAConfig(seed=1, restarts=5), objective_fn=fn)
+    par = parallel_anneal(SAConfig(seed=1, restarts=5), objective_fn=fn)
     assert par.opt_num_circuits == min(r.opt_num_circuits for r in par.runs)
 
 
@@ -221,3 +225,40 @@ def test_optimize_finds_improvement_on_ansatz():
     result = optimize_budget(circ, weight_z_observable(6, 1), SAConfig(seed=0))
     assert result.w_opt is not None
     assert result.chosen_cost <= result.vanilla_cost // 2
+
+
+def test_optimize_result_carries_the_chosen_plans():
+    # Covers vanilla cutting winning (trial 0 at w = 2), the budget cap's own
+    # backpropagation being the chosen one (trial 4 at w = 2, and the fully
+    # absorbed cases) and a fresh backpropagation at w_opt (the ansatz).
+    rng = np.random.default_rng((0, 101))
+    params = [float(a) for a in rng.uniform(-np.pi, np.pi, size=24)]
+    cases = [(efficient_su2(6, 1, params), SAConfig(seed=0), "auto", 0.0, 0)]
+    for trial in range(6):
+        r = np.random.default_rng((3, trial))
+        circ = lower_rotations(random_circuit(5, 16, r))
+        slicing, trunc = (("auto", 0.0), ("per-layer", 0.05), ("per-gate", 0.0))[trial % 3]
+        cases.append((circ, SAConfig(seed=trial), slicing, trunc, trial))
+        if trial in (0, 4):
+            config = SAConfig(bound_lower=2, bound_upper=2, restarts=1, seed=trial)
+            cases.append((circ, config, "auto", 0.0, trial))
+    branches = set()
+    for circ, config, slicing, trunc, seed in cases:
+        obs = weight_z_observable(circ.n, 1)
+        result = optimize_budget(circ, obs, config, slicing, trunc, cut_seed=seed)
+        vanilla = find_cuts(circ, force_bipartition=True, seed=seed)
+        assert result.vanilla_plan == vanilla
+        if result.w_opt is None:
+            branches.add("vanilla")
+            assert result.backprop is None
+            assert result.plan == vanilla
+            continue
+        bp = backpropagate(circ, obs, result.w_opt, trunc, slicing)
+        assert result.backprop == bp
+        if bp.fully_absorbed:
+            branches.add("absorbed")
+            assert result.plan is None
+        else:
+            branches.add("cut")
+            assert result.plan == find_cuts(bp.reduced_circuit, force_bipartition=True, seed=seed)
+    assert branches == {"vanilla", "absorbed", "cut"}

@@ -72,7 +72,12 @@ def test_parse_unsupported_gate_names_gate_and_line():
 
 @pytest.mark.parametrize(
     "stmt",
-    ["h q[5];", "cx q[0];", "rz q[0];", "h r[0];", "creg c[2];", "rz(frob) q[0];"],
+    [
+        "h q[5];", "cx q[0];", "rz q[0];", "h r[0];", "creg c[2];", "rz(frob) q[0];",
+        # angles that are not finite real numbers
+        "rz(2**100000) q[0];", "rz(1e308*10) q[0];", "rz(1e400) q[0];", "rz(1/0) q[0];",
+        "rz((0-8)**0.5) q[0];",
+    ],
 )
 def test_parse_malformed(stmt):
     with pytest.raises(QasmError):

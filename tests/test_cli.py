@@ -246,3 +246,52 @@ def test_verify_rejects_plan_plus_qwc_max(workdir):
     main(["cut", circ, obs, "--bipartition", "--plan-out", str(plan_out)])
     rc = main(["verify", circ, obs, "--plan", str(plan_out), "--qwc-max", "2"])
     assert rc == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "circuit_text, obs_text, sim_limit",
+    [
+        (None, "1.0 ZZZ\nnan XXX\n", None),
+        (None, "inf ZZZ\n", None),
+        ("OPENQASM 2.0;\nqreg q[3];\nrz(2**100000) q[0];\n", None, None),
+        ("OPENQASM 2.0;\nqreg q[3];\nrz(1e308*10) q[0];\n", None, None),
+        (None, None, "abc"),
+    ],
+)
+def test_bad_numbers_are_one_line_input_errors(
+    workdir, capsys, monkeypatch, circuit_text, obs_text, sim_limit
+):
+    tmp, circ, obs, _, _ = workdir
+    if circuit_text is not None:
+        circ = tmp / "bad.qasm"
+        circ.write_text(circuit_text)
+    if obs_text is not None:
+        obs = tmp / "bad.txt"
+        obs.write_text(obs_text)
+    if sim_limit is not None:
+        monkeypatch.setenv("QCUT_SIM_LIMIT", sim_limit)
+    capsys.readouterr()
+    rc = main(["verify", str(circ), str(obs), "--qwc-max", "1"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bench_searches_each_circuit_once(workdir, monkeypatch):
+    import cutprop.annealing
+    import cutprop.cli
+    from cutprop.cutting import find_cuts
+
+    searched = []
+
+    def counting_find_cuts(circuit, **kwargs):
+        searched.append((circuit, kwargs.get("seed", 0)))
+        return find_cuts(circuit, **kwargs)
+
+    monkeypatch.setattr(cutprop.annealing, "find_cuts", counting_find_cuts)
+    monkeypatch.setattr(cutprop.cli, "find_cuts", counting_find_cuts)
+    tmp, *_ = workdir
+    out = tmp / "bench.json"
+    assert main(["bench", "--suite", "vqe6", "--large", "--out", str(out)]) == EXIT_OK
+    assert searched
+    assert len(searched) == len(set(searched))

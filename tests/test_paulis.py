@@ -232,7 +232,10 @@ def test_observable_text_leftmost_is_qubit_zero():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "0.5\n", "abc ZI\n", "0.5 ZQ\n", "0.5 ZI\n0.5 ZII\n"],
+    [
+        "", "0.5\n", "abc ZI\n", "0.5 ZQ\n", "0.5 ZI\n0.5 ZII\n",
+        "1.0 ZZ\nnan XX\n", "inf ZZ\n",
+    ],
 )
 def test_observable_text_errors(text):
     with pytest.raises(PauliError):

@@ -72,6 +72,9 @@ def test_width_limit(monkeypatch):
     monkeypatch.setenv("QCUT_SIM_LIMIT", "3")
     with pytest.raises(SimulationError, match="exceeds"):
         simulate(Circuit(4, ()))
+    monkeypatch.setenv("QCUT_SIM_LIMIT", "abc")
+    with pytest.raises(SimulationError, match="must be an integer"):
+        simulate(Circuit(4, ()))
     monkeypatch.delenv("QCUT_SIM_LIMIT")
     simulate(Circuit(4, ()))
 
