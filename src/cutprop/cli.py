@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .annealing import SAConfig, optimize_budget
+from .annealing import AnnealError, SAConfig, optimize_budget
 from .backprop import BackpropError, backpropagate
 from .circuits import Circuit, CircuitError, QasmError, emit_qasm, lower_rotations, parse_qasm
 from .cutting import CutError, CutPlan, cost, extract_subcircuits, find_cuts
@@ -139,8 +140,6 @@ def _cmd_backprop(args: argparse.Namespace) -> int:
     obs, obs_hash = _load_observable(args.observable)
     if args.qwc_max < 1:
         raise CliInputError("--qwc-max must be >= 1")
-    if args.trunc_eps < 0:
-        raise CliInputError("--trunc-eps must be nonnegative")
     result = backpropagate(circuit, obs, args.qwc_max, args.trunc_eps, args.slice)
     reduced_qasm = emit_qasm(result.reduced_circuit)
     evolved_text = format_observable(result.evolved_obs)
@@ -471,8 +470,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 _INPUT_ERRORS = (
     CliInputError, QasmError, CircuitError, PauliError, CutError,
-    BackpropError, QpdError, SimulationError,
+    BackpropError, QpdError, SimulationError, AnnealError,
 )
+
+
+def _check_numeric_flags(args: argparse.Namespace) -> None:
+    """Every float flag must be finite and nonnegative; --shots, when given, positive."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not (math.isfinite(value) and value >= 0):
+            flag = "--" + name.replace("_", "-")
+            raise CliInputError(f"{flag} must be a finite number >= 0, got {value}")
+    if getattr(args, "shots", None) is not None and args.shots < 1:
+        raise CliInputError("--shots must be >= 1")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -480,6 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args._started = time.time()
     try:
+        _check_numeric_flags(args)
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

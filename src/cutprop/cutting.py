@@ -2,22 +2,28 @@
 
 A plan assigns a part label to every (qubit, time-segment). A wire cut at
 (q, t) ends qubit q's current segment just before gate index t and starts a
-new segment with a different label; a gate cut marks a 2-qubit gate whose
-endpoint segments carry different labels. The execution-count accounting
-multiplies 9 per gate cut and 16 per wire cut into the observable's
-qubit-wise-commuting group count.
+new segment with a different label. A qubit may carry several wire cuts,
+listed in any order: its segments follow the cut positions in time order,
+and ``CutPlan.segments`` is the one place that reads them. A gate cut marks
+a 2-qubit gate whose endpoint segments carry different labels. The
+execution-count accounting multiplies 9 per gate cut and 16 per wire cut
+into the observable's qubit-wise-commuting group count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, Gate
 from .paulis import Observable, PauliString, PauliTerm, canonicalize, group_qwc
 
 GATE_CUT_FACTOR = 9
@@ -32,6 +38,13 @@ class CutError(ValueError):
     pass
 
 
+def _json_int(value) -> int:
+    # bool is an int subclass and int() would truncate floats; accept neither.
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CutPlan:
     """Partition labels plus the cut lists that realize them."""
@@ -42,18 +55,31 @@ class CutPlan:
     gate_cuts: tuple[int, ...]  # indices of cut 2-qubit gates
     num_subcircuits: int
 
+    @cached_property
+    def _timelines(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        # Cuts on unknown qubits are left out here; validate_plan rejects them.
+        timelines = {q: ((0, label),) for q, label in enumerate(self.labels)}
+        for q, pos, new in sorted(self.wire_cuts):
+            if q in timelines:
+                timelines[q] += ((pos, new),)
+        return timelines
+
+    def segments(self, q: int) -> tuple[tuple[int, int], ...]:
+        """Qubit q's timeline: (first gate index, label) per segment, in time order."""
+        return self._timelines[q]
+
+    def wire_at(self, q: int, t: int) -> tuple[int, int]:
+        """The (qubit, segment index) wire that gate index t acts on."""
+        return (q, bisect_right(self.segments(q), t, key=itemgetter(0)) - 1)
+
     def segment_label(self, q: int, t: int) -> int:
-        label = self.labels[q]
-        for qq, pos, new in self.wire_cuts:
-            if qq == q and t >= pos:
-                label = new
-        return label
+        return self.segments(q)[self.wire_at(q, t)[1]][1]
 
     def final_label(self, q: int) -> int:
-        return self.segment_label(q, 1 << 62)
+        return self.segments(q)[-1][1]
 
     def part_labels(self) -> tuple[int, ...]:
-        used = set(self.labels) | {new for _, _, new in self.wire_cuts}
+        used = {label for segs in self._timelines.values() for _, label in segs}
         return tuple(sorted(used))
 
     @property
@@ -77,13 +103,13 @@ class CutPlan:
     def from_dict(cls, data: dict) -> "CutPlan":
         try:
             return cls(
-                n=int(data["n"]),
-                labels=tuple(int(v) for v in data["labels"]),
+                n=_json_int(data["n"]),
+                labels=tuple(_json_int(v) for v in data["labels"]),
                 wire_cuts=tuple(
-                    (int(q), int(p), int(l)) for q, p, l in data["wire_cuts"]
+                    (_json_int(q), _json_int(p), _json_int(l)) for q, p, l in data["wire_cuts"]
                 ),
-                gate_cuts=tuple(int(i) for i in data["gate_cuts"]),
-                num_subcircuits=int(data["num_subcircuits"]),
+                gate_cuts=tuple(_json_int(i) for i in data["gate_cuts"]),
+                num_subcircuits=_json_int(data["num_subcircuits"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CutError(f"malformed cut plan: {exc}") from exc
@@ -127,44 +153,45 @@ def interaction_graph(circuit: Circuit) -> dict[tuple[int, int], int]:
     return weights
 
 
+def _crossing_gates(circuit: Circuit, plan: CutPlan) -> list[int]:
+    """Indices of the gates whose qubits sit in segments with different labels."""
+    return [
+        t
+        for t, g in enumerate(circuit.gates)
+        if len({plan.segment_label(q, t) for q in g.qubits}) > 1
+    ]
+
+
 def validate_plan(circuit: Circuit, plan: CutPlan) -> None:
     """Raise CutError unless the plan is a consistent partition of the circuit."""
     if plan.n != circuit.n:
         raise CutError(f"plan width {plan.n} != circuit width {circuit.n}")
     if len(plan.labels) != plan.n:
         raise CutError("label vector length mismatch")
-    per_qubit: dict[int, list[tuple[int, int]]] = {}
-    for q, pos, new in plan.wire_cuts:
+    for q, pos, _ in plan.wire_cuts:
         if not (0 <= q < plan.n):
             raise CutError(f"wire cut on unknown qubit {q}")
         if not (0 <= pos <= len(circuit.gates)):
             raise CutError(f"wire cut position {pos} out of range")
-        per_qubit.setdefault(q, []).append((pos, new))
-    for q, cuts in per_qubit.items():
-        positions = [p for p, _ in cuts]
+    for q in range(plan.n):
+        segs = plan.segments(q)
+        positions = [pos for pos, _ in segs[1:]]
         if len(set(positions)) != len(positions):
             raise CutError(f"duplicate wire cut positions on qubit {q}")
-        label = plan.labels[q]
-        for pos, new in sorted(cuts):
-            if new == label:
-                raise CutError(f"wire cut on qubit {q} does not change its label")
-            label = new
+        if any(old == new for (_, old), (_, new) in zip(segs, segs[1:])):
+            raise CutError(f"wire cut on qubit {q} does not change its label")
     gate_cut_set = set(plan.gate_cuts)
     for idx in plan.gate_cuts:
         if not (0 <= idx < len(circuit.gates)) or len(circuit.gates[idx].qubits) != 2:
             raise CutError(f"gate cut index {idx} is not a 2-qubit gate")
-    for t, g in enumerate(circuit.gates):
-        if len(g.qubits) < 2:
-            continue
-        seg_labels = {plan.segment_label(q, t) for q in g.qubits}
-        crossing = len(seg_labels) > 1
-        if crossing and len(g.qubits) > 2:
+    crossing = set(_crossing_gates(circuit, plan))
+    for t in sorted(crossing ^ gate_cut_set):
+        if len(circuit.gates[t].qubits) > 2:
             raise CutError(f"gate {t} couples >2 qubits across the partition")
-        if crossing and t not in gate_cut_set:
+        if t in crossing:
             raise CutError(f"gate {t} crosses the partition but is not cut")
-        if not crossing and t in gate_cut_set:
-            raise CutError(f"gate {t} is cut but does not cross the partition")
-    used = set(plan.labels) | {new for _, _, new in plan.wire_cuts}
+        raise CutError(f"gate {t} is cut but does not cross the partition")
+    used = plan.part_labels()
     if len(used) != plan.num_subcircuits:
         raise CutError(
             f"{len(used)} labels in use but num_subcircuits={plan.num_subcircuits}"
@@ -215,10 +242,11 @@ def cost(
                 touched = {plan.segment_label(q, idx) for q in circuit.gates[idx].qubits}
                 if label in touched:
                     eta *= GATE_CUT_FACTOR
-            for q, pos, new in plan.wire_cuts:
-                old = plan.segment_label(q, pos - 1) if pos > 0 else plan.labels[q]
-                if label in (old, new):
-                    eta *= WIRE_CUT_FACTOR
+            for q in range(plan.n):
+                segs = plan.segments(q)
+                for (_, old), (_, new) in zip(segs, segs[1:]):
+                    if label in (old, new):
+                        eta *= WIRE_CUT_FACTOR
             rows.append((label, g_i, eta))
         per = tuple(rows)
     return CostReport(plan.kg, plan.kw, groups, total, per)
@@ -473,110 +501,60 @@ def find_cuts(
     if best is None:
         raise CutError("no bipartition satisfies the constraints")
     _, labels, cut_items = best
-    state = _PlanState(circuit, list(labels))
-    for w, pos in cut_items:
-        state.add_wire_cut(w, pos, labels[w] ^ 1)
+    plan = _build_plan(circuit, labels, {w: (pos, labels[w] ^ 1) for w, pos in cut_items})
     if max_qubits is not None:
-        _split_oversized(state, max_qubits, seed)
-    plan = state.to_plan()
+        plan = _split_oversized(circuit, plan, max_qubits, seed)
     validate_plan(circuit, plan)
     return plan
 
 
-class _PlanState:
-    """Mutable partition state used while building multi-part plans."""
-
-    def __init__(self, circuit: Circuit, labels: list[int]):
-        self.circuit = circuit
-        self.n = circuit.n
-        self.labels = labels  # segment-0 label per qubit
-        self.wire_cuts: dict[int, tuple[int, int]] = {}  # q -> (pos, new_label)
-
-    def add_wire_cut(self, q: int, pos: int, new_label: int) -> None:
-        if q in self.wire_cuts:
-            raise CutError(f"qubit {q} already carries a wire cut")
-        self.wire_cuts[q] = (pos, new_label)
-
-    def segment_label(self, q: int, t: int) -> int:
-        if q in self.wire_cuts:
-            pos, new = self.wire_cuts[q]
-            if t >= pos:
-                return new
-        return self.labels[q]
-
-    def wires(self) -> list[tuple[int, int]]:
-        out = []
-        for q in range(self.n):
-            out.append((q, 0))
-            if q in self.wire_cuts:
-                out.append((q, 1))
-        return out
-
-    def wire_label(self, wire: tuple[int, int]) -> int:
-        q, seg = wire
-        return self.labels[q] if seg == 0 else self.wire_cuts[q][1]
-
-    def set_wire_label(self, wire: tuple[int, int], label: int) -> None:
-        q, seg = wire
-        if seg == 0:
-            self.labels[q] = label
-        else:
-            pos, _ = self.wire_cuts[q]
-            self.wire_cuts[q] = (pos, label)
-
-    def wire_at(self, q: int, t: int) -> tuple[int, int]:
-        if q in self.wire_cuts and t >= self.wire_cuts[q][0]:
-            return (q, 1)
-        return (q, 0)
-
-    def part_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for wire in self.wires():
-            label = self.wire_label(wire)
-            sizes[label] = sizes.get(label, 0) + 1
-        return sizes
-
-    def to_plan(self) -> CutPlan:
-        crossing = []
-        for t, g in enumerate(self.circuit.gates):
-            if len(g.qubits) == 2:
-                if self.segment_label(g.qubits[0], t) != self.segment_label(g.qubits[1], t):
-                    crossing.append(t)
-        wire_cuts = tuple(
-            (q, pos, new) for q, (pos, new) in sorted(self.wire_cuts.items())
-        )
-        used = set(self.labels) | {new for _, (_, new) in self.wire_cuts.items()}
-        return CutPlan(
-            n=self.n,
-            labels=tuple(self.labels),
-            wire_cuts=wire_cuts,
-            gate_cuts=tuple(crossing),
-            num_subcircuits=len(used),
-        )
+def _build_plan(
+    circuit: Circuit, labels: Sequence[int], cuts: dict[int, tuple[int, int]]
+) -> CutPlan:
+    """The plan for first-segment labels and at most one cut per qubit, q -> (pos, new_label)."""
+    plan = CutPlan(
+        n=circuit.n,
+        labels=tuple(labels),
+        wire_cuts=tuple((q, pos, new) for q, (pos, new) in sorted(cuts.items())),
+        gate_cuts=(),
+        num_subcircuits=0,
+    )
+    return replace(
+        plan,
+        gate_cuts=tuple(_crossing_gates(circuit, plan)),
+        num_subcircuits=len(plan.part_labels()),
+    )
 
 
-def _split_oversized(state: _PlanState, max_qubits: int, seed: int) -> None:
-    next_label = max(state.part_sizes()) + 1
+def _split_oversized(circuit: Circuit, plan: CutPlan, max_qubits: int, seed: int) -> CutPlan:
+    next_label = max(plan.part_labels()) + 1
     guard = 0
     while True:
         guard += 1
-        if guard > state.n + 2:
+        if guard > plan.n + 2:
             raise CutError("recursive bisection failed to converge")
-        oversized = [l for l, s in sorted(state.part_sizes().items()) if s > max_qubits]
+        timelines = [plan.segments(q) for q in range(plan.n)]
+        sizes = Counter(label for segs in timelines for _, label in segs)
+        oversized = [l for l, s in sorted(sizes.items()) if s > max_qubits]
         if not oversized:
-            return
+            return plan
         label = oversized[0]
-        wires = [w for w in state.wires() if state.wire_label(w) == label]
+        wires = [
+            (q, k)
+            for q, segs in enumerate(timelines)
+            for k, (_, l) in enumerate(segs)
+            if l == label
+        ]
         index = {w: i for i, w in enumerate(wires)}
         local_gates = []
-        for t, g in enumerate(state.circuit.gates):
+        for t, g in enumerate(circuit.gates):
             if len(g.qubits) != 2:
                 continue
-            wu = state.wire_at(g.qubits[0], t)
-            wv = state.wire_at(g.qubits[1], t)
+            wu = plan.wire_at(g.qubits[0], t)
+            wv = plan.wire_at(g.qubits[1], t)
             if wu in index and wv in index:
                 local_gates.append((t, index[wu], index[wv]))
-        cuttable = [w[1] == 0 and w[0] not in state.wire_cuts for w in wires]
+        cuttable = [len(timelines[q]) == 1 for q, _ in wires]
         problem = _Bipartitioner(len(wires), local_gates, cuttable)
         best = _solve_bipartition(problem, max_qubits, seed + guard)
         if best is None:
@@ -584,13 +562,17 @@ def _split_oversized(state: _PlanState, max_qubits: int, seed: int) -> None:
         if best is None:
             raise CutError(f"cannot split part of size {len(wires)} below {max_qubits}")
         _, loc_labels, loc_cuts = best
-        for wire, loc in zip(wires, loc_labels):
-            if loc == 1:
-                state.set_wire_label(wire, next_label)
+        labels = list(plan.labels)
+        cuts = {q: segs[1] for q, segs in enumerate(timelines) if len(segs) > 1}
+        for (q, k), loc in zip(wires, loc_labels):
+            if loc == 1 and k == 0:
+                labels[q] = next_label
+            elif loc == 1:
+                cuts[q] = (cuts[q][0], next_label)
         for widx, pos in loc_cuts:
-            q, seg = wires[widx]
-            pre = state.wire_label((q, seg))
-            state.add_wire_cut(q, pos, next_label if pre == label else label)
+            q, _ = wires[widx]
+            cuts[q] = (pos, next_label if labels[q] == label else label)
+        plan = _build_plan(circuit, labels, cuts)
         next_label += 1
 
 
@@ -665,62 +647,38 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
         raise CutError("observable width does not match circuit width")
     obs = canonicalize(obs)
 
-    cuts_by_qubit: dict[int, list[tuple[int, int]]] = {}
-    for q, pos, new in plan.wire_cuts:
-        cuts_by_qubit.setdefault(q, []).append((pos, new))
-    for q in cuts_by_qubit:
-        cuts_by_qubit[q].sort()
-
-    def wire_of(q: int, t: int) -> tuple[int, int]:
-        seg = 0
-        for pos, _ in cuts_by_qubit.get(q, ()):
-            if t >= pos:
-                seg += 1
-        return (q, seg)
-
-    def final_wire(q: int) -> tuple[int, int]:
-        return (q, len(cuts_by_qubit.get(q, ())))
-
     part_order = plan.part_labels()
     wires_by_part: dict[int, list[tuple[int, int]]] = {l: [] for l in part_order}
+    wirecuts_at: dict[int, list[tuple[int, int]]] = {}  # position -> [(qubit, segment)]
     for q in range(plan.n):
-        segs = [(q, 0, plan.labels[q])]
-        for k, (pos, new) in enumerate(cuts_by_qubit.get(q, ()), start=1):
-            segs.append((q, k, new))
-        for qq, seg, label in segs:
-            wires_by_part[label].append((qq, seg))
+        for k, (start, label) in enumerate(plan.segments(q)):
+            wires_by_part[label].append((q, k))
+            if k:
+                wirecuts_at.setdefault(start, []).append((q, k))
     local_index: dict[tuple[int, int], tuple[int, int]] = {}
     for label in part_order:
-        wires_by_part[label].sort()
         for i, wire in enumerate(wires_by_part[label]):
             local_index[wire] = (label, i)
 
     ops_by_part: dict[int, list[SubOp]] = {l: [] for l in part_order}
     gate_cut_infos: list[GateCutInfo] = []
     wire_cut_infos: list[WireCutInfo] = []
-    wirecuts_at: dict[int, list[tuple[int, int, int]]] = {}
-    for q, pos, new in plan.wire_cuts:
-        wirecuts_at.setdefault(pos, []).append((q, pos, new))
 
     def emit_wire_cuts(pos: int) -> None:
-        for q, p, new in sorted(wirecuts_at.get(pos, ())):
+        for q, k in wirecuts_at.get(pos, ()):
             cut_id = len(wire_cut_infos)
-            pre = wire_of(q, p - 1) if p > 0 else (q, 0)
-            post = wire_of(q, p)
-            m_label, m_wire = local_index[pre]
-            p_label, p_wire = local_index[post]
+            m_label, m_wire = local_index[(q, k - 1)]
+            p_label, p_wire = local_index[(q, k)]
             ops_by_part[m_label].append(SubOp("wc_measure", cut_id=cut_id, wire=m_wire))
             ops_by_part[p_label].append(SubOp("wc_prep", cut_id=cut_id, wire=p_wire))
             wire_cut_infos.append(
-                WireCutInfo(cut_id, q, p, (m_label, m_wire), (p_label, p_wire))
+                WireCutInfo(cut_id, q, pos, (m_label, m_wire), (p_label, p_wire))
             )
 
     gate_cut_set = set(plan.gate_cuts)
-    from .circuits import Gate  # local import to avoid a cycle at module load
-
     for t, g in enumerate(circuit.gates):
         emit_wire_cuts(t)
-        wires = [wire_of(q, t) for q in g.qubits]
+        wires = [plan.wire_at(q, t) for q in g.qubits]
         labels = {local_index[w][0] for w in wires}
         if len(labels) == 1:
             label = labels.pop()
@@ -737,6 +695,7 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
             gate_cut_infos.append(GateCutInfo(cut_id, t, g.kind, (la, wa), (lb, wb)))
     emit_wire_cuts(len(circuit.gates))
 
+    final = [local_index[plan.wire_at(q, len(circuit.gates))] for q in range(plan.n)]
     subobservables = []
     for label in part_order:
         wires = wires_by_part[label]
@@ -744,11 +703,9 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
         words = []
         for term in obs.terms:
             x = z = 0
-            for q in range(plan.n):
-                fw = final_wire(q)
-                if local_index[fw][0] != label:
+            for q, (final_label, i) in enumerate(final):
+                if final_label != label:
                     continue
-                i = local_index[fw][1]
                 x |= ((term.word.x >> q) & 1) << i
                 z |= ((term.word.z >> q) & 1) << i
             words.append(PauliString(m, x, z))

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutprop.circuits import Circuit, Gate, emit_qasm
 from cutprop.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
@@ -295,3 +297,135 @@ def test_bench_searches_each_circuit_once(workdir, monkeypatch):
     assert main(["bench", "--suite", "vqe6", "--large", "--out", str(out)]) == EXIT_OK
     assert searched
     assert len(searched) == len(set(searched))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "{circ}", "{obs}", "--iters", "0"],
+        ["optimize", "{circ}", "{obs}", "--restarts", "0"],
+        ["optimize", "{circ}", "{obs}", "--bound-lower", "5", "--bound-upper", "2"],
+        ["optimize", "{circ}", "{obs}", "--t0", "nan"],
+        ["verify", "{circ}", "{obs}", "--qwc-max", "4", "--trunc-eps", "-1"],
+        ["verify", "{circ}", "{obs}", "--tolerance", "nan"],
+        ["verify", "{circ}", "{obs}", "--tolerance", "inf"],
+        ["verify", "{circ}", "{obs}", "--shots", "0"],
+        ["backprop", "{circ}", "{obs}", "--qwc-max", "2", "--trunc-eps", "nan"],
+        ["verify", "{circ}", "{obs}", "--plan", "{plan_huge_n}"],
+        ["verify", "{circ}", "{obs}", "--plan", "{plan_float_label}"],
+    ],
+)
+def test_bad_flags_are_one_line_input_errors(workdir, capsys, argv):
+    tmp, circ, obs, _, _ = workdir
+    plan = {"n": 3, "labels": [0, 0, 1], "wire_cuts": [], "gate_cuts": [3],
+            "num_subcircuits": 2}
+    (tmp / "huge_n.json").write_text(json.dumps(plan).replace('"n": 3', '"n": 1e999'))
+    (tmp / "float_label.json").write_text(json.dumps({**plan, "labels": [0, 0, 1.7]}))
+    paths = {"circ": circ, "obs": obs, "plan_huge_n": str(tmp / "huge_n.json"),
+             "plan_float_label": str(tmp / "float_label.json")}
+    capsys.readouterr()
+    rc = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- property: plan input -------------------------------------------------------
+
+_PROPERTY_CIRCUIT = Circuit(
+    3,
+    (
+        Gate("h", (0,)),
+        Gate("cz", (0, 1)),
+        Gate("rz", (2,), angle=0.7),
+        Gate("sx", (2,)),
+        Gate("cx", (1, 2)),
+        Gate("h", (0,)),
+    ),
+)
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 8), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def _plan_json(draw):
+    """A consistent plan for _PROPERTY_CIRCUIT, then maybe one mutation."""
+    n = _PROPERTY_CIRCUIT.n
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    cuts = sorted(draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, len(_PROPERTY_CIRCUIT.gates)),
+                  st.integers(0, 2)),
+        max_size=3,
+    )))
+    # Sorted cuts run through each qubit in time order; make each change the label.
+    current = list(labels)
+    for i, (q, pos, new) in enumerate(cuts):
+        if new == current[q]:
+            new = (new + 1) % 3
+            cuts[i] = (q, pos, new)
+        current[q] = new
+
+    def label(q, t):
+        found = labels[q]
+        for qq, pos, new in cuts:
+            if qq == q and pos <= t:
+                found = new
+        return found
+
+    crossing = [
+        t for t, g in enumerate(_PROPERTY_CIRCUIT.gates)
+        if len({label(q, t) for q in g.qubits}) > 1
+    ]
+    plan = {
+        "n": n,
+        "labels": labels,
+        "wire_cuts": [list(c) for c in draw(st.permutations(cuts))],
+        "gate_cuts": crossing,
+        "num_subcircuits": len(set(labels) | {new for _, _, new in cuts}),
+    }
+    mutation = draw(st.sampled_from(["none", "drop", "replace", "cut_field"]))
+    key = draw(st.sampled_from(sorted(plan)))
+    if mutation == "drop":
+        del plan[key]
+    elif mutation == "replace":
+        plan[key] = draw(_JUNK)
+    elif mutation == "cut_field" and plan["wire_cuts"]:
+        cut = draw(st.sampled_from(plan["wire_cuts"]))
+        cut[draw(st.integers(0, 2))] = draw(_JUNK)
+    return plan
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in report")
+
+
+@pytest.fixture(scope="module")
+def property_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("plan_property")
+    circ, obs = tmp / "circ.qasm", tmp / "obs.txt"
+    circ.write_text(emit_qasm(_PROPERTY_CIRCUIT))
+    obs.write_text("1.0 XZI\n0.5 ZIZ\n-0.25 YXZ\n")
+    return tmp, str(circ), str(obs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan=_plan_json())
+def test_verify_plan_input_property(property_files, plan):
+    # Every plan either reconstructs the exact value (exit 0, finite report)
+    # or is rejected as input (exit 2); nothing escapes as an exception.
+    tmp, circ, obs = property_files
+    plan_path, out = tmp / "plan.json", tmp / "report.json"
+    plan_path.write_text(json.dumps(plan))
+    out.unlink(missing_ok=True)
+    rc = main(["verify", circ, obs, "--plan", str(plan_path), "--out", str(out)])
+    assert rc in (EXIT_OK, EXIT_INPUT)
+    if rc == EXIT_OK:
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert report["results"]["within_tolerance"] is True

@@ -17,6 +17,7 @@ from cutprop.cutting import (
 )
 from cutprop.generators import random_circuit, weight_z_observable
 from cutprop.paulis import Observable, PauliString, canonicalize
+from cutprop.qpd import cut_and_reconstruct, uncut_expectation
 
 
 def ladder(n, kind="cz", per_edge=1):
@@ -229,6 +230,58 @@ def test_plan_json_roundtrip():
 def test_plan_from_dict_rejects_garbage():
     with pytest.raises(CutError):
         CutPlan.from_dict({"nonsense": True})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 1e999),
+        ("n", 3.0),
+        ("labels", [0, 0, 1.7, 1]),
+        ("labels", [0, True, 1, 1]),
+        ("wire_cuts", [[0, 2.5, 1]]),
+        ("gate_cuts", ["1"]),
+        ("num_subcircuits", None),
+    ],
+)
+def test_plan_from_dict_accepts_only_json_integers(field, value):
+    data = {"n": 4, "labels": [0, 0, 1, 1], "wire_cuts": [], "gate_cuts": [1],
+            "num_subcircuits": 2}
+    assert CutPlan.from_dict(data).labels == (0, 0, 1, 1)
+    data[field] = value
+    with pytest.raises(CutError, match="malformed cut plan"):
+        CutPlan.from_dict(data)
+
+
+def test_wire_cut_order_does_not_matter():
+    # qubit 0 moves to part 1 for gates 3-4 and returns to part 0 at gate 5
+    circ = Circuit(3, (
+        Gate("h", (0,)), Gate("cz", (0, 1)), Gate("h", (0,)),
+        Gate("cz", (0, 2)), Gate("h", (0,)), Gate("cz", (0, 1)),
+    ))
+    obs = canonicalize(
+        Observable.from_labels([(1.0, "XZI"), (0.5, "ZIZ"), (-0.25, "XXZ"), (0.75, "ZZZ")])
+    )
+    plans = [
+        CutPlan(3, (0, 0, 1), wire_cuts, (), 2)
+        for wire_cuts in (((0, 3, 1), (0, 5, 0)), ((0, 5, 0), (0, 3, 1)))
+    ]
+    for plan in plans:
+        validate_plan(circ, plan)
+    seen = [
+        (
+            plan.segments(0),
+            [plan.segment_label(0, t) for t in range(len(circ.gates) + 1)],
+            plan.final_label(0),
+            cost(plan, obs, per_subcircuit=True, circuit=circ),
+            cut_and_reconstruct(circ, plan, obs).value,
+        )
+        for plan in plans
+    ]
+    assert seen[0] == seen[1]
+    assert seen[0][0] == ((0, 0), (3, 1), (5, 0))
+    assert seen[0][1] == [0, 0, 0, 1, 1, 0, 0]
+    assert seen[0][4] == pytest.approx(uncut_expectation(circ, obs), abs=1e-9)
 
 
 # --- extraction ------------------------------------------------------------------
