@@ -51,6 +51,8 @@ class SAConfig:
             raise AnnealError("num_iters must be >= 1")
         if self.restarts < 1:
             raise AnnealError("restarts must be >= 1")
+        if self.seed < 0 or self.step_size < 0:
+            raise AnnealError("seed and step_size must be >= 0")
         if self.cooling not in ("literal", "geometric"):
             raise AnnealError(f"unknown cooling schedule {self.cooling!r}")
 

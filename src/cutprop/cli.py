@@ -475,11 +475,13 @@ _INPUT_ERRORS = (
 
 
 def _check_numeric_flags(args: argparse.Namespace) -> None:
-    """Every float flag must be finite and nonnegative; --shots, when given, positive."""
+    """Every number flag must be finite and nonnegative; --shots, when given, positive."""
     for name, value in vars(args).items():
+        flag = "--" + name.replace("_", "-")
         if isinstance(value, float) and not (math.isfinite(value) and value >= 0):
-            flag = "--" + name.replace("_", "-")
             raise CliInputError(f"{flag} must be a finite number >= 0, got {value}")
+        if isinstance(value, int) and not isinstance(value, bool) and value < 0:
+            raise CliInputError(f"{flag} must be >= 0, got {value}")
     if getattr(args, "shots", None) is not None and args.shots < 1:
         raise CliInputError("--shots must be >= 1")
 

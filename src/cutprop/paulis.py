@@ -12,6 +12,7 @@ qubit 1 and X on qubit 2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -139,7 +140,11 @@ class Observable:
 
     @classmethod
     def from_terms(cls, n: int, terms: Iterable[tuple[complex, PauliString]]) -> "Observable":
-        return canonicalize(cls(n, tuple(PauliTerm(complex(c), w) for c, w in terms)))
+        terms = tuple(PauliTerm(complex(c), w) for c, w in terms)
+        for t in terms:
+            if not cmath.isfinite(t.coeff):
+                raise PauliError(f"non-finite coefficient {t.coeff} on {t.word.label()}")
+        return canonicalize(cls(n, terms))
 
     @classmethod
     def from_labels(cls, pairs: Iterable[tuple[complex, str]]) -> "Observable":

@@ -7,30 +7,38 @@ of (measured Pauli, prepared eigenstate) with coefficients +-1/2. Gate cuts
 use the 6-term local decomposition of CZ/CX built from single-qubit
 rotations and sign-weighted Z measurements; coefficients sum to exactly 1.
 
-Reconstruction enumerates the Cartesian product of decomposition terms over
-all cuts and computes exact per-subcircuit expectations (no shot noise), so
-the recombined value matches the uncut circuit to solver precision. Every
-decomposition is checked against a dense channel oracle before first use.
+Reconstruction gives each part one table of exact expectations (no shot
+noise), indexed by its cuts' term choices and the observable term, and
+contracts the tables with the cut coefficients in one einsum, so the value
+matches the uncut circuit to solver precision. Every decomposition is
+checked against a dense channel oracle before first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .circuits import Circuit
 from .cutting import CutPlan, Extraction, extract_subcircuits
-from .paulis import Observable, PauliString, canonicalize
-from .sim import apply_1q, apply_gate, apply_pauli, expectation, product_state, simulate
+from .paulis import Observable, canonicalize
+
+# apply_pauli is unused here, but the benchmark's tracer wraps it in this
+# module (perfbench/spans.py), so the import stays.
+from .sim import apply_1q, apply_gate, apply_pauli, expectation  # noqa: F401
+from .sim import pauli_expectations, product_state, simulate
 
 _S2 = 1.0 / math.sqrt(2.0)
 
 
 class QpdError(ValueError):
     pass
+
+
+# Largest 6^kg * 8^kw that reconstruct accepts; each part's table grows with it.
+MAX_QPD_COMBINATIONS = 8**6
 
 
 PREP_STATES: dict[str, np.ndarray] = {
@@ -42,21 +50,15 @@ PREP_STATES: dict[str, np.ndarray] = {
     "-i": np.array([_S2, -_S2 * 1j], dtype=complex),
 }
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 _MAT_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-_MAT_Z = _PAULI_1Q["Z"]
+_MAT_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _MAT_H = _S2 * np.array([[1, 1], [1, -1]], dtype=complex)
 _MAT_RP = np.array([[np.exp(0.25j * np.pi), 0], [0, np.exp(-0.25j * np.pi)]])
 _MAT_RM = _MAT_RP.conj()
 
-# Endpoint instructions: ("u", name, 2x2 matrix) applies a unitary,
-# ("mzsign",) is the sign-weighted Z measurement Pi0 rho Pi0 - Pi1 rho Pi1.
+# Cut-end instructions: ("u", name, 2x2 matrix) applies a unitary,
+# ("mzsign",) is the sign-weighted Z measurement Pi0 rho Pi0 - Pi1 rho Pi1,
+# and a wire cut's ends are ("measure", Pauli letter) and ("prep", state).
 _U = lambda name, m: ("u", name, m)
 _MZ = ("mzsign",)
 
@@ -116,50 +118,70 @@ def gatecut_terms(kind: str) -> tuple[QpdTerm, ...]:
     return tuple(QpdTerm(c, a, b, f"{c:+g} {label}") for c, a, b, label in rows)
 
 
+# --- cut-end instructions ---------------------------------------------------
+
+
+# (x bit, z bit) of the Pauli letter measured at a wire cut.
+_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+def _apply_endpoint(branches: list, letters: tuple, instrs: tuple, wire: int):
+    """Apply one cut end's instructions to the signed branches of a part walk.
+
+    ``letters`` is the (x, z) mask of the Pauli letters measured so far at
+    wire cuts; a measured letter joins every word evaluated at the leaf.
+    """
+    for instr in instrs:
+        if instr[0] == "u":
+            branches = [(w, apply_1q(s, instr[2], wire)) for w, s in branches]
+        elif instr[0] == "mzsign":  # Pi0 rho Pi0 - Pi1 rho Pi1 splits each branch
+            bit = (np.arange(branches[0][1].size) >> wire) & 1
+            branches = [
+                split for w, s in branches
+                for split in ((w, np.where(bit == 0, s, 0)), (-w, np.where(bit == 1, s, 0)))
+            ]
+        elif instr[0] == "prep":  # the wire idles in |0> until its cut: apply |s><0|
+            prep = np.outer(PREP_STATES[instr[1]], (1, 0))
+            branches = [(w, apply_1q(s, prep, wire)) for w, s in branches]
+        else:  # measure
+            bx, bz = _LETTER_BITS[instr[1]]
+            letters = (letters[0] | bx << wire, letters[1] | bz << wire)
+    return branches, letters
+
+
 # --- build-time channel verification -------------------------------------
-
-
-def _apply_endpoint_density(rho: np.ndarray, ops: tuple, side: int) -> np.ndarray:
-    """Apply endpoint instructions to one side (0 or 1) of a 2-qubit density."""
-    out = rho
-    for op in ops:
-        if op[0] == "u":
-            m = np.kron(op[2], np.eye(2)) if side == 0 else np.kron(np.eye(2), op[2])
-            out = m @ out @ m.conj().T
-        elif op[0] == "mzsign":
-            p0 = np.diag([1, 0]).astype(complex)
-            p1 = np.diag([0, 1]).astype(complex)
-            e0 = np.kron(p0, np.eye(2)) if side == 0 else np.kron(np.eye(2), p0)
-            e1 = np.kron(p1, np.eye(2)) if side == 0 else np.kron(np.eye(2), p1)
-            out = e0 @ out @ e0 - e1 @ out @ e1
-        else:
-            raise QpdError(f"unknown endpoint instruction {op[0]!r}")
-    return out
 
 
 def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
-def _random_pure_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+def _random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
+    return v / np.linalg.norm(v)
+
+
+def _density(branches: list) -> np.ndarray:
+    return sum(w * np.outer(s, s.conj()) for w, s in branches)
 
 
 def verify_wirecut_identity(num_states: int = 100, seed: int = 11, tol: float = 1e-12) -> float:
-    """Max trace distance of the measure-and-prepare sum from the identity."""
+    """Max trace distance of the measure-and-prepare sum from the identity.
+
+    Each term runs through ``_apply_endpoint``, the code reconstruction runs.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     terms = wirecut_terms()
     for _ in range(num_states):
-        rho = _random_pure_density(rng, 2)
+        v = _random_pure_state(rng, 2)
         total = np.zeros((2, 2), dtype=complex)
         for t in terms:
-            pmat = _PAULI_1Q[t.left_op[1]]
-            prep = PREP_STATES[t.right_op[1]]
-            total += t.coefficient * np.trace(rho @ pmat).real * np.outer(prep, prep.conj())
-        worst = max(worst, _trace_distance(total, rho))
+            _, (x, z) = _apply_endpoint([], (0, 0), (t.left_op,), 0)
+            prepared, _ = _apply_endpoint([(1.0, PREP_STATES["0"])], (0, 0), (t.right_op,), 0)
+            measured = pauli_expectations(v, [x], [z])[0].real
+            total += t.coefficient * measured * _density(prepared)
+        worst = max(worst, _trace_distance(total, _density([(1.0, v)])))
     if worst > tol:
         raise QpdError(f"wire-cut identity check failed: trace distance {worst}")
     return worst
@@ -174,7 +196,10 @@ _GATE_MATRIX = {
 
 def verify_gatecut_channel(kind: str, num_states: int = 100, seed: int = 13,
                            tol: float = 1e-12) -> float:
-    """Max trace distance of the QPD channel sum from the true gate channel."""
+    """Max trace distance of the QPD channel sum from the true gate channel.
+
+    Each term runs through ``_apply_endpoint``, the code reconstruction runs.
+    """
     rng = np.random.default_rng(seed)
     terms = gatecut_terms(kind)
     coeff_sum = sum(t.coefficient for t in terms)
@@ -183,13 +208,14 @@ def verify_gatecut_channel(kind: str, num_states: int = 100, seed: int = 13,
     u = _GATE_MATRIX[kind]
     worst = 0.0
     for _ in range(num_states):
-        rho = _random_pure_density(rng, 4)
-        target = u @ rho @ u.conj().T
+        v = _random_pure_state(rng, 4)
+        target = u @ _density([(1.0, v)]) @ u.conj().T
         total = np.zeros((4, 4), dtype=complex)
         for t in terms:
-            piece = _apply_endpoint_density(rho, t.left_op, side=0)
-            piece = _apply_endpoint_density(piece, t.right_op, side=1)
-            total += t.coefficient * piece
+            # The first tensor factor (the gate's first qubit) is wire 1.
+            branches, _ = _apply_endpoint([(1.0, v)], (0, 0), t.left_op, 1)
+            branches, _ = _apply_endpoint(branches, (0, 0), t.right_op, 0)
+            total += t.coefficient * _density(branches)
         worst = max(worst, _trace_distance(total, target))
     if worst > tol:
         raise QpdError(f"{kind} gate-cut channel check failed: trace distance {worst}")
@@ -221,44 +247,49 @@ class ReconstructionResult:
     wire_cut_count: int
 
 
-def _simulate_part(sub, combo_gate, combo_wire, initial_factors, extraction):
-    """Run one decorated subcircuit; returns signed branches and measure letters."""
-    factors = []
-    for wire, origin in enumerate(sub.wire_origin):
-        q, seg = origin
-        if seg == 0:
-            factors.append(initial_factors[q])
-        else:
-            cut = next(
-                w for w in extraction.wire_cut_infos if w.prep == (sub.label, wire)
-            )
-            prep_name = combo_wire[cut.cut_id].right_op[1]
-            factors.append(PREP_STATES[prep_name])
-    branches: list[tuple[complex, np.ndarray]] = [(1.0 + 0j, product_state(factors))]
-    measure_letters: list[tuple[int, int]] = []  # (cut_id, local wire)
-    for op in sub.ops:
-        if op.kind == "gate":
-            branches = [(w, apply_gate(s, op.gate, sub.n)) for w, s in branches]
-        elif op.kind == "gatecut":
-            term = combo_gate[op.cut_id]
-            instrs = term.left_op if op.role == "a" else term.right_op
-            for instr in instrs:
-                if instr[0] == "u":
-                    branches = [(w, apply_1q(s, instr[2], op.wire)) for w, s in branches]
-                else:  # mzsign
-                    new_branches = []
-                    for w, s in branches:
-                        bit = (np.arange(s.size) >> op.wire) & 1
-                        new_branches.append((w, np.where(bit == 0, s, 0)))
-                        new_branches.append((-w, np.where(bit == 1, s, 0)))
-                    branches = new_branches
-        elif op.kind == "wc_measure":
-            measure_letters.append((op.cut_id, op.wire))
-        elif op.kind == "wc_prep":
-            pass  # already folded into the initial state
+def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
+    """One part's values, indexed by [incident cuts' term choices..., observable term].
+
+    A depth-first walk of the op stream branches at each cut end, once per
+    distinct instruction list, so every shared prefix is simulated once.
+    Each leaf evaluates the part's observable words, extended by the
+    letters measured on its path. Returns the table and the cut of each of
+    its leading axes, in op order.
+    """
+    factors = [initial_factors[q] if seg == 0 else PREP_STATES["0"]
+               for q, seg in sub.wire_origin]
+    ends: dict[int, tuple] = {}  # op index -> (wire, instructions and key per term)
+    axes: list[int] = []
+    for i, op in enumerate(sub.ops):
+        if op.kind == "gatecut":
+            cut = op.cut_id
+            per_term = [t.left_op if op.role == "a" else t.right_op for t in cut_terms[cut]]
+        elif op.kind in ("wc_measure", "wc_prep"):
+            cut = wire_cut_base + op.cut_id
+            per_term = [(t.left_op if op.kind == "wc_measure" else t.right_op,)
+                        for t in cut_terms[cut]]
+        elif op.kind == "gate":
+            continue
         else:
             raise QpdError(f"unknown subcircuit op {op.kind!r}")
-    return branches, measure_letters
+        keys = [tuple(instr[:2] for instr in instrs) for instrs in per_term]
+        ends[i] = (op.wire, per_term, keys)
+        axes.append(cut)
+
+    def walk(start: int, branches: list, letters: tuple) -> np.ndarray:
+        for i in range(start, len(sub.ops)):
+            if i in ends:
+                wire, per_term, keys = ends[i]
+                done: dict[tuple, np.ndarray] = {}
+                for key, instrs in zip(keys, per_term):
+                    if key not in done:
+                        done[key] = walk(i + 1, *_apply_endpoint(branches, letters, instrs, wire))
+                return np.stack([done[key] for key in keys])
+            branches = [(w, apply_gate(s, sub.ops[i].gate, sub.n)) for w, s in branches]
+        xs, zs = [w.x | letters[0] for w in words], [w.z | letters[1] for w in words]
+        return sum(w * pauli_expectations(s, xs, zs) for w, s in branches)
+
+    return walk(0, [(1.0 + 0j, product_state(factors))], (0, 0)), axes
 
 
 def reconstruct(
@@ -269,15 +300,16 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Recombine exact subcircuit expectations across all QPD term choices.
 
-    The reduction order (cut-major Cartesian product, observable terms in
-    canonical order) is fixed so repeated runs are bit-identical. Each part
-    only depends on the term choices of the cuts touching it, so decorated
-    simulations are cached by those choices rather than rerun per combo.
+    A part's value depends only on the term choices of the cuts it touches,
+    so the sum over the 6^kg * 8^kw combinations factorises: one
+    ``np.einsum`` contracts each part's table (``_part_table``) with every
+    cut's coefficient vector and the observable's term coefficients, in a
+    fixed order, so reruns are bit-identical. Plans above
+    MAX_QPD_COMBINATIONS are refused before anything is simulated.
 
-    ``shots`` switches to a demonstration mode that replaces each exact
-    subexperiment expectation v with a binomial estimate (outcomes are
-    +-1-valued, so v is resampled as 2*Binomial(shots, (1+v)/2)/shots - 1);
-    the default keeps everything exact.
+    ``shots`` switches to a demonstration mode that replaces each table
+    entry v with a binomial estimate (outcomes are +-1-valued, so v is
+    resampled as 2*Binomial(shots, (1+v)/2)/shots - 1).
     """
     plan = extraction.plan
     if shots is not None and shots < 1:
@@ -285,96 +317,38 @@ def reconstruct(
     sampler = np.random.default_rng((sample_seed, 977)) if shots else None
     if initial_factors is None:
         initial_factors = [PREP_STATES["0"]] * plan.n
-    gate_term_lists = []
-    for info in extraction.gate_cut_infos:
-        _ensure_verified(info.kind)
-        gate_term_lists.append(gatecut_terms(info.kind))
+    # Cut c < kg is gate cut c; cut kg + j is wire cut j.
+    cut_terms = [gatecut_terms(i.kind) for i in extraction.gate_cut_infos]
+    cut_terms += [wirecut_terms()] * len(extraction.wire_cut_infos)
+    num_combos = math.prod(len(terms) for terms in cut_terms)
+    if num_combos > MAX_QPD_COMBINATIONS:
+        raise QpdError(f"plan needs {num_combos} QPD combinations (6^kg * 8^kw), "
+                       f"more than the limit {MAX_QPD_COMBINATIONS}")
+    for kind in {i.kind for i in extraction.gate_cut_infos}:
+        _ensure_verified(kind)
     if extraction.wire_cut_infos:
         _ensure_verified("wire")
-    wire_term_lists = [wirecut_terms() for _ in extraction.wire_cut_infos]
 
-    parts = extraction.subcircuits
-    nterms = len(extraction.term_coeffs)
-    gate_deps = [
-        [i.cut_id for i in extraction.gate_cut_infos if sub.label in (i.a[0], i.b[0])]
-        for sub in parts
-    ]
-    prep_deps = [
-        [w.cut_id for w in extraction.wire_cut_infos if w.prep[0] == sub.label]
-        for sub in parts
-    ]
-    meas_deps = [
-        [w.cut_id for w in extraction.wire_cut_infos if w.measure[0] == sub.label]
-        for sub in parts
-    ]
-    sim_cache: dict[tuple, list] = {}
-    value_cache: dict[tuple, list] = {}
-
-    def part_values(pi: int, gate_choice, wire_choice) -> list[complex]:
-        sub = parts[pi]
-        sim_key = (
-            pi,
-            tuple(gate_choice[c].label for c in gate_deps[pi]),
-            tuple(wire_choice[c].right_op[1] for c in prep_deps[pi]),
-        )
-        letters_key = tuple(wire_choice[c].left_op[1] for c in meas_deps[pi])
-        full_key = (sim_key, letters_key)
-        if full_key in value_cache:
-            return value_cache[full_key]
-        if sim_key in sim_cache:
-            branches, measured = sim_cache[sim_key]
-        else:
-            branches, measured = _simulate_part(
-                sub, gate_choice, wire_choice, initial_factors, extraction
-            )
-            sim_cache[sim_key] = (branches, measured)
-        extra_x = extra_z = 0
-        for cut_id, wire in measured:
-            letter = wire_choice[cut_id].left_op[1]
-            if letter in ("X", "Y"):
-                extra_x |= 1 << wire
-            if letter in ("Z", "Y"):
-                extra_z |= 1 << wire
-        values = []
-        for k in range(nterms):
-            w = extraction.subobservables[pi][k]
-            word = PauliString(sub.n, w.x | extra_x, w.z | extra_z)
-            val = 0j
-            for weight, state in branches:
-                val += weight * np.vdot(state, apply_pauli(state, word))
-            if sampler is not None:
-                # Each subexperiment measures a +-1 observable; emulate a
-                # finite-shot estimate of its (real) expectation.
-                v = min(1.0, max(-1.0, val.real))
-                val = 2.0 * sampler.binomial(shots, 0.5 * (1.0 + v)) / shots - 1.0
-            values.append(val)
-        value_cache[full_key] = values
-        return values
-
-    total = 0j
-    num_combos = 0
-    for gate_choice in product(*gate_term_lists):
-        for wire_choice in product(*wire_term_lists):
-            num_combos += 1
-            coeff = 1.0
-            for t in gate_choice:
-                coeff *= t.coefficient
-            for t in wire_choice:
-                coeff *= t.coefficient
-            per_part = [part_values(pi, gate_choice, wire_choice) for pi in range(len(parts))]
-            combo_value = 0j
-            for k in range(nterms):
-                prod = extraction.term_coeffs[k]
-                for values in per_part:
-                    prod *= values[k]
-                combo_value += prod
-            total += coeff * combo_value
+    kg, term_axis = len(extraction.gate_cut_infos), len(cut_terms)
+    operands: list = []
+    for sub, words in zip(extraction.subcircuits, extraction.subobservables):
+        table, axes = _part_table(sub, words, cut_terms, kg, initial_factors)
+        if sampler is not None:
+            # Each subexperiment measures a +-1 observable; emulate a
+            # finite-shot estimate of its (real) expectation.
+            p = 0.5 * (1.0 + np.clip(table.real, -1.0, 1.0))
+            table = 2.0 * sampler.binomial(shots, p) / shots - 1.0
+        operands += [table, axes + [term_axis]]
+    for c, terms in enumerate(cut_terms):
+        operands += [np.array([t.coefficient for t in terms]), [c]]
+    operands += [np.array(extraction.term_coeffs), [term_axis]]
+    total = complex(np.einsum(*operands, []))
     if abs(total.imag) > 1e-9:
         raise QpdError(f"reconstructed value has imaginary residue {total.imag}")
     return ReconstructionResult(
         value=float(total.real),
         num_combinations=num_combos,
-        num_subexperiments=num_combos * len(parts),
+        num_subexperiments=num_combos * len(extraction.subcircuits),
         gate_cut_kinds=tuple(i.kind for i in extraction.gate_cut_infos),
         wire_cut_count=len(extraction.wire_cut_infos),
     )

@@ -116,6 +116,10 @@ def test_config_validation():
         SAConfig(num_iters=0)
     with pytest.raises(AnnealError):
         SAConfig(cooling="linear")
+    with pytest.raises(AnnealError):
+        SAConfig(seed=-1)
+    with pytest.raises(AnnealError):
+        SAConfig(step_size=-3)
 
 
 def test_constant_objective_returns_first_sample():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -313,6 +314,9 @@ def test_bench_searches_each_circuit_once(workdir, monkeypatch):
         ["backprop", "{circ}", "{obs}", "--qwc-max", "2", "--trunc-eps", "nan"],
         ["verify", "{circ}", "{obs}", "--plan", "{plan_huge_n}"],
         ["verify", "{circ}", "{obs}", "--plan", "{plan_float_label}"],
+        ["optimize", "{circ}", "{obs}", "--seed", "-1"],
+        ["bench", "--suite", "qaoa3", "--seed", "-1"],
+        ["optimize", "{circ}", "{obs}", "--step-size", "-3"],
     ],
 )
 def test_bad_flags_are_one_line_input_errors(workdir, capsys, argv):
@@ -328,6 +332,22 @@ def test_bad_flags_are_one_line_input_errors(workdir, capsys, argv):
     err = capsys.readouterr().err
     assert rc == EXIT_INPUT
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oversized_qpd_plan_is_refused_before_simulating(workdir, capsys):
+    # one gate cut and 7 wire cuts on qubit 2: 6 * 8**7 (about 12.6 M) combinations
+    tmp, circ, obs, _, _ = workdir
+    plan = {"n": 3, "labels": [0, 0, 1], "gate_cuts": [3],
+            "wire_cuts": [[2, pos, pos % 2] for pos in range(7)], "num_subcircuits": 2}
+    path = tmp / "oversized.json"
+    path.write_text(json.dumps(plan))
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc = main(["verify", circ, obs, "--plan", str(path)])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert "combinations" in err and err.count("\n") == 1
 
 
 # --- property: plan input -------------------------------------------------------

@@ -240,3 +240,10 @@ def test_observable_text_leftmost_is_qubit_zero():
 def test_observable_text_errors(text):
     with pytest.raises(PauliError):
         parse_observable(text)
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), complex(float("nan"), 0)])
+def test_from_terms_rejects_non_finite_coefficients(coeff):
+    terms = [(1.0, PauliString.from_label("ZZ")), (coeff, PauliString.from_label("XX"))]
+    with pytest.raises(PauliError, match="non-finite"):
+        Observable.from_terms(2, terms)

@@ -199,3 +199,28 @@ def test_reconstruct_multiway_plan():
     rec = cut_and_reconstruct(circ, plan, obs, factors)
     assert rec.num_combinations == 6**plan.kg * 8**plan.kw
     assert rec.value == pytest.approx(uncut_expectation(circ, obs, factors), abs=1e-9)
+
+
+def test_reconstruct_part_with_every_cut_end():
+    # Each part holds a gate-cut end in both roles, a measured and a prepared
+    # wire-cut end, interleaved in an order that differs from the cut order.
+    gates = (
+        Gate("h", (0,)), Gate("h", (1,)), Gate("rz", (2,), angle=0.3), Gate("h", (3,)),
+        Gate("cz", (0, 2)), Gate("rz", (1,), angle=0.5), Gate("cx", (1, 3)),
+        Gate("cx", (3, 0)), Gate("cx", (0, 2)), Gate("rz", (2,), angle=0.7),
+        Gate("sx", (1,)), Gate("cz", (1, 3)),
+    )
+    circ = Circuit(4, gates)
+    plan = CutPlan(4, (0, 0, 1, 1), ((1, 6, 1), (2, 8, 0)), (4, 7), 2)
+    obs = Observable.from_labels([(0.4, "ZXYZ"), (0.3, "XIZY"), (0.5, "IZXX"), (0.2, "ZZZZ")])
+    ext = extract_subcircuits(circ, plan, obs)
+    ends = [[(op.kind, op.cut_id, op.role) for op in sub.ops if op.kind != "gate"]
+            for sub in ext.subcircuits]
+    assert ends == [
+        [("gatecut", 0, "a"), ("wc_measure", 0, None), ("gatecut", 1, "b"), ("wc_prep", 1, None)],
+        [("gatecut", 0, "b"), ("wc_prep", 0, None), ("gatecut", 1, "a"), ("wc_measure", 1, None)],
+    ]
+    factors = random_product_factors(4, np.random.default_rng(7))
+    rec = reconstruct(ext, factors)
+    assert rec.num_combinations == 6**2 * 8**2
+    assert rec.value == pytest.approx(uncut_expectation(circ, obs, factors), abs=1e-10)

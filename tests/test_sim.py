@@ -8,6 +8,7 @@ from cutprop.sim import (
     SimulationError,
     apply_pauli,
     expectation,
+    pauli_expectations,
     product_state,
     simulate,
     zero_state,
@@ -89,3 +90,29 @@ def test_random_product_factors_normalized():
     rng = np.random.default_rng(5)
     for f in random_product_factors(4, rng):
         assert np.linalg.norm(f) == pytest.approx(1.0)
+
+
+def _dense_expectations(psi, n, xs, zs):
+    return np.array([
+        np.vdot(psi, word_matrix(PauliString(n, x, z).label()) @ psi) for x, z in zip(xs, zs)
+    ])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_expectations_every_word(n):
+    rng = np.random.default_rng((29, n))
+    psi = random_state(n, rng)
+    xs, zs = zip(*[(x, z) for x in range(1 << n) for z in range(1 << n)])
+    got = pauli_expectations(psi, xs, zs)
+    assert np.abs(got - _dense_expectations(psi, n, xs, zs)).max() < 1e-12
+
+
+def test_pauli_expectations_random_words_sharing_x():
+    rng = np.random.default_rng(31)
+    n = 6
+    psi = random_state(n, rng)
+    # half the words share one x, so one transform serves many of them
+    xs = [0b101101 if k % 2 else int(rng.integers(0, 1 << n)) for k in range(200)]
+    zs = [int(z) for z in rng.integers(0, 1 << n, size=200)]
+    got = pauli_expectations(psi, xs, zs)
+    assert np.abs(got - _dense_expectations(psi, n, xs, zs)).max() < 1e-12
