@@ -37,7 +37,9 @@ class QpdError(ValueError):
     pass
 
 
-# Largest 6^kg * 8^kw that reconstruct accepts; each part's table grows with it.
+# Largest 6^kg * 8^kw that reconstruct accepts, for any plan, including one the
+# cut search chose. It bounds term combinations, not memory: a part's table
+# holds (its incident cuts' term counts multiplied) x (observable terms) entries.
 MAX_QPD_COMBINATIONS = 8**6
 
 

@@ -78,9 +78,6 @@ def apply_1q(state: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
     return out.reshape(state.size)
 
 
-_I_POWERS = np.array([1, 1j, -1, -1j])
-
-
 def apply_pauli(state: np.ndarray, word: PauliString) -> np.ndarray:
     """Apply a Pauli word via bit operations.
 
@@ -92,7 +89,10 @@ def apply_pauli(state: np.ndarray, word: PauliString) -> np.ndarray:
     if word.z:
         par = _parity(src & word.z)
         out = out * np.where(par, -1.0 + 0j, 1.0 + 0j)
-    return out * _I_POWERS[(word.x & word.z).bit_count() % 4]
+    k = (word.x & word.z).bit_count() % 4
+    if k:
+        out = out * (1j) ** k
+    return out
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
@@ -149,27 +149,12 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
 
 
 def pauli_expectations(state: np.ndarray, xs, zs) -> np.ndarray:
-    """<psi|P|psi> for each Pauli word P = (xs[j], zs[j]) on one state.
-
-    Substituting b = c XOR x in ``apply_pauli`` gives i^|x&z| times the
-    Walsh-Hadamard transform of psi * conj(psi[. XOR x]) read at z, so one
-    in-place transform serves every word that shares an x.
-    """
-    xs, zs = np.asarray(xs, dtype=np.int64), np.asarray(zs, dtype=np.int64)
-    out = np.empty(xs.size, dtype=complex)
-    for x in set(xs.tolist()):  # np.unique would import numpy.ma (about 1 MB)
-        f = state[np.arange(state.size) ^ x] if x else state.copy()
-        np.conjugate(f, out=f)
-        f *= state
-        half = 1
-        while half < f.size:  # (lo, hi) <- (lo + hi, lo - hi) on each qubit
-            lo, hi = f.reshape(-1, 2, half).transpose(1, 0, 2)
-            lo += hi
-            hi *= -2
-            hi += lo
-            half *= 2
-        out[xs == x] = f[zs[xs == x]]
-    return out * _I_POWERS[[int(k).bit_count() % 4 for k in xs & zs]]
+    """<psi|P|psi> for each Pauli word P = (xs[j], zs[j]) on one state."""
+    n = state.size.bit_length() - 1
+    return np.array(
+        [np.vdot(state, apply_pauli(state, PauliString(n, int(x), int(z)))) for x, z in zip(xs, zs)],
+        dtype=complex,
+    )
 
 
 def expectation(state: np.ndarray, obs: Observable) -> float:

@@ -111,7 +111,7 @@ def test_pauli_expectations_random_words_sharing_x():
     rng = np.random.default_rng(31)
     n = 6
     psi = random_state(n, rng)
-    # half the words share one x, so one transform serves many of them
+    # half the words share one x
     xs = [0b101101 if k % 2 else int(rng.integers(0, 1 << n)) for k in range(200)]
     zs = [int(z) for z in rng.integers(0, 1 << n, size=200)]
     got = pauli_expectations(psi, xs, zs)
