@@ -30,8 +30,10 @@ GATE_CUT_FACTOR = 9
 WIRE_CUT_FACTOR = 16
 
 # Above this width the bipartition search switches from exhaustive
-# enumeration (2^(n-1) labelings) to seeded annealing over label vectors.
+# enumeration (2^(n-1) labelings) to seeded annealing over label vectors,
+# with this many restarts.
 EXHAUSTIVE_LIMIT = 14
+ANNEAL_RESTARTS = 10
 
 
 class CutError(ValueError):
@@ -279,111 +281,89 @@ class _Bipartitioner:
         cuttable: Sequence[bool] | None = None,
     ):
         self.n = n
-        self.gates2q = list(gates2q)
+        self.gates2q = sorted(gates2q)
         self.cuttable = list(cuttable) if cuttable is not None else [True] * n
+        # Each wire's (time, partner) timeline, in time order.
         self.by_wire: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for t, u, v in self.gates2q:
             self.by_wire[u].append((t, v))
             self.by_wire[v].append((t, u))
 
-    def _seg(self, w: int, t: int, labels, cuts: dict[int, int]) -> int:
-        pos = cuts.get(w)
-        return labels[w] ^ 1 if pos is not None and t >= pos else labels[w]
-
-    def crossing_gates(self, labels, cuts: dict[int, int]) -> list[int]:
-        return [
-            t
-            for t, u, v in self.gates2q
-            if self._seg(u, t, labels, cuts) != self._seg(v, t, labels, cuts)
-        ]
-
-    def counts(self, labels, cuts: dict[int, int]) -> tuple[int, int]:
-        return len(self.crossing_gates(labels, cuts)), len(cuts)
-
-    def plan_cost(self, labels, cuts: dict[int, int]) -> int:
-        return total_executions(*self.counts(labels, cuts), 1)
-
-    def _own_crossings(self, w: int, labels, cuts: dict[int, int], pos: int | None) -> int:
-        count = 0
-        for t, partner in self.by_wire[w]:
-            lw = labels[w] ^ (1 if pos is not None and t >= pos else 0)
-            count += lw != self._seg(partner, t, labels, cuts)
-        return count
-
-    def _candidates(self, w: int) -> list[int | None]:
-        # A cut at or before the wire's first interaction (or after its
-        # last) would not split its timeline; it would only relabel the
-        # wire and strand an idle stub, so only interior positions count.
-        times = sorted({t for t, _ in self.by_wire[w]})
-        return [None] + times[1:]
-
-    def refine_wire_cuts(self, labels, max_passes: int = 8) -> dict[int, int]:
-        """Coordinate descent over per-wire cut positions.
+    def refine_wire_cuts(self, labels, max_passes: int = 8) -> tuple[dict[int, int], int]:
+        """Coordinate descent over per-wire cut positions; returns (cuts, kg).
 
         Each wire's cut only changes the crossing status of its own gates,
-        so one wire can be re-optimized exactly while the rest stay fixed.
+        so one wire can be re-optimized exactly while the rest stay fixed,
+        and kg (the crossing count) moves by that wire's change alone. With
+        no passes the labeling is priced without cuts. A cut at or before
+        the wire's first interaction (or after its last) would not split its
+        timeline; it would only relabel the wire and strand an idle stub, so
+        only interior positions count.
         """
         cuts: dict[int, int] = {}
+        kg = sum(labels[u] != labels[v] for _, u, v in self.gates2q)
         for _ in range(max_passes):
             changed = False
-            for w in range(self.n):
-                if not self.cuttable[w] or not self.by_wire[w]:
+            for w, timeline in enumerate(self.by_wire):
+                if not self.cuttable[w] or len(timeline) < 2:
                     continue
                 current = cuts.pop(w, None)
-                base_kg = len(self.crossing_gates(labels, cuts))
-                others_kg = base_kg - self._own_crossings(w, labels, cuts, None)
-                best_pos: int | None = None
-                best_key = None
-                for pos in self._candidates(w):
-                    kg = others_kg + self._own_crossings(w, labels, cuts, pos)
-                    kw = len(cuts) + (0 if pos is None else 1)
-                    c = total_executions(kg, kw, 1)
-                    key = (c, pos is not None, pos if pos is not None else -1)
-                    if best_key is None or key < best_key:
-                        best_key, best_pos = key, pos
-                if best_pos is not None:
-                    cuts[w] = best_pos
-                if best_pos != current:
-                    changed = True
+                # prefix[i]: the wire's gates before its i-th that cross while it is uncut.
+                prefix = [0]
+                for t, partner in timeline:
+                    pos = cuts.get(partner)
+                    seg = labels[partner] ^ (pos is not None and t >= pos)
+                    prefix.append(prefix[-1] + (labels[w] != seg))
+                d, s = len(timeline), prefix[-1]
+                # A cut before gate i flips the crossing status of gates i..d-1.
+                crossings = {t: 2 * prefix[i] + d - i - s for i, (t, _) in enumerate(timeline)}
+                own = s if current is None else crossings[current]
+                best, pos = min((crossings[t], t) for t, _ in timeline[1:])
+                new = s
+                if total_executions(best, 1, 1) < total_executions(s, 0, 1):
+                    cuts[w], new = pos, best
+                kg += new - own
+                changed |= cuts.get(w) != current
             if not changed:
                 break
-        return cuts
+        return cuts, kg
 
 
-def _side_sizes(n: int, labels, cuts: dict[int, int]) -> tuple[int, int]:
+def _feasible(labels, cuts: dict[int, int], max_side: int | None) -> bool:
+    """Both sides non-empty and within max_side; a cut wire counts on both."""
     size = [0, 0]
-    for w in range(n):
-        size[labels[w]] += 1
+    for w, label in enumerate(labels):
+        size[label] += 1
         if w in cuts:
-            size[labels[w] ^ 1] += 1
-    return size[0], size[1]
+            size[label ^ 1] += 1
+    return min(size) > 0 and (max_side is None or max(size) <= max_side)
 
 
-def _feasible(n: int, labels, cuts: dict[int, int], max_side: int | None) -> bool:
-    s0, s1 = _side_sizes(n, labels, cuts)
-    if s0 == 0 or s1 == 0:
-        return False
-    return max_side is None or max(s0, s1) <= max_side
+def _evaluate_labeling(problem: _Bipartitioner, labels, max_side, max_passes: int = 8):
+    """Refine and price a labeling: (cost, labels, cut items, feasible).
+
+    Cuts that break the side bound are dropped; the labeling is feasible
+    when it keeps the bound without them.
+    """
+    cuts, kg = problem.refine_wire_cuts(labels, max_passes)
+    if not _feasible(labels, cuts, max_side):
+        cuts, kg = problem.refine_wire_cuts(labels, max_passes=0)
+    feasible = _feasible(labels, cuts, max_side)
+    return total_executions(kg, len(cuts), 1), labels, tuple(sorted(cuts.items())), feasible
 
 
-def _evaluate_labeling(problem: _Bipartitioner, labels, max_side):
-    cuts = problem.refine_wire_cuts(labels)
-    if not _feasible(problem.n, labels, cuts, max_side):
-        cuts = {}
-        if not _feasible(problem.n, labels, cuts, max_side):
-            return None
-    return (problem.plan_cost(labels, cuts), labels, tuple(sorted(cuts.items())))
+def _best_feasible(problem: _Bipartitioner, labelings, max_side):
+    evaluated = (_evaluate_labeling(problem, labels, max_side) for labels in labelings)
+    return min((key for key in evaluated if key[3]), default=None)
 
 
 def _search_exhaustive(problem: _Bipartitioner, max_side):
-    best = None
     n = problem.n
-    for bits in range(1, 1 << (n - 1)):
-        labels = tuple(((bits >> (q - 1)) & 1) if q else 0 for q in range(n))
-        key = _evaluate_labeling(problem, labels, max_side)
-        if key is not None and (best is None or key < best):
-            best = key
-    return best
+    labelings = (
+        tuple(((bits >> (q - 1)) & 1) if q else 0 for q in range(n))
+        for bits in range(1, 1 << (n - 1))
+    )
+    return _best_feasible(problem, labelings, max_side)
 
 
 def _bfs_balanced_labels(n: int, gates2q) -> tuple[int, ...]:
@@ -413,25 +393,19 @@ def _bfs_balanced_labels(n: int, gates2q) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def _search_annealed(problem: _Bipartitioner, max_side, seed: int, restarts: int = 10):
+def _search_annealed(problem: _Bipartitioner, max_side, seed: int):
     """Seeded annealing over label vectors; energy is the log overhead."""
     n = problem.n
-    ln9, ln16 = math.log(GATE_CUT_FACTOR), math.log(WIRE_CUT_FACTOR)
-    memo: dict[tuple[int, ...], tuple[int, int, tuple]] = {}
+    memo: dict[tuple[int, ...], tuple] = {}
 
     def energy(labels) -> float:
         if labels not in memo:
-            cuts = problem.refine_wire_cuts(labels, max_passes=2)
-            if not _feasible(n, labels, cuts, max_side):
-                cuts = {}
-            kg, kw = problem.counts(labels, cuts)
-            memo[labels] = (kg, kw, tuple(sorted(cuts.items())))
-        kg, kw, _ = memo[labels]
-        penalty = 0.0 if _feasible(n, labels, dict(memo[labels][2]), max_side) else 50.0
-        return kg * ln9 + kw * ln16 + penalty
+            memo[labels] = _evaluate_labeling(problem, labels, max_side, max_passes=2)
+        cost, _, _, feasible = memo[labels]
+        return math.log(cost) + (0.0 if feasible else 50.0)
 
     iters = 20 * n
-    for r in range(restarts):
+    for r in range(ANNEAL_RESTARTS):
         rng = np.random.default_rng((seed, 7001, r))
         if r == 0:
             labels = _bfs_balanced_labels(n, problem.gates2q)
@@ -454,16 +428,8 @@ def _search_annealed(problem: _Bipartitioner, max_side, seed: int, restarts: int
             temp = max(temp * 0.97, 1e-9)
 
     # Fully re-refine only the most promising labelings found by the walk.
-    ranked = sorted(
-        memo.items(),
-        key=lambda kv: (total_executions(kv[1][0], kv[1][1], 1), kv[0]),
-    )
-    best = None
-    for labels, _ in ranked[:24]:
-        key = _evaluate_labeling(problem, labels, max_side)
-        if key is not None and (best is None or key < best):
-            best = key
-    return best
+    ranked = sorted(memo.values())[:24]
+    return _best_feasible(problem, (labels for _, labels, _, _ in ranked), max_side)
 
 
 def _solve_bipartition(problem: _Bipartitioner, max_side, seed: int):
@@ -500,7 +466,7 @@ def find_cuts(
         best = _solve_bipartition(problem, None, seed)
     if best is None:
         raise CutError("no bipartition satisfies the constraints")
-    _, labels, cut_items = best
+    _, labels, cut_items, _ = best
     plan = _build_plan(circuit, labels, {w: (pos, labels[w] ^ 1) for w, pos in cut_items})
     if max_qubits is not None:
         plan = _split_oversized(circuit, plan, max_qubits, seed)
@@ -531,7 +497,10 @@ def _split_oversized(circuit: Circuit, plan: CutPlan, max_qubits: int, seed: int
     guard = 0
     while True:
         guard += 1
-        if guard > plan.n + 2:
+        # Each pass splits one part in two, and a plan has at most 2n wire
+        # segments (each qubit takes at most one wire cut), so at most
+        # 2n - 2 passes can split before every part is a single wire.
+        if guard > 2 * plan.n:
             raise CutError("recursive bisection failed to converge")
         timelines = [plan.segments(q) for q in range(plan.n)]
         sizes = Counter(label for segs in timelines for _, label in segs)
@@ -561,7 +530,7 @@ def _split_oversized(circuit: Circuit, plan: CutPlan, max_qubits: int, seed: int
             best = _solve_bipartition(problem, None, seed + guard)
         if best is None:
             raise CutError(f"cannot split part of size {len(wires)} below {max_qubits}")
-        _, loc_labels, loc_cuts = best
+        _, loc_labels, loc_cuts, _ = best
         labels = list(plan.labels)
         cuts = {q: segs[1] for q, segs in enumerate(timelines) if len(segs) > 1}
         for (q, k), loc in zip(wires, loc_labels):

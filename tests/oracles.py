@@ -3,7 +3,9 @@
 The dense-matrix references are built directly from 2x2 matrices and
 Kronecker products, independently of the package's simulator and Pauli
 algebra, so the two sides of every comparison are computed by different
-code. ``objective`` composes the public pipeline stages directly, as the
+code. ``crossing_count`` recounts a bipartition's crossing gates from
+scratch, as the reference for the cut search's running count.
+``objective`` composes the public pipeline stages directly, as the
 reference for the annealer's single-pass objective evaluator.
 """
 
@@ -128,3 +130,18 @@ def objective(circuit, obs, w, slicing="auto", trunc_budget_per_slice=0.0, cut_s
         return 0
     plan = find_cuts(result.reduced_circuit, force_bipartition=True, seed=cut_seed)
     return cost(plan, result.evolved_obs).total_executions
+
+
+def crossing_count(gates2q, labels, cuts) -> int:
+    """2-qubit gates whose endpoints sit on different sides.
+
+    ``gates2q`` holds (time, wire, wire) triples, ``labels`` each wire's
+    side before its cut and ``cuts`` maps a wire to the time of its one
+    cut, from which on its side is flipped.
+    """
+    k = 0
+    for t, u, v in gates2q:
+        lu = labels[u] ^ (1 if u in cuts and t >= cuts[u] else 0)
+        lv = labels[v] ^ (1 if v in cuts and t >= cuts[v] else 0)
+        k += lu != lv
+    return k

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -453,3 +454,70 @@ def test_verify_plan_input_property(property_files, plan):
     if rc == EXIT_OK:
         report = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert report["results"]["within_tolerance"] is True
+
+
+# --- property: circuit and observable text ----------------------------------------
+
+_ANGLES = st.one_of(
+    st.floats(-7, 7).map(repr),
+    st.sampled_from(("pi/4", "-pi*3/2", "1e-3", "1/0", "1e999", "pi**pi**pi", "nan", "(0-8)**0.5")),
+)
+_TEXT_JUNK = st.text(alphabet="q[];(),*/.- 0123456789eXYZIpi#\n\té", max_size=4)
+
+
+@st.composite
+def _circuit_and_observable_text(draw):
+    """QASM and observable text for a small circuit, then maybe mutated."""
+    n = draw(st.integers(1, 4))
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(("h", "s", "sdg", "x", "sx", "rz", "cx", "cz")))
+        q = draw(st.integers(0, n - 1))
+        if name == "rz":
+            lines.append(f"rz({draw(_ANGLES)}) q[{q}];")
+        elif name in ("cx", "cz") and n > 1:
+            p = draw(st.integers(0, n - 1).filter(lambda p: p != q))
+            lines.append(f"{name} q[{q}],q[{p}];")
+        else:
+            lines.append(f"{name} q[{q}];")
+    coeffs = st.one_of(
+        st.floats(-2, 2).map(repr),
+        st.sampled_from(("1", "-0.5", "1e-300", "nan", "inf", "1e999", "0x1", "1,5")),
+    )
+    words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(coeffs, words), min_size=1, max_size=4))
+    texts = ["\n".join(lines) + "\n", "".join(f"{c} {w}\n" for c, w in terms)]
+    for i in draw(st.lists(st.integers(0, 1), max_size=1)):
+        text = texts[i]
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 4)))
+        texts[i] = text[:start] + draw(_TEXT_JUNK) + text[stop:]
+    return texts
+
+
+def _all_finite(value):
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(texts=_circuit_and_observable_text())
+def test_circuit_and_observable_text_property(property_files, texts):
+    # Every circuit and observable text either runs (exit 0 with a finite
+    # report, or 1 for a failed check) or is rejected as input (exit 2);
+    # nothing escapes as an exception.
+    tmp = property_files[0]
+    circ, obs, out = tmp / "fuzz.qasm", tmp / "fuzz.txt", tmp / "fuzz.json"
+    circ.write_text(texts[0], encoding="utf-8")
+    obs.write_text(texts[1], encoding="utf-8")
+    for command in (["backprop", "--qwc-max", "2"], ["cut", "--bipartition"], ["verify"]):
+        out.unlink(missing_ok=True)
+        rc = main([command[0], str(circ), str(obs), *command[1:], "--out", str(out)])
+        assert rc in (EXIT_OK, EXIT_FAIL, EXIT_INPUT)
+        if rc == EXIT_OK:
+            assert _all_finite(json.loads(out.read_text(), parse_constant=_reject_constant))

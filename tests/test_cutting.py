@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from cutprop.circuits import Circuit, Gate, lower_rotations
 from cutprop.cutting import (
     CutError,
     CutPlan,
+    _Bipartitioner,
+    _two_qubit_gates,
     cost,
     extract_subcircuits,
     find_cuts,
@@ -15,9 +18,17 @@ from cutprop.cutting import (
     total_executions,
     validate_plan,
 )
-from cutprop.generators import random_circuit, weight_z_observable
+from cutprop.generators import (
+    HEISENBERG_H,
+    HEISENBERG_J,
+    heavy_hex_19_edges,
+    heisenberg_trotter,
+    random_circuit,
+    weight_z_observable,
+)
 from cutprop.paulis import Observable, PauliString, canonicalize
 from cutprop.qpd import cut_and_reconstruct, uncut_expectation
+from oracles import crossing_count
 
 
 def ladder(n, kind="cz", per_edge=1):
@@ -134,21 +145,13 @@ def brute_force_minimum(circ):
         q: sorted({t for t, u, v in gates2q if q in (u, v)})[1:] for q in range(n)
     }
 
-    def crossing(labels, cuts):
-        k = 0
-        for t, u, v in gates2q:
-            lu = labels[u] ^ (1 if u in cuts and t >= cuts[u] else 0)
-            lv = labels[v] ^ (1 if v in cuts and t >= cuts[v] else 0)
-            k += lu != lv
-        return k
-
     best = None
     for bits in range(1, 1 << (n - 1)):
         labels = [((bits >> (q - 1)) & 1) if q else 0 for q in range(n)]
         options = [[None] + positions[q] for q in range(n)]
         for combo in itertools.product(*options):
             cuts = {q: p for q, p in enumerate(combo) if p is not None}
-            c = 9 ** crossing(labels, cuts) * 16 ** len(cuts)
+            c = 9 ** crossing_count(gates2q, labels, cuts) * 16 ** len(cuts)
             if best is None or c < best:
                 best = c
     return best
@@ -168,6 +171,68 @@ def test_optimizer_matches_brute_force_on_small_corpus():
         assert got == brute_force_minimum(circ), circ
 
 
+def test_refine_running_count_matches_recount():
+    # Every labeling of a few small circuits: the running crossing count
+    # equals a full recount of the cuts it returns, and the cuts sit only on
+    # cuttable wires, strictly inside their interaction timelines.
+    problems = []
+    for trial in range(4):
+        rng = np.random.default_rng((57, trial))
+        n = int(rng.integers(3, 7))
+        circ = lower_rotations(random_circuit(n, 4 * n, rng, p_two_qubit=0.7))
+        problems.append(_Bipartitioner(n, _two_qubit_gates(circ)))
+    # As at a recursion level: wires 0 and 2 are segments of qubits that
+    # already carry their one wire cut.
+    last = problems[-1]
+    problems.append(_Bipartitioner(last.n, last.gates2q, [w not in (0, 2) for w in range(last.n)]))
+    for problem in problems:
+        for labels in itertools.product((0, 1), repeat=problem.n):
+            for passes in (0, 2, 8):
+                cuts, kg = problem.refine_wire_cuts(labels, passes)
+                assert kg == crossing_count(problem.gates2q, labels, cuts)
+                for w, pos in cuts.items():
+                    times = [t for t, _ in problem.by_wire[w]]
+                    assert problem.cuttable[w] and pos in times[1:]
+
+
+def _random_dense(n, trial):
+    rng = np.random.default_rng((404, n, trial))
+    return lower_rotations(random_circuit(n, int(1.6 * n), rng, p_two_qubit=0.9))
+
+
+def test_find_cuts_pinned_plans():
+    # Plans written out in full, so any change in what the search picks
+    # shows here: the exhaustive path, the annealed path at two seeds, and
+    # recursive bisection.
+    heis19 = lower_rotations(
+        heisenberg_trotter(list(heavy_hex_19_edges()), HEISENBERG_J, HEISENBERG_H, 1.0, 1)
+    )
+    cases = [
+        (_random_dense(10, 1), None, 0,
+         ((0, 0, 1, 0, 0, 0, 0, 0, 0, 0), ((7, 36, 1),), ())),
+        (_random_dense(13, 2), None, 0,
+         ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), ((1, 54, 1),), ())),
+        (_random_dense(16, 3), None, 0,
+         ((0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0), ((9, 38, 0),), (36,))),
+        (_random_dense(16, 3), None, 1,
+         ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0), (), (82,))),
+        (heis19, None, 0,
+         ((0,) * 18 + (1,), ((17, 380, 1),), ())),
+        (heis19, None, 1,
+         ((0,) * 13 + (1, 1) + (0,) * 4, ((14, 317, 0),), ())),
+        (_random_dense(7, 3), 2, 0,
+         ((0, 1, 5, 0, 4, 2, 6), ((3, 8, 5), (4, 1, 6), (5, 9, 3)),
+          (0, 7, 8, 9, 10, 11, 23, 25))),
+        (_random_dense(7, 1), 3, 0,
+         ((0, 1, 2, 1, 0, 0, 1), ((1, 24, 2),), (5, 7, 24))),
+    ]
+    for circ, max_qubits, seed, expected in cases:
+        plan = find_cuts(
+            circ, max_qubits=max_qubits, force_bipartition=max_qubits is None, seed=seed
+        )
+        assert (plan.labels, plan.wire_cuts, plan.gate_cuts) == expected
+
+
 def test_find_cuts_deterministic_tie_break():
     circ = ladder(4)
     p1 = find_cuts(circ, force_bipartition=True, seed=0)
@@ -185,6 +250,17 @@ def test_max_qubits_recursive_split():
             sizes.setdefault(seg_label, set()).add(q)
     assert all(len(v) <= 2 for v in sizes.values())
     assert plan.num_subcircuits >= 3
+
+
+def test_max_qubits_one_splits_down_to_single_wires():
+    # Parts of one wire each; with one wire cut per qubit that can take up
+    # to 8 parts for 4 qubits, more splits than the circuit has qubits.
+    pairs = [(3, 2), (3, 1), (2, 0), (0, 1), (3, 1), (1, 2), (0, 2), (3, 0), (3, 2)]
+    circ = Circuit(4, tuple(Gate("cz", pair) for pair in pairs))
+    plan = find_cuts(circ, max_qubits=1)
+    validate_plan(circ, plan)
+    sizes = Counter(label for q in range(4) for _, label in plan.segments(q))
+    assert max(sizes.values()) == 1
 
 
 def test_constraint_errors():
