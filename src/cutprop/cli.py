@@ -60,19 +60,20 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _load_circuit(path: str) -> tuple[Circuit, str]:
+def _read_text(path: str, what: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliInputError(f"cannot read circuit file {path}: {exc}") from exc
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliInputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_circuit(path: str) -> tuple[Circuit, str]:
+    text = _read_text(path, "circuit file")
     return parse_qasm(text), _sha256(text.encode())
 
 
 def _load_observable(path: str) -> tuple[Observable, str]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliInputError(f"cannot read observable file {path}: {exc}") from exc
+    text = _read_text(path, "observable file")
     return parse_observable(text), _sha256(text.encode())
 
 
@@ -243,8 +244,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliInputError("give either --plan or --qwc-max, not both")
     if args.plan:
         try:
-            plan_data = json.loads(Path(args.plan).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            plan_data = json.loads(_read_text(args.plan, "plan file"))
+        except json.JSONDecodeError as exc:
             raise CliInputError(f"cannot load plan: {exc}") from exc
         plan = CutPlan.from_dict(plan_data)
         work_circuit, work_obs = circuit, canonicalize(obs)

@@ -4,7 +4,8 @@ A plan assigns a part label to every (qubit, time-segment). A wire cut at
 (q, t) ends qubit q's current segment just before gate index t and starts a
 new segment with a different label. A qubit may carry several wire cuts,
 listed in any order: its segments follow the cut positions in time order,
-and ``CutPlan.segments`` is the one place that reads them. A gate cut marks
+and ``CutPlan.segments`` is the one place that reads them; ``CutPlan.parts``
+groups the resulting (qubit, segment) wires by label. A gate cut marks
 a 2-qubit gate whose endpoint segments carry different labels. The
 execution-count accounting multiplies 9 per gate cut and 16 per wire cut
 into the observable's qubit-wise-commuting group count.
@@ -14,10 +15,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from operator import itemgetter
 from typing import Sequence
 
@@ -80,9 +80,18 @@ class CutPlan:
     def final_label(self, q: int) -> int:
         return self.segments(q)[-1][1]
 
-    def part_labels(self) -> tuple[int, ...]:
-        used = {label for segs in self._timelines.values() for _, label in segs}
-        return tuple(sorted(used))
+    @cached_property
+    def parts(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Part label -> its (qubit, segment index) wires.
+
+        Labels are sorted, and each part's wires are in qubit, then segment,
+        order; subcircuits and their local wire indices follow this order.
+        """
+        parts: dict[int, list[tuple[int, int]]] = {}
+        for q, segs in self._timelines.items():
+            for k, (_, label) in enumerate(segs):
+                parts.setdefault(label, []).append((q, k))
+        return {label: tuple(parts[label]) for label in sorted(parts)}
 
     @property
     def kg(self) -> int:
@@ -193,10 +202,9 @@ def validate_plan(circuit: Circuit, plan: CutPlan) -> None:
         if t in crossing:
             raise CutError(f"gate {t} crosses the partition but is not cut")
         raise CutError(f"gate {t} is cut but does not cross the partition")
-    used = plan.part_labels()
-    if len(used) != plan.num_subcircuits:
+    if len(plan.parts) != plan.num_subcircuits:
         raise CutError(
-            f"{len(used)} labels in use but num_subcircuits={plan.num_subcircuits}"
+            f"{len(plan.parts)} labels in use but num_subcircuits={plan.num_subcircuits}"
         )
     if plan.num_subcircuits < 2:
         raise CutError("a plan must produce at least 2 subcircuits")
@@ -227,11 +235,8 @@ def cost(
         if circuit is None:
             raise CutError("per-subcircuit accounting needs the circuit")
         rows = []
-        for label in plan.part_labels():
-            qubit_mask = 0
-            for q in range(plan.n):
-                if plan.final_label(q) == label:
-                    qubit_mask |= 1 << q
+        for label, wires in plan.parts.items():
+            qubit_mask = sum(1 << q for q, k in wires if k == len(plan.segments(q)) - 1)
             restricted = canonicalize(
                 Observable(
                     obs.n,
@@ -366,11 +371,8 @@ def _search_exhaustive(problem: _Bipartitioner, max_side):
     return _best_feasible(problem, labelings, max_side)
 
 
-def _bfs_balanced_labels(n: int, gates2q) -> tuple[int, ...]:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for _, u, v in gates2q:
-        adj[u].add(v)
-        adj[v].add(u)
+def _bfs_balanced_labels(problem: _Bipartitioner) -> tuple[int, ...]:
+    n = problem.n
     order: list[int] = []
     seen = [False] * n
     for start in range(n):
@@ -381,7 +383,7 @@ def _bfs_balanced_labels(n: int, gates2q) -> tuple[int, ...]:
         while queue:
             v = queue.pop(0)
             order.append(v)
-            for w in sorted(adj[v]):
+            for w in sorted({partner for _, partner in problem.by_wire[v]}):
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
@@ -408,7 +410,7 @@ def _search_annealed(problem: _Bipartitioner, max_side, seed: int):
     for r in range(ANNEAL_RESTARTS):
         rng = np.random.default_rng((seed, 7001, r))
         if r == 0:
-            labels = _bfs_balanced_labels(n, problem.gates2q)
+            labels = _bfs_balanced_labels(problem)
         else:
             labels = tuple(0 if q == 0 else int(rng.integers(0, 2)) for q in range(n))
         if len(set(labels)) < 2:
@@ -444,13 +446,17 @@ def find_cuts(
     force_bipartition: bool = False,
     seed: int = 0,
 ) -> CutPlan:
-    """Search for a minimum-overhead cut plan.
+    """Search for a minimum-overhead cut plan by repeated bisection.
 
-    The plan space is qubit bipartitions with at most one wire cut per
-    qubit; the search is exhaustive up to 14 qubits and annealed above.
-    With ``max_qubits`` set, parts that still exceed the bound are split
-    again by recursive bisection (qubits cut at an earlier level are
-    frozen, so the one-cut-per-qubit bound holds globally).
+    Starting from the one-part plan, each pass bisects one part: the whole
+    register first, then, with ``max_qubits`` set, the lowest-labelled part
+    that still holds more than ``max_qubits`` wires. A bisection searches
+    0/1 labelings of the part's (qubit, segment) wires, with at most one
+    wire cut per qubit (qubits cut at an earlier pass are frozen, so the
+    bound holds globally); it is exhaustive up to 14 wires and annealed
+    above, with seed ``seed + i`` at pass i. It takes the cheapest labeling
+    whose sides fit ``max_qubits``, else the cheapest one. The new part of
+    pass i gets label i + 1.
     """
     if circuit.n < 2:
         raise CutError("cannot partition a circuit with fewer than 2 qubits")
@@ -459,17 +465,44 @@ def find_cuts(
     if max_qubits is not None and max_qubits < 1:
         raise CutError("max_qubits must be positive")
     gates2q = _two_qubit_gates(circuit)
-    problem = _Bipartitioner(circuit.n, gates2q)
-    best = _solve_bipartition(problem, max_qubits, seed)
-    if best is None and max_qubits is not None:
-        # No single bipartition fits the bound; bisect freely and recurse.
-        best = _solve_bipartition(problem, None, seed)
-    if best is None:
-        raise CutError("no bipartition satisfies the constraints")
-    _, labels, cut_items, _ = best
-    plan = _build_plan(circuit, labels, {w: (pos, labels[w] ^ 1) for w, pos in cut_items})
-    if max_qubits is not None:
-        plan = _split_oversized(circuit, plan, max_qubits, seed)
+    plan = _build_plan(circuit, (0,) * circuit.n, {})
+    label = 0  # the whole register is bisected first
+    # Each pass adds one part and a plan has at most 2n wires (one wire cut
+    # per qubit), so at most 2n - 1 passes run.
+    for i in count():
+        new = i + 1
+        wires = plan.parts[label]
+        index = {w: j for j, w in enumerate(wires)}
+        local_gates = []
+        for t, u, v in gates2q:
+            wu, wv = plan.wire_at(u, t), plan.wire_at(v, t)
+            if wu in index and wv in index:
+                local_gates.append((t, index[wu], index[wv]))
+        cuttable = [len(plan.segments(q)) == 1 for q, _ in wires]
+        problem = _Bipartitioner(len(wires), local_gates, cuttable)
+        # With no side bound every bisection of two or more wires is
+        # feasible, so the fallback always returns one.
+        best = _solve_bipartition(problem, max_qubits, seed + i) or _solve_bipartition(
+            problem, None, seed + i
+        )
+        _, sides, cut_items, _ = best
+        labels = list(plan.labels)
+        cuts = {q: segs[1] for q in range(plan.n) if len(segs := plan.segments(q)) > 1}
+        for (q, k), side in zip(wires, sides):
+            if side and k == 0:
+                labels[q] = new
+            elif side:
+                cuts[q] = (cuts[q][0], new)
+        for w, pos in cut_items:
+            q = wires[w][0]
+            cuts[q] = (pos, new if labels[q] == label else label)
+        plan = _build_plan(circuit, labels, cuts)
+        if max_qubits is None:
+            break
+        oversized = [l for l, ws in plan.parts.items() if len(ws) > max_qubits]
+        if not oversized:
+            break
+        label = oversized[0]
     validate_plan(circuit, plan)
     return plan
 
@@ -488,61 +521,8 @@ def _build_plan(
     return replace(
         plan,
         gate_cuts=tuple(_crossing_gates(circuit, plan)),
-        num_subcircuits=len(plan.part_labels()),
+        num_subcircuits=len(plan.parts),
     )
-
-
-def _split_oversized(circuit: Circuit, plan: CutPlan, max_qubits: int, seed: int) -> CutPlan:
-    next_label = max(plan.part_labels()) + 1
-    guard = 0
-    while True:
-        guard += 1
-        # Each pass splits one part in two, and a plan has at most 2n wire
-        # segments (each qubit takes at most one wire cut), so at most
-        # 2n - 2 passes can split before every part is a single wire.
-        if guard > 2 * plan.n:
-            raise CutError("recursive bisection failed to converge")
-        timelines = [plan.segments(q) for q in range(plan.n)]
-        sizes = Counter(label for segs in timelines for _, label in segs)
-        oversized = [l for l, s in sorted(sizes.items()) if s > max_qubits]
-        if not oversized:
-            return plan
-        label = oversized[0]
-        wires = [
-            (q, k)
-            for q, segs in enumerate(timelines)
-            for k, (_, l) in enumerate(segs)
-            if l == label
-        ]
-        index = {w: i for i, w in enumerate(wires)}
-        local_gates = []
-        for t, g in enumerate(circuit.gates):
-            if len(g.qubits) != 2:
-                continue
-            wu = plan.wire_at(g.qubits[0], t)
-            wv = plan.wire_at(g.qubits[1], t)
-            if wu in index and wv in index:
-                local_gates.append((t, index[wu], index[wv]))
-        cuttable = [len(timelines[q]) == 1 for q, _ in wires]
-        problem = _Bipartitioner(len(wires), local_gates, cuttable)
-        best = _solve_bipartition(problem, max_qubits, seed + guard)
-        if best is None:
-            best = _solve_bipartition(problem, None, seed + guard)
-        if best is None:
-            raise CutError(f"cannot split part of size {len(wires)} below {max_qubits}")
-        _, loc_labels, loc_cuts, _ = best
-        labels = list(plan.labels)
-        cuts = {q: segs[1] for q, segs in enumerate(timelines) if len(segs) > 1}
-        for (q, k), loc in zip(wires, loc_labels):
-            if loc == 1 and k == 0:
-                labels[q] = next_label
-            elif loc == 1:
-                cuts[q] = (cuts[q][0], next_label)
-        for widx, pos in loc_cuts:
-            q, _ = wires[widx]
-            cuts[q] = (pos, next_label if labels[q] == label else label)
-        plan = _build_plan(circuit, labels, cuts)
-        next_label += 1
 
 
 # --- subcircuit extraction ----------------------------------------------------
@@ -600,9 +580,6 @@ class Extraction:
     term_coeffs: tuple[complex, ...]
     subobservables: tuple[tuple[PauliString, ...], ...]  # [part][term]
 
-    def part_index(self, label: int) -> int:
-        return self.part_order.index(label)
-
 
 def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Extraction:
     """Split a circuit along a plan into per-part op streams.
@@ -616,18 +593,14 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
         raise CutError("observable width does not match circuit width")
     obs = canonicalize(obs)
 
-    part_order = plan.part_labels()
-    wires_by_part: dict[int, list[tuple[int, int]]] = {l: [] for l in part_order}
+    part_order = tuple(plan.parts)
+    local_index = {  # (qubit, segment) -> (part label, local wire)
+        wire: (label, i) for label, wires in plan.parts.items() for i, wire in enumerate(wires)
+    }
     wirecuts_at: dict[int, list[tuple[int, int]]] = {}  # position -> [(qubit, segment)]
     for q in range(plan.n):
-        for k, (start, label) in enumerate(plan.segments(q)):
-            wires_by_part[label].append((q, k))
-            if k:
-                wirecuts_at.setdefault(start, []).append((q, k))
-    local_index: dict[tuple[int, int], tuple[int, int]] = {}
-    for label in part_order:
-        for i, wire in enumerate(wires_by_part[label]):
-            local_index[wire] = (label, i)
+        for k, (start, _) in enumerate(plan.segments(q)[1:], start=1):
+            wirecuts_at.setdefault(start, []).append((q, k))
 
     ops_by_part: dict[int, list[SubOp]] = {l: [] for l in part_order}
     gate_cut_infos: list[GateCutInfo] = []
@@ -666,8 +639,7 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
 
     final = [local_index[plan.wire_at(q, len(circuit.gates))] for q in range(plan.n)]
     subobservables = []
-    for label in part_order:
-        wires = wires_by_part[label]
+    for label, wires in plan.parts.items():
         m = len(wires)
         words = []
         for term in obs.terms:
@@ -683,11 +655,11 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
     subcircuits = tuple(
         Subcircuit(
             label=label,
-            n=len(wires_by_part[label]),
+            n=len(wires),
             ops=tuple(ops_by_part[label]),
-            wire_origin=tuple(wires_by_part[label]),
+            wire_origin=wires,
         )
-        for label in part_order
+        for label, wires in plan.parts.items()
     )
     return Extraction(
         plan=plan,

@@ -131,39 +131,12 @@ def heavy_hex_19_edges() -> tuple[tuple[int, int], ...]:
     )
 
 
-def parse_coupling_map(text: str) -> list[tuple[int, int]]:
-    """Edge-list format: one 'u v' pair per line, '#' comments allowed."""
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise CircuitError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise CircuitError(f"line {lineno}: non-integer qubit index") from None
-        edges.append((u, v))
-    if not edges:
-        raise CircuitError("empty coupling map")
-    return edges
-
-
-def weight_z_observable(n: int, b: int, normalization="count") -> Observable:
-    """Mean of all contiguous weight-b all-Z words.
-
-    normalization: "count" divides by the number of terms (n-b+1); a float
-    is used verbatim as the prefactor.
-    """
+def weight_z_observable(n: int, b: int) -> Observable:
+    """Mean of all contiguous weight-b all-Z words."""
     if not (1 <= b <= n):
         raise ValueError(f"weight {b} out of range for {n} qubits")
     num_terms = n - b + 1
-    if normalization == "count":
-        prefactor = 1.0 / num_terms
-    else:
-        prefactor = float(normalization)
+    prefactor = 1.0 / num_terms
     window = (1 << b) - 1
     terms = [
         (prefactor + 0j, PauliString(n, 0, window << i)) for i in range(num_terms)

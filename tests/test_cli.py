@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +201,24 @@ def test_missing_file_is_input_error(workdir, capsys):
     assert rc == EXIT_INPUT
 
 
+def test_module_entry_point_exit_codes(tmp_path):
+    # The console script calls the same console_main that `python -m` runs.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "cutprop.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    ok = run("bench", "--suite", "qaoa3", "--seed", "0")
+    assert ok.returncode == EXIT_OK
+    assert json.loads(ok.stdout)["command"] == "bench"
+    missing = run("cut", "missing.qasm", "missing.txt", "--bipartition")
+    assert missing.returncode == EXIT_INPUT
+    assert missing.stderr.startswith("error: ") and missing.stderr.count("\n") == 1
+
+
 def test_verify_tolerance_failure_exit_code(workdir):
     tmp, circ, obs, _, _ = workdir
     plan_out = tmp / "plan.json"
@@ -229,8 +251,6 @@ def test_timings_flag_adds_wall_clock(workdir):
 
 def test_reports_conform_to_shipped_schemas(workdir):
     jsonschema = pytest.importorskip("jsonschema")
-    from pathlib import Path
-
     docs = Path(__file__).parent.parent / "docs"
     report_schema = json.loads((docs / "report.schema.json").read_text())
     plan_schema = json.loads((docs / "cut-plan.schema.json").read_text())
@@ -318,6 +338,9 @@ def test_bench_searches_each_circuit_once(workdir, monkeypatch):
         ["optimize", "{circ}", "{obs}", "--seed", "-1"],
         ["bench", "--suite", "qaoa3", "--seed", "-1"],
         ["optimize", "{circ}", "{obs}", "--step-size", "-3"],
+        ["cut", "{not_utf8}", "{obs}", "--bipartition"],
+        ["cut", "{circ}", "{not_utf8}", "--bipartition"],
+        ["verify", "{circ}", "{obs}", "--plan", "{not_utf8}"],
     ],
 )
 def test_bad_flags_are_one_line_input_errors(workdir, capsys, argv):
@@ -326,8 +349,10 @@ def test_bad_flags_are_one_line_input_errors(workdir, capsys, argv):
             "num_subcircuits": 2}
     (tmp / "huge_n.json").write_text(json.dumps(plan).replace('"n": 3', '"n": 1e999'))
     (tmp / "float_label.json").write_text(json.dumps({**plan, "labels": [0, 0, 1.7]}))
+    (tmp / "not_utf8").write_bytes(b"\xff\xfe")
     paths = {"circ": circ, "obs": obs, "plan_huge_n": str(tmp / "huge_n.json"),
-             "plan_float_label": str(tmp / "float_label.json")}
+             "plan_float_label": str(tmp / "float_label.json"),
+             "not_utf8": str(tmp / "not_utf8")}
     capsys.readouterr()
     rc = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err

@@ -225,6 +225,13 @@ def test_find_cuts_pinned_plans():
           (0, 7, 8, 9, 10, 11, 23, 25))),
         (_random_dense(7, 1), 3, 0,
          ((0, 1, 2, 1, 0, 0, 1), ((1, 24, 2),), (5, 7, 24))),
+        # Above the exhaustive width the split passes anneal with seed + pass.
+        (_random_dense(16, 3), 8, 0,
+         ((0, 0, 0, 3, 0, 0, 3, 0, 0, 1, 0, 3, 3, 2, 3, 3), ((9, 38, 3),),
+          (33, 34, 36, 38, 73, 75, 80, 90, 103, 106))),
+        (_random_dense(16, 3), 8, 1,
+         ((0, 0, 0, 3, 3, 3, 3, 0, 0, 3, 0, 0, 1, 2, 3, 3), ((1, 91, 3), (5, 104, 0)),
+          (1, 3, 33, 34, 80, 82))),
     ]
     for circ, max_qubits, seed, expected in cases:
         plan = find_cuts(
@@ -358,6 +365,14 @@ def test_wire_cut_order_does_not_matter():
     assert seen[0][0] == ((0, 0), (3, 1), (5, 0))
     assert seen[0][1] == [0, 0, 0, 1, 1, 0, 0]
     assert seen[0][4] == pytest.approx(uncut_expectation(circ, obs), abs=1e-9)
+
+
+def test_plan_parts_sorted_by_label_then_wire():
+    # qubit 0 runs 2 -> 1 -> 2 with its wire cuts listed out of time order
+    plan = CutPlan.from_dict({"n": 3, "labels": [2, 0, 2], "wire_cuts": [[0, 5, 2], [0, 3, 1]],
+                              "gate_cuts": [], "num_subcircuits": 3})
+    assert plan.parts == {0: ((1, 0),), 1: ((0, 1),), 2: ((0, 0), (0, 2), (2, 0))}
+    assert list(plan.parts) == [0, 1, 2]
 
 
 # --- extraction ------------------------------------------------------------------

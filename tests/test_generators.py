@@ -12,7 +12,6 @@ from cutprop.generators import (
     first_k_z_observable,
     heavy_hex_19_edges,
     heisenberg_trotter,
-    parse_coupling_map,
     qaoa_like,
     random_circuit,
     weight_z_observable,
@@ -146,15 +145,6 @@ def test_heavy_hex_layout_properties():
     assert seen == qubits
 
 
-def test_parse_coupling_map():
-    edges = parse_coupling_map("# comment\n0 1\n1 2\n\n2 3 # inline\n")
-    assert edges == [(0, 1), (1, 2), (2, 3)]
-    with pytest.raises(CircuitError):
-        parse_coupling_map("0\n")
-    with pytest.raises(CircuitError):
-        parse_coupling_map("")
-
-
 # --- observables -----------------------------------------------------------------
 
 
@@ -177,11 +167,6 @@ def test_weight_two_contiguous_pairs():
     labels = sorted(t.word.label() for t in obs.terms)
     assert labels == ["IIZZ", "IZZI", "ZZII"]
     assert all(t.coeff == pytest.approx(1 / 3) for t in obs.terms)
-
-
-def test_weight_observable_custom_prefactor():
-    obs = weight_z_observable(4, 2, normalization=0.5)
-    assert all(t.coeff == pytest.approx(0.5) for t in obs.terms)
 
 
 def test_weight_observable_range_check():
@@ -216,10 +201,3 @@ def test_generated_circuits_roundtrip_through_qasm(make):
     assert emit_qasm(reparsed) == text
     # unitary equivalence of the lowering, checked densely on small widths
     assert np.allclose(circuit_unitary(circ), circuit_unitary(reparsed), atol=1e-10)
-
-
-def test_shipped_coupling_map_matches_builtin():
-    from pathlib import Path
-
-    text = (Path(__file__).parent.parent / "configs" / "heavyhex19.txt").read_text()
-    assert tuple(parse_coupling_map(text)) == heavy_hex_19_edges()
