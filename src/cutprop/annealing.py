@@ -62,13 +62,12 @@ class ObjectiveEvaluator:
 
     The observable after k absorbed slices does not depend on the budget;
     only the stopping slice does. So ``backpropagate`` at the cap ``w_cap``
-    settles every budget w <= w_cap at once: w absorbs k slices, where k is
-    the index of the first ``group_history`` entry greater than w (all of
-    them when none is). The circuit left over ends at the start of the k-th
-    absorbed slice, and its observable has ``group_history[k-1]`` groups (the
-    input observable's count when k = 0). The value is zero when every slice
-    is absorbed. Cut plans are memoized per boundary, so each leftover
-    circuit is searched once.
+    settles every budget w <= w_cap at once: ``BackpropResult.at_budget(w)``
+    is the backpropagation with budget w. Its leftover circuit is cut, and
+    its observable has ``group_history[-1]`` groups (the input observable's
+    count when nothing was absorbed). The value is zero when every slice is
+    absorbed. Cut plans are memoized per leftover circuit length, so each
+    leftover circuit is searched once.
     """
 
     def __init__(
@@ -80,28 +79,21 @@ class ObjectiveEvaluator:
         trunc_budget_per_slice: float = 0.0,
         cut_seed: int = 0,
     ):
-        # Looked up at call time, where perfbench/spans.py traces it.
-        from .circuits import slice_circuit
-
         self.circuit = circuit
         self.w_cap = w_cap
         self.cut_seed = cut_seed
         self.result = backpropagate(circuit, obs, w_cap, trunc_budget_per_slice, slicing)
-        slices = slice_circuit(circuit, slicing)
-        absorbed = slices[len(slices) - self.result.slices_absorbed :]
         canonical = canonicalize(obs)
-        # Indexed by k, the number of absorbed slices.
-        self._boundaries = [len(circuit.gates), *(sl.start for sl in reversed(absorbed))]
-        self._groups = [
-            group_qwc(canonical).group_count if canonical.terms else 1,
-            *self.result.group_history,
-        ]
+        self._input_groups = group_qwc(canonical).group_count if canonical.terms else 1
         self._plans: dict[int, CutPlan] = {}
 
-    def absorbed(self, w: int) -> int:
-        """Number of slices that backpropagation with budget w absorbs."""
-        history = self.result.group_history
-        return next((k for k, groups in enumerate(history) if groups > w), len(history))
+    def backprop(self, w: int) -> BackpropResult:
+        """The backpropagation with budget w, read off the one at the cap."""
+        if w < 1:
+            raise AnnealError("w must be >= 1")
+        if w > self.w_cap and not self.result.fully_absorbed:
+            raise AnnealError(f"budget {w} exceeds the backpropagation cap {self.w_cap}")
+        return self.result.at_budget(w)
 
     def plan(self, boundary: int) -> CutPlan:
         """The cut plan of the circuit's first ``boundary`` gates (memoized)."""
@@ -113,15 +105,12 @@ class ObjectiveEvaluator:
 
     def evaluate(self, w: int) -> int:
         """Executions needed after backpropagating with budget w and cutting."""
-        if w < 1:
-            raise AnnealError("w must be >= 1")
-        if w > self.w_cap and not self.result.fully_absorbed:
-            raise AnnealError(f"budget {w} exceeds the backpropagation cap {self.w_cap}")
-        k = self.absorbed(w)
-        if self.result.fully_absorbed and k == self.result.slices_absorbed:
+        bp = self.backprop(w)
+        if bp.fully_absorbed:
             return 0
-        plan = self.plan(self._boundaries[k])
-        return total_executions(plan.kg, plan.kw, self._groups[k])
+        plan = self.plan(len(bp.reduced_circuit.gates))
+        groups = bp.group_history[-1] if bp.group_history else self._input_groups
+        return total_executions(plan.kg, plan.kw, groups)
 
     def __call__(self, w: int) -> int:
         return self.evaluate(w)
@@ -267,9 +256,7 @@ def optimize_budget(
             None, vanilla_cost, par.opt_num_circuits, par.w_opt,
             vanilla_cost, par.cache, par.runs, vanilla_plan, None, vanilla_plan,
         )
-    bp = evaluator.result
-    if evaluator.absorbed(par.w_opt) != bp.slices_absorbed:
-        bp = backpropagate(circuit, obs, par.w_opt, trunc_budget_per_slice, slicing)
+    bp = evaluator.backprop(par.w_opt)
     plan = None if bp.fully_absorbed else evaluator.plan(len(bp.reduced_circuit.gates))
     return OptimizeResult(
         par.w_opt, par.opt_num_circuits, par.opt_num_circuits, par.w_opt,

@@ -10,7 +10,7 @@ each anticommuting term into cos(theta)*O + i*sin(theta)*P*O.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuits import Circuit, Gate, _clifford_quarter_turns, slice_circuit
 from .paulis import (
@@ -185,6 +185,32 @@ class BackpropResult:
     group_history: tuple[int, ...]
     truncation_error_accrued: float
     fully_absorbed: bool
+    # (k, reduced circuit, observable, truncation accrued) after k absorbed
+    # slices, for each k < slices_absorbed whose group_history entry is a new
+    # maximum: a smaller budget can stop only there.
+    stops: tuple[tuple[int, Circuit, Observable, float], ...] = field(repr=False)
+
+    def at_budget(self, w: int) -> BackpropResult:
+        """The result of the same backpropagation with the smaller budget w.
+
+        Budget w absorbs the slices before the first history entry above w.
+        Valid for w up to the budget this result was made with, and for any
+        w when every slice was absorbed.
+        """
+        history = self.group_history
+        k = next((k for k, groups in enumerate(history) if groups > w), len(history))
+        if k == self.slices_absorbed:
+            return self
+        _, reduced, obs, accrued = next(stop for stop in self.stops if stop[0] == k)
+        return BackpropResult(
+            reduced_circuit=reduced,
+            evolved_obs=obs,
+            slices_absorbed=k,
+            group_history=history[:k],
+            truncation_error_accrued=accrued,
+            fully_absorbed=False,
+            stops=tuple(stop for stop in self.stops if stop[0] < k),
+        )
 
 
 def backpropagate(
@@ -199,7 +225,8 @@ def backpropagate(
     Slices are consumed from the end of the circuit. After conjugating a
     candidate slice (and truncating, when budgeted) the grouping is checked;
     a slice that pushes the group count past the budget is reverted and
-    absorption stops there.
+    absorption stops there. The result keeps the state at every slice where
+    a smaller budget would stop, so ``at_budget`` needs no second pass.
     """
     if obs.n != circuit.n:
         raise BackpropError(f"observable width {obs.n} != circuit width {circuit.n}")
@@ -210,6 +237,7 @@ def backpropagate(
     absorbed = 0
     boundary = len(circuit.gates)
     history: list[int] = []
+    stops = []
     accrued = 0.0
     for sl in reversed(slices):
         cand = current
@@ -221,6 +249,8 @@ def backpropagate(
         groups = group_qwc(cand).group_count
         if groups > max_qwc_groups:
             break
+        if groups > max(history, default=0):
+            stops.append((absorbed, circuit.prefix(boundary), current, accrued))
         current = cand
         accrued += spent
         absorbed += 1
@@ -233,4 +263,5 @@ def backpropagate(
         group_history=tuple(history),
         truncation_error_accrued=accrued,
         fully_absorbed=absorbed == len(slices),
+        stops=tuple(stops),
     )

@@ -127,6 +127,13 @@ def gatecut_terms(kind: str) -> tuple[QpdTerm, ...]:
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
+def _project(state: np.ndarray, wire: int, bit: int) -> np.ndarray:
+    """A copy of state with every amplitude whose bit ``wire`` is not ``bit`` zeroed."""
+    out = state.copy()
+    out.reshape(-1, 2, 1 << wire)[:, 1 - bit] = 0
+    return out
+
+
 def _apply_endpoint(branches: list, letters: tuple, instrs: tuple, wire: int):
     """Apply one cut end's instructions to the signed branches of a part walk.
 
@@ -137,10 +144,9 @@ def _apply_endpoint(branches: list, letters: tuple, instrs: tuple, wire: int):
         if instr[0] == "u":
             branches = [(w, apply_1q(s, instr[2], wire)) for w, s in branches]
         elif instr[0] == "mzsign":  # Pi0 rho Pi0 - Pi1 rho Pi1 splits each branch
-            bit = (np.arange(branches[0][1].size) >> wire) & 1
             branches = [
                 split for w, s in branches
-                for split in ((w, np.where(bit == 0, s, 0)), (-w, np.where(bit == 1, s, 0)))
+                for split in ((w, _project(s, wire, 0)), (-w, _project(s, wire, 1)))
             ]
         elif instr[0] == "prep":  # the wire idles in |0> until its cut: apply |s><0|
             prep = np.outer(PREP_STATES[instr[1]], (1, 0))

@@ -7,10 +7,19 @@ state is a dense 2^n complex vector.
 
 Basis convention: index bit q (LSB = qubit 0) holds qubit q, so amplitudes
 are ordered |...q2 q1 q0>.
+
+Each gate family has one in-place kernel on a strided view of the state:
+two axpys (or a phase multiply) for a 1-qubit matrix, a sign flip for cz,
+a swap of two views for cx, and cos*psi - i*sin*P*psi for a Pauli
+rotation. ``simulate`` owns its state, so it runs them in place and fuses
+each run of 1-qubit gates on one qubit into one matrix. ``apply_gate`` and
+``apply_1q`` copy first and then run the same kernel, because the
+reconstruction walk shares states between branches.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -71,11 +80,118 @@ def product_state(factors: list[np.ndarray]) -> np.ndarray:
     return state
 
 
-def apply_1q(state: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
+# States up to _SMALL amplitudes take the 1-qubit matrix as one batched
+# matmul, which makes fewer numpy calls. Larger ones take the axpys in
+# blocks of _BLOCK amplitudes, so that their five passes run in cache.
+_SMALL = 1 << 8
+_BLOCK = 1 << 15
+
+
+def _kernel_1q(state: np.ndarray, u: np.ndarray, q: int) -> None:
+    """Apply the 2x2 matrix u to qubit q of state, in place.
+
+    The view [:, b, :] holds the amplitudes whose bit q is b. A small state
+    takes u as one matmul on the view; in a larger one a diagonal u is a
+    phase multiply per half and a general one two axpys.
+    """
+    view = state.reshape(-1, 2, 1 << q)
+    if state.size <= _SMALL:
+        view[...] = u @ view
+        return
+    (u00, u01), (u10, u11) = u.tolist()
+    if u01 == 0 and u10 == 0:
+        if u00 != 1:
+            view[:, 0] *= u00
+        if u11 != 1:
+            view[:, 1] *= u11
+        return
+    step = max(1, _BLOCK >> (q + 1))
+    for i in range(0, view.shape[0], step):
+        block = view[i : i + step]
+        # For q < 2 a row holds 1 or 2 amplitudes per half, too short for
+        # numpy's inner loop, so each column is a strided 1-d view instead.
+        cols = [block[:, :, j] for j in range(1 << q)] if q < 2 else [block]
+        for col in cols:
+            a, b = col[:, 0], col[:, 1]
+            a0 = a.copy()
+            a *= u00
+            a += u01 * b
+            b *= u11
+            a0 *= u10
+            b += a0
+
+
+def _pair_view(state: np.ndarray, hi: int, lo: int) -> np.ndarray:
+    """state viewed so that axis 1 is bit hi and axis 3 is bit lo (hi > lo)."""
     n = state.size.bit_length() - 1
-    psi = state.reshape(1 << (n - q - 1), 2, 1 << q)
-    out = np.einsum("ab,ibj->iaj", u, psi)
-    return out.reshape(state.size)
+    return state.reshape(1 << (n - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+
+
+def _matrix_1q(gate: Gate) -> np.ndarray | None:
+    if gate.kind in GATE_1Q:
+        return GATE_1Q[gate.kind]
+    if gate.kind == "rz":
+        return rz_matrix(gate.angle)
+    return None
+
+
+def _apply(state: np.ndarray, gate: Gate, n: int) -> None:
+    """Apply one gate to state, in place."""
+    u = _matrix_1q(gate)
+    if u is not None:
+        _kernel_1q(state, u, gate.qubits[0])
+    elif gate.kind == "cx":
+        c, t = gate.qubits
+        view = _pair_view(state, max(c, t), min(c, t))
+        # swap the control-set halves with target 0 and target 1
+        if c > t:
+            x, y = view[:, 1, :, 0], view[:, 1, :, 1]
+        else:
+            x, y = view[:, 0, :, 1], view[:, 1, :, 1]
+        tmp = x.copy()
+        x[...] = y
+        y[...] = tmp
+    elif gate.kind == "cz":
+        a, b = gate.qubits
+        _pair_view(state, max(a, b), min(a, b))[:, 1, :, 1] *= -1
+    elif gate.kind == "rot":
+        # exp(-i*theta/2 * P)|psi> = cos(theta/2)|psi> - i sin(theta/2) P|psi>
+        half = 0.5 * gate.angle
+        rotated = apply_pauli(state, gate.axis_word(n))
+        state *= math.cos(half)
+        state -= (1j * math.sin(half)) * rotated
+    else:
+        raise SimulationError(f"cannot simulate gate kind {gate.kind!r}")
+
+
+def apply_1q(state: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
+    """u on qubit q, returned as a new array; state is left unchanged."""
+    out = np.array(state, dtype=complex)
+    _kernel_1q(out, np.asarray(u), q)
+    return out
+
+
+def apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
+    """One gate, returned as a new array; state is left unchanged."""
+    out = np.array(state, dtype=complex)
+    _apply(out, gate, n)
+    return out
+
+
+@functools.cache
+def _index_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices b and the signs (-1)^popcount(b), for one state size.
+
+    Cached once per state width and shared by every caller, so both tables
+    are read-only.
+    """
+    index = np.arange(size)
+    parity = np.zeros(size, dtype=np.int8)
+    for bit in range(size.bit_length() - 1):
+        parity ^= ((index >> bit) & 1).astype(np.int8)
+    sign = 1 - 2 * parity
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
 
 
 def apply_pauli(state: np.ndarray, word: PauliString) -> np.ndarray:
@@ -84,64 +200,45 @@ def apply_pauli(state: np.ndarray, word: PauliString) -> np.ndarray:
     P|b> = i^(#Y) * (-1)^popcount(b & z) * |b XOR x>, so the amplitude at
     output index c is sourced from c XOR x with that phase.
     """
-    src = np.arange(state.size) ^ word.x
-    out = state[src]
+    index, sign = _index_tables(state.size)
+    src = index ^ word.x
+    out = state[src].astype(complex, copy=False)
     if word.z:
-        par = _parity(src & word.z)
-        out = out * np.where(par, -1.0 + 0j, 1.0 + 0j)
+        out *= sign[src & word.z]
     k = (word.x & word.z).bit_count() % 4
     if k:
-        out = out * (1j) ** k
+        out *= (1j) ** k
     return out
 
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    v = values.copy()
-    out = np.zeros(v.shape, dtype=np.int64)
-    while v.any():
-        out ^= v & 1
-        v >>= 1
-    return out.astype(bool)
-
-
-def apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    if gate.kind in GATE_1Q:
-        return apply_1q(state, GATE_1Q[gate.kind], gate.qubits[0])
-    if gate.kind == "rz":
-        return apply_1q(state, rz_matrix(gate.angle), gate.qubits[0])
-    if gate.kind == "cx":
-        c, t = gate.qubits
-        idx = np.arange(state.size)
-        sel = (idx >> c) & 1
-        flipped = idx ^ (1 << t)
-        out = state.copy()
-        out[sel == 1] = state[flipped[sel == 1]]
-        return out
-    if gate.kind == "cz":
-        a, b = gate.qubits
-        idx = np.arange(state.size)
-        sign = np.where(((idx >> a) & 1) & ((idx >> b) & 1), -1.0, 1.0)
-        return state * sign
-    if gate.kind == "rot":
-        # exp(-i*theta/2 * P)|psi> = cos(theta/2)|psi> - i sin(theta/2) P|psi>
-        word = gate.axis_word(n)
-        half = 0.5 * gate.angle
-        return math.cos(half) * state - 1j * math.sin(half) * apply_pauli(state, word)
-    raise SimulationError(f"cannot simulate gate kind {gate.kind!r}")
-
-
 def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Evolve an initial state (default |0...0>) through the circuit."""
+    """Evolve an initial state (default |0...0>) through the circuit.
+
+    The state is a copy of ``initial`` that the gates update in place. Each
+    run of 1-qubit gates on one qubit is multiplied into one 2x2 matrix,
+    applied before the next multi-qubit gate on that qubit or at the end.
+    """
     if circuit.n > sim_limit():
         raise SimulationError(
             f"{circuit.n} qubits exceeds the simulator cap {sim_limit()} "
             "(set QCUT_SIM_LIMIT to raise it)"
         )
-    state = zero_state(circuit.n) if initial is None else np.asarray(initial, dtype=complex)
+    state = zero_state(circuit.n) if initial is None else np.array(initial, dtype=complex).ravel()
     if state.size != 1 << circuit.n:
         raise SimulationError("initial state size does not match circuit width")
+    pending: dict[int, np.ndarray] = {}  # qubit -> its 1-qubit gates not yet applied
     for gate in circuit.gates:
-        state = apply_gate(state, gate, circuit.n)
+        u = _matrix_1q(gate)
+        if u is not None:
+            q = gate.qubits[0]
+            pending[q] = u @ pending[q] if q in pending else u
+            continue
+        for q in gate.qubits:
+            if q in pending:
+                _kernel_1q(state, pending.pop(q), q)
+        _apply(state, gate, circuit.n)
+    for q, u in pending.items():
+        _kernel_1q(state, u, q)
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:
         raise SimulationError(f"state norm drifted to {norm}")

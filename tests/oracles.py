@@ -7,6 +7,9 @@ code. ``crossing_count`` recounts a bipartition's crossing gates from
 scratch, as the reference for the cut search's running count.
 ``objective`` composes the public pipeline stages directly, as the
 reference for the annealer's single-pass objective evaluator.
+``einsum_simulate`` applies gates one at a time, each out of place (one
+``np.einsum`` per 1-qubit gate or Pauli letter, index arrays for ``cx``
+and ``cz``), as the reference for the simulator's in-place, fused kernels.
 """
 
 import numpy as np
@@ -145,3 +148,41 @@ def crossing_count(gates2q, labels, cuts) -> int:
         lv = labels[v] ^ (1 if v in cuts and t >= cuts[v] else 0)
         k += lu != lv
     return k
+
+
+def einsum_apply_1q(state, u, q):
+    n = state.size.bit_length() - 1
+    psi = state.reshape(1 << (n - q - 1), 2, 1 << q)
+    return np.einsum("ab,ibj->iaj", u, psi).reshape(state.size)
+
+
+def einsum_apply_gate(state, gate, n):
+    """One gate out of place: einsum for 1-qubit gates, index arrays for cx and cz."""
+    if gate.kind in GATE_1Q:
+        return einsum_apply_1q(state, GATE_1Q[gate.kind], gate.qubits[0])
+    if gate.kind == "rz":
+        u = np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
+        return einsum_apply_1q(state, u, gate.qubits[0])
+    idx = np.arange(state.size)
+    if gate.kind == "cx":
+        c, t = gate.qubits
+        sel = ((idx >> c) & 1) == 1
+        out = state.copy()
+        out[sel] = state[(idx ^ (1 << t))[sel]]
+        return out
+    if gate.kind == "cz":
+        a, b = gate.qubits
+        return state * np.where(((idx >> a) & 1) & ((idx >> b) & 1), -1.0, 1.0)
+    if gate.kind == "rot":
+        rotated = state
+        for q, ch in zip(gate.qubits, gate.axis):
+            rotated = einsum_apply_1q(rotated, PAULI[ch], q)
+        return np.cos(gate.angle / 2) * state - 1j * np.sin(gate.angle / 2) * rotated
+    raise ValueError(f"no reference kernel for {gate.kind}")
+
+
+def einsum_simulate(circuit, initial):
+    state = np.asarray(initial, dtype=complex)
+    for gate in circuit.gates:
+        state = einsum_apply_gate(state, gate, circuit.n)
+    return state

@@ -231,10 +231,14 @@ def test_optimize_finds_improvement_on_ansatz():
     assert result.chosen_cost <= result.vanilla_cost // 2
 
 
-def test_optimize_result_carries_the_chosen_plans():
+def test_optimize_result_carries_the_chosen_plans(monkeypatch):
     # Covers vanilla cutting winning (trial 0 at w = 2), the budget cap's own
     # backpropagation being the chosen one (trial 4 at w = 2, and the fully
-    # absorbed cases) and a fresh backpropagation at w_opt (the ansatz).
+    # absorbed cases) and a smaller w_opt read off the cap's pass (the ansatz).
+    import cutprop.annealing as annealing
+
+    calls = []
+    monkeypatch.setattr(annealing, "backpropagate", lambda *a: calls.append(a) or backpropagate(*a))
     rng = np.random.default_rng((0, 101))
     params = [float(a) for a in rng.uniform(-np.pi, np.pi, size=24)]
     cases = [(efficient_su2(6, 1, params), SAConfig(seed=0), "auto", 0.0, 0)]
@@ -249,7 +253,9 @@ def test_optimize_result_carries_the_chosen_plans():
     branches = set()
     for circ, config, slicing, trunc, seed in cases:
         obs = weight_z_observable(circ.n, 1)
+        calls.clear()
         result = optimize_budget(circ, obs, config, slicing, trunc, cut_seed=seed)
+        assert len(calls) == 1
         vanilla = find_cuts(circ, force_bipartition=True, seed=seed)
         assert result.vanilla_plan == vanilla
         if result.w_opt is None:

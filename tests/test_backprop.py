@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from cutprop.backprop import (
     truncate,
 )
 from cutprop.circuits import Circuit, Gate
+from cutprop.cli import _bench_instances
 from cutprop.generators import random_circuit, random_observable, random_product_factors
 from cutprop.paulis import Observable, PauliString, group_qwc
 from cutprop.sim import expectation, product_state, simulate
@@ -279,3 +281,31 @@ def test_truncation_error_bounded():
 def test_width_mismatch_rejected():
     with pytest.raises(BackpropError):
         backpropagate(Circuit(2, ()), single("Z"), 1)
+
+
+# --- one pass for every budget ---------------------------------------------------
+
+
+def _assert_fields_equal(kept, fresh, where):
+    for f in dataclasses.fields(fresh):
+        assert getattr(kept, f.name) == getattr(fresh, f.name), (*where, f.name)
+
+
+@pytest.mark.parametrize("suite", ["vqe6", "qaoa3", "random"])
+@pytest.mark.parametrize("seed, trunc", [(0, 0.0), (1, 0.05)])
+def test_at_budget_equals_a_fresh_backpropagation(suite, seed, trunc):
+    # Every budget up to the annealer's default cap of 40.
+    for name, circ, obs in _bench_instances(suite, seed):
+        cap = backpropagate(circ, obs, 40, trunc)
+        for w in range(1, 41):
+            fresh = backpropagate(circ, obs, w, trunc)
+            _assert_fields_equal(cap.at_budget(w), fresh, (name, w))
+
+
+def test_at_budget_beyond_the_cap_when_fully_absorbed():
+    circ = Circuit(2, (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("s", (1,))))
+    obs = single("ZZ")
+    cap = backpropagate(circ, obs, 3)
+    assert cap.fully_absorbed
+    for w in (1, 2, 3, 10):
+        _assert_fields_equal(cap.at_budget(w), backpropagate(circ, obs, w), (w,))
