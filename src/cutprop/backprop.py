@@ -3,8 +3,10 @@
 Conjugates an observable backward through trailing slices of a circuit
 (O -> G_dag O G per gate, applied last-gate-first), stopping when the
 qubit-wise-commuting group count would exceed the configured budget.
-Clifford gates are applied through an exact tableau; Pauli rotations split
-each anticommuting term into cos(theta)*O + i*sin(theta)*P*O.
+Every gate is conjugated as Pauli rotations: each anticommuting term splits
+into cos(theta)*O + i*sin(theta)*P*O. A Clifford gate is a product of
+quarter-turn rotations, at which that split is exact and maps each term to
+one term.
 """
 
 from __future__ import annotations
@@ -28,104 +30,21 @@ class BackpropError(ValueError):
     pass
 
 
-# Backward conjugation images G_dag P G of the single-qubit generators, as
-# (sign, local_x_bits, local_z_bits) with bit j = j-th gate qubit.
-_IMAGES_1Q = {
-    "h": {"X": (1, 0, 1), "Z": (1, 1, 0)},
-    "s": {"X": (-1, 1, 1), "Z": (1, 0, 1)},
-    "sdg": {"X": (1, 1, 1), "Z": (1, 0, 1)},
-    "x": {"X": (1, 1, 0), "Z": (-1, 0, 1)},
-    "y": {"X": (-1, 1, 0), "Z": (-1, 0, 1)},
-    "z": {"X": (-1, 1, 0), "Z": (1, 0, 1)},
-    "sx": {"X": (1, 1, 0), "Z": (1, 1, 1)},
-    "sxdg": {"X": (1, 1, 0), "Z": (-1, 1, 1)},
+# Each Clifford gate kind as Pauli rotations exp(-i*k*pi/4 * P) in circuit
+# order, equal to the gate up to a global phase: (letters on the gate's
+# qubits, "I" where the rotation does not act; k).
+_ROTATIONS = {
+    "s": (("Z", 1),),
+    "sdg": (("Z", -1),),
+    "z": (("Z", 2),),
+    "x": (("X", 2),),
+    "y": (("Y", 2),),
+    "sx": (("X", 1),),
+    "sxdg": (("X", -1),),
+    "h": (("Z", 2), ("Y", 1)),
+    "cz": (("ZI", 1), ("IZ", 1), ("ZZ", -1)),
+    "cx": (("ZI", 1), ("IX", 1), ("ZX", -1)),
 }
-# rz at k quarter-turns acts like {identity, s, z, sdg}.
-_RZ_QUARTER = {0: None, 1: "s", 2: "z", 3: "sdg"}
-
-_IMAGES_2Q = {
-    "cx": {
-        (0, "X"): (1, 0b11, 0b00),
-        (0, "Z"): (1, 0b00, 0b01),
-        (1, "X"): (1, 0b10, 0b00),
-        (1, "Z"): (1, 0b00, 0b11),
-    },
-    "cz": {
-        (0, "X"): (1, 0b01, 0b10),
-        (0, "Z"): (1, 0b00, 0b01),
-        (1, "X"): (1, 0b10, 0b01),
-        (1, "Z"): (1, 0b00, 0b10),
-    },
-}
-
-_PHASE_EXP = {1 + 0j: 0, 1j: 1, -1 + 0j: 2, -1j: 3}
-
-
-def _gate_images(gate: Gate) -> dict[tuple[int, str], tuple[int, int, int]]:
-    if gate.kind in _IMAGES_2Q:
-        return _IMAGES_2Q[gate.kind]
-    kind = gate.kind
-    if kind == "rz":
-        k = _clifford_quarter_turns(gate.angle)
-        if k is None:
-            raise BackpropError(f"rz({gate.angle}) is not Clifford")
-        name = _RZ_QUARTER[k]
-        if name is None:
-            return {}
-        kind = name
-    if kind in _IMAGES_1Q:
-        return {(0, p): img for p, img in _IMAGES_1Q[kind].items()}
-    raise BackpropError(f"no tableau for gate kind {gate.kind!r}")
-
-
-def _conjugate_word(word: PauliString, gate: Gate, images) -> tuple[int, PauliString]:
-    """Map one Pauli word through a Clifford gate, returning (sign, word)."""
-    qs = gate.qubits
-    m = len(qs)
-    lx = lz = 0
-    for j, q in enumerate(qs):
-        lx |= ((word.x >> q) & 1) << j
-        lz |= ((word.z >> q) & 1) << j
-    if lx == 0 and lz == 0:
-        return 1, word
-    # Decompose the local word as i^(#Y) * prod_j X_j^x Z_j^z and push each
-    # generator through the gate, accumulating the product exactly.
-    exp = (lx & lz).bit_count() % 4
-    acc = PauliString(m, 0, 0)
-    for j in range(m):
-        for gen, present in (("X", (lx >> j) & 1), ("Z", (lz >> j) & 1)):
-            if not present:
-                continue
-            sign, ix, iz = images[(j, gen)]
-            if sign < 0:
-                exp = (exp + 2) % 4
-            phase, acc = multiply(acc, PauliString(m, ix, iz))
-            exp = (exp + _PHASE_EXP[phase]) % 4
-    if exp not in (0, 2):
-        raise AssertionError(f"non-real Clifford image phase i^{exp}")
-    clear = 0
-    for q in qs:
-        clear |= 1 << q
-    new_x = word.x & ~clear
-    new_z = word.z & ~clear
-    for j, q in enumerate(qs):
-        new_x |= ((acc.x >> j) & 1) << q
-        new_z |= ((acc.z >> j) & 1) << q
-    return (1 if exp == 0 else -1), PauliString(word.n, new_x, new_z)
-
-
-def conjugate_clifford(obs: Observable, gate: Gate) -> Observable:
-    """G_dag O G for a Clifford gate; term count and magnitudes unchanged."""
-    if not gate.is_clifford():
-        raise BackpropError(f"gate {gate} is not Clifford")
-    images = _gate_images(gate)
-    if not images:
-        return canonicalize(obs)
-    terms = []
-    for t in obs.terms:
-        sign, w = _conjugate_word(t.word, gate, images)
-        terms.append(PauliTerm(sign * t.coeff, w))
-    return canonicalize(Observable(obs.n, tuple(terms)))
 
 
 def conjugate_rotation(obs: Observable, axis: PauliString, angle: float) -> Observable:
@@ -153,9 +72,23 @@ def conjugate_rotation(obs: Observable, axis: PauliString, angle: float) -> Obse
 
 
 def conjugate_gate(obs: Observable, gate: Gate) -> Observable:
-    if gate.is_clifford() and gate.kind != "rot":
-        return conjugate_clifford(obs, gate)
-    return conjugate_rotation(obs, gate.axis_word(obs.n), gate.angle)
+    """G_dag O G, one Pauli rotation at a time, last rotation first."""
+    if gate.kind not in _ROTATIONS:
+        return conjugate_rotation(obs, gate.axis_word(obs.n), gate.angle)
+    for letters, k in reversed(_ROTATIONS[gate.kind]):
+        x = z = 0
+        for q, ch in zip(gate.qubits, letters):
+            x |= (ch in "XY") << q
+            z |= (ch in "YZ") << q
+        obs = conjugate_rotation(obs, PauliString(obs.n, x, z), k * math.pi / 2)
+    return obs
+
+
+def conjugate_clifford(obs: Observable, gate: Gate) -> Observable:
+    """G_dag O G for a Clifford gate; term count and magnitudes unchanged."""
+    if not gate.is_clifford():
+        raise BackpropError(f"gate {gate} is not Clifford")
+    return conjugate_gate(obs, gate)
 
 
 def truncate(obs: Observable, budget: float) -> tuple[Observable, float]:

@@ -227,6 +227,8 @@ def cost(
     that part (this secondary accounting double-counts shared cuts; the
     ``total_executions`` field is the normative number).
     """
+    if evolved_obs.n != plan.n:
+        raise CutError(f"observable width {evolved_obs.n} != plan width {plan.n}")
     obs = canonicalize(evolved_obs)
     groups = group_qwc(obs).group_count if obs.terms else 1
     total = total_executions(plan.kg, plan.kw, groups)

@@ -28,7 +28,7 @@ from .paulis import Observable, canonicalize
 # apply_pauli is unused here, but the benchmark's tracer wraps it in this
 # module (perfbench/spans.py), so the import stays.
 from .sim import apply_1q, apply_gate, apply_pauli, expectation  # noqa: F401
-from .sim import pauli_expectations, product_state, simulate
+from .sim import GATE_1Q, pauli_expectations, product_state, rz_matrix, simulate
 
 _S2 = 1.0 / math.sqrt(2.0)
 
@@ -51,12 +51,6 @@ PREP_STATES: dict[str, np.ndarray] = {
     "+i": np.array([_S2, _S2 * 1j], dtype=complex),
     "-i": np.array([_S2, -_S2 * 1j], dtype=complex),
 }
-
-_MAT_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-_MAT_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_MAT_H = _S2 * np.array([[1, 1], [1, -1]], dtype=complex)
-_MAT_RP = np.array([[np.exp(0.25j * np.pi), 0], [0, np.exp(-0.25j * np.pi)]])
-_MAT_RM = _MAT_RP.conj()
 
 # Cut-end instructions: ("u", name, 2x2 matrix) applies a unitary,
 # ("mzsign",) is the sign-weighted Z measurement Pi0 rho Pi0 - Pi1 rho Pi1,
@@ -95,14 +89,15 @@ def _cz_terms() -> list[tuple[float, tuple, tuple, str]]:
     # CZ = (S (x) S) o Lambda with Lambda the channel of exp(i*pi/4 Z(x)Z);
     # Lambda splits into identity/ZZ parts plus four rotation-measurement
     # cross terms with coefficients +-1/2.
-    s = _U("s", _MAT_S)
+    s, z = _U("s", GATE_1Q["s"]), _U("z", GATE_1Q["z"])
+    rp, rm = _U("rz+", rz_matrix(-math.pi / 2)), _U("rz-", rz_matrix(math.pi / 2))
     return [
         (0.5, (s,), (s,), "II"),
-        (0.5, (_U("z", _MAT_Z), s), (_U("z", _MAT_Z), s), "ZZ"),
-        (0.5, (_U("rz+", _MAT_RP), s), (_MZ, s), "R+ (x) Mz"),
-        (-0.5, (_U("rz-", _MAT_RM), s), (_MZ, s), "R- (x) Mz"),
-        (0.5, (_MZ, s), (_U("rz+", _MAT_RP), s), "Mz (x) R+"),
-        (-0.5, (_MZ, s), (_U("rz-", _MAT_RM), s), "Mz (x) R-"),
+        (0.5, (z, s), (z, s), "ZZ"),
+        (0.5, (rp, s), (_MZ, s), "R+ (x) Mz"),
+        (-0.5, (rm, s), (_MZ, s), "R- (x) Mz"),
+        (0.5, (_MZ, s), (rp, s), "Mz (x) R+"),
+        (-0.5, (_MZ, s), (rm, s), "Mz (x) R-"),
     ]
 
 
@@ -111,7 +106,7 @@ def gatecut_terms(kind: str) -> tuple[QpdTerm, ...]:
     if kind == "cz":
         rows = _cz_terms()
     elif kind == "cx":
-        h = _U("h", _MAT_H)
+        h = _U("h", GATE_1Q["h"])
         rows = [
             (c, a, (h, *b, h), label) for c, a, b, label in _cz_terms()
         ]

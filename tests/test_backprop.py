@@ -101,6 +101,34 @@ def test_non_clifford_rejected():
         conjugate_clifford(single("Z"), Gate("rz", (0,), angle=0.3))
 
 
+CLIFFORD_PLACEMENTS_3Q = [
+    Gate(kind, (q,)) for kind in ("h", "s", "sdg", "x", "y", "z", "sx", "sxdg") for q in range(3)
+] + [Gate(kind, pair) for kind in ("cx", "cz") for pair in itertools.permutations(range(3), 2)]
+
+
+@pytest.mark.parametrize("gate", CLIFFORD_PLACEMENTS_3Q, ids=str)
+def test_clifford_images_are_exact_single_words(gate):
+    u = gate_matrix(gate, 3)
+    for letters in itertools.product(LETTERS, repeat=len(gate.qubits)):
+        label = ["I"] * 3
+        for q, ch in zip(gate.qubits, letters):
+            label[q] = ch
+        label = "".join(label)
+        out = conjugate_clifford(single(label), gate)
+        assert len(out.terms) == 1, (gate, label)
+        assert out.terms[0].coeff == 1 or out.terms[0].coeff == -1, (gate, label)
+        assert np.allclose(dense(out, 3), u.conj().T @ word_matrix(label) @ u), (gate, label)
+
+
+@pytest.mark.parametrize("angle", [math.pi / 2, -math.pi])
+def test_clifford_rot_gate_matches_dense(angle):
+    g = Gate("rot", (0, 2), angle=angle, axis="XY")
+    u = gate_matrix(g, 3)
+    for label in ("".join(p) for p in itertools.product(LETTERS, repeat=3)):
+        out = conjugate_clifford(single(label), g)
+        assert np.allclose(dense(out, 3), u.conj().T @ word_matrix(label) @ u), label
+
+
 # --- rotation conjugation -------------------------------------------------------
 
 

@@ -107,6 +107,19 @@ def test_cut_emits_plan_and_cost(workdir):
     assert c["total_executions"] == c["qwc_groups"] * 9 ** c["gate_cuts"] * 16 ** c["wire_cuts"]
 
 
+@pytest.mark.parametrize("per_subcircuit", [[], ["--per-subcircuit"]])
+@pytest.mark.parametrize("label", ["ZZ", "ZZZZZ"])
+def test_cut_rejects_an_observable_of_another_width(workdir, capsys, label, per_subcircuit):
+    tmp, circ, _, _, _ = workdir
+    obs = tmp / f"{label}.txt"
+    obs.write_text(f"1.0 {label}\n")
+    capsys.readouterr()
+    rc = main(["cut", circ, str(obs), "--bipartition", *per_subcircuit])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err == f"error: observable width {len(label)} != plan width 3\n"
+
+
 def test_cut_requires_a_constraint(workdir):
     _, circ, obs, _, _ = workdir
     with pytest.raises(SystemExit):
