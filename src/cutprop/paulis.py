@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 # |coeff| below this is treated as an exact zero when canonicalizing.
 COEFF_TOL = 1e-14
 
@@ -188,67 +190,79 @@ class QwcGrouping:
         return len(self.groups)
 
 
-def _conflict_adjacency(words: Sequence[PauliString]) -> list[set[int]]:
-    m = len(words)
-    adj: list[set[int]] = [set() for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not qubitwise_commutes(words[i], words[j]):
-                adj[i].add(j)
-                adj[j].add(i)
-    return adj
+def _packed(masks: Sequence[int], limbs: int) -> np.ndarray:
+    """Bitmasks as an (m, limbs) uint64 array, qubit 64*k + b at bit b of limb k."""
+    raw = b"".join(v.to_bytes(8 * limbs, "little") for v in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), limbs)
 
 
-def _first_fit_colors(words: Sequence[PauliString], adj: list[set[int]]) -> list[int]:
-    colors = [-1] * len(words)
-    for i in range(len(words)):
-        used = {colors[j] for j in adj[i] if colors[j] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[i] = c
-    return colors
+def _conflict_matrix(obs: Observable) -> np.ndarray:
+    """Boolean m x m matrix, True where two terms do not commute qubit-wise."""
+    limbs = max(1, -(-obs.n // 64))
+    x = _packed([t.word.x for t in obs.terms], limbs)
+    z = _packed([t.word.z for t in obs.terms], limbs)
+    s = x | z
+    m = len(obs.terms)
+    conflict = np.zeros((m, m), dtype=bool)
+    for k in range(limbs):
+        xk, zk, sk = x[:, k], z[:, k], s[:, k]
+        differ = xk[:, None] ^ xk[None, :]
+        differ |= zk[:, None] ^ zk[None, :]
+        differ &= sk[:, None] & sk[None, :]
+        conflict |= differ != 0
+    return conflict
 
 
-def _dsatur_colors(words: Sequence[PauliString], adj: list[set[int]]) -> list[int]:
-    m = len(words)
-    colors = [-1] * m
-    degrees = [len(adj[i]) for i in range(m)]
-    saturation: list[set[int]] = [set() for _ in range(m)]
-    for _ in range(m):
-        # Highest saturation, then highest degree, then canonical term order.
-        best = min(
-            (i for i in range(m) if colors[i] < 0),
-            key=lambda i: (-len(saturation[i]), -degrees[i], i),
-        )
-        used = saturation[best]
-        c = 0
-        while c in used:
-            c += 1
-        colors[best] = c
-        for j in adj[best]:
-            saturation[j].add(c)
+def _greedy_colors(conflict: np.ndarray, dsatur: bool) -> np.ndarray:
+    """Give each vertex in turn the smallest color no colored neighbor has.
+
+    The turn order is index order (first-fit) or, with ``dsatur``, highest
+    saturation (distinct neighbor colors), then highest degree, then lowest
+    index: one argmax over ``saturation * (m + 1) + degree``, as the degree
+    is below m + 1 and ``np.argmax`` returns the first maximum.
+    """
+    m = len(conflict)
+    # used[c, v]: some colored neighbor of v has color c.
+    used = np.zeros((m, m), dtype=bool)
+    colors = np.empty(m, dtype=np.intp)
+    key = conflict.sum(axis=1, dtype=np.int64)
+    # A colored vertex's key gains at most (m - 1) * (m + 1) more, so it stays
+    # below every uncolored key (>= 0).
+    colored = -m * (m + 1)
+    ncolors = 0
+    for step in range(m):
+        v = int(key.argmax()) if dsatur else step
+        c = int(used[: ncolors + 1, v].argmin())
+        colors[v] = c
+        ncolors = max(ncolors, c + 1)
+        neighbors = conflict[v]
+        if dsatur:
+            key[v] = colored
+            key += (neighbors & ~used[c]) * (m + 1)
+        used[c] |= neighbors
     return colors
 
 
 def group_qwc(obs: Observable) -> QwcGrouping:
     """Group terms into qubit-wise-commuting sets via saturation coloring.
 
-    Colors the QWC-conflict graph with DSATUR (ties broken by canonical
-    term order) and falls back to greedy first-fit if that ever uses fewer
-    colors, so the result never exceeds the first-fit group count.
+    Builds the QWC-conflict matrix with numpy (x and z masks packed into
+    uint64 limbs of 64 qubits, so any width works) and colors it with
+    DSATUR: highest saturation, then highest degree, then canonical term
+    order. It falls back to greedy first-fit on the same matrix if that
+    uses fewer colors, so the result never exceeds the first-fit group
+    count. Memory is O(m^2) bytes for m terms: the boolean conflict matrix,
+    a boolean used-color table and, per limb, a few uint64 m x m temporaries.
     """
-    words = obs.words()
-    if not words:
+    if not obs.terms:
         return QwcGrouping(())
-    adj = _conflict_adjacency(words)
-    colors = _dsatur_colors(words, adj)
-    ff = _first_fit_colors(words, adj)
-    if max(ff) < max(colors):
+    conflict = _conflict_matrix(obs)
+    colors = _greedy_colors(conflict, dsatur=True)
+    ff = _greedy_colors(conflict, dsatur=False)
+    if ff.max() < colors.max():
         colors = ff
-    ngroups = max(colors) + 1
-    groups: list[list[int]] = [[] for _ in range(ngroups)]
-    for i, c in enumerate(colors):
+    groups: list[list[int]] = [[] for _ in range(colors.max() + 1)]
+    for i, c in enumerate(colors.tolist()):
         groups[c].append(i)
     # Present groups in order of their smallest member for determinism.
     ordered = sorted((tuple(g) for g in groups), key=lambda g: g[0])

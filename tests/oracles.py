@@ -10,13 +10,19 @@ reference for the annealer's single-pass objective evaluator.
 ``einsum_simulate`` applies gates one at a time, each out of place (one
 ``np.einsum`` per 1-qubit gate or Pauli letter, index arrays for ``cx``
 and ``cz``), as the reference for the simulator's in-place, fused kernels.
+``conflict_adjacency``, ``dsatur_colors`` and ``first_fit_colors`` are the
+pair-loop QWC colorers, and ``qwc_groups`` composes them as ``group_qwc``
+does, as the reference for its conflict-matrix and array DSATUR kernel.
 """
+
+from typing import Sequence
 
 import numpy as np
 
 from cutprop.annealing import AnnealError
 from cutprop.backprop import backpropagate
 from cutprop.cutting import cost, find_cuts
+from cutprop.paulis import PauliString, qubitwise_commutes
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -186,3 +192,62 @@ def einsum_simulate(circuit, initial):
     for gate in circuit.gates:
         state = einsum_apply_gate(state, gate, circuit.n)
     return state
+
+
+def conflict_adjacency(words: Sequence[PauliString]) -> list[set[int]]:
+    m = len(words)
+    adj: list[set[int]] = [set() for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if not qubitwise_commutes(words[i], words[j]):
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj
+
+
+def first_fit_colors(words: Sequence[PauliString], adj: list[set[int]]) -> list[int]:
+    colors = [-1] * len(words)
+    for i in range(len(words)):
+        used = {colors[j] for j in adj[i] if colors[j] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        colors[i] = c
+    return colors
+
+
+def dsatur_colors(words: Sequence[PauliString], adj: list[set[int]]) -> list[int]:
+    m = len(words)
+    colors = [-1] * m
+    degrees = [len(adj[i]) for i in range(m)]
+    saturation: list[set[int]] = [set() for _ in range(m)]
+    for _ in range(m):
+        # Highest saturation, then highest degree, then canonical term order.
+        best = min(
+            (i for i in range(m) if colors[i] < 0),
+            key=lambda i: (-len(saturation[i]), -degrees[i], i),
+        )
+        used = saturation[best]
+        c = 0
+        while c in used:
+            c += 1
+        colors[best] = c
+        for j in adj[best]:
+            saturation[j].add(c)
+    return colors
+
+
+def qwc_groups(obs) -> tuple[tuple[int, ...], ...]:
+    """``group_qwc(obs).groups`` from the pair-loop colorers."""
+    words = obs.words()
+    if not words:
+        return ()
+    adj = conflict_adjacency(words)
+    colors = dsatur_colors(words, adj)
+    ff = first_fit_colors(words, adj)
+    if max(ff) < max(colors):
+        colors = ff
+    groups: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for i, c in enumerate(colors):
+        groups[c].append(i)
+    return tuple(sorted((tuple(g) for g in groups), key=lambda g: g[0]))

@@ -13,9 +13,17 @@ from cutprop.backprop import (
     conjugate_rotation,
     truncate,
 )
-from cutprop.circuits import Circuit, Gate
+from cutprop.circuits import Circuit, Gate, lower_rotations
 from cutprop.cli import _bench_instances
-from cutprop.generators import random_circuit, random_observable, random_product_factors
+from cutprop.generators import (
+    HEISENBERG_H,
+    HEISENBERG_J,
+    heavy_hex_19_edges,
+    heisenberg_trotter,
+    random_circuit,
+    random_observable,
+    random_product_factors,
+)
 from cutprop.paulis import Observable, PauliString, group_qwc
 from cutprop.sim import expectation, product_state, simulate
 
@@ -259,6 +267,25 @@ def test_budget_respected_and_history_recorded():
             assert group_qwc(result.evolved_obs).group_count <= w
             assert len(result.group_history) == result.slices_absorbed
             assert max(result.group_history) <= w
+
+
+def test_heavy_hex_group_history_is_pinned():
+    # Group counts after each of 210 slices of a lowered 19-qubit Heisenberg
+    # step (t = 0.2, no Clifford angles), ZZ on every edge, budget 40, as the
+    # pair-loop colorers gave them: a change of coloring order or tie-break
+    # that moves any count shows here.
+    edges = heavy_hex_19_edges()
+    circ = lower_rotations(heisenberg_trotter(list(edges), HEISENBERG_J, HEISENBERG_H, 0.2, 1))
+    obs = Observable.from_terms(
+        19, [(1.0, PauliString(19, 0, (1 << u) | (1 << v))) for u, v in edges]
+    )
+    result = backpropagate(circ, obs, max_qwc_groups=40)
+    assert result.group_history == (
+        (1,) * 3 + (2,) * 4 + (3,) * 5 + (6,) * 4 + (9,) * 154
+        + (13, 17, 13, 13, 13, 13, 15, 21, 17, 17, 17, 17, 17, 19, 25, 21, 21, 22, 25, 22)
+        + (22, 22, 22, 25, 26, 24, 24, 24, 24, 24, 26, 26, 24, 24, 32, 40, 32, 32, 32, 32)
+    )
+    assert len(result.evolved_obs) == 280
 
 
 def test_absorption_monotone_in_budget():

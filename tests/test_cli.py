@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutprop import qpd
+from cutprop import backprop, qpd
 from cutprop.circuits import Circuit, Gate, emit_qasm
 from cutprop.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from cutprop.generators import weight_z_observable
-from cutprop.paulis import format_observable
+from cutprop.paulis import Observable, QwcGrouping, format_observable
+
+from oracles import qwc_groups
 
 
 @pytest.fixture()
@@ -89,6 +91,37 @@ def test_backprop_parse_error_exit_code(workdir, tmp_path, capsys):
     rc = main(["backprop", str(bad), obs, "--qwc-max", "1"])
     assert rc == EXIT_INPUT
     assert "measurement" in capsys.readouterr().err
+
+
+def test_backprop_across_the_64_qubit_limb_edge(tmp_path, monkeypatch):
+    # Terms on qubits 0, 63, 64 and 69 put each word's masks in two uint64
+    # limbs; the history must match the pair-loop reference colorers.
+    n = 70
+    gates = []
+    for layer in range(3):
+        for q in (0, 63, 64, 69):
+            gates += [Gate("rz", (q,), angle=0.3 + 0.2 * layer + 0.1 * q / n), Gate("sx", (q,))]
+        if layer % 2 == 0:
+            gates += [Gate("cx", (63, 64)), Gate("cz", (0, 63)), Gate("cx", (64, 69))]
+        else:
+            gates += [Gate("cx", (0, 69)), Gate("cz", (63, 69)), Gate("cx", (64, 0))]
+    circuit = Circuit(n, tuple(gates))
+
+    def word(letters):
+        return "".join(letters.get(q, "I") for q in range(n))
+
+    obs = Observable.from_labels(
+        [(0.5, word({0: "Z", 63: "Z"})), (0.25, word({64: "X", 69: "Z"})),
+         (0.25, word({63: "Z", 69: "Y"}))]
+    )
+    circ_path, obs_path, out = tmp_path / "wide.qasm", tmp_path / "wide.txt", tmp_path / "wide.json"
+    circ_path.write_text(emit_qasm(circuit))
+    obs_path.write_text(format_observable(obs))
+    rc = main(["backprop", str(circ_path), str(obs_path), "--qwc-max", "3", "--out", str(out)])
+    assert rc == EXIT_OK
+    monkeypatch.setattr(backprop, "group_qwc", lambda o: QwcGrouping(qwc_groups(o)))
+    expected = list(backprop.backpropagate(circuit, obs, 3).group_history)
+    assert read_json(out)["results"]["group_history"] == expected == [2, 2, 2, 2, 3, 3]
 
 
 # --- cut -----------------------------------------------------------------------

@@ -18,7 +18,13 @@ from cutprop.paulis import (
     qubitwise_commutes,
 )
 
-from oracles import word_matrix
+from oracles import (
+    conflict_adjacency,
+    dsatur_colors,
+    first_fit_colors,
+    qwc_groups,
+    word_matrix,
+)
 
 LETTERS = "IXYZ"
 
@@ -203,6 +209,50 @@ def test_grouping_never_beats_first_fit_and_is_valid(raw, n):
         for i in g:
             for j in g:
                 assert qubitwise_commutes(obs.terms[i].word, obs.terms[j].word)
+
+
+# Register widths on both sides of the 64-qubit limb edges of the packed masks.
+QWC_WIDTHS = (1, 2, 3, 4, 5, 63, 64, 65, 128, 129, 300)
+
+
+@st.composite
+def few_qubit_observables(draw):
+    """Up to 150 words on at most six qubits of the register, limb edges likely.
+
+    Words on few qubits give conflict graphs that are neither empty nor
+    complete, and all-I letters give identity words.
+    """
+    n = draw(st.sampled_from(QWC_WIDTHS))
+    edges = [q for q in (0, 63, 64, 127, 128, n - 1) if q < n]
+    qubit = st.sampled_from(edges) | st.integers(0, n - 1)
+    active = draw(st.lists(qubit, min_size=1, max_size=6, unique=True))
+    size = draw(st.integers(1, 150))
+    # Two bits per active qubit: x in the low bit, z in the high bit.
+    codes = draw(st.lists(st.integers(0, 4 ** len(active) - 1), min_size=size, max_size=size))
+    terms = []
+    for i, code in enumerate(codes):
+        x = sum(((code >> 2 * j) & 1) << q for j, q in enumerate(active))
+        z = sum(((code >> 2 * j + 1) & 1) << q for j, q in enumerate(active))
+        terms.append((1.0 + 0.001 * i, PauliString(n, x, z)))
+    return Observable.from_terms(n, terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(few_qubit_observables())
+def test_grouping_equals_the_pair_loop_colorers(obs):
+    assert group_qwc(obs).groups == qwc_groups(obs)
+
+
+def test_grouping_falls_back_to_first_fit():
+    # DSATUR needs 11 colors on this conflict graph, first-fit in term order 10.
+    labels = "ZZI XII YZI XZZ IYI ZXZ XXI YXI YXZ YYZ ZIX ZIY XIX IXX IYX IXY YXX YYX"
+    obs = Observable.from_labels([(1.0, label) for label in labels.split()])
+    words = obs.words()
+    adj = conflict_adjacency(words)
+    assert max(dsatur_colors(words, adj)) + 1 == 11
+    assert max(first_fit_colors(words, adj)) + 1 == 10
+    assert group_qwc(obs).groups == qwc_groups(obs)
+    assert group_qwc(obs).group_count == 10
 
 
 def test_grouping_empty():
