@@ -179,7 +179,8 @@ def backpropagate(
         spent = 0.0
         if trunc_budget_per_slice > 0:
             cand, spent = truncate(cand, trunc_budget_per_slice)
-        groups = group_qwc(cand).group_count
+        # A slice that leaves every term unchanged keeps the last grouping.
+        groups = history[-1] if history and cand == current else group_qwc(cand).group_count
         if groups > max_qwc_groups:
             break
         if groups > max(history, default=0):

@@ -67,6 +67,13 @@ def _read_text(path: str, what: str) -> str:
         raise CliInputError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _load_circuit(path: str) -> tuple[Circuit, str]:
     text = _read_text(path, "circuit file")
     return parse_qasm(text), _sha256(text.encode())
@@ -83,7 +90,7 @@ def _emit_report(report: dict, args: argparse.Namespace) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text)
+        _write_text(out, text, "report")
     sys.stdout.write(text)
 
 
@@ -161,9 +168,9 @@ def _cmd_backprop(args: argparse.Namespace) -> int:
             result.evolved_obs
         )
     if args.reduced_out:
-        Path(args.reduced_out).write_text(reduced_qasm)
+        _write_text(args.reduced_out, reduced_qasm, "reduced circuit")
     if args.evolved_out:
-        Path(args.evolved_out).write_text(evolved_text)
+        _write_text(args.evolved_out, evolved_text, "evolved observable")
     _emit_report(report, args)
     return EXIT_OK
 
@@ -184,7 +191,7 @@ def _cmd_cut(args: argparse.Namespace) -> int:
     report = _base_report("cut", args, circuit_sha256=circ_hash, observable_sha256=obs_hash)
     report["results"] = {"plan": plan.to_dict(), "cost": report_obj.to_dict()}
     if args.plan_out:
-        Path(args.plan_out).write_text(json.dumps(plan.to_dict(), sort_keys=True, indent=2))
+        _write_text(args.plan_out, json.dumps(plan.to_dict(), sort_keys=True, indent=2), "plan")
     _emit_report(report, args)
     return EXIT_OK
 
@@ -380,7 +387,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         lines = [",".join(_CSV_COLUMNS)]
         for row in rows:
             lines.append(",".join(str(row.get(c, "")) for c in _CSV_COLUMNS))
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        _write_text(args.csv, "\n".join(lines) + "\n", "CSV table")
     _emit_report(report, args)
     if any(not r.get("oracle_ok", True) for r in rows):
         return EXIT_FAIL

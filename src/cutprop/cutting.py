@@ -17,7 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations, count
+from itertools import combinations, count, groupby
 from operator import itemgetter
 from typing import Sequence
 
@@ -532,50 +532,46 @@ def _build_plan(
 
 @dataclass(frozen=True)
 class SubOp:
-    """One entry in a subcircuit's op stream.
+    """One cut end in a subcircuit's op stream.
 
-    kind "gate" carries a local-qubit Gate; "gatecut" marks one endpoint of
-    a cut 2-qubit gate; "wc_measure"/"wc_prep" mark the two ends of a cut
-    wire.
+    kind "gatecut" marks one endpoint of a cut 2-qubit gate; "wc_measure"/
+    "wc_prep" mark the two ends of a cut wire. ``cut_id`` numbers gate cuts
+    and wire cuts separately, in circuit order.
     """
 
     kind: str
-    gate: object | None = None
-    cut_id: int | None = None
-    wire: int | None = None
+    cut_id: int
+    wire: int
     role: str | None = None  # "a" = first qubit of the cut gate, "b" = second
 
 
 @dataclass(frozen=True)
 class Subcircuit:
-    label: int
+    """One part: its op stream on ``n`` local wires.
+
+    Each op is a cut end (a ``SubOp``) or a run of the part's gates, as a
+    ``Circuit`` on the local wires. Runs are maximal and never empty, so
+    no two runs are adjacent.
+    """
+
     n: int
-    ops: tuple[SubOp, ...]
+    ops: tuple[Circuit | SubOp, ...]
     wire_origin: tuple[tuple[int, int], ...]  # local wire -> (qubit, segment)
 
 
 @dataclass(frozen=True)
 class GateCutInfo:
-    cut_id: int
-    gate_index: int
     kind: str
-    a: tuple[int, int]  # (part label, local wire) of the gate's first qubit
-    b: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class WireCutInfo:
-    cut_id: int
-    qubit: int
-    position: int
-    measure: tuple[int, int]  # (part label, local wire) of the ending segment
-    prep: tuple[int, int]  # (part label, local wire) of the starting segment
+    """One wire cut; its ends are the part ops that carry its ``cut_id``."""
 
 
 @dataclass(frozen=True)
 class Extraction:
     plan: CutPlan
-    part_order: tuple[int, ...]
     subcircuits: tuple[Subcircuit, ...]
     gate_cut_infos: tuple[GateCutInfo, ...]
     wire_cut_infos: tuple[WireCutInfo, ...]
@@ -586,16 +582,16 @@ class Extraction:
 def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Extraction:
     """Split a circuit along a plan into per-part op streams.
 
-    Each observable term is restricted per part (its letter lands on a
-    qubit's final segment); tensoring the restrictions back together
-    reproduces the term.
+    Each part's gates, moved onto its local wires, are grouped into the
+    maximal runs between its cut ends. Each observable term is restricted
+    per part (its letter lands on a qubit's final segment); tensoring the
+    restrictions back together reproduces the term.
     """
     validate_plan(circuit, plan)
     if obs.n != circuit.n:
         raise CutError("observable width does not match circuit width")
     obs = canonicalize(obs)
 
-    part_order = tuple(plan.parts)
     local_index = {  # (qubit, segment) -> (part label, local wire)
         wire: (label, i) for label, wires in plan.parts.items() for i, wire in enumerate(wires)
     }
@@ -604,7 +600,7 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
         for k, (start, _) in enumerate(plan.segments(q)[1:], start=1):
             wirecuts_at.setdefault(start, []).append((q, k))
 
-    ops_by_part: dict[int, list[SubOp]] = {l: [] for l in part_order}
+    stream: dict[int, list[Gate | SubOp]] = {label: [] for label in plan.parts}
     gate_cut_infos: list[GateCutInfo] = []
     wire_cut_infos: list[WireCutInfo] = []
 
@@ -613,11 +609,9 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
             cut_id = len(wire_cut_infos)
             m_label, m_wire = local_index[(q, k - 1)]
             p_label, p_wire = local_index[(q, k)]
-            ops_by_part[m_label].append(SubOp("wc_measure", cut_id=cut_id, wire=m_wire))
-            ops_by_part[p_label].append(SubOp("wc_prep", cut_id=cut_id, wire=p_wire))
-            wire_cut_infos.append(
-                WireCutInfo(cut_id, q, pos, (m_label, m_wire), (p_label, p_wire))
-            )
+            stream[m_label].append(SubOp("wc_measure", cut_id, m_wire))
+            stream[p_label].append(SubOp("wc_prep", cut_id, p_wire))
+            wire_cut_infos.append(WireCutInfo())
 
     gate_cut_set = set(plan.gate_cuts)
     for t, g in enumerate(circuit.gates):
@@ -625,24 +619,29 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
         wires = [plan.wire_at(q, t) for q in g.qubits]
         labels = {local_index[w][0] for w in wires}
         if len(labels) == 1:
-            label = labels.pop()
             local_qubits = tuple(local_index[w][1] for w in wires)
-            local_gate = Gate(g.kind, local_qubits, angle=g.angle, axis=g.axis)
-            ops_by_part[label].append(SubOp("gate", gate=local_gate))
+            stream[labels.pop()].append(Gate(g.kind, local_qubits, angle=g.angle, axis=g.axis))
         else:
             if t not in gate_cut_set or len(g.qubits) != 2:
                 raise CutError(f"gate {t} crosses parts but is not a valid gate cut")
             cut_id = len(gate_cut_infos)
             (la, wa), (lb, wb) = local_index[wires[0]], local_index[wires[1]]
-            ops_by_part[la].append(SubOp("gatecut", cut_id=cut_id, wire=wa, role="a"))
-            ops_by_part[lb].append(SubOp("gatecut", cut_id=cut_id, wire=wb, role="b"))
-            gate_cut_infos.append(GateCutInfo(cut_id, t, g.kind, (la, wa), (lb, wb)))
+            stream[la].append(SubOp("gatecut", cut_id, wa, role="a"))
+            stream[lb].append(SubOp("gatecut", cut_id, wb, role="b"))
+            gate_cut_infos.append(GateCutInfo(g.kind))
     emit_wire_cuts(len(circuit.gates))
 
     final = [local_index[plan.wire_at(q, len(circuit.gates))] for q in range(plan.n)]
-    subobservables = []
+    subcircuits, subobservables = [], []
     for label, wires in plan.parts.items():
         m = len(wires)
+        ops: list[Circuit | SubOp] = []
+        for is_gate, group in groupby(stream[label], key=lambda op: isinstance(op, Gate)):
+            if is_gate:
+                ops.append(Circuit(m, tuple(group)))
+            else:
+                ops.extend(group)
+        subcircuits.append(Subcircuit(n=m, ops=tuple(ops), wire_origin=wires))
         words = []
         for term in obs.terms:
             x = z = 0
@@ -653,20 +652,9 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
                 z |= ((term.word.z >> q) & 1) << i
             words.append(PauliString(m, x, z))
         subobservables.append(tuple(words))
-
-    subcircuits = tuple(
-        Subcircuit(
-            label=label,
-            n=len(wires),
-            ops=tuple(ops_by_part[label]),
-            wire_origin=wires,
-        )
-        for label, wires in plan.parts.items()
-    )
     return Extraction(
         plan=plan,
-        part_order=part_order,
-        subcircuits=subcircuits,
+        subcircuits=tuple(subcircuits),
         gate_cut_infos=tuple(gate_cut_infos),
         wire_cut_infos=tuple(wire_cut_infos),
         term_coeffs=tuple(t.coeff for t in obs.terms),

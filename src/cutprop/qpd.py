@@ -25,8 +25,8 @@ from .circuits import Circuit
 from .cutting import CutPlan, Extraction, extract_subcircuits
 from .paulis import Observable, canonicalize
 
-# apply_pauli is unused here, but the benchmark's tracer wraps it in this
-# module (perfbench/spans.py), so the import stays.
+# apply_gate and apply_pauli are unused here, but the benchmark's tracer
+# wraps them in this module (perfbench/spans.py), so the imports stay.
 from .sim import apply_1q, apply_gate, apply_pauli, expectation  # noqa: F401
 from .sim import GATE_1Q, pauli_expectations, product_state, rz_matrix, simulate
 
@@ -246,14 +246,13 @@ class ReconstructionResult:
     value: float
     num_combinations: int
     num_subexperiments: int
-    gate_cut_kinds: tuple[str, ...]
-    wire_cut_count: int
 
 
 def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
     """One part's values, indexed by [incident cuts' term choices..., observable term].
 
-    A depth-first walk of the op stream branches at each cut end, once per
+    A depth-first walk of the op stream evolves every branch through each
+    gate run with ``simulate`` and branches at each cut end, once per
     distinct instruction list, so every shared prefix is simulated once.
     Each leaf evaluates the part's observable words, extended by the
     letters measured on its path. Returns the table and the cut of each of
@@ -264,6 +263,8 @@ def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
     ends: dict[int, tuple] = {}  # op index -> (wire, instructions and key per term)
     axes: list[int] = []
     for i, op in enumerate(sub.ops):
+        if isinstance(op, Circuit):
+            continue
         if op.kind == "gatecut":
             cut = op.cut_id
             per_term = [t.left_op if op.role == "a" else t.right_op for t in cut_terms[cut]]
@@ -271,8 +272,6 @@ def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
             cut = wire_cut_base + op.cut_id
             per_term = [(t.left_op if op.kind == "wc_measure" else t.right_op,)
                         for t in cut_terms[cut]]
-        elif op.kind == "gate":
-            continue
         else:
             raise QpdError(f"unknown subcircuit op {op.kind!r}")
         keys = [tuple(instr[:2] for instr in instrs) for instrs in per_term]
@@ -288,7 +287,7 @@ def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
                     if key not in done:
                         done[key] = walk(i + 1, *_apply_endpoint(branches, letters, instrs, wire))
                 return np.stack([done[key] for key in keys])
-            branches = [(w, apply_gate(s, sub.ops[i].gate, sub.n)) for w, s in branches]
+            branches = [(w, simulate(sub.ops[i], s)) for w, s in branches]
         xs, zs = [w.x | letters[0] for w in words], [w.z | letters[1] for w in words]
         return sum(w * pauli_expectations(s, xs, zs) for w, s in branches)
 
@@ -352,8 +351,6 @@ def reconstruct(
         value=float(total.real),
         num_combinations=num_combos,
         num_subexperiments=num_combos * len(extraction.subcircuits),
-        gate_cut_kinds=tuple(i.kind for i in extraction.gate_cut_infos),
-        wire_cut_count=len(extraction.wire_cut_infos),
     )
 
 

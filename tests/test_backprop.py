@@ -288,6 +288,23 @@ def test_heavy_hex_group_history_is_pinned():
     assert len(result.evolved_obs) == 280
 
 
+def test_unchanged_observable_is_not_regrouped(monkeypatch):
+    # Absorbed last to first, rz(0) is the second slice, and it commutes with
+    # both Z0 and X1 (h(1) has turned Z1 into X1), so its grouping is reused.
+    calls = []
+
+    def counting_group_qwc(obs):
+        calls.append(obs)
+        return group_qwc(obs)
+
+    monkeypatch.setattr("cutprop.backprop.group_qwc", counting_group_qwc)
+    circ = Circuit(2, (Gate("h", (0,)), Gate("rz", (0,), angle=0.3), Gate("h", (1,))))
+    obs = Observable.from_labels([(1.0, "ZI"), (0.5, "IZ")])
+    result = backpropagate(circ, obs, max_qwc_groups=4, slicing="per-gate")
+    assert result.fully_absorbed and result.group_history == (1, 1, 1)
+    assert len(calls) == result.slices_absorbed - 1
+
+
 def test_absorption_monotone_in_budget():
     rng = np.random.default_rng(41)
     for trial in range(10):

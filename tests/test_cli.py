@@ -387,6 +387,11 @@ def test_bench_searches_each_circuit_once(workdir, monkeypatch):
         ["cut", "{not_utf8}", "{obs}", "--bipartition"],
         ["cut", "{circ}", "{not_utf8}", "--bipartition"],
         ["verify", "{circ}", "{obs}", "--plan", "{not_utf8}"],
+        ["bench", "--suite", "qaoa3", "--out", "{missing}/r.json"],
+        ["bench", "--suite", "qaoa3", "--csv", "{missing}/r.csv"],
+        ["cut", "{circ}", "{obs}", "--bipartition", "--plan-out", "{missing}/plan.json"],
+        ["backprop", "{circ}", "{obs}", "--qwc-max", "2", "--reduced-out", "{missing}/r.qasm"],
+        ["backprop", "{circ}", "{obs}", "--qwc-max", "2", "--evolved-out", "{missing}/e.txt"],
     ],
 )
 def test_bad_flags_are_one_line_input_errors(workdir, capsys, argv):
@@ -398,7 +403,7 @@ def test_bad_flags_are_one_line_input_errors(workdir, capsys, argv):
     (tmp / "not_utf8").write_bytes(b"\xff\xfe")
     paths = {"circ": circ, "obs": obs, "plan_huge_n": str(tmp / "huge_n.json"),
              "plan_float_label": str(tmp / "float_label.json"),
-             "not_utf8": str(tmp / "not_utf8")}
+             "not_utf8": str(tmp / "not_utf8"), "missing": str(tmp / "missing")}
     capsys.readouterr()
     rc = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err

@@ -384,7 +384,8 @@ def test_extract_disconnected_components_verbatim():
     obs = weight_z_observable(4, 1)
     ext = extract_subcircuits(circ, plan, obs)
     assert len(ext.subcircuits) == 2
-    kinds = sorted(tuple(op.gate.kind for op in sub.ops) for sub in ext.subcircuits)
+    kinds = sorted(tuple(g.kind for run in sub.ops if isinstance(run, Circuit) for g in run.gates)
+                   for sub in ext.subcircuits)
     assert kinds == [("cx", "h"), ("cz",)]
     assert not ext.gate_cut_infos and not ext.wire_cut_infos
 
@@ -396,7 +397,33 @@ def test_extract_gate_cut_placeholders():
     assert len(ext.gate_cut_infos) == 1
     for sub in ext.subcircuits:
         assert sub.n == 1
-        assert any(op.kind == "gatecut" for op in sub.ops)
+        assert any(op.kind == "gatecut" for op in sub.ops if not isinstance(op, Circuit))
+
+
+def test_extract_emits_maximal_gate_runs_in_circuit_order():
+    # Runs are never empty and never adjacent, and each part's runs, joined
+    # in order, are its uncut gates on its local wires, in circuit order.
+    wire_cuts = parts = 0
+    for trial in range(6):
+        circ = lower_rotations(random_circuit(6, 18, np.random.default_rng((141, trial))))
+        for plan in (find_cuts(circ, force_bipartition=True), find_cuts(circ, max_qubits=2)):
+            wire_cuts += plan.kw
+            parts = max(parts, plan.num_subcircuits)
+            expected = {label: [] for label in plan.parts}
+            for t, g in enumerate(circ.gates):
+                if t in plan.gate_cuts:
+                    continue
+                label = plan.segment_label(g.qubits[0], t)
+                local = tuple(plan.parts[label].index(plan.wire_at(q, t)) for q in g.qubits)
+                expected[label].append(Gate(g.kind, local, angle=g.angle, axis=g.axis))
+            ext = extract_subcircuits(circ, plan, weight_z_observable(6, 1))
+            for label, sub in zip(plan.parts, ext.subcircuits):
+                is_run = [isinstance(op, Circuit) for op in sub.ops]
+                assert not any(a and b for a, b in zip(is_run, is_run[1:]))
+                runs = [op for op in sub.ops if isinstance(op, Circuit)]
+                assert all(run.gates and run.n == sub.n for run in runs)
+                assert [g for run in runs for g in run.gates] == expected[label]
+    assert wire_cuts and parts >= 3
 
 
 def test_extract_subobservables_tensor_back():

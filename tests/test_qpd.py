@@ -214,7 +214,7 @@ def test_reconstruct_part_with_every_cut_end():
     plan = CutPlan(4, (0, 0, 1, 1), ((1, 6, 1), (2, 8, 0)), (4, 7), 2)
     obs = Observable.from_labels([(0.4, "ZXYZ"), (0.3, "XIZY"), (0.5, "IZXX"), (0.2, "ZZZZ")])
     ext = extract_subcircuits(circ, plan, obs)
-    ends = [[(op.kind, op.cut_id, op.role) for op in sub.ops if op.kind != "gate"]
+    ends = [[(op.kind, op.cut_id, op.role) for op in sub.ops if not isinstance(op, Circuit)]
             for sub in ext.subcircuits]
     assert ends == [
         [("gatecut", 0, "a"), ("wc_measure", 0, None), ("gatecut", 1, "b"), ("wc_prep", 1, None)],

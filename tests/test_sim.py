@@ -3,6 +3,7 @@ import pytest
 
 from cutprop.circuits import Circuit, Gate
 from cutprop.generators import random_circuit, random_product_factors
+from cutprop import sim
 from cutprop.paulis import Observable, PauliString
 from cutprop.sim import (
     GATE_1Q,
@@ -206,6 +207,39 @@ def test_rot_flushes_pending_gates_on_its_qubits(n):
     circ = Circuit(n, gates)
     psi = random_state(n, rng)
     assert np.abs(simulate(circ, psi) - einsum_simulate(circ, psi)).max() < KERNEL_TOL
+
+
+def _projected(psi: np.ndarray, q: int) -> np.ndarray:
+    """psi with the amplitudes whose bit q is 1 zeroed, as a cut's Z projector leaves it."""
+    out = psi.copy()
+    out.reshape(-1, 2, 1 << q)[:, 1] = 0
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_simulate_keeps_a_sub_normalised_states_norm(n):
+    for circ, psi in _kernel_cases(n):
+        projected = _projected(psi, n // 2)
+        norm = np.linalg.norm(projected)
+        assert norm < 0.99
+        out = simulate(circ, projected)
+        assert np.abs(out - einsum_simulate(circ, projected)).max() < KERNEL_TOL
+        assert abs(np.linalg.norm(out) - norm) < KERNEL_TOL
+
+
+def test_simulate_rejects_a_kernel_that_scales_the_state(monkeypatch):
+    kernel = sim._kernel_1q
+
+    def scaling_kernel(state, u, q):
+        kernel(state, u, q)
+        state *= 1.001
+
+    monkeypatch.setattr(sim, "_kernel_1q", scaling_kernel)
+    circ = Circuit(3, (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("sx", (2,))))
+    projected = _projected(random_state(3, np.random.default_rng(67)), 1)
+    for initial in (None, projected):
+        with pytest.raises(SimulationError, match="norm drifted"):
+            simulate(circ, initial)
 
 
 @pytest.mark.parametrize("n", [3, 10])
