@@ -46,7 +46,6 @@ from .cutting import (
     cost,
     extract_subcircuits,
     find_cuts,
-    interaction_graph,
     total_executions,
     validate_plan,
 )
@@ -62,7 +61,6 @@ from .paulis import (
     group_qwc,
     multiply,
     parse_observable,
-    qubitwise_commutes,
 )
 from .qpd import (
     QpdError,

@@ -17,7 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations, count, groupby
+from itertools import count, groupby
 from operator import itemgetter
 from typing import Sequence
 
@@ -153,17 +153,6 @@ def total_executions(kg: int, kw: int, groups: int) -> int:
     return groups * GATE_CUT_FACTOR**kg * WIRE_CUT_FACTOR**kw
 
 
-def interaction_graph(circuit: Circuit) -> dict[tuple[int, int], int]:
-    """Edge weights = number of multi-qubit gates coupling each qubit pair."""
-    weights: dict[tuple[int, int], int] = {}
-    for g in circuit.gates:
-        if len(g.qubits) < 2:
-            continue
-        for a, b in combinations(sorted(g.qubits), 2):
-            weights[(a, b)] = weights.get((a, b), 0) + 1
-    return weights
-
-
 def _crossing_gates(circuit: Circuit, plan: CutPlan) -> list[int]:
     """Indices of the gates whose qubits sit in segments with different labels."""
     return [
@@ -295,6 +284,15 @@ class _Bipartitioner:
         for t, u, v in self.gates2q:
             self.by_wire[u].append((t, v))
             self.by_wire[v].append((t, u))
+        # The wires a cut can split (cuttable, two or more 2-qubit gates):
+        # each with its first gate, its later gates and its partner set.
+        self.sweeps = tuple(
+            (w, timeline[0], tuple(timeline[1:]), frozenset(p for _, p in timeline))
+            for w, timeline in enumerate(self.by_wire)
+            if self.cuttable[w] and len(timeline) >= 2
+        )
+        # The cut position of an uncut wire: after every gate.
+        self.never = self.gates2q[-1][0] + 1 if self.gates2q else 0
 
     def refine_wire_cuts(self, labels, max_passes: int = 8) -> tuple[dict[int, int], int]:
         """Coordinate descent over per-wire cut positions; returns (cuts, kg).
@@ -306,43 +304,60 @@ class _Bipartitioner:
         the wire's first interaction (or after its last) would not split its
         timeline; it would only relabel the wire and strand an idle stub, so
         only interior positions count.
+
+        One sweep of a wire's d gates prices every interior cut. With
+        prefix_i the wire's gates before its i-th that cross while it is
+        uncut, and s = prefix_d, a cut before gate i flips gates i..d-1 and
+        leaves 2·prefix_i − i + d − s crossings. The sweep keeps the running
+        g = 2·prefix_i − i, its minimum over 1 ≤ i < d (the first index wins
+        a tie) and its value at the wire's current cut. A wire whose
+        partners' cuts have not moved since its last sweep would find the
+        same cut again, so it is skipped.
         """
-        cuts: dict[int, int] = {}
+        never = self.never
+        cut_at = [never] * self.n
+        stale = [True] * self.n
         kg = sum(labels[u] != labels[v] for _, u, v in self.gates2q)
         for _ in range(max_passes):
             changed = False
-            for w, timeline in enumerate(self.by_wire):
-                if not self.cuttable[w] or len(timeline) < 2:
+            for w, (t0, p0), rest, partners in self.sweeps:
+                if not stale[w]:
                     continue
-                current = cuts.pop(w, None)
-                # prefix[i]: the wire's gates before its i-th that cross while it is uncut.
-                prefix = [0]
-                for t, partner in timeline:
-                    pos = cuts.get(partner)
-                    seg = labels[partner] ^ (pos is not None and t >= pos)
-                    prefix.append(prefix[-1] + (labels[w] != seg))
-                d, s = len(timeline), prefix[-1]
-                # A cut before gate i flips the crossing status of gates i..d-1.
-                crossings = {t: 2 * prefix[i] + d - i - s for i, (t, _) in enumerate(timeline)}
-                own = s if current is None else crossings[current]
-                best, pos = min((crossings[t], t) for t, _ in timeline[1:])
-                new = s
-                if total_executions(best, 1, 1) < total_executions(s, 0, 1):
-                    cuts[w], new = pos, best
+                stale[w] = False
+                current, cut_at[w] = cut_at[w], never
+                side = labels[w]
+                g = 2 * (side != (labels[p0] ^ (t0 >= cut_at[p0]))) - 1
+                low = d = len(rest) + 1  # g <= i < d, so the first interior g sets low
+                g_current = None
+                for t, p in rest:
+                    if g < low:
+                        low, pos = g, t
+                    if t == current:
+                        g_current = g
+                    g += 2 * (side != (labels[p] ^ (t >= cut_at[p]))) - 1
+                s = (g + d) // 2
+                own = s if g_current is None else g_current + d - s
+                best, new = low + d - s, s
+                # 9 < 16 < 9², so one wire cut pays for itself iff it saves
+                # two or more gate cuts.
+                if best <= s - 2:
+                    cut_at[w], new = pos, best
                 kg += new - own
-                changed |= cuts.get(w) != current
+                if cut_at[w] != current:
+                    changed = True
+                    for p in partners:
+                        stale[p] = True
             if not changed:
                 break
-        return cuts, kg
+        return {w: t for w, t in enumerate(cut_at) if t != never}, kg
 
 
 def _feasible(labels, cuts: dict[int, int], max_side: int | None) -> bool:
     """Both sides non-empty and within max_side; a cut wire counts on both."""
-    size = [0, 0]
-    for w, label in enumerate(labels):
-        size[label] += 1
-        if w in cuts:
-            size[label ^ 1] += 1
+    ones = sum(labels)
+    size = [len(labels) - ones, ones]
+    for w in cuts:
+        size[labels[w] ^ 1] += 1
     return min(size) > 0 and (max_side is None or max(size) <= max_side)
 
 
@@ -353,9 +368,10 @@ def _evaluate_labeling(problem: _Bipartitioner, labels, max_side, max_passes: in
     when it keeps the bound without them.
     """
     cuts, kg = problem.refine_wire_cuts(labels, max_passes)
-    if not _feasible(labels, cuts, max_side):
-        cuts, kg = problem.refine_wire_cuts(labels, max_passes=0)
     feasible = _feasible(labels, cuts, max_side)
+    if not feasible:
+        cuts, kg = problem.refine_wire_cuts(labels, max_passes=0)
+        feasible = _feasible(labels, cuts, max_side)
     return total_executions(kg, len(cuts), 1), labels, tuple(sorted(cuts.items())), feasible
 
 
@@ -421,14 +437,12 @@ def _search_annealed(problem: _Bipartitioner, max_side, seed: int):
         temp = 2.0
         for _ in range(iters):
             w = int(rng.integers(1, n))
-            cand = list(labels)
-            cand[w] ^= 1
-            cand_t = tuple(cand)
-            if len(set(cand_t)) < 2:
+            cand = labels[:w] + (labels[w] ^ 1,) + labels[w + 1 :]
+            if len(set(cand)) < 2:
                 continue
-            e_new = energy(cand_t)
+            e_new = energy(cand)
             if e_new <= e or rng.random() < math.exp(-(e_new - e) / temp):
-                labels, e = cand_t, e_new
+                labels, e = cand, e_new
             temp = max(temp * 0.97, 1e-9)
 
     # Fully re-refine only the most promising labelings found by the walk.

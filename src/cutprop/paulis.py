@@ -110,13 +110,6 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return ((p.x & q.z) ^ (p.z & q.x)).bit_count() % 2 == 0
 
 
-def qubitwise_commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff at every qubit the letters are equal or at least one is I."""
-    _check_sizes(p, q)
-    conflict = (p.x | p.z) & (q.x | q.z) & ((p.x ^ q.x) | (p.z ^ q.z))
-    return conflict == 0
-
-
 @dataclass(frozen=True)
 class PauliTerm:
     coeff: complex

@@ -12,17 +12,23 @@ reference for the annealer's single-pass objective evaluator.
 and ``cz``), as the reference for the simulator's in-place, fused kernels.
 ``conflict_adjacency``, ``dsatur_colors`` and ``first_fit_colors`` are the
 pair-loop QWC colorers, and ``qwc_groups`` composes them as ``group_qwc``
-does, as the reference for its conflict-matrix and array DSATUR kernel.
+does, as the reference for its conflict-matrix and array DSATUR kernel;
+``qubitwise_commutes`` is their pairwise test. ``refine_wire_cuts`` prices
+every cut position of a wire from a prefix list and a dict, and sweeps
+every wire in every pass, as the reference for the cut search's one-sweep
+refinement. ``interaction_graph`` counts the 2-qubit gates on each qubit
+pair.
 """
 
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from cutprop.annealing import AnnealError
 from cutprop.backprop import backpropagate
-from cutprop.cutting import cost, find_cuts
-from cutprop.paulis import PauliString, qubitwise_commutes
+from cutprop.cutting import cost, find_cuts, total_executions
+from cutprop.paulis import PauliError, PauliString
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -156,6 +162,48 @@ def crossing_count(gates2q, labels, cuts) -> int:
     return k
 
 
+def refine_wire_cuts(problem, labels, max_passes: int = 8) -> tuple[dict[int, int], int]:
+    """``problem.refine_wire_cuts(labels, max_passes)``, one crossing dict per wire sweep."""
+    cuts: dict[int, int] = {}
+    kg = sum(labels[u] != labels[v] for _, u, v in problem.gates2q)
+    for _ in range(max_passes):
+        changed = False
+        for w, timeline in enumerate(problem.by_wire):
+            if not problem.cuttable[w] or len(timeline) < 2:
+                continue
+            current = cuts.pop(w, None)
+            # prefix[i]: the wire's gates before its i-th that cross while it is uncut.
+            prefix = [0]
+            for t, partner in timeline:
+                pos = cuts.get(partner)
+                seg = labels[partner] ^ (pos is not None and t >= pos)
+                prefix.append(prefix[-1] + (labels[w] != seg))
+            d, s = len(timeline), prefix[-1]
+            # A cut before gate i flips the crossing status of gates i..d-1.
+            crossings = {t: 2 * prefix[i] + d - i - s for i, (t, _) in enumerate(timeline)}
+            own = s if current is None else crossings[current]
+            best, pos = min((crossings[t], t) for t, _ in timeline[1:])
+            new = s
+            if total_executions(best, 1, 1) < total_executions(s, 0, 1):
+                cuts[w], new = pos, best
+            kg += new - own
+            changed |= cuts.get(w) != current
+        if not changed:
+            break
+    return cuts, kg
+
+
+def interaction_graph(circuit) -> dict[tuple[int, int], int]:
+    """Edge weights = number of multi-qubit gates coupling each qubit pair."""
+    weights: dict[tuple[int, int], int] = {}
+    for g in circuit.gates:
+        if len(g.qubits) < 2:
+            continue
+        for a, b in combinations(sorted(g.qubits), 2):
+            weights[(a, b)] = weights.get((a, b), 0) + 1
+    return weights
+
+
 def einsum_apply_1q(state, u, q):
     n = state.size.bit_length() - 1
     psi = state.reshape(1 << (n - q - 1), 2, 1 << q)
@@ -192,6 +240,14 @@ def einsum_simulate(circuit, initial):
     for gate in circuit.gates:
         state = einsum_apply_gate(state, gate, circuit.n)
     return state
+
+
+def qubitwise_commutes(p: PauliString, q: PauliString) -> bool:
+    """True iff at every qubit the letters are equal or at least one is I."""
+    if p.n != q.n:
+        raise PauliError(f"size mismatch: {p.n} vs {q.n} qubits")
+    conflict = (p.x | p.z) & (q.x | q.z) & ((p.x ^ q.x) | (p.z ^ q.z))
+    return conflict == 0
 
 
 def conflict_adjacency(words: Sequence[PauliString]) -> list[set[int]]:

@@ -14,7 +14,6 @@ from cutprop.cutting import (
     cost,
     extract_subcircuits,
     find_cuts,
-    interaction_graph,
     total_executions,
     validate_plan,
 )
@@ -28,7 +27,7 @@ from cutprop.generators import (
 )
 from cutprop.paulis import Observable, PauliString, canonicalize
 from cutprop.qpd import cut_and_reconstruct, uncut_expectation
-from oracles import crossing_count
+from oracles import crossing_count, interaction_graph, refine_wire_cuts
 
 
 def ladder(n, kind="cz", per_edge=1):
@@ -193,6 +192,117 @@ def test_refine_running_count_matches_recount():
                 for w, pos in cuts.items():
                     times = [t for t, _ in problem.by_wire[w]]
                     assert problem.cuttable[w] and pos in times[1:]
+
+
+@pytest.fixture(scope="module")
+def heis19_bench_searches(tmp_path_factory):
+    """The heis19 seed-0 bench row, and each leftover circuit its budget search cuts."""
+    import cutprop.annealing
+    from cutprop.cli import main
+
+    searched = {}  # leftover gate count -> (circuit, find_cuts keywords, plan)
+
+    def recording_find_cuts(circuit, **kwargs):
+        plan = find_cuts(circuit, **kwargs)
+        searched[len(circuit.gates)] = (circuit, kwargs, plan)
+        return plan
+
+    out = tmp_path_factory.mktemp("heis19") / "bench.json"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cutprop.annealing, "find_cuts", recording_find_cuts)
+        assert main(["bench", "--suite", "heis19", "--seed", "0", "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())["results"]["rows"]
+    return row, searched
+
+
+def _two_phase_problem(n, rng):
+    # Wires sit in one of two groups per half of the circuit, a few switch
+    # groups halfway, and most gates stay inside a group; about one wire in
+    # five is frozen, as at a recursion level.
+    groups = rng.integers(0, 2, size=(2, n))
+    groups[1] ^= rng.random(n) < 0.2
+    gates2q, t = [], 0
+    for phase in (0, 1):
+        for _ in range(2 * n):
+            t += int(rng.integers(1, 4))
+            u, v = (int(q) for q in rng.choice(n, size=2, replace=False))
+            if groups[phase, u] != groups[phase, v] and rng.random() < 0.8:
+                continue
+            gates2q.append((t, u, v))
+    cuttable = [bool(c) for c in rng.random(n) > 0.2]
+    return _Bipartitioner(n, gates2q, cuttable), groups
+
+
+def test_refine_matches_reference(heis19_bench_searches):
+    # The one-sweep refinement against the reference that prices every cut
+    # position from a dict: cuts and kg agree exactly.
+    # Every labeling of the small problems of the recount test above.
+    small = []
+    for trial in range(4):
+        rng = np.random.default_rng((57, trial))
+        n = int(rng.integers(3, 7))
+        circ = lower_rotations(random_circuit(n, 4 * n, rng, p_two_qubit=0.7))
+        small.append(_Bipartitioner(n, _two_qubit_gates(circ)))
+    last = small[-1]
+    small.append(_Bipartitioner(last.n, last.gates2q, [w not in (0, 2) for w in range(last.n)]))
+    checks = [(p, labels) for p in small for labels in itertools.product((0, 1), repeat=p.n)]
+    # Seeded labelings of the heis19 leftover circuits and of 15-24-wire problems.
+    rng = np.random.default_rng(58)
+    _, searched = heis19_bench_searches
+    problems = [(_Bipartitioner(c.n, _two_qubit_gates(c)), None) for c, _, _ in searched.values()]
+    problems += [_two_phase_problem(int(n), rng) for n in rng.integers(15, 25, size=12)]
+    for problem, groups in problems:
+        for _ in range(40):
+            if groups is not None and rng.random() < 0.5:
+                # One half's grouping with a few wires flipped: wire cuts pay here.
+                labels = groups[int(rng.integers(0, 2))] ^ (rng.random(problem.n) < 0.1)
+            else:
+                labels = rng.random(problem.n) < rng.uniform(0.05, 0.5)
+            checks.append((problem, tuple(int(l) for l in labels)))
+    with_cuts = 0
+    for problem, labels in checks:
+        for passes in (0, 2, 8):
+            got = problem.refine_wire_cuts(labels, passes)
+            assert got == refine_wire_cuts(problem, labels, passes), (labels, passes)
+            with_cuts += bool(got[0])
+    assert with_cuts > len(checks) // 4
+
+
+# Leftover gate count -> (the one qubit labelled 1, wire cuts) of each plan
+# the heis19 seed-0 bench row's budget search chose.
+HEIS19_SEED0_PLANS = {
+    41: (14, []),
+    104: (17, []),
+    130: (18, []),
+    139: (18, []),
+    146: (18, []),
+    446: (18, [[17, 380, 1]]),
+    450: (18, [[17, 380, 1]]),
+    570: (18, [[17, 380, 1]]),
+}
+
+
+def test_heis19_bench_search_outputs_pinned(heis19_bench_searches):
+    row, searched = heis19_bench_searches
+    assert {k: row[k] for k in (
+        "obp_w_opt", "obp_num_circuits", "vanilla_num_circuits", "vanilla_wire_cuts",
+        "obp_slices_absorbed",
+    )} == {
+        "obp_w_opt": 4, "obp_num_circuits": 3, "vanilla_num_circuits": 16,
+        "vanilla_wire_cuts": 1, "obp_slices_absorbed": 371,
+    }
+    for _, kwargs, _ in searched.values():
+        assert kwargs == {"force_bipartition": True, "seed": 0}
+    assert {b: plan.to_dict() for b, (_, _, plan) in searched.items()} == {
+        b: {
+            "n": 19,
+            "labels": [int(q == one) for q in range(19)],
+            "wire_cuts": wire_cuts,
+            "gate_cuts": [],
+            "num_subcircuits": 2,
+        }
+        for b, (one, wire_cuts) in HEIS19_SEED0_PLANS.items()
+    }
 
 
 def _random_dense(n, trial):

@@ -15,13 +15,13 @@ from cutprop.paulis import (
     group_qwc,
     multiply,
     parse_observable,
-    qubitwise_commutes,
 )
 
 from oracles import (
     conflict_adjacency,
     dsatur_colors,
     first_fit_colors,
+    qubitwise_commutes,
     qwc_groups,
     word_matrix,
 )
