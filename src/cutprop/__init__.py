@@ -22,7 +22,6 @@ from .annealing import (
 from .backprop import (
     BackpropResult,
     backpropagate,
-    conjugate_clifford,
     conjugate_gate,
     conjugate_rotation,
     truncate,

@@ -66,8 +66,10 @@ class ObjectiveEvaluator:
     is the backpropagation with budget w. Its leftover circuit is cut, and
     its observable has ``group_history[-1]`` groups (the input observable's
     count when nothing was absorbed). The value is zero when every slice is
-    absorbed. Cut plans are memoized per leftover circuit length, so each
-    leftover circuit is searched once.
+    absorbed. The cut search reads only the circuit's width and 2-qubit
+    gates, and prefixes of one circuit with the same 2-qubit gate count have
+    the same 2-qubit gates, so cut plans are memoized per that count: each
+    distinct leftover problem is searched once.
     """
 
     def __init__(
@@ -86,6 +88,10 @@ class ObjectiveEvaluator:
         canonical = canonicalize(obs)
         self._input_groups = group_qwc(canonical).group_count if canonical.terms else 1
         self._plans: dict[int, CutPlan] = {}
+        # 2-qubit gates among the first b gates, for each prefix length b
+        self._two_qubit_counts = [0]
+        for g in circuit.gates:
+            self._two_qubit_counts.append(self._two_qubit_counts[-1] + (len(g.qubits) >= 2))
 
     def backprop(self, w: int) -> BackpropResult:
         """The backpropagation with budget w, read off the one at the cap."""
@@ -97,11 +103,12 @@ class ObjectiveEvaluator:
 
     def plan(self, boundary: int) -> CutPlan:
         """The cut plan of the circuit's first ``boundary`` gates (memoized)."""
-        if boundary not in self._plans:
-            self._plans[boundary] = find_cuts(
+        key = self._two_qubit_counts[boundary]
+        if key not in self._plans:
+            self._plans[key] = find_cuts(
                 self.circuit.prefix(boundary), force_bipartition=True, seed=self.cut_seed
             )
-        return self._plans[boundary]
+        return self._plans[key]
 
     def evaluate(self, w: int) -> int:
         """Executions needed after backpropagating with budget w and cutting."""

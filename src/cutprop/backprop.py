@@ -84,13 +84,6 @@ def conjugate_gate(obs: Observable, gate: Gate) -> Observable:
     return obs
 
 
-def conjugate_clifford(obs: Observable, gate: Gate) -> Observable:
-    """G_dag O G for a Clifford gate; term count and magnitudes unchanged."""
-    if not gate.is_clifford():
-        raise BackpropError(f"gate {gate} is not Clifford")
-    return conjugate_gate(obs, gate)
-
-
 def truncate(obs: Observable, budget: float) -> tuple[Observable, float]:
     """Drop smallest-|coeff| terms while the dropped L1 mass stays <= budget."""
     if budget < 0:

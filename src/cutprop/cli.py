@@ -281,13 +281,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         term_tables = {}
     else:
         extraction = extract_subcircuits(work_circuit, plan, work_obs)
-        rec = reconstruct(extraction)
-        reconstructed = rec.value
+        rec = reconstruct(extraction, shots=args.shots, sample_seed=args.seed)
+        reconstructed = rec.exact_value
         num_combos = rec.num_combinations
         num_subexp = rec.num_subexperiments
         term_tables = _qpd_term_tables(extraction)
         if args.shots:
-            sampled = reconstruct(extraction, shots=args.shots, sample_seed=args.seed).value
+            sampled = rec.value
     delta = abs(reconstructed - exact)
     bound = tolerance + trunc_bound
     ok = delta <= bound

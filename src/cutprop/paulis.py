@@ -154,9 +154,6 @@ class Observable:
     def words(self) -> tuple[PauliString, ...]:
         return tuple(t.word for t in self.terms)
 
-    def max_imag(self) -> float:
-        return max((abs(t.coeff.imag) for t in self.terms), default=0.0)
-
 
 def canonicalize(obs: Observable) -> Observable:
     """Sort terms, merge duplicate words, drop terms with |coeff| < 1e-14."""

@@ -10,14 +10,18 @@ rotations and sign-weighted Z measurements; coefficients sum to exactly 1.
 Reconstruction gives each part one table of exact expectations (no shot
 noise), indexed by its cuts' term choices and the observable term, and
 contracts the tables with the cut coefficients in one einsum, so the value
-matches the uncut circuit to solver precision. Every decomposition is
-checked against a dense channel oracle before first use.
+matches the uncut circuit to solver precision. A part's table comes from
+one breadth-first walk over a stack of branch states: each gate run is one
+``simulate`` call on the whole stack, and each leaf one
+``pauli_expectations`` call. Every decomposition is checked against a
+dense channel oracle before first use, through the walk's own cut-end code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +45,11 @@ class QpdError(ValueError):
 # cut search chose. It bounds term combinations, not memory: a part's table
 # holds (its incident cuts' term counts multiplied) x (observable terms) entries.
 MAX_QPD_COMBINATIONS = 8**6
+
+# Largest stack of branch states, in bytes, that the reconstruction walk
+# builds at a cut end; past it, the end's instruction lists are walked on
+# one at a time, which holds no more states than a depth-first walk.
+STACK_BYTES = 1 << 16
 
 
 PREP_STATES: dict[str, np.ndarray] = {
@@ -122,34 +131,48 @@ def gatecut_terms(kind: str) -> tuple[QpdTerm, ...]:
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
-def _project(state: np.ndarray, wire: int, bit: int) -> np.ndarray:
-    """A copy of state with every amplitude whose bit ``wire`` is not ``bit`` zeroed."""
-    out = state.copy()
-    out.reshape(-1, 2, 1 << wire)[:, 1 - bit] = 0
-    return out
+class _Stack(NamedTuple):
+    """The branches of a part walk, one per row.
 
-
-def _apply_endpoint(branches: list, letters: tuple, instrs: tuple, wire: int):
-    """Apply one cut end's instructions to the signed branches of a part walk.
-
-    ``letters`` is the (x, z) mask of the Pauli letters measured so far at
-    wire cuts; a measured letter joins every word evaluated at the leaf.
+    ``states`` has shape (rows, 2^n). Each row has a sign ``weight`` (from
+    mzsign splits), a ``path`` id (its distinct instruction list at each
+    cut end so far, mixed-radix) and the (x, z) masks of the Pauli letters
+    measured on its path at wire cuts, which join every word at the leaf.
     """
+
+    states: np.ndarray
+    weights: np.ndarray
+    paths: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+
+
+def _root(state: np.ndarray) -> _Stack:
+    """A one-row stack holding ``state``, with weight 1 and nothing measured."""
+    zero = np.zeros(1, dtype=np.int64)
+    return _Stack(np.asarray(state, dtype=complex)[None], np.ones(1), zero, zero, zero)
+
+
+def _apply_endpoint(stack: _Stack, instrs: tuple, wire: int) -> _Stack:
+    """Apply one cut end's instructions to every branch of a part walk."""
     for instr in instrs:
         if instr[0] == "u":
-            branches = [(w, apply_1q(s, instr[2], wire)) for w, s in branches]
+            stack = stack._replace(states=apply_1q(stack.states, instr[2], wire))
         elif instr[0] == "mzsign":  # Pi0 rho Pi0 - Pi1 rho Pi1 splits each branch
-            branches = [
-                split for w, s in branches
-                for split in ((w, _project(s, wire, 0)), (-w, _project(s, wire, 1)))
-            ]
+            rows = len(stack.weights)
+            states = np.repeat(stack.states, 2, axis=0)
+            halves = states.reshape(rows, 2, -1, 2, 1 << wire)
+            halves[:, 0, :, 1] = 0  # row 2r keeps bit 0 of the wire, with weight w
+            halves[:, 1, :, 0] = 0  # row 2r + 1 keeps bit 1, with weight -w
+            weights = np.repeat(stack.weights, 2) * np.tile((1.0, -1.0), rows)
+            stack = _Stack(states, weights, *(np.repeat(a, 2) for a in stack[2:]))
         elif instr[0] == "prep":  # the wire idles in |0> until its cut: apply |s><0|
             prep = np.outer(PREP_STATES[instr[1]], (1, 0))
-            branches = [(w, apply_1q(s, prep, wire)) for w, s in branches]
+            stack = stack._replace(states=apply_1q(stack.states, prep, wire))
         else:  # measure
             bx, bz = _LETTER_BITS[instr[1]]
-            letters = (letters[0] | bx << wire, letters[1] | bz << wire)
-    return branches, letters
+            stack = stack._replace(x=stack.x | bx << wire, z=stack.z | bz << wire)
+    return stack
 
 
 # --- build-time channel verification -------------------------------------
@@ -164,8 +187,8 @@ def _random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _density(branches: list) -> np.ndarray:
-    return sum(w * np.outer(s, s.conj()) for w, s in branches)
+def _density(stack: _Stack) -> np.ndarray:
+    return (stack.weights * stack.states.T) @ stack.states.conj()
 
 
 def verify_wirecut_identity(num_states: int = 100, seed: int = 11, tol: float = 1e-12) -> float:
@@ -180,11 +203,11 @@ def verify_wirecut_identity(num_states: int = 100, seed: int = 11, tol: float = 
         v = _random_pure_state(rng, 2)
         total = np.zeros((2, 2), dtype=complex)
         for t in terms:
-            _, (x, z) = _apply_endpoint([], (0, 0), (t.left_op,), 0)
-            prepared, _ = _apply_endpoint([(1.0, PREP_STATES["0"])], (0, 0), (t.right_op,), 0)
-            measured = pauli_expectations(v, [x], [z])[0].real
-            total += t.coefficient * measured * _density(prepared)
-        worst = max(worst, _trace_distance(total, _density([(1.0, v)])))
+            measured = _apply_endpoint(_root(v), (t.left_op,), 0)
+            prepared = _apply_endpoint(_root(PREP_STATES["0"]), (t.right_op,), 0)
+            value = pauli_expectations(measured.states, measured.x[:, None], measured.z[:, None])
+            total += t.coefficient * value[0, 0].real * _density(prepared)
+        worst = max(worst, _trace_distance(total, _density(_root(v))))
     if worst > tol:
         raise QpdError(f"wire-cut identity check failed: trace distance {worst}")
     return worst
@@ -212,13 +235,13 @@ def verify_gatecut_channel(kind: str, num_states: int = 100, seed: int = 13,
     worst = 0.0
     for _ in range(num_states):
         v = _random_pure_state(rng, 4)
-        target = u @ _density([(1.0, v)]) @ u.conj().T
+        target = u @ _density(_root(v)) @ u.conj().T
         total = np.zeros((4, 4), dtype=complex)
         for t in terms:
             # The first tensor factor (the gate's first qubit) is wire 1.
-            branches, _ = _apply_endpoint([(1.0, v)], (0, 0), t.left_op, 1)
-            branches, _ = _apply_endpoint(branches, (0, 0), t.right_op, 0)
-            total += t.coefficient * _density(branches)
+            stack = _apply_endpoint(_root(v), t.left_op, 1)
+            stack = _apply_endpoint(stack, t.right_op, 0)
+            total += t.coefficient * _density(stack)
         worst = max(worst, _trace_distance(total, target))
     if worst > tol:
         raise QpdError(f"{kind} gate-cut channel check failed: trace distance {worst}")
@@ -243,25 +266,30 @@ def _ensure_verified(kind: str) -> None:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    value: float
+    value: float  # the finite-shot estimate when shots were given, else exact_value
     num_combinations: int
     num_subexperiments: int
+    exact_value: float
 
 
 def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
     """One part's values, indexed by [incident cuts' term choices..., observable term].
 
-    A depth-first walk of the op stream evolves every branch through each
-    gate run with ``simulate`` and branches at each cut end, once per
-    distinct instruction list, so every shared prefix is simulated once.
-    Each leaf evaluates the part's observable words, extended by the
-    letters measured on its path. Returns the table and the cut of each of
-    its leading axes, in op order.
+    A breadth-first walk of the op stream: one ``simulate`` call takes the
+    whole stack of branch states through each gate run, and each cut end
+    grows the stack once per distinct instruction list, so every shared
+    prefix is simulated once. A cut end whose grown stack would pass
+    STACK_BYTES walks each instruction list on in turn instead. At the
+    leaf, one ``pauli_expectations`` call evaluates the part's observable
+    words, extended by each row's measured letters, and the rows are
+    summed by path. Returns the table and the cut of each of its leading
+    axes, in op order.
     """
     factors = [initial_factors[q] if seg == 0 else PREP_STATES["0"]
                for q, seg in sub.wire_origin]
-    ends: dict[int, tuple] = {}  # op index -> (wire, instructions and key per term)
+    ends: dict[int, tuple] = {}  # op index -> (wire, distinct instruction lists)
     axes: list[int] = []
+    choices: list[list[int]] = []  # per cut end: each term's distinct-list index
     for i, op in enumerate(sub.ops):
         if isinstance(op, Circuit):
             continue
@@ -275,23 +303,40 @@ def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
         else:
             raise QpdError(f"unknown subcircuit op {op.kind!r}")
         keys = [tuple(instr[:2] for instr in instrs) for instrs in per_term]
-        ends[i] = (op.wire, per_term, keys)
+        distinct = list(dict.fromkeys(keys))
+        ends[i] = (op.wire, [per_term[keys.index(key)] for key in distinct])
         axes.append(cut)
+        choices.append([distinct.index(key) for key in keys])
+    shape = [len(ends[i][1]) for i in ends] + [len(words)]
+    table = np.zeros(math.prod(shape), dtype=complex)
+    word_x = np.array([w.x for w in words], dtype=np.int64)
+    word_z = np.array([w.z for w in words], dtype=np.int64)
 
-    def walk(start: int, branches: list, letters: tuple) -> np.ndarray:
+    def walk(start: int, stack: _Stack) -> None:
         for i in range(start, len(sub.ops)):
-            if i in ends:
-                wire, per_term, keys = ends[i]
-                done: dict[tuple, np.ndarray] = {}
-                for key, instrs in zip(keys, per_term):
-                    if key not in done:
-                        done[key] = walk(i + 1, *_apply_endpoint(branches, letters, instrs, wire))
-                return np.stack([done[key] for key in keys])
-            branches = [(w, simulate(sub.ops[i], s)) for w, s in branches]
-        xs, zs = [w.x | letters[0] for w in words], [w.z | letters[1] for w in words]
-        return sum(w * pauli_expectations(s, xs, zs) for w, s in branches)
+            if i not in ends:
+                stack = stack._replace(states=simulate(sub.ops[i], stack.states))
+                continue
+            wire, lists = ends[i]
+            grown = [stack._replace(paths=stack.paths * len(lists) + k) for k in range(len(lists))]
+            rows = sum(len(stack.paths) << sum(instr[0] == "mzsign" for instr in instrs)
+                       for instrs in lists)
+            if rows * stack.states[0].nbytes > STACK_BYTES:
+                for part, instrs in zip(grown, lists):
+                    walk(i + 1, _apply_endpoint(part, instrs, wire))
+                return
+            parts = [_apply_endpoint(part, instrs, wire) for part, instrs in zip(grown, lists)]
+            stack = _Stack(*(np.concatenate(column) for column in zip(*parts)))
+        values = pauli_expectations(stack.states, word_x | stack.x[:, None],
+                                    word_z | stack.z[:, None])
+        cells = stack.paths[:, None] * len(words) + np.arange(len(words))
+        np.add.at(table, cells, stack.weights[:, None] * values)
 
-    return walk(0, [(1.0 + 0j, product_state(factors))], (0, 0)), axes
+    walk(0, _root(product_state(factors)))
+    table = table.reshape(shape)
+    for axis, choice in enumerate(choices):
+        table = table.take(choice, axis=axis)
+    return table, axes
 
 
 def reconstruct(
@@ -309,14 +354,14 @@ def reconstruct(
     fixed order, so reruns are bit-identical. Plans above
     MAX_QPD_COMBINATIONS are refused before anything is simulated.
 
-    ``shots`` switches to a demonstration mode that replaces each table
-    entry v with a binomial estimate (outcomes are +-1-valued, so v is
-    resampled as 2*Binomial(shots, (1+v)/2)/shots - 1).
+    ``shots`` switches ``value`` to a demonstration mode that replaces each
+    table entry v with a binomial estimate (outcomes are +-1-valued, so v is
+    resampled as 2*Binomial(shots, (1+v)/2)/shots - 1); ``exact_value`` is
+    still contracted from the exact tables, so one walk gives both.
     """
     plan = extraction.plan
     if shots is not None and shots < 1:
         raise QpdError("shots must be positive")
-    sampler = np.random.default_rng((sample_seed, 977)) if shots else None
     if initial_factors is None:
         initial_factors = [PREP_STATES["0"]] * plan.n
     # Cut c < kg is gate cut c; cut kg + j is wire cut j.
@@ -332,25 +377,32 @@ def reconstruct(
         _ensure_verified("wire")
 
     kg, term_axis = len(extraction.gate_cut_infos), len(cut_terms)
-    operands: list = []
-    for sub, words in zip(extraction.subcircuits, extraction.subobservables):
-        table, axes = _part_table(sub, words, cut_terms, kg, initial_factors)
-        if sampler is not None:
-            # Each subexperiment measures a +-1 observable; emulate a
-            # finite-shot estimate of its (real) expectation.
-            p = 0.5 * (1.0 + np.clip(table.real, -1.0, 1.0))
-            table = 2.0 * sampler.binomial(shots, p) / shots - 1.0
-        operands += [table, axes + [term_axis]]
+    tables, axes = zip(*(_part_table(sub, words, cut_terms, kg, initial_factors)
+                         for sub, words in zip(extraction.subcircuits, extraction.subobservables)))
+    coefficients: list = []
     for c, terms in enumerate(cut_terms):
-        operands += [np.array([t.coefficient for t in terms]), [c]]
-    operands += [np.array(extraction.term_coeffs), [term_axis]]
-    total = complex(np.einsum(*operands, []))
-    if abs(total.imag) > 1e-9:
-        raise QpdError(f"reconstructed value has imaginary residue {total.imag}")
+        coefficients += [np.array([t.coefficient for t in terms]), [c]]
+    coefficients += [np.array(extraction.term_coeffs), [term_axis]]
+
+    def contract(values) -> float:
+        operands = [x for table, ax in zip(values, axes) for x in (table, ax + [term_axis])]
+        total = complex(np.einsum(*operands, *coefficients, []))
+        if abs(total.imag) > 1e-9:
+            raise QpdError(f"reconstructed value has imaginary residue {total.imag}")
+        return float(total.real)
+
+    exact = value = contract(tables)
+    if shots:
+        # Each subexperiment measures a +-1 observable; emulate a finite-shot
+        # estimate of its (real) expectation.
+        sampler = np.random.default_rng((sample_seed, 977))
+        value = contract([2.0 * sampler.binomial(shots, 0.5 * (1.0 + np.clip(t.real, -1.0, 1.0)))
+                          / shots - 1.0 for t in tables])
     return ReconstructionResult(
-        value=float(total.real),
+        value=value,
         num_combinations=num_combos,
         num_subexperiments=num_combos * len(extraction.subcircuits),
+        exact_value=exact,
     )
 
 

@@ -17,7 +17,11 @@ does, as the reference for its conflict-matrix and array DSATUR kernel;
 every cut position of a wire from a prefix list and a dict, and sweeps
 every wire in every pass, as the reference for the cut search's one-sweep
 refinement. ``interaction_graph`` counts the 2-qubit gates on each qubit
-pair.
+pair. ``part_table`` is the depth-first reconstruction walk, one
+``simulate`` call per branch and gate run and one ``np.vdot`` per branch
+and word, as the reference for the breadth-first stack walk.
+``conjugate_clifford`` checks that a gate is Clifford before conjugating
+by it, and ``max_imag`` is an observable's largest imaginary coefficient.
 """
 
 from itertools import combinations
@@ -26,9 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from cutprop.annealing import AnnealError
-from cutprop.backprop import backpropagate
+from cutprop.backprop import BackpropError, backpropagate, conjugate_gate
+from cutprop.circuits import Circuit
 from cutprop.cutting import cost, find_cuts, total_executions
 from cutprop.paulis import PauliError, PauliString
+from cutprop.qpd import _LETTER_BITS, PREP_STATES, QpdError
+from cutprop.sim import apply_1q, apply_pauli, product_state, simulate
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -307,3 +314,98 @@ def qwc_groups(obs) -> tuple[tuple[int, ...], ...]:
     for i, c in enumerate(colors):
         groups[c].append(i)
     return tuple(sorted((tuple(g) for g in groups), key=lambda g: g[0]))
+
+
+def conjugate_clifford(obs, gate):
+    """G_dag O G for a Clifford gate; term count and magnitudes unchanged."""
+    if not gate.is_clifford():
+        raise BackpropError(f"gate {gate} is not Clifford")
+    return conjugate_gate(obs, gate)
+
+
+def max_imag(obs) -> float:
+    return max((abs(t.coeff.imag) for t in obs.terms), default=0.0)
+
+
+def _project(state: np.ndarray, wire: int, bit: int) -> np.ndarray:
+    """A copy of state with every amplitude whose bit ``wire`` is not ``bit`` zeroed."""
+    out = state.copy()
+    out.reshape(-1, 2, 1 << wire)[:, 1 - bit] = 0
+    return out
+
+
+def apply_endpoint(branches: list, letters: tuple, instrs: tuple, wire: int):
+    """Apply one cut end's instructions to the signed branches of a part walk.
+
+    ``letters`` is the (x, z) mask of the Pauli letters measured so far at
+    wire cuts; a measured letter joins every word evaluated at the leaf.
+    """
+    for instr in instrs:
+        if instr[0] == "u":
+            branches = [(w, apply_1q(s, instr[2], wire)) for w, s in branches]
+        elif instr[0] == "mzsign":  # Pi0 rho Pi0 - Pi1 rho Pi1 splits each branch
+            branches = [
+                split for w, s in branches
+                for split in ((w, _project(s, wire, 0)), (-w, _project(s, wire, 1)))
+            ]
+        elif instr[0] == "prep":  # the wire idles in |0> until its cut: apply |s><0|
+            prep = np.outer(PREP_STATES[instr[1]], (1, 0))
+            branches = [(w, apply_1q(s, prep, wire)) for w, s in branches]
+        else:  # measure
+            bx, bz = _LETTER_BITS[instr[1]]
+            letters = (letters[0] | bx << wire, letters[1] | bz << wire)
+    return branches, letters
+
+
+def _word_expectations(state, xs, zs):
+    n = state.size.bit_length() - 1
+    return np.array(
+        [np.vdot(state, apply_pauli(state, PauliString(n, int(x), int(z)))) for x, z in zip(xs, zs)],
+        dtype=complex,
+    )
+
+
+def part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
+    """One part's values, indexed by [incident cuts' term choices..., observable term].
+
+    A depth-first walk of the op stream evolves every branch through each
+    gate run with ``simulate`` and branches at each cut end, once per
+    distinct instruction list, so every shared prefix is simulated once.
+    Each leaf evaluates the part's observable words, extended by the
+    letters measured on its path. Returns the table and the cut of each of
+    its leading axes, in op order.
+    """
+    factors = [initial_factors[q] if seg == 0 else PREP_STATES["0"]
+               for q, seg in sub.wire_origin]
+    ends: dict[int, tuple] = {}  # op index -> (wire, instructions and key per term)
+    axes: list[int] = []
+    for i, op in enumerate(sub.ops):
+        if isinstance(op, Circuit):
+            continue
+        if op.kind == "gatecut":
+            cut = op.cut_id
+            per_term = [t.left_op if op.role == "a" else t.right_op for t in cut_terms[cut]]
+        elif op.kind in ("wc_measure", "wc_prep"):
+            cut = wire_cut_base + op.cut_id
+            per_term = [(t.left_op if op.kind == "wc_measure" else t.right_op,)
+                        for t in cut_terms[cut]]
+        else:
+            raise QpdError(f"unknown subcircuit op {op.kind!r}")
+        keys = [tuple(instr[:2] for instr in instrs) for instrs in per_term]
+        ends[i] = (op.wire, per_term, keys)
+        axes.append(cut)
+
+    def walk(start: int, branches: list, letters: tuple) -> np.ndarray:
+        for i in range(start, len(sub.ops)):
+            if i in ends:
+                wire, per_term, keys = ends[i]
+                done: dict[tuple, np.ndarray] = {}
+                for key, instrs in zip(keys, per_term):
+                    if key not in done:
+                        done[key] = walk(i + 1, *apply_endpoint(branches, letters, instrs, wire))
+                return np.stack([done[key] for key in keys])
+            branches = [(w, simulate(sub.ops[i], s)) for w, s in branches]
+        xs, zs = [w.x | letters[0] for w in words], [w.z | letters[1] for w in words]
+        return sum(w * _word_expectations(s, xs, zs) for w, s in branches)
+
+    return walk(0, [(1.0 + 0j, product_state(factors))], (0, 0)), axes

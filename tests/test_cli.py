@@ -196,6 +196,29 @@ def test_verify_explicit_plan(workdir):
     assert rc == EXIT_OK
 
 
+def test_verify_shots_walks_each_part_once(workdir, monkeypatch):
+    import cutprop.qpd
+
+    tmp, circ, obs, _, _ = workdir
+    plan_out, exact_out, shots_out = tmp / "plan.json", tmp / "exact.json", tmp / "shots.json"
+    main(["cut", circ, obs, "--bipartition", "--plan-out", str(plan_out)])
+    assert main(["verify", circ, obs, "--plan", str(plan_out), "--out", str(exact_out)]) == EXIT_OK
+    walks = []
+    part_table = cutprop.qpd._part_table
+
+    def counting_part_table(*args):
+        walks.append(args[0])
+        return part_table(*args)
+
+    monkeypatch.setattr(cutprop.qpd, "_part_table", counting_part_table)
+    argv = ["verify", circ, obs, "--plan", str(plan_out), "--shots", "300", "--out", str(shots_out)]
+    assert main(argv) == EXIT_OK
+    exact, sampled = read_json(exact_out)["results"], read_json(shots_out)["results"]
+    assert len(walks) == exact["plan"]["num_subcircuits"] == 2
+    assert sampled["reconstructed_expectation"] == exact["reconstructed_expectation"]
+    assert "sampled_expectation" in sampled and "sampled_expectation" not in exact
+
+
 def test_verify_corrupted_plan(workdir, capsys):
     tmp, circ, obs, _, _ = workdir
     bad = tmp / "bad_plan.json"

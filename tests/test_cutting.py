@@ -196,23 +196,32 @@ def test_refine_running_count_matches_recount():
 
 @pytest.fixture(scope="module")
 def heis19_bench_searches(tmp_path_factory):
-    """The heis19 seed-0 bench row, and each leftover circuit its budget search cuts."""
+    """The heis19 seed-0 bench row, each leftover circuit its budget search
+    cuts, and the find_cuts calls that cutting them took."""
     import cutprop.annealing
+    from cutprop.annealing import ObjectiveEvaluator
     from cutprop.cli import main
 
-    searched = {}  # leftover gate count -> (circuit, find_cuts keywords, plan)
+    searched = {}  # leftover gate count -> (circuit, plan)
+    calls = []  # (leftover gate count, find_cuts keywords) per find_cuts call
+    evaluator_plan = ObjectiveEvaluator.plan
+
+    def recording_plan(self, boundary):
+        plan = evaluator_plan(self, boundary)
+        searched.setdefault(boundary, (self.circuit.prefix(boundary), plan))
+        return plan
 
     def recording_find_cuts(circuit, **kwargs):
-        plan = find_cuts(circuit, **kwargs)
-        searched[len(circuit.gates)] = (circuit, kwargs, plan)
-        return plan
+        calls.append((len(circuit.gates), kwargs))
+        return find_cuts(circuit, **kwargs)
 
     out = tmp_path_factory.mktemp("heis19") / "bench.json"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cutprop.annealing, "find_cuts", recording_find_cuts)
+        mp.setattr(ObjectiveEvaluator, "plan", recording_plan)
         assert main(["bench", "--suite", "heis19", "--seed", "0", "--out", str(out)]) == 0
     (row,) = json.loads(out.read_text())["results"]["rows"]
-    return row, searched
+    return row, searched, calls
 
 
 def _two_phase_problem(n, rng):
@@ -248,8 +257,8 @@ def test_refine_matches_reference(heis19_bench_searches):
     checks = [(p, labels) for p in small for labels in itertools.product((0, 1), repeat=p.n)]
     # Seeded labelings of the heis19 leftover circuits and of 15-24-wire problems.
     rng = np.random.default_rng(58)
-    _, searched = heis19_bench_searches
-    problems = [(_Bipartitioner(c.n, _two_qubit_gates(c)), None) for c, _, _ in searched.values()]
+    _, searched, _ = heis19_bench_searches
+    problems = [(_Bipartitioner(c.n, _two_qubit_gates(c)), None) for c, _ in searched.values()]
     problems += [_two_phase_problem(int(n), rng) for n in rng.integers(15, 25, size=12)]
     for problem, groups in problems:
         for _ in range(40):
@@ -283,7 +292,7 @@ HEIS19_SEED0_PLANS = {
 
 
 def test_heis19_bench_search_outputs_pinned(heis19_bench_searches):
-    row, searched = heis19_bench_searches
+    row, searched, calls = heis19_bench_searches
     assert {k: row[k] for k in (
         "obp_w_opt", "obp_num_circuits", "vanilla_num_circuits", "vanilla_wire_cuts",
         "obp_slices_absorbed",
@@ -291,9 +300,13 @@ def test_heis19_bench_search_outputs_pinned(heis19_bench_searches):
         "obp_w_opt": 4, "obp_num_circuits": 3, "vanilla_num_circuits": 16,
         "vanilla_wire_cuts": 1, "obp_slices_absorbed": 371,
     }
-    for _, kwargs, _ in searched.values():
+    for _, kwargs in calls:
         assert kwargs == {"force_bipartition": True, "seed": 0}
-    assert {b: plan.to_dict() for b, (_, _, plan) in searched.items()} == {
+    # The 446-, 450- and 570-gate leftovers have the same 114 two-qubit
+    # gates, so the budget search cuts the first of them it meets (450) and
+    # the memo gives the other two its plan without another search.
+    assert [b for b, _ in calls] == [41, 450, 146, 139, 130, 104]
+    assert {b: plan.to_dict() for b, (_, plan) in searched.items()} == {
         b: {
             "n": 19,
             "labels": [int(q == one) for q in range(19)],

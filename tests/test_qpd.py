@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from cutprop import qpd
 from cutprop.circuits import Circuit, Gate, lower_rotations
-from cutprop.cutting import CutPlan, extract_subcircuits, find_cuts
+from cutprop.cutting import CutPlan, _build_plan, extract_subcircuits, find_cuts, validate_plan
 from cutprop.generators import (
     random_circuit,
     random_observable,
@@ -22,6 +23,7 @@ from cutprop.qpd import (
     wirecut_terms,
 )
 
+import oracles
 from oracles import PAULI
 
 
@@ -182,6 +184,25 @@ def test_shot_sampling_mode_converges():
     ).value
 
 
+def test_shots_sample_the_exact_tables(monkeypatch):
+    circ = Circuit(2, (Gate("h", (0,)), Gate("cz", (0, 1)), Gate("rz", (1,), angle=0.6)))
+    ext = extract_subcircuits(circ, CutPlan(2, (0, 1), (), (1,), 2), weight_z_observable(2, 1))
+    exact = reconstruct(ext)
+    assert exact.exact_value == exact.value
+    walks = []
+    part_table = qpd._part_table
+
+    def counting_part_table(*args):
+        walks.append(args[0])
+        return part_table(*args)
+
+    monkeypatch.setattr(qpd, "_part_table", counting_part_table)
+    rec = reconstruct(ext, shots=1000, sample_seed=2)
+    assert walks == list(ext.subcircuits)
+    assert rec.exact_value == exact.value
+    assert rec.value != rec.exact_value
+
+
 def test_reconstruct_multiway_plan():
     # recursive bisection yields more than two parts; reconstruction must
     # still recombine exactly across all of them
@@ -224,3 +245,131 @@ def test_reconstruct_part_with_every_cut_end():
     rec = reconstruct(ext, factors)
     assert rec.num_combinations == 6**2 * 8**2
     assert rec.value == pytest.approx(uncut_expectation(circ, obs, factors), abs=1e-10)
+
+
+# --- the stack walk against the depth-first reference -----------------------------
+
+
+def _with_rotations(circ: Circuit, rng: np.random.Generator) -> Circuit:
+    """circ with three 1-qubit Pauli rotations put inside its gate runs."""
+    gates = list(circ.gates)
+    for _ in range(3):
+        rot = Gate("rot", (int(rng.integers(circ.n)),), angle=float(rng.uniform(-3, 3)),
+                   axis=str(rng.choice(list("XYZ"))))
+        gates.insert(int(rng.integers(len(gates) + 1)), rot)
+    return Circuit(circ.n, tuple(gates))
+
+
+def _walk_cases():
+    """Seeded (extraction, initial factors) pairs covering every cut-end kind."""
+    rng = np.random.default_rng(131)
+    # Gate-cut ends of cz and cx in both roles and both wire-cut ends, in
+    # both parts, with a 2-qubit rotation in a run of each part.
+    gates = (
+        Gate("h", (0,)), Gate("h", (1,)), Gate("rz", (2,), angle=0.3), Gate("h", (3,)),
+        Gate("cz", (0, 2)), Gate("rz", (1,), angle=0.5), Gate("cx", (1, 3)),
+        Gate("cx", (3, 0)), Gate("cx", (0, 2)), Gate("rz", (2,), angle=0.7),
+        Gate("sx", (1,)), Gate("cz", (1, 3)), Gate("rot", (0, 2), angle=0.9, axis="YX"),
+        Gate("rot", (3, 1), angle=-0.4, axis="ZY"),
+    )
+    obs = Observable.from_labels([(0.4, "ZXYZ"), (0.3, "XIZY"), (0.5, "IZXX"), (0.2, "ZZZZ")])
+    plan = CutPlan(4, (0, 0, 1, 1), ((1, 6, 1), (2, 8, 0)), (4, 7), 2)
+    yield extract_subcircuits(Circuit(4, gates), plan, obs), random_product_factors(4, rng)
+    # Three parts, one without a cut end: qubits 3 and 4 never meet 0-2.
+    gates = (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("cz", (1, 2)), Gate("h", (3,)),
+             Gate("rot", (3, 4), angle=0.8, axis="XZ"), Gate("cx", (2, 0)), Gate("sx", (4,)))
+    circ, plan = Circuit(5, gates), CutPlan(5, (0, 0, 1, 2, 2), (), (2, 5), 3)
+    validate_plan(circ, plan)
+    obs = random_observable(5, rng, max_weight=3)
+    yield extract_subcircuits(circ, plan, obs), random_product_factors(5, rng)
+    # Searched plans of seeded circuits, with rotations inside the runs.
+    for trial in range(5):
+        n = int(rng.integers(4, 7))
+        circ = lower_rotations(random_circuit(n, 20, rng, p_two_qubit=0.35))
+        circ = _with_rotations(circ, rng)
+        plan = (find_cuts(circ, max_qubits=n - 2, seed=trial) if trial % 2
+                else find_cuts(circ, force_bipartition=True, seed=trial))
+        if 6**plan.kg * 8**plan.kw > 6**3 * 8:
+            continue
+        obs = random_observable(n, rng, max_weight=3)
+        factors = [PREP_STATES["0"]] * n if trial == 0 else random_product_factors(n, rng)
+        yield extract_subcircuits(circ, plan, obs), factors
+    # Seeded bipartitions with one wire cut each.
+    made = 0
+    while made < 4:
+        n = int(rng.integers(4, 6))
+        circ = lower_rotations(random_circuit(n, 14, rng, p_two_qubit=0.35))
+        circ = _with_rotations(circ, rng)
+        labels = [int(b) for b in rng.integers(0, 2, size=n)]
+        q, pos = int(rng.integers(n)), int(rng.integers(1, len(circ.gates)))
+        plan = _build_plan(circ, labels, {q: (pos, 1 - labels[q])})
+        if plan.num_subcircuits != 2 or 6**plan.kg * 8**plan.kw > 6**3 * 8:
+            continue
+        made += 1
+        yield (extract_subcircuits(circ, plan, random_observable(n, rng, max_weight=3)),
+               random_product_factors(n, rng))
+
+
+def _tables(part_table, ext, factors):
+    cut_terms = [gatecut_terms(i.kind) for i in ext.gate_cut_infos]
+    cut_terms += [wirecut_terms()] * len(ext.wire_cut_infos)
+    kg = len(ext.gate_cut_infos)
+    return [part_table(sub, words, cut_terms, kg, factors)
+            for sub, words in zip(ext.subcircuits, ext.subobservables)]
+
+
+def test_walk_cases_cover_every_cut_end():
+    seen = set()
+    for ext, _ in _walk_cases():
+        for sub in ext.subcircuits:
+            ends = [op for op in sub.ops if not isinstance(op, Circuit)]
+            if not ends:
+                seen.add("no cut end")
+            for op in ends:
+                kind = ext.gate_cut_infos[op.cut_id].kind if op.kind == "gatecut" else None
+                seen.add((op.kind, kind, op.role))
+            runs = [op for op in sub.ops if isinstance(op, Circuit)]
+            seen.update(f"rot on {len(g.qubits)}" for run in runs for g in run.gates
+                        if g.kind == "rot")
+    assert seen >= {
+        ("gatecut", "cz", "a"), ("gatecut", "cz", "b"), ("gatecut", "cx", "a"),
+        ("gatecut", "cx", "b"), ("wc_measure", None, None), ("wc_prep", None, None),
+        "no cut end", "rot on 1", "rot on 2",
+    }
+
+
+@pytest.fixture(scope="module")
+def reference_tables():
+    return [(ext, factors, _tables(oracles.part_table, ext, factors))
+            for ext, factors in _walk_cases()]
+
+
+# None keeps the default bound; 1 byte makes every cut end walk its
+# instruction lists one at a time; 2 KiB mixes the two.
+@pytest.mark.parametrize("stack_bytes", [None, 2048, 1])
+def test_part_tables_match_depth_first_reference(monkeypatch, reference_tables, stack_bytes):
+    if stack_bytes is not None:
+        monkeypatch.setattr(qpd, "STACK_BYTES", stack_bytes)
+    for ext, factors, reference in reference_tables:
+        for (got, axes), (want, want_axes) in zip(_tables(qpd._part_table, ext, factors),
+                                                  reference):
+            assert axes == want_axes
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-13
+
+
+def test_one_byte_bound_simulates_as_many_states_as_the_reference(monkeypatch):
+    # At a 1-byte bound the stack walk holds, at each gate run, the branches
+    # of one path, as the depth-first walk does.
+    monkeypatch.setattr(qpd, "STACK_BYTES", 1)
+    rows = {"stack": [], "reference": []}
+    for module, key in ((qpd, "stack"), (oracles, "reference")):
+        def counting(circuit, initial, _key=key, _simulate=module.simulate):
+            rows[_key].append(len(np.atleast_2d(initial)))
+            return _simulate(circuit, initial)
+        monkeypatch.setattr(module, "simulate", counting)
+    for ext, factors in list(_walk_cases())[:3]:
+        _tables(qpd._part_table, ext, factors)
+        _tables(oracles.part_table, ext, factors)
+    assert sum(rows["stack"]) == len(rows["reference"])
+    assert len(rows["stack"]) < len(rows["reference"])

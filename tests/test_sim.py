@@ -270,3 +270,59 @@ def test_apply_1q_leaves_state_unchanged(n):
         apply_1q(psi, GATE_1Q["sx"], q)
         apply_1q(psi, GATE_1Q["s"], q)
         assert np.array_equal(psi, before), q
+
+
+# --- stacks of states --------------------------------------------------------
+
+
+def _stack(n: int, rng: np.random.Generator, rows: int = 5) -> np.ndarray:
+    """Random states with some rows projected, as the reconstruction walk's stacks hold."""
+    stack = np.array([random_state(n, rng) for _ in range(rows)])
+    for r in range(1, rows, 2):
+        stack[r] = _projected(stack[r], r % n)
+    return stack
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 9])
+def test_stacked_simulate_matches_each_row(n):
+    rng = np.random.default_rng((71, n))
+    for circ, _ in _kernel_cases(n):
+        stack = _stack(n, rng)
+        before = stack.copy()
+        out = simulate(circ, stack)
+        assert out.shape == stack.shape
+        assert np.array_equal(stack, before)
+        for row, psi in zip(out, stack):
+            assert np.abs(row - simulate(circ, psi)).max() < KERNEL_TOL
+            assert np.abs(row - einsum_simulate(circ, psi)).max() < KERNEL_TOL
+            assert abs(np.linalg.norm(row) - np.linalg.norm(psi)) < KERNEL_TOL
+
+
+def test_stacked_simulate_rejects_a_kernel_that_scales_one_row(monkeypatch):
+    kernel = sim._kernel_1q
+
+    def scaling_kernel(state, u, q):
+        kernel(state, u, q)
+        state[2] *= 1.001
+
+    monkeypatch.setattr(sim, "_kernel_1q", scaling_kernel)
+    circ = Circuit(3, (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("sx", (2,))))
+    with pytest.raises(SimulationError, match="norm drifted"):
+        simulate(circ, _stack(3, np.random.default_rng(73)))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_stacked_pauli_expectations_with_per_row_words(n):
+    rng = np.random.default_rng((79, n))
+    stack = _stack(n, rng, rows=6)
+    xs = rng.integers(0, 1 << n, size=(6, 20))
+    zs = rng.integers(0, 1 << n, size=(6, 20))
+    got = pauli_expectations(stack, xs, zs)
+    assert got.shape == (6, 20)
+    for row, psi, x, z in zip(got, stack, xs, zs):
+        assert np.abs(row - pauli_expectations(psi, x, z)).max() < 1e-12
+        assert np.abs(row - _dense_expectations(psi, n, x, z)).max() < 1e-12
+    # one mask per word applies to every row
+    shared = pauli_expectations(stack, xs[0], zs[0])
+    assert np.abs(shared - pauli_expectations(stack, np.tile(xs[0], (6, 1)),
+                                              np.tile(zs[0], (6, 1)))).max() == 0
