@@ -11,9 +11,12 @@ are ordered |...q2 q1 q0>.
 Each gate family has one in-place kernel on a strided view of the state:
 two axpys (or a phase multiply) for a 1-qubit matrix, a sign flip for cz,
 a swap of two views for cx, and cos*psi - i*sin*P*psi for a Pauli
-rotation. ``simulate`` copies its input once, then runs them in place and
-fuses each run of 1-qubit gates on one qubit into one matrix; it is the one
-gate loop, for whole circuits and for the reconstruction walk's gate runs.
+rotation; a 4x4 matrix on a qubit pair is one product per cache-sized
+slice. ``simulate`` copies its input once, then runs them in place. It
+fuses each run of 1-qubit gates on one qubit into one 2x2 matrix, and each
+run of two or more cx/cz gates confined to one qubit pair, with the 1-qubit
+gates among and around them, into one 4x4 matrix. It is the one gate loop,
+for whole circuits and for the reconstruction walk's gate runs.
 The kernels, ``simulate`` and ``pauli_expectations`` also take a stack of
 states, shape (rows, 2^n), so the walk evolves and evaluates all of its
 branches in one call. ``apply_1q`` applies the walk's cut-end matrices to
@@ -203,12 +206,17 @@ def apply_pauli(state: np.ndarray, word: PauliString) -> np.ndarray:
     P|b> = i^(#Y) * (-1)^popcount(b & z) * |b XOR x>, so the amplitude at
     output index c is sourced from c XOR x with that phase.
     """
+    return _apply_word(state, word.x, word.z)
+
+
+def _apply_word(state: np.ndarray, x: int, z: int) -> np.ndarray:
+    """P|psi> for the word P = (x, z), given as two Python ints."""
     index, sign = _index_tables(state.shape[-1])
-    src = index ^ word.x
-    out = state[..., src].astype(complex, copy=False)
-    if word.z:
-        out *= sign[src & word.z]
-    k = (word.x & word.z).bit_count() % 4
+    src = index ^ x
+    out = state.take(src, axis=-1).astype(complex, copy=False)
+    if z:
+        out *= sign.take(src & z)
+    k = (x & z).bit_count() % 4
     if k:
         out *= (1j) ** k
     return out
@@ -224,16 +232,110 @@ def _norms(state: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]).ravel())
 
 
+def _kernel_2q(state: np.ndarray, m: np.ndarray, hi: int, lo: int) -> None:
+    """Apply the 4x4 matrix m to qubits hi > lo of state (or a stack), in place.
+
+    m's rows and columns are indexed 2 * (bit hi) + (bit lo). The pair view
+    is taken in slices of at most _BLOCK amplitudes, so that each slice's
+    three passes run in cache: gather its four quarters into one buffer,
+    multiply them by m as one (4, _BLOCK / 4) product, and scatter them back.
+    """
+    view = _pair_view(state, hi, lo)
+    a, _, b, _, c = view.shape
+    quarter = _BLOCK >> 2
+    sc = min(c, quarter)
+    sb = min(b, quarter // sc)
+    sa = min(a, quarter // (sb * sc))
+    gathered = np.empty((2, 2, sa, sb, sc), dtype=complex)
+    product = np.empty_like(gathered)
+    for i in range(0, a, sa):
+        for j in range(0, b, sb):
+            for k in range(0, c, sc):
+                part = view[i : i + sa, :, j : j + sb, :, k : k + sc]
+                np.copyto(gathered, part.transpose(1, 3, 0, 2, 4))
+                np.matmul(m, gathered.reshape(4, -1), out=product.reshape(4, -1))
+                part[...] = product.transpose(2, 0, 3, 1, 4)
+
+
+class _Block:
+    """An open run of cx and cz gates on one qubit pair, with the 1-qubit
+    gates before, among and after them.
+
+    A block holds its first gate and the pair's pending 1-qubit matrices from
+    before it, in the gate's qubit order. Only a second gate makes it build
+    the 4x4 product of the run, so a one-gate block still closes with the
+    native cx or cz kernel, which on a small state costs less than a dense
+    4x4.
+    """
+
+    __slots__ = ("gate", "pre", "matrix")
+
+    def __init__(self, gate: Gate, pre: tuple):
+        self.gate = gate
+        self.pre = pre
+        self.matrix: np.ndarray | None = None
+
+    def add(self, gate: Gate, pending: dict[int, np.ndarray]) -> None:
+        """Multiply in the pair's pending matrices, then the next cx or cz."""
+        if self.matrix is None:
+            self.matrix = np.eye(4, dtype=complex)
+            self._fold(dict(zip(self.gate.qubits, self.pre)))
+            self._entangle(self.gate)
+        self._fold(pending)
+        self._entangle(gate)
+
+    def close(self, state: np.ndarray, pending: dict[int, np.ndarray], n: int) -> None:
+        """Apply the block to state. A one-gate block leaves the matrices
+        pending after it to the pair's next gate; a fused block takes them in."""
+        a, b = self.gate.qubits
+        if self.matrix is None:
+            u_a, u_b = self.pre
+            if u_a is not None:
+                _kernel_1q(state, u_a, a)
+            if u_b is not None:
+                _kernel_1q(state, u_b, b)
+            _apply(state, self.gate, n)
+        else:
+            self._fold(pending)
+            _kernel_2q(state, self.matrix, max(a, b), min(a, b))
+
+    def _fold(self, pending: dict[int, np.ndarray]) -> None:
+        """Multiply in and remove the pair's matrices in pending."""
+        a, b = self.gate.qubits
+        hi, lo = max(a, b), min(a, b)
+        # rows 2h + l: a matrix on hi acts on h, the rows' first axis
+        u = pending.pop(hi, None)
+        if u is not None:
+            self.matrix = (u @ self.matrix.reshape(2, 8)).reshape(4, 4)
+        u = pending.pop(lo, None)
+        if u is not None:
+            self.matrix = (u @ self.matrix.reshape(2, 2, 4)).reshape(4, 4)
+
+    def _entangle(self, gate: Gate) -> None:
+        m = self.matrix
+        if gate.kind == "cz":
+            m[3] *= -1
+        else:
+            # swap the rows with the control set: target 0 and target 1
+            r = 2 if gate.qubits[0] > gate.qubits[1] else 1
+            m[[r, 3]] = m[[3, r]]
+
+
 def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Evolve an initial state (default |0...0>) through the circuit.
 
     The state is a copy of ``initial`` that the gates update in place. Each
-    run of 1-qubit gates on one qubit is multiplied into one 2x2 matrix,
-    applied before the next multi-qubit gate on that qubit or at the end.
-    ``initial`` may be a stack of states, shape (rows, 2^n): every row goes
-    through the same kernels, and a stack is returned. The gates are
-    unitary, so each row must keep its input's norm, which is below 1 for
-    a projected branch of the reconstruction walk.
+    run of 1-qubit gates on one qubit is multiplied into one 2x2 matrix.
+    Each run of cx and cz gates confined to one qubit pair, with the 1-qubit
+    gates on that pair before, among and after them, is one block: it is
+    applied when another gate touches either of its qubits, or at the end.
+    A block of two or more cx/cz gates is one 4x4 matrix and one pass over
+    the state; a block of one keeps the native cx or cz kernel, with its
+    1-qubit neighbours fused as 2x2 matrices. ``rot`` gates are applied one
+    at a time. ``initial`` may be a stack of states, shape (rows, 2^n):
+    every row goes through the same kernels, and a stack is returned. The
+    gates are unitary, so each row must keep its input's norm, which is
+    below 1 for a projected branch of the reconstruction walk.
     """
     limit = sim_limit()
     if circuit.n > limit:
@@ -252,16 +354,36 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
         raise SimulationError("initial state size does not match circuit width")
     expected_norms = _norms(state)
     pending: dict[int, np.ndarray] = {}  # qubit -> its 1-qubit gates not yet applied
+    blocks: dict[int, _Block] = {}  # qubit -> the open block on its pair
     for gate in circuit.gates:
         u = _matrix_1q(gate)
         if u is not None:
             q = gate.qubits[0]
             pending[q] = u @ pending[q] if q in pending else u
             continue
+        entangling = gate.kind in ("cx", "cz")
+        if entangling:
+            block = blocks.get(gate.qubits[0])
+            if block is not None and block is blocks.get(gate.qubits[1]):
+                block.add(gate, pending)
+                continue
+        # any other gate closes the open blocks on its qubits
+        for q in gate.qubits:
+            block = blocks.get(q)
+            if block is not None:
+                a, b = block.gate.qubits
+                del blocks[a], blocks[b]
+                block.close(state, pending, circuit.n)
+        if entangling:
+            a, b = gate.qubits
+            blocks[a] = blocks[b] = _Block(gate, (pending.pop(a, None), pending.pop(b, None)))
+            continue
         for q in gate.qubits:
             if q in pending:
                 _kernel_1q(state, pending.pop(q), q)
         _apply(state, gate, circuit.n)
+    for block in dict.fromkeys(blocks.values()):
+        block.close(state, pending, circuit.n)
     for q, u in pending.items():
         _kernel_1q(state, u, q)
     norms = _norms(state)
@@ -302,8 +424,6 @@ def _word_expectations(states, base, sign, x, z, k) -> np.ndarray:
         amps *= sign[src & z]
     if k.any():
         amps *= _I_POWERS[k]
-    if len(states) == 1:  # one state sums as it always has, to the last bit
-        return np.vdot(states[0], amps[0])
     # sum psi * conj(P psi) per row, the conjugate of <psi|P|psi>
     np.conjugate(amps, out=amps)
     return np.matmul(states[:, None, :], amps[:, :, None]).ravel().conj()
@@ -315,15 +435,22 @@ def pauli_expectations(state: np.ndarray, xs, zs) -> np.ndarray:
     ``state`` is one state, or a stack of shape (rows, 2^n) whose words may
     differ per row: xs and zs then hold one mask per word, shape (words,),
     or one per row and word, shape (rows, words), and the result has shape
-    (rows, words). Each word is one gather over every row at once.
+    (rows, words). Each word is one gather over every row at once. One
+    state, or a stack of one, takes its words one at a time with
+    ``np.vdot``, which costs less than broadcasting the masks when the state
+    is small.
     """
     size = state.shape[-1]
-    index, sign = _index_tables(size)
     states = state.reshape(-1, size)
-    # Flat index of each amplitude (one state reads the cached table, with no
-    # copy); a mask below size changes only its low bits, so base ^ x stays
-    # in the same row.
-    base = index if len(states) == 1 else np.arange(0, states.size, size)[:, None] + index
+    if len(states) == 1:
+        psi = states[0]
+        values = [np.vdot(psi, _apply_word(psi, x, z))
+                  for x, z in zip(np.ravel(xs).tolist(), np.ravel(zs).tolist())]
+        return np.array(values if state.ndim == 1 else [values], dtype=complex)
+    index, sign = _index_tables(size)
+    # Flat index of each amplitude; a mask below size changes only its low
+    # bits, so base ^ x stays in the same row.
+    base = np.arange(0, states.size, size)[:, None] + index
     xs, zs = (np.broadcast_to(np.asarray(m, dtype=np.int64), (len(states), np.shape(m)[-1]))
               for m in (xs, zs))
     phases = _popcount(xs & zs) % 4
@@ -331,7 +458,7 @@ def pauli_expectations(state: np.ndarray, xs, zs) -> np.ndarray:
     for j in range(xs.shape[1]):
         out[:, j] = _word_expectations(states, base, sign, xs[:, j, None], zs[:, j, None],
                                        phases[:, j, None])
-    return out if state.ndim > 1 else out[0]
+    return out
 
 
 def expectation(state: np.ndarray, obs: Observable) -> float:

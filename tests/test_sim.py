@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from cutprop.circuits import Circuit, Gate
-from cutprop.generators import random_circuit, random_product_factors
+from cutprop.circuits import Circuit, Gate, lower_rotations
+from cutprop.generators import (
+    HEISENBERG_H,
+    HEISENBERG_J,
+    heavy_hex_19_edges,
+    heisenberg_trotter,
+    random_circuit,
+    random_product_factors,
+)
 from cutprop import sim
 from cutprop.paulis import Observable, PauliString
 from cutprop.sim import (
@@ -326,3 +333,198 @@ def test_stacked_pauli_expectations_with_per_row_words(n):
     shared = pauli_expectations(stack, xs[0], zs[0])
     assert np.abs(shared - pauli_expectations(stack, np.tile(xs[0], (6, 1)),
                                               np.tile(zs[0], (6, 1)))).max() == 0
+
+
+# --- two-qubit blocks ---------------------------------------------------------
+
+
+def _random_1q(q: int, rng: np.random.Generator) -> Gate:
+    kinds = [*GATE_1Q, "rz"]
+    kind = kinds[int(rng.integers(len(kinds)))]
+    angle = float(rng.uniform(-3, 3)) if kind == "rz" else None
+    return Gate(kind, (q,), angle=angle)
+
+
+def _pair_run(a: int, b: int, kinds: str, rng: np.random.Generator) -> list[Gate]:
+    """1-qubit gates on a and b, then per letter of kinds a cx(a, b) ("c"), a
+    cx(b, a) ("x") or a cz ("z"), each followed by a 1-qubit gate on a or b."""
+    gates = [_random_1q(a, rng), _random_1q(b, rng)]
+    for kind in kinds:
+        gates.append(Gate("cz" if kind == "z" else "cx", (a, b) if kind != "x" else (b, a)))
+        gates.append(_random_1q(int(rng.choice([a, b])), rng))
+    return gates
+
+
+def _block_circuit(n: int, rng: np.random.Generator) -> Circuit:
+    """Fused and one-gate blocks on pairs with qubits 0 and n-1, closed by
+    rot gates, by gates on a shared qubit and by the end of the circuit.
+
+    At n = 16 the pairs (1, 0), (15, 0) and (15, 14) make the 4x4 kernel
+    slice the state along each axis of the pair view in turn.
+    """
+    top, mid = n - 1, n // 2
+    gates = _pair_run(0, 1, "cxz", rng)  # fused, both cx orientations
+    gates += _pair_run(top, top - 1, "zc", rng)  # a second block open beside it
+    gates.append(Gate("rot", (1,), angle=0.9, axis="Y"))  # closes (0, 1)
+    gates += _pair_run(top, 0, "xzc", rng)  # closes (top, top - 1)
+    gates.append(Gate("cz", (mid, 0)))  # a one-gate block, closes (top, 0)
+    gates += [_random_1q(0, rng), Gate("cx", (top, mid))]  # another one, closes (mid, 0)
+    gates += _pair_run(1, 0, "cc", rng)
+    gates.append(Gate("rot", (0, top), angle=-0.6, axis="XZ"))  # closes (1, 0) and (top, mid)
+    gates += _pair_run(top - 1, top, "xc", rng)  # left open for the end
+    gates += _pair_run(1, mid, "z", rng)  # a one-gate block left open for the end
+    gates += [_random_1q(q, rng) for q in (0, top)]
+    return Circuit(n, tuple(gates))
+
+
+# 4 and 5 take the small-state path; 16 slices along every axis of the pair view.
+BLOCK_WIDTHS = [4, 5, 9, 16]
+
+
+def _block_cases(n: int):
+    """Seeded circuits of width n: the block circuit, and random circuits
+    whose gates fall on a few qubit pairs, so that runs on one pair occur."""
+    rng = np.random.default_rng((83, n))
+    yield _block_circuit(n, rng)
+    pairs = [(0, 1), (n - 1, 0), (n - 1, n - 2), (n // 2, 1)]
+    for _ in range(2 if n < 16 else 0):
+        gates = []
+        for _ in range(60):
+            a, b = pairs[int(rng.integers(len(pairs)))]
+            roll = rng.uniform()
+            if roll < 0.45:
+                gates.append(_random_1q(int(rng.choice([a, b])), rng))
+            elif roll < 0.9:
+                kind = ("cx", "cz")[int(rng.integers(2))]
+                gates.append(Gate(kind, (a, b) if rng.uniform() < 0.5 else (b, a)))
+            else:
+                gates.append(_random_gate(n, rng))
+        yield Circuit(n, tuple(gates))
+
+
+def _count_calls(monkeypatch, names, record=None):
+    """Wrap sim's private kernels so that each call is counted, and optionally recorded."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        kernel = getattr(sim, name)
+
+        def wrapped(*args, _name=name, _kernel=kernel):
+            counts[_name] += 1
+            if record is not None:
+                record(_name, args)
+            _kernel(*args)
+
+        monkeypatch.setattr(sim, name, wrapped)
+    return counts
+
+
+@pytest.mark.parametrize("n", BLOCK_WIDTHS)
+def test_blocks_match_einsum_reference(n):
+    rng = np.random.default_rng((89, n))
+    for circ in _block_cases(n):
+        psi = random_state(n, rng)
+        assert np.abs(simulate(circ, psi) - einsum_simulate(circ, psi)).max() < KERNEL_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_blocks_on_two_and_three_qubits_match_einsum_reference(n):
+    rng = np.random.default_rng((97, n))
+    for _ in range(6):
+        gates = []
+        for _ in range(40):
+            if rng.uniform() < 0.5:
+                gates.append(_random_1q(int(rng.integers(n)), rng))
+            else:
+                gates.append(_random_gate(n, rng))
+        circ, psi = Circuit(n, tuple(gates)), random_state(n, rng)
+        assert np.abs(simulate(circ, psi) - einsum_simulate(circ, psi)).max() < KERNEL_TOL
+
+
+@pytest.mark.parametrize("n", [4, 9, 16])
+def test_stacked_blocks_match_each_row(n):
+    rng = np.random.default_rng((101, n))
+    for circ in _block_cases(n):
+        stack = _stack(n, rng, rows=3)
+        out = simulate(circ, stack)
+        for row, psi in zip(out, stack):
+            assert np.abs(row - einsum_simulate(circ, psi)).max() < KERNEL_TOL
+            assert abs(np.linalg.norm(row) - np.linalg.norm(psi)) < KERNEL_TOL
+
+
+def test_block_cases_cover_every_block_shape_and_slicing(monkeypatch):
+    """The cases above fuse blocks with cx in both orientations, keep one-gate
+    blocks native, and slice the state along each axis of the pair view."""
+    quarter = sim._BLOCK >> 2
+    slicing, fused_cx_orders = set(), set()
+
+    def record(name, args):
+        if name == "_kernel_2q":
+            state, m, hi, lo = args
+            a, _, b, _, c = sim._pair_view(state, hi, lo).shape
+            slicing.add("lo" if c > quarter else "mid" if b * c > quarter
+                        else "rows" if a * b * c > quarter else "one")
+        elif args[1].kind in ("cx", "cz"):
+            slicing.add("native " + args[1].kind)
+
+    counts = _count_calls(monkeypatch, ["_kernel_2q", "_apply"], record)
+    for n in BLOCK_WIDTHS:
+        for circ in _block_cases(n):
+            simulate(circ)
+            for g, h in zip(circ.gates, circ.gates[2:]):
+                if g.kind == h.kind == "cx" and set(g.qubits) == set(h.qubits):
+                    fused_cx_orders.add(g.qubits == h.qubits)
+    assert slicing >= {"one", "rows", "mid", "lo", "native cx", "native cz"}
+    assert fused_cx_orders == {True, False}
+    assert counts["_kernel_2q"] > 0
+
+
+def test_stacked_simulate_rejects_a_block_kernel_that_scales_one_row(monkeypatch):
+    kernel = sim._kernel_2q
+
+    def scaling_kernel(state, m, hi, lo):
+        kernel(state, m, hi, lo)
+        state.reshape(-1, state.shape[-1])[-1] *= 1.001
+
+    monkeypatch.setattr(sim, "_kernel_2q", scaling_kernel)
+    circ = Circuit(3, (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("s", (1,)), Gate("cx", (1, 0)),
+                       Gate("sx", (2,))))
+    rng = np.random.default_rng(103)
+    for initial in (None, _projected(random_state(3, rng), 1), _stack(3, rng)):
+        with pytest.raises(SimulationError, match="norm drifted"):
+            simulate(circ, initial)
+
+
+def test_heis19_is_one_block_per_edge(monkeypatch):
+    """The lowered 19-qubit Heisenberg circuit: 570 gates, one 4x4 pass per
+    coupled pair and at most one 1-qubit pass per qubit."""
+    circ = lower_rotations(heisenberg_trotter(
+        list(heavy_hex_19_edges()), HEISENBERG_J, HEISENBERG_H, t=0.2, steps=1))
+    counts = _count_calls(monkeypatch, ["_kernel_1q", "_kernel_2q", "_apply"])
+    state = simulate(circ)
+    assert len(circ.gates) == 570
+    assert counts["_kernel_2q"] <= len(heavy_hex_19_edges()) == 19
+    assert counts["_kernel_1q"] <= 19
+    assert counts["_apply"] == 0
+    assert abs(np.linalg.norm(state) - 1) < 1e-10
+
+
+# --- one state's Pauli expectations ------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 5, 10])
+def test_one_state_expectations_match_per_word_vdot_and_the_stacked_path(n):
+    rng = np.random.default_rng((107, n))
+    stack = _stack(n, rng, rows=3)
+    xs = [int(x) for x in rng.integers(0, 1 << n, size=12)]
+    zs = [int(z) for z in rng.integers(0, 1 << n, size=12)]
+    stacked = pauli_expectations(stack, xs, zs)
+    for psi, row in zip(stack, stacked):
+        got = pauli_expectations(psi, xs, zs)
+        words = [PauliString(n, x, z) for x, z in zip(xs, zs)]
+        # the same sums as a loop of apply_pauli and np.vdot, to the last bit
+        assert np.array_equal(got, [np.vdot(psi, apply_pauli(psi, w)) for w in words])
+        assert np.abs(got - row).max() < 1e-12
+        # a stack of one row, with shared or per-row words, takes the same path
+        one_row = pauli_expectations(psi[None], xs, zs)
+        assert one_row.shape == (1, 12) and np.array_equal(one_row[0], got)
+        assert np.array_equal(pauli_expectations(psi[None], [xs], [zs]), one_row)
