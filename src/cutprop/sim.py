@@ -246,9 +246,13 @@ def _kernel_2q(state: np.ndarray, m: np.ndarray, hi: int, lo: int) -> None:
     sc = min(c, quarter)
     sb = min(b, quarter // sc)
     sa = min(a, quarter // (sb * sc))
-    gathered = np.empty((2, 2, sa, sb, sc), dtype=complex)
-    product = np.empty_like(gathered)
+    buffers = np.empty((2, 4 * sa * sb * sc), dtype=complex)
     for i in range(0, a, sa):
+        # sb and sc divide b and c, but a stack's a = rows * 2^(n - hi - 1)
+        # may leave a shorter last slice: its buffers are the front of the
+        # full ones, still contiguous.
+        rows = min(sa, a - i)
+        gathered, product = buffers[:, : 4 * rows * sb * sc].reshape(2, 2, 2, rows, sb, sc)
         for j in range(0, b, sb):
             for k in range(0, c, sc):
                 part = view[i : i + sa, :, j : j + sb, :, k : k + sc]

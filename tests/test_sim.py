@@ -451,6 +451,29 @@ def test_stacked_blocks_match_each_row(n):
             assert abs(np.linalg.norm(row) - np.linalg.norm(psi)) < KERNEL_TOL
 
 
+def test_stacked_blocks_with_a_short_last_slice_match_each_row(monkeypatch):
+    """Three rows of 14 qubits: the pair view's leading axis is 3 * 2^(13 - hi),
+    which the slice length does not divide, so the last slice is shorter."""
+    n, quarter = 14, sim._BLOCK >> 2
+    uneven = []
+
+    def record(name, args):
+        state, m, hi, lo = args
+        a, _, b, _, c = sim._pair_view(state, hi, lo).shape
+        uneven.append(a % min(a, quarter // (b * c)))
+
+    counts = _count_calls(monkeypatch, ["_kernel_2q"], record)
+    rng = np.random.default_rng(109)
+    # (1, 0) leaves a last slice of half the rows, (13, 12) one of a single row
+    for a, b in [(1, 0), (0, 1), (13, 12), (12, 13)]:
+        circ = Circuit(n, tuple(_pair_run(a, b, "cxz", rng)))
+        stack = _stack(n, rng, rows=3)
+        out = simulate(circ, stack)
+        for row, psi in zip(out, stack):
+            assert np.abs(row - einsum_simulate(circ, psi)).max() < KERNEL_TOL
+    assert counts["_kernel_2q"] == 4 and all(uneven)
+
+
 def test_block_cases_cover_every_block_shape_and_slicing(monkeypatch):
     """The cases above fuse blocks with cx in both orientations, keep one-gate
     blocks native, and slice the state along each axis of the pair view."""
