@@ -8,9 +8,8 @@ budget's value from a single backpropagation at the largest budget, plus
 one memoized cut search per distinct leftover circuit. The annealer keeps two
 deliberate quirks of the procedure it implements: neighbors are drawn
 around the best-so-far point rather than the accepted point, and the
-default temperature schedule divides by the running iteration counter
-plus one each step, which decays factorially fast. A conventional
-geometric schedule is available behind ``cooling``.
+temperature schedule divides by the running iteration counter plus one
+each step, which decays factorially fast.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ class SAConfig:
     num_iters: int = 20
     restarts: int = 5
     seed: int = 0
-    cooling: str = "literal"  # "literal": T <- T/(k+1); "geometric": T <- 0.9*T
 
     def __post_init__(self):
         if self.bound_lower < 1:
@@ -53,8 +51,6 @@ class SAConfig:
             raise AnnealError("restarts must be >= 1")
         if self.seed < 0 or self.step_size < 0:
             raise AnnealError("seed and step_size must be >= 0")
-        if self.cooling not in ("literal", "geometric"):
-            raise AnnealError(f"unknown cooling schedule {self.cooling!r}")
 
 
 class ObjectiveEvaluator:
@@ -190,10 +186,7 @@ def anneal(
                 "best_num_circuits": opt_num_circuits,
             }
         )
-        if config.cooling == "literal":
-            temperature = temperature / (k + 1)
-        else:
-            temperature = 0.9 * temperature
+        temperature = temperature / (k + 1)
     return AnnealResult(w_opt, opt_num_circuits, cache, log, (config.seed, run_index))
 
 
@@ -235,6 +228,16 @@ class OptimizeResult:
     vanilla_plan: CutPlan
     backprop: BackpropResult | None  # the backpropagation at w_opt; None when w_opt is
     plan: CutPlan | None  # the chosen circuit's cut plan, None when fully absorbed
+
+    @property
+    def beneficial(self) -> bool:
+        """Whether the annealed budget costs no more than vanilla cutting."""
+        return self.sa_cost <= self.vanilla_cost
+
+    @property
+    def reduction_ratio(self) -> float:
+        """The chosen cost over the vanilla cost (0 when vanilla needs none)."""
+        return self.chosen_cost / self.vanilla_cost if self.vanilla_cost else 0.0
 
 
 def optimize_budget(

@@ -210,10 +210,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         num_iters=args.iters,
         restarts=args.restarts,
         seed=args.seed,
-        cooling=args.cooling,
     )
     result = optimize_budget(circuit, obs, config, slicing=args.slice, cut_seed=args.seed)
-    ratio = result.chosen_cost / result.vanilla_cost if result.vanilla_cost else 0.0
     report = _base_report(
         "optimize", args, circuit_sha256=circ_hash, observable_sha256=obs_hash
     )
@@ -223,8 +221,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "sa_best_w": result.sa_w,
         "sa_best_num_circuits": result.sa_cost,
         "vanilla_num_circuits": result.vanilla_cost,
-        "reduction_ratio": ratio,
-        "beneficial": result.sa_cost <= result.vanilla_cost,
+        "reduction_ratio": result.reduction_ratio,
+        "beneficial": result.beneficial,
         "eval_cache": {str(k): v for k, v in sorted(result.cache.items())},
         "runs": [
             {"seed": list(r.seed), "iterations": r.iterations} for r in result.runs
@@ -348,8 +346,8 @@ def _bench_row(name: str, circuit: Circuit, obs: Observable, seed: int, large: b
         "vanilla_num_circuits": result.vanilla_cost,
         "obp_w_opt": result.w_opt,
         "obp_num_circuits": result.chosen_cost,
-        "ratio": result.chosen_cost / result.vanilla_cost if result.vanilla_cost else 0.0,
-        "beneficial": result.chosen_cost <= result.vanilla_cost,
+        "ratio": result.reduction_ratio,
+        "beneficial": result.beneficial,
     }
     if bp is not None:
         row["obp_slices_absorbed"] = bp.slices_absorbed
@@ -445,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=10.0)
     p.add_argument("--iters", type=int, default=20)
     p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--cooling", choices=("literal", "geometric"), default="literal")
     p.add_argument("--slice", choices=("auto", "per-gate", "per-layer"), default="auto")
     p.add_argument("--seed", type=int, default=0)
     _common_output_flags(p)
@@ -483,13 +480,19 @@ _INPUT_ERRORS = (
 
 
 def _check_numeric_flags(args: argparse.Namespace) -> None:
-    """Every number flag must be finite and nonnegative; --shots, when given, positive."""
+    """Every number flag must be finite and nonnegative, and every integer flag
+    below 2**62; --shots, when given, positive."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
         if isinstance(value, float) and not (math.isfinite(value) and value >= 0):
             raise CliInputError(f"{flag} must be a finite number >= 0, got {value}")
-        if isinstance(value, int) and not isinstance(value, bool) and value < 0:
-            raise CliInputError(f"{flag} must be >= 0, got {value}")
+        if isinstance(value, int) and not isinstance(value, bool):
+            if value < 0:
+                raise CliInputError(f"{flag} must be >= 0, got {value}")
+            # numpy's draws take int64 arguments: below 2**62, the annealer's
+            # largest, bound_upper + step_size + 1, still fits in one
+            if value >= 2**62:
+                raise CliInputError(f"{flag} must be < 2**62, got {value}")
     if getattr(args, "shots", None) is not None and args.shots < 1:
         raise CliInputError("--shots must be >= 1")
 

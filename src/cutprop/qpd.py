@@ -339,6 +339,13 @@ def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
     return table, axes
 
 
+def _snapped(values: np.ndarray) -> np.ndarray:
+    """values clipped to [-1, 1], each within 1e-12 of -1, 0 or +1 set to it."""
+    values = np.clip(values, -1.0, 1.0)
+    nearest = np.round(values)
+    return np.where(np.abs(values - nearest) <= 1e-12, nearest, values)
+
+
 def reconstruct(
     extraction: Extraction,
     initial_factors: list[np.ndarray] | None = None,
@@ -357,7 +364,10 @@ def reconstruct(
     ``shots`` switches ``value`` to a demonstration mode that replaces each
     table entry v with a binomial estimate (outcomes are +-1-valued, so v is
     resampled as 2*Binomial(shots, (1+v)/2)/shots - 1); ``exact_value`` is
-    still contracted from the exact tables, so one walk gives both.
+    still contracted from the exact tables, so one walk gives both. An entry
+    within 1e-12 of -1, 0 or +1 is drawn as exactly that value: the binomial
+    draw, and the random stream it leaves for later draws, jumps at p = 0,
+    1/2 and 1, so a last-bit change in the simulation must not move it.
     """
     plan = extraction.plan
     if shots is not None and shots < 1:
@@ -396,7 +406,7 @@ def reconstruct(
         # Each subexperiment measures a +-1 observable; emulate a finite-shot
         # estimate of its (real) expectation.
         sampler = np.random.default_rng((sample_seed, 977))
-        value = contract([2.0 * sampler.binomial(shots, 0.5 * (1.0 + np.clip(t.real, -1.0, 1.0)))
+        value = contract([2.0 * sampler.binomial(shots, 0.5 * (1.0 + _snapped(t.real)))
                           / shots - 1.0 for t in tables])
     return ReconstructionResult(
         value=value,

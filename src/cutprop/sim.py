@@ -9,19 +9,19 @@ Basis convention: index bit q (LSB = qubit 0) holds qubit q, so amplitudes
 are ordered |...q2 q1 q0>.
 
 Each gate family has one in-place kernel on a strided view of the state:
-two axpys (or a phase multiply) for a 1-qubit matrix, a sign flip for cz,
-a swap of two views for cx, and cos*psi - i*sin*P*psi for a Pauli
-rotation; a 4x4 matrix on a qubit pair is one product per cache-sized
-slice. ``simulate`` copies its input once, then runs them in place. It
-fuses each run of 1-qubit gates on one qubit into one 2x2 matrix, and each
-run of two or more cx/cz gates confined to one qubit pair, with the 1-qubit
-gates among and around them, into one 4x4 matrix. It is the one gate loop,
-for whole circuits and for the reconstruction walk's gate runs.
+two axpys (or a phase multiply) for a 1-qubit matrix, one product per
+cache-sized slice for a 4x4 matrix on a qubit pair, and
+cos*psi - i*sin*P*psi for a Pauli rotation. ``simulate`` copies its input
+once, then runs them in place. It fuses each run of 1-qubit gates on one
+qubit into one 2x2 matrix, and each run of cx/cz gates confined to one
+qubit pair, with the 1-qubit gates among and around them, into one 4x4
+matrix, so every cx and cz reaches the state through the 4x4 kernel. It is
+the one gate loop, for whole circuits, for the reconstruction walk's gate
+runs and, through ``apply_gate``, for a single gate.
 The kernels, ``simulate`` and ``pauli_expectations`` also take a stack of
 states, shape (rows, 2^n), so the walk evolves and evaluates all of its
 branches in one call. ``apply_1q`` applies the walk's cut-end matrices to
-a copy, because the walk shares states between branches; ``apply_gate``
-is its one-gate twin.
+a copy, because the walk shares states between branches.
 """
 
 from __future__ import annotations
@@ -141,35 +141,6 @@ def _matrix_1q(gate: Gate) -> np.ndarray | None:
     return None
 
 
-def _apply(state: np.ndarray, gate: Gate, n: int) -> None:
-    """Apply one gate to state, in place."""
-    u = _matrix_1q(gate)
-    if u is not None:
-        _kernel_1q(state, u, gate.qubits[0])
-    elif gate.kind == "cx":
-        c, t = gate.qubits
-        view = _pair_view(state, max(c, t), min(c, t))
-        # swap the control-set halves with target 0 and target 1
-        if c > t:
-            x, y = view[:, 1, :, 0], view[:, 1, :, 1]
-        else:
-            x, y = view[:, 0, :, 1], view[:, 1, :, 1]
-        tmp = x.copy()
-        x[...] = y
-        y[...] = tmp
-    elif gate.kind == "cz":
-        a, b = gate.qubits
-        _pair_view(state, max(a, b), min(a, b))[:, 1, :, 1] *= -1
-    elif gate.kind == "rot":
-        # exp(-i*theta/2 * P)|psi> = cos(theta/2)|psi> - i sin(theta/2) P|psi>
-        half = 0.5 * gate.angle
-        rotated = apply_pauli(state, gate.axis_word(n))
-        state *= math.cos(half)
-        state -= (1j * math.sin(half)) * rotated
-    else:
-        raise SimulationError(f"cannot simulate gate kind {gate.kind!r}")
-
-
 def apply_1q(state: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
     """u on qubit q, returned as a new array; state is left unchanged."""
     out = np.array(state, dtype=complex)
@@ -179,9 +150,7 @@ def apply_1q(state: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
 
 def apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     """One gate, returned as a new array; state is left unchanged."""
-    out = np.array(state, dtype=complex)
-    _apply(out, gate, n)
-    return out
+    return simulate(Circuit(n, (gate,)), state)
 
 
 @functools.cache
@@ -261,61 +230,35 @@ def _kernel_2q(state: np.ndarray, m: np.ndarray, hi: int, lo: int) -> None:
                 part[...] = product.transpose(2, 0, 3, 1, 4)
 
 
+def _kernel_rot(state: np.ndarray, word: PauliString, theta: float) -> None:
+    """Apply the Pauli rotation exp(-i*theta/2 * P) to state, in place:
+    cos(theta/2)|psi> - i sin(theta/2) P|psi>."""
+    rotated = apply_pauli(state, word)
+    state *= math.cos(0.5 * theta)
+    state -= (1j * math.sin(0.5 * theta)) * rotated
+
+
 class _Block:
     """An open run of cx and cz gates on one qubit pair, with the 1-qubit
-    gates before, among and after them.
+    gates before, among and after them, as one 4x4 matrix.
 
-    A block holds its first gate and the pair's pending 1-qubit matrices from
-    before it, in the gate's qubit order. Only a second gate makes it build
-    the 4x4 product of the run, so a one-gate block still closes with the
-    native cx or cz kernel, which on a small state costs less than a dense
-    4x4.
+    The matrix's rows and columns are indexed 2 * (bit hi) + (bit lo).
+    Opening a block takes in the pair's pending 1-qubit matrices; closing it
+    takes in those pending since its last gate and applies the product with
+    one ``_kernel_2q`` call.
     """
 
-    __slots__ = ("gate", "pre", "matrix")
+    __slots__ = ("hi", "lo", "matrix")
 
-    def __init__(self, gate: Gate, pre: tuple):
-        self.gate = gate
-        self.pre = pre
-        self.matrix: np.ndarray | None = None
+    def __init__(self, gate: Gate, pending: dict[int, np.ndarray]):
+        a, b = gate.qubits
+        self.hi, self.lo = max(a, b), min(a, b)
+        self.matrix = np.eye(4, dtype=complex)
+        self.add(gate, pending)
 
     def add(self, gate: Gate, pending: dict[int, np.ndarray]) -> None:
         """Multiply in the pair's pending matrices, then the next cx or cz."""
-        if self.matrix is None:
-            self.matrix = np.eye(4, dtype=complex)
-            self._fold(dict(zip(self.gate.qubits, self.pre)))
-            self._entangle(self.gate)
         self._fold(pending)
-        self._entangle(gate)
-
-    def close(self, state: np.ndarray, pending: dict[int, np.ndarray], n: int) -> None:
-        """Apply the block to state. A one-gate block leaves the matrices
-        pending after it to the pair's next gate; a fused block takes them in."""
-        a, b = self.gate.qubits
-        if self.matrix is None:
-            u_a, u_b = self.pre
-            if u_a is not None:
-                _kernel_1q(state, u_a, a)
-            if u_b is not None:
-                _kernel_1q(state, u_b, b)
-            _apply(state, self.gate, n)
-        else:
-            self._fold(pending)
-            _kernel_2q(state, self.matrix, max(a, b), min(a, b))
-
-    def _fold(self, pending: dict[int, np.ndarray]) -> None:
-        """Multiply in and remove the pair's matrices in pending."""
-        a, b = self.gate.qubits
-        hi, lo = max(a, b), min(a, b)
-        # rows 2h + l: a matrix on hi acts on h, the rows' first axis
-        u = pending.pop(hi, None)
-        if u is not None:
-            self.matrix = (u @ self.matrix.reshape(2, 8)).reshape(4, 4)
-        u = pending.pop(lo, None)
-        if u is not None:
-            self.matrix = (u @ self.matrix.reshape(2, 2, 4)).reshape(4, 4)
-
-    def _entangle(self, gate: Gate) -> None:
         m = self.matrix
         if gate.kind == "cz":
             m[3] *= -1
@@ -324,6 +267,21 @@ class _Block:
             r = 2 if gate.qubits[0] > gate.qubits[1] else 1
             m[[r, 3]] = m[[3, r]]
 
+    def close(self, state: np.ndarray, pending: dict[int, np.ndarray]) -> None:
+        """Multiply in the pair's pending matrices and apply the block to state."""
+        self._fold(pending)
+        _kernel_2q(state, self.matrix, self.hi, self.lo)
+
+    def _fold(self, pending: dict[int, np.ndarray]) -> None:
+        """Multiply in and remove the pair's matrices in pending."""
+        # rows 2h + l: a matrix on hi acts on h, the rows' first axis
+        u = pending.pop(self.hi, None)
+        if u is not None:
+            self.matrix = (u @ self.matrix.reshape(2, 8)).reshape(4, 4)
+        u = pending.pop(self.lo, None)
+        if u is not None:
+            self.matrix = (u @ self.matrix.reshape(2, 2, 4)).reshape(4, 4)
+
 
 def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Evolve an initial state (default |0...0>) through the circuit.
@@ -331,15 +289,13 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     The state is a copy of ``initial`` that the gates update in place. Each
     run of 1-qubit gates on one qubit is multiplied into one 2x2 matrix.
     Each run of cx and cz gates confined to one qubit pair, with the 1-qubit
-    gates on that pair before, among and after them, is one block: it is
-    applied when another gate touches either of its qubits, or at the end.
-    A block of two or more cx/cz gates is one 4x4 matrix and one pass over
-    the state; a block of one keeps the native cx or cz kernel, with its
-    1-qubit neighbours fused as 2x2 matrices. ``rot`` gates are applied one
-    at a time. ``initial`` may be a stack of states, shape (rows, 2^n):
-    every row goes through the same kernels, and a stack is returned. The
-    gates are unitary, so each row must keep its input's norm, which is
-    below 1 for a projected branch of the reconstruction walk.
+    gates on that pair before, among and after them, is one block: one 4x4
+    matrix, applied in one pass over the state when another gate touches
+    either of its qubits, or at the end. ``rot`` gates are applied one at a
+    time. ``initial`` may be a stack of states, shape (rows, 2^n): every row
+    goes through the same kernels, and a stack is returned. The gates are
+    unitary, so each row must keep its input's norm, which is below 1 for a
+    projected branch of the reconstruction walk.
     """
     limit = sim_limit()
     if circuit.n > limit:
@@ -375,19 +331,18 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
         for q in gate.qubits:
             block = blocks.get(q)
             if block is not None:
-                a, b = block.gate.qubits
-                del blocks[a], blocks[b]
-                block.close(state, pending, circuit.n)
+                del blocks[block.hi], blocks[block.lo]
+                block.close(state, pending)
         if entangling:
             a, b = gate.qubits
-            blocks[a] = blocks[b] = _Block(gate, (pending.pop(a, None), pending.pop(b, None)))
+            blocks[a] = blocks[b] = _Block(gate, pending)
             continue
         for q in gate.qubits:
             if q in pending:
                 _kernel_1q(state, pending.pop(q), q)
-        _apply(state, gate, circuit.n)
+        _kernel_rot(state, gate.axis_word(circuit.n), gate.angle)
     for block in dict.fromkeys(blocks.values()):
-        block.close(state, pending, circuit.n)
+        block.close(state, pending)
     for q, u in pending.items():
         _kernel_1q(state, u, q)
     norms = _norms(state)

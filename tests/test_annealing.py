@@ -115,8 +115,6 @@ def test_config_validation():
     with pytest.raises(AnnealError):
         SAConfig(num_iters=0)
     with pytest.raises(AnnealError):
-        SAConfig(cooling="linear")
-    with pytest.raises(AnnealError):
         SAConfig(seed=-1)
     with pytest.raises(AnnealError):
         SAConfig(step_size=-3)
@@ -165,15 +163,6 @@ def test_literal_cooling_schedule():
     assert temps[1] == 10.0  # first division is by (0 + 1)
     assert temps[2] == pytest.approx(5.0)
     assert temps[3] == pytest.approx(5.0 / 3)
-
-
-def test_geometric_cooling_flag():
-    result = anneal(
-        SAConfig(t0=10.0, cooling="geometric", seed=2), objective_fn=lambda w: w
-    )
-    temps = [it["temperature"] for it in result.iterations]
-    assert temps[1] == pytest.approx(9.0)
-    assert temps[2] == pytest.approx(8.1)
 
 
 def test_anneal_deterministic_given_seed():

@@ -10,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutprop import backprop, qpd
-from cutprop.circuits import Circuit, Gate, emit_qasm
+from cutprop.circuits import Circuit, Gate, emit_qasm, lower_rotations
 from cutprop.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
-from cutprop.generators import weight_z_observable
+from cutprop.generators import (
+    HEISENBERG_H,
+    HEISENBERG_J,
+    first_k_z_observable,
+    heavy_hex_19_edges,
+    heisenberg_trotter,
+    weight_z_observable,
+)
 from cutprop.paulis import Observable, QwcGrouping, format_observable
 
 from oracles import qwc_groups
@@ -256,6 +263,29 @@ def test_bench_qaoa3_row(workdir):
     assert line.startswith("qaoa3,3")
 
 
+def test_bench_and_optimize_agree_on_beneficial_for_heis19_seed_15(tmp_path):
+    """The annealed budget costs 30 executions here and vanilla cutting 16:
+    both commands fall back to vanilla and report the backpropagation as not
+    beneficial."""
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--suite", "heis19", "--seed", "15", "--out", str(out)]) == EXIT_OK
+    assert read_json(out)["results"]["rows"] == [{
+        "beneficial": False, "circuit": "heis19", "gates": 570, "obp_num_circuits": 16,
+        "obp_w_opt": None, "qubits": 19, "ratio": 1.0, "vanilla_gate_cuts": 0,
+        "vanilla_num_circuits": 16, "vanilla_wire_cuts": 1,
+    }]
+    circuit = lower_rotations(heisenberg_trotter(
+        list(heavy_hex_19_edges()), HEISENBERG_J, HEISENBERG_H, t=0.2, steps=1))
+    circ, obs = tmp_path / "heis19.qasm", tmp_path / "heis19.txt"
+    circ.write_text(emit_qasm(circuit))
+    obs.write_text(format_observable(first_k_z_observable(19, 6)))
+    out = tmp_path / "optimize.json"
+    assert main(["optimize", str(circ), str(obs), "--seed", "15", "--out", str(out)]) == EXIT_OK
+    res = read_json(out)["results"]
+    assert (res["sa_best_num_circuits"], res["vanilla_num_circuits"]) == (30, 16)
+    assert res["beneficial"] is False and res["reduction_ratio"] == 1.0
+
+
 def test_bench_deterministic(workdir):
     tmp, *_ = workdir
     a, b = tmp / "b1.json", tmp / "b2.json"
@@ -407,6 +437,10 @@ def test_bench_searches_each_circuit_once(workdir, monkeypatch):
         ["optimize", "{circ}", "{obs}", "--seed", "-1"],
         ["bench", "--suite", "qaoa3", "--seed", "-1"],
         ["optimize", "{circ}", "{obs}", "--step-size", "-3"],
+        ["verify", "{circ}", "{obs}", "--shots", "1000000000000000000000"],
+        ["optimize", "{circ}", "{obs}", "--step-size", str(10**20)],
+        ["optimize", "{circ}", "{obs}", "--bound-upper", str(10**20)],
+        ["optimize", "{circ}", "{obs}", "--seed", str(2**62)],
         ["cut", "{not_utf8}", "{obs}", "--bipartition"],
         ["cut", "{circ}", "{not_utf8}", "--bipartition"],
         ["verify", "{circ}", "{obs}", "--plan", "{not_utf8}"],
@@ -432,6 +466,18 @@ def test_bad_flags_are_one_line_input_errors(workdir, capsys, argv):
     err = capsys.readouterr().err
     assert rc == EXIT_INPUT
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_integer_flags_just_below_the_cap_run(workdir):
+    """The annealer draws below bound_upper + step_size + 1, which at the cap
+    is 2**63 - 1, the largest int64."""
+    tmp, circ, obs, _, _ = workdir
+    big = str(2**62 - 1)
+    out = tmp / "big.json"
+    argv = ["optimize", circ, obs, "--bound-upper", big, "--step-size", big, "--seed", big,
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert read_json(out)["flags"]["bound_upper"] == 2**62 - 1
 
 
 def test_oversized_qpd_plan_is_refused_before_simulating(workdir, capsys, monkeypatch):

@@ -203,6 +203,34 @@ def test_shots_sample_the_exact_tables(monkeypatch):
     assert rec.value != rec.exact_value
 
 
+def test_shots_draw_entries_near_minus_one_zero_and_one_as_exact(monkeypatch):
+    """Table entries at -1, 0 and +1 moved by 1e-16 draw the same samples:
+    Generator.binomial jumps at p = 0, 1/2 and 1, so without the snap a
+    last-bit change in the simulation would move the sampled value."""
+    circ = Circuit(4, (Gate("x", (3,)), Gate("h", (0,)), Gate("cx", (0, 1)), Gate("x", (1,)),
+                       Gate("cz", (1, 2)), Gate("h", (2,)), Gate("cx", (2, 3)),
+                       Gate("rz", (3,), angle=0.6)))
+    plan = CutPlan(4, (0, 0, 1, 1), (), (4,), 2)
+    obs = Observable.from_labels([(0.5, "ZIIZ"), (0.5, "IIXX"), (0.25, "ZZZI"), (0.25, "IIZZ")])
+    ext = extract_subcircuits(circ, plan, obs)
+    expected = reconstruct(ext, shots=500, sample_seed=3).value
+    part_table = qpd._part_table
+    hits = set()
+
+    def perturbed_part_table(*args):
+        table, axes = part_table(*args)
+        flat = table.ravel()
+        for i, v in enumerate(flat.real.tolist()):
+            if abs(v - round(v)) < 1e-15:
+                hits.add(round(v))
+                flat[i] += 1e-16 if i % 2 else -1e-16
+        return table, axes
+
+    monkeypatch.setattr(qpd, "_part_table", perturbed_part_table)
+    assert reconstruct(ext, shots=500, sample_seed=3).value == expected
+    assert hits == {-1, 0, 1}
+
+
 def test_reconstruct_multiway_plan():
     # recursive bisection yields more than two parts; reconstruction must
     # still recombine exactly across all of them

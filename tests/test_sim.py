@@ -475,28 +475,25 @@ def test_stacked_blocks_with_a_short_last_slice_match_each_row(monkeypatch):
 
 
 def test_block_cases_cover_every_block_shape_and_slicing(monkeypatch):
-    """The cases above fuse blocks with cx in both orientations, keep one-gate
-    blocks native, and slice the state along each axis of the pair view."""
+    """The cases above fuse blocks with cx in both orientations and slice the
+    state along each axis of the pair view."""
     quarter = sim._BLOCK >> 2
     slicing, fused_cx_orders = set(), set()
 
     def record(name, args):
-        if name == "_kernel_2q":
-            state, m, hi, lo = args
-            a, _, b, _, c = sim._pair_view(state, hi, lo).shape
-            slicing.add("lo" if c > quarter else "mid" if b * c > quarter
-                        else "rows" if a * b * c > quarter else "one")
-        elif args[1].kind in ("cx", "cz"):
-            slicing.add("native " + args[1].kind)
+        state, m, hi, lo = args
+        a, _, b, _, c = sim._pair_view(state, hi, lo).shape
+        slicing.add("lo" if c > quarter else "mid" if b * c > quarter
+                    else "rows" if a * b * c > quarter else "one")
 
-    counts = _count_calls(monkeypatch, ["_kernel_2q", "_apply"], record)
+    counts = _count_calls(monkeypatch, ["_kernel_2q"], record)
     for n in BLOCK_WIDTHS:
         for circ in _block_cases(n):
             simulate(circ)
             for g, h in zip(circ.gates, circ.gates[2:]):
                 if g.kind == h.kind == "cx" and set(g.qubits) == set(h.qubits):
                     fused_cx_orders.add(g.qubits == h.qubits)
-    assert slicing >= {"one", "rows", "mid", "lo", "native cx", "native cz"}
+    assert slicing >= {"one", "rows", "mid", "lo"}
     assert fused_cx_orders == {True, False}
     assert counts["_kernel_2q"] > 0
 
@@ -522,13 +519,45 @@ def test_heis19_is_one_block_per_edge(monkeypatch):
     coupled pair and at most one 1-qubit pass per qubit."""
     circ = lower_rotations(heisenberg_trotter(
         list(heavy_hex_19_edges()), HEISENBERG_J, HEISENBERG_H, t=0.2, steps=1))
-    counts = _count_calls(monkeypatch, ["_kernel_1q", "_kernel_2q", "_apply"])
+    counts = _count_calls(monkeypatch, ["_kernel_1q", "_kernel_2q", "_kernel_rot"])
     state = simulate(circ)
     assert len(circ.gates) == 570
     assert counts["_kernel_2q"] <= len(heavy_hex_19_edges()) == 19
     assert counts["_kernel_1q"] <= 19
-    assert counts["_apply"] == 0
+    assert counts["_kernel_rot"] == 0
     assert abs(np.linalg.norm(state) - 1) < 1e-10
+
+
+def _ring_layer(qubits: list[int], layer: int, rng: np.random.Generator) -> list[Gate]:
+    """rz and sx on every qubit, then cx or cz on alternate edges of the ring."""
+    gates = [Gate(kind, (q,), angle=float(rng.uniform(0.1, 1.4)) if kind == "rz" else None)
+             for q in qubits for kind in ("rz", "sx")]
+    m = len(qubits)
+    gates += [Gate("cx" if (layer + i) % 2 == 0 else "cz", (qubits[i], qubits[(i + 1) % m]))
+              for i in range(layer % 2, m, 2)]
+    return gates
+
+
+def test_two_block_brickwork_is_one_4x4_pass_per_entangling_gate(monkeypatch):
+    """Two 5-qubit ring brickwork blocks joined by two cross gates, the shape
+    the reconstruction benchmark cuts: no two cx/cz in a row share a pair, so
+    each is one block, and every 1-qubit gate folds into a block except those
+    left pending at the end, at most one pass per qubit."""
+    rng = np.random.default_rng(113)
+    n, a, b = 10, list(range(5)), list(range(5, 10))
+    gates = []
+    for layer in range(12):
+        gates += _ring_layer(a, layer, rng) + _ring_layer(b, layer, rng)
+        if layer in (4, 8):
+            gates.append(Gate("cz" if layer == 4 else "cx", (a[layer % 5], b[layer % 5])))
+    circ = Circuit(n, tuple(gates))
+    entangling = sum(g.kind in ("cx", "cz") for g in circ.gates)
+    counts = _count_calls(monkeypatch, ["_kernel_1q", "_kernel_2q"])
+    psi = random_state(n, rng)
+    out = simulate(circ, psi)
+    assert counts["_kernel_2q"] == entangling > 60
+    assert counts["_kernel_1q"] <= n
+    assert np.abs(out - einsum_simulate(circ, psi)).max() < KERNEL_TOL
 
 
 # --- one state's Pauli expectations ------------------------------------------
