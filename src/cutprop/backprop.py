@@ -6,7 +6,9 @@ qubit-wise-commuting group count would exceed the configured budget.
 Every gate is conjugated as Pauli rotations: each anticommuting term splits
 into cos(theta)*O + i*sin(theta)*P*O. A Clifford gate is a product of
 quarter-turn rotations, at which that split is exact and maps each term to
-one term.
+one term. The rotations run on the observable's packed view (uint64 x and z
+limbs and a complex128 coefficient array), and each coefficient rounds as
+the per-term loop in ``tests/oracles.py`` rounds it.
 """
 
 from __future__ import annotations
@@ -14,15 +16,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .circuits import Circuit, Gate, _clifford_quarter_turns, slice_circuit
 from .paulis import (
+    _PHASES,
     Observable,
+    PauliError,
     PauliString,
-    PauliTerm,
+    _limbs,
+    _pack_masks,
     canonicalize,
-    commutes,
+    commutes,  # traced by perfbench/spans.py (ROADMAP item 4), no longer called here
     group_qwc,
-    multiply,
+    merge_rows,
+    multiply,  # traced by perfbench/spans.py (ROADMAP item 4), no longer called here
+    observable_from_rows,
+    packed_terms,
 )
 
 
@@ -46,6 +56,113 @@ _ROTATIONS = {
     "cx": (("ZI", 1), ("IX", 1), ("ZX", -1)),
 }
 
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
+_PARITY_FOLDS = tuple(np.uint64(shift) for shift in (32, 16, 8, 4, 2, 1))
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Set bits in each row of a C-contiguous (k, limbs) uint64 array."""
+    return _BYTE_POPCOUNT[masks.view(np.uint8)].sum(axis=1)
+
+
+def _anticommuting(x: np.ndarray, z: np.ndarray, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose word anticommutes with the axis (ax, az).
+
+    The symplectic product's parity: XOR the limbs together, then fold the
+    64 bits of the result onto its lowest one.
+    """
+    fold = np.bitwise_xor.reduce((x & az) ^ (z & ax), axis=1)
+    for shift in _PARITY_FOLDS:
+        fold ^= fold >> shift
+    return np.flatnonzero(fold & np.uint64(1))
+
+
+def _product_phases(ax: np.ndarray, az: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """e in 0..3 per row, where axis * word = i**e * (axis ^ word).
+
+    Each qubit gives +i for XY, YZ and ZX (axis letter first) and -i for YX,
+    ZY and XZ, as in ``paulis.multiply``.
+    """
+    px, py, pz = ax & ~az, ax & az, ~ax & az
+    qx, qy, qz = x & ~z, x & z, ~x & z
+    plus = (px & qy) | (py & qz) | (pz & qx)
+    minus = (py & qx) | (pz & qy) | (px & qz)
+    return (_popcount(plus) - _popcount(minus)) & 3
+
+
+def _rotate(rows: tuple, ax: np.ndarray, az: np.ndarray, angle: float) -> tuple | None:
+    """Rows after conjugating by exp(-i*angle/2 * axis), before merging; None if unchanged.
+
+    Commuting rows pass through; each anticommuting row becomes its
+    cos(angle) row followed by its i*sin(angle)*axis*word row, as a per-term
+    loop would list them, so merging sums duplicates in that order. A
+    quarter turn has cos or sin exactly 0 and keeps one of the two.
+    """
+    x, z, coeffs, origin = rows
+    anti = _anticommuting(x, z, ax, az)
+    if not len(anti):
+        return None
+    k = _clifford_quarter_turns(angle)
+    if k is not None:
+        c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[k]
+    else:
+        c, s = math.cos(angle), math.sin(angle)
+    coeffs, origin = coeffs.copy(), origin.copy()
+    origin[anti] = -1
+    if s:
+        # Each factor is the Python product 1j * s * phase, so the row's
+        # coefficient rounds as the per-term loop's 1j * s * phase * coeff.
+        factors = np.array([1j * s * phase for phase in _PHASES])
+        qx, qz = x[anti], z[anti]
+        sx, sz = qx ^ ax, qz ^ az
+        scoeffs = factors[_product_phases(ax, az, qx, qz)] * coeffs[anti]
+    if not c:
+        x, z = x.copy(), z.copy()
+        x[anti], z[anti], coeffs[anti] = sx, sz, scoeffs
+        return x, z, coeffs, origin
+    coeffs[anti] *= c
+    if not s:
+        return x, z, coeffs, origin
+    # Insert each sin row right after its term's cos row.
+    total = len(coeffs) + len(anti)
+    at = anti + np.arange(1, len(anti) + 1)
+    old = np.ones(total, dtype=bool)
+    old[at] = False
+    out = []
+    for kept, new in ((x, sx), (z, sz), (coeffs, scoeffs), (origin, -1)):
+        merged = np.empty((total,) + kept.shape[1:], dtype=kept.dtype)
+        merged[old], merged[at] = kept, new
+        out.append(merged)
+    return tuple(out)
+
+
+def _conjugate(obs: Observable, rotations: list[tuple[PauliString, float]]) -> Observable:
+    """Conjugate backward by Pauli rotations (axis, angle), in list order.
+
+    Runs on the observable's packed view and merges after every rotation.
+    A canonical input's terms that no rotation changes stay the same
+    objects in the result, and the result's view is seeded. Such a term is
+    never merged: it commutes with the axis, and every new row anticommutes.
+    """
+    view = packed_terms(obs)
+    limbs = _limbs(obs.n)
+    m = len(view.coeffs)
+    origin = np.arange(m) if view.canonical else np.full(m, -1)
+    rows = (view.x, view.z, view.coeffs, origin)
+    changed = False
+    for axis, angle in rotations:
+        ax, az = _pack_masks([axis.x], limbs)[0], _pack_masks([axis.z], limbs)[0]
+        rotated = _rotate(rows, ax, az, angle)
+        # A raw input is merged at its first rotation, whether it changed or not.
+        if rotated is not None or not (view.canonical or changed):
+            x, z, coeffs, origin = rotated or rows
+            x, z, coeffs, first = merge_rows(x, z, coeffs)
+            rows = (x, z, coeffs, origin[first])
+            changed = True
+    if not changed:
+        return obs
+    return observable_from_rows(obs.n, *rows, obs.terms)
+
 
 def conjugate_rotation(obs: Observable, axis: PauliString, angle: float) -> Observable:
     """Conjugate by exp(-i*angle/2 * axis) backward.
@@ -53,35 +170,23 @@ def conjugate_rotation(obs: Observable, axis: PauliString, angle: float) -> Obse
     Commuting terms pass through; each anticommuting term becomes
     cos(angle)*term + i*sin(angle)*axis*term.
     """
-    k = _clifford_quarter_turns(angle)
-    if k is not None:
-        c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[k]
-    else:
-        c, s = math.cos(angle), math.sin(angle)
-    terms: list[PauliTerm] = []
-    for t in obs.terms:
-        if commutes(axis, t.word):
-            terms.append(t)
-            continue
-        if c:
-            terms.append(PauliTerm(c * t.coeff, t.word))
-        if s:
-            phase, w = multiply(axis, t.word)
-            terms.append(PauliTerm(1j * s * phase * t.coeff, w))
-    return canonicalize(Observable(obs.n, tuple(terms)))
+    if axis.n != obs.n:
+        raise PauliError(f"size mismatch: {axis.n} vs {obs.n} qubits")
+    return _conjugate(obs, [(axis, angle)])
 
 
 def conjugate_gate(obs: Observable, gate: Gate) -> Observable:
     """G_dag O G, one Pauli rotation at a time, last rotation first."""
     if gate.kind not in _ROTATIONS:
-        return conjugate_rotation(obs, gate.axis_word(obs.n), gate.angle)
+        return _conjugate(obs, [(gate.axis_word(obs.n), gate.angle)])
+    rotations = []
     for letters, k in reversed(_ROTATIONS[gate.kind]):
         x = z = 0
         for q, ch in zip(gate.qubits, letters):
             x |= (ch in "XY") << q
             z |= (ch in "YZ") << q
-        obs = conjugate_rotation(obs, PauliString(obs.n, x, z), k * math.pi / 2)
-    return obs
+        rotations.append((PauliString(obs.n, x, z), k * math.pi / 2))
+    return _conjugate(obs, rotations)
 
 
 def truncate(obs: Observable, budget: float) -> tuple[Observable, float]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,7 +122,8 @@ class Observable:
 
     Instances produced by :func:`canonicalize` (and everything in this
     package that returns observables) are canonical: terms sorted by mask,
-    duplicate words merged, and near-zero coefficients dropped.
+    duplicate words merged, and near-zero coefficients dropped. Each
+    instance caches its terms as arrays, see :func:`packed_terms`.
     """
 
     n: int
@@ -155,18 +156,115 @@ class Observable:
         return tuple(t.word for t in self.terms)
 
 
+class PackedTerms(NamedTuple):
+    """An observable's terms as arrays: the packed view the sweep's algebra runs on.
+
+    ``x`` and ``z`` are (m, limbs) uint64 masks, qubit 64*k + b at bit b of
+    limb k, and ``coeffs`` the (m,) complex128 coefficients, all in term
+    order. ``canonical`` is True when the rows are known to be canonical:
+    sorted, merged, near-zero rows dropped, no negative-zero coefficient part.
+    """
+
+    x: np.ndarray
+    z: np.ndarray
+    coeffs: np.ndarray
+    canonical: bool
+
+
+def _limbs(n: int) -> int:
+    return max(1, -(-n // 64))
+
+
+def _pack_masks(masks: Sequence[int], limbs: int) -> np.ndarray:
+    """Bitmasks as an (m, limbs) uint64 array, qubit 64*k + b at bit b of limb k."""
+    raw = b"".join(v.to_bytes(8 * limbs, "little") for v in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), limbs).astype(np.uint64, copy=False)
+
+
+def _mask_ints(packed: np.ndarray) -> list[int]:
+    """The inverse of ``_pack_masks``: one Python int per row."""
+    values = packed[:, 0].tolist()
+    for k in range(1, packed.shape[1]):
+        values = [v | w << 64 * k for v, w in zip(values, packed[:, k].tolist())]
+    return values
+
+
+def packed_terms(obs: Observable) -> PackedTerms:
+    """The observable's packed view, cached on the instance.
+
+    Observables made by this package's algebra arrive with their view seeded;
+    any other is packed from its terms on first use. The cache is not a
+    dataclass field, so equality and hashing ignore it.
+    """
+    view = obs.__dict__.get("_packed")
+    if view is None:
+        limbs = _limbs(obs.n)
+        view = PackedTerms(
+            _pack_masks([t.word.x for t in obs.terms], limbs),
+            _pack_masks([t.word.z for t in obs.terms], limbs),
+            np.array([t.coeff for t in obs.terms], dtype=np.complex128),
+            False,
+        )
+        _seed(obs, view)
+    return view
+
+
+def _seed(obs: Observable, view: PackedTerms) -> Observable:
+    """Cache ``view`` as obs's packed view; returns obs."""
+    object.__setattr__(obs, "_packed", view)
+    return obs
+
+
+def merge_rows(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
+    """Canonical rows: sorted by (x, z), duplicates summed, |coeff| < 1e-14 dropped.
+
+    Duplicates are summed in row order starting from 0j, so each sum rounds
+    exactly as a left-to-right Python sum does. Returns the new (x, z,
+    coeffs) and, for each new row, the index of its first input row.
+    """
+    m = len(coeffs)
+    # lexsort's last key is its primary one: x's top limb first, z's bottom last.
+    order = np.lexsort((*z.T, *x.T))
+    xs, zs = x[order], z[order]
+    first = np.ones(m, dtype=bool)
+    np.any((xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1]), axis=1, out=first[1:])
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    sums = np.zeros(len(starts), dtype=np.complex128)
+    np.add.at(sums, inverse, coeffs)
+    keep = np.abs(sums) >= COEFF_TOL
+    rows = order[starts][keep]
+    return x[rows], z[rows], sums[keep], rows
+
+
+def observable_from_rows(
+    n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, origin: np.ndarray,
+    source: Sequence[PauliTerm],
+) -> Observable:
+    """The Observable of canonical rows, its packed view seeded.
+
+    A row with ``origin`` i >= 0 is ``source[i]`` itself; only the other
+    rows get new term objects.
+    """
+    terms: list = [source[i] if i >= 0 else None for i in origin.tolist()]
+    new = np.flatnonzero(origin < 0)
+    for r, c, xi, zi in zip(new.tolist(), coeffs[new].tolist(), _mask_ints(x[new]),
+                            _mask_ints(z[new])):
+        terms[r] = PauliTerm(c, PauliString(n, xi, zi))
+    return _seed(Observable(n, tuple(terms)), PackedTerms(x, z, coeffs, True))
+
+
 def canonicalize(obs: Observable) -> Observable:
-    """Sort terms, merge duplicate words, drop terms with |coeff| < 1e-14."""
-    acc: dict[tuple[int, int], complex] = {}
-    for t in obs.terms:
-        key = (t.word.x, t.word.z)
-        acc[key] = acc.get(key, 0j) + complex(t.coeff)
-    terms = tuple(
-        PauliTerm(c, PauliString(obs.n, x, z))
-        for (x, z), c in sorted(acc.items())
-        if abs(c) >= COEFF_TOL
-    )
-    return Observable(obs.n, terms)
+    """Sort terms, merge duplicate words, drop terms with |coeff| < 1e-14.
+
+    An observable already known to be canonical is returned as it is.
+    """
+    view = packed_terms(obs)
+    if view.canonical:
+        return obs
+    x, z, coeffs, rows = merge_rows(view.x, view.z, view.coeffs)
+    return observable_from_rows(obs.n, x, z, coeffs, np.full(len(rows), -1), ())
 
 
 @dataclass(frozen=True)
@@ -180,79 +278,112 @@ class QwcGrouping:
         return len(self.groups)
 
 
-def _packed(masks: Sequence[int], limbs: int) -> np.ndarray:
-    """Bitmasks as an (m, limbs) uint64 array, qubit 64*k + b at bit b of limb k."""
-    raw = b"".join(v.to_bytes(8 * limbs, "little") for v in masks)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), limbs)
+# Rows of the conflict matrix computed at once: a limb's temporaries are
+# _ROW_BLOCK x m uint64.
+_ROW_BLOCK = 256
 
 
 def _conflict_matrix(obs: Observable) -> np.ndarray:
     """Boolean m x m matrix, True where two terms do not commute qubit-wise."""
-    limbs = max(1, -(-obs.n // 64))
-    x = _packed([t.word.x for t in obs.terms], limbs)
-    z = _packed([t.word.z for t in obs.terms], limbs)
+    view = packed_terms(obs)
+    x, z = view.x, view.z
     s = x | z
-    m = len(obs.terms)
+    m, limbs = x.shape
     conflict = np.zeros((m, m), dtype=bool)
-    for k in range(limbs):
-        xk, zk, sk = x[:, k], z[:, k], s[:, k]
-        differ = xk[:, None] ^ xk[None, :]
-        differ |= zk[:, None] ^ zk[None, :]
-        differ &= sk[:, None] & sk[None, :]
-        conflict |= differ != 0
+    for start in range(0, m, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        block = conflict[rows]
+        for k in range(limbs):
+            xk, zk, sk = x[:, k], z[:, k], s[:, k]
+            differ = xk[rows, None] ^ xk[None, :]
+            differ |= zk[rows, None] ^ zk[None, :]
+            differ &= sk[rows, None] & sk[None, :]
+            block |= differ != 0
     return conflict
 
 
-def _greedy_colors(conflict: np.ndarray, dsatur: bool) -> np.ndarray:
-    """Give each vertex in turn the smallest color no colored neighbor has.
+def _dsatur_colors(conflict: np.ndarray) -> list[int]:
+    """Color vertices in DSATUR order, each with the smallest color no colored neighbor has.
 
-    The turn order is index order (first-fit) or, with ``dsatur``, highest
-    saturation (distinct neighbor colors), then highest degree, then lowest
-    index: one argmax over ``saturation * (m + 1) + degree``, as the degree
-    is below m + 1 and ``np.argmax`` returns the first maximum.
+    The turn order is highest saturation (distinct neighbor colors), then
+    highest degree, then lowest index: one argmax over
+    ``saturation * (m + 1) + degree``, as the degree is below m + 1 and
+    ``np.argmax`` returns the first maximum.
     """
     m = len(conflict)
     # used[c, v]: some colored neighbor of v has color c.
     used = np.zeros((m, m), dtype=bool)
-    colors = np.empty(m, dtype=np.intp)
+    colors = [0] * m
     key = conflict.sum(axis=1, dtype=np.int64)
     # A colored vertex's key gains at most (m - 1) * (m + 1) more, so it stays
     # below every uncolored key (>= 0).
     colored = -m * (m + 1)
     ncolors = 0
-    for step in range(m):
-        v = int(key.argmax()) if dsatur else step
+    for _ in range(m):
+        v = int(key.argmax())
         c = int(used[: ncolors + 1, v].argmin())
         colors[v] = c
         ncolors = max(ncolors, c + 1)
         neighbors = conflict[v]
-        if dsatur:
-            key[v] = colored
-            key += (neighbors & ~used[c]) * (m + 1)
+        key[v] = colored
+        # Saturation rises for the neighbors that had no neighbor of color c.
+        np.add(key, m + 1, out=key, where=neighbors > used[c])
         used[c] |= neighbors
+    return colors
+
+
+def _first_fit_colors(conflict: np.ndarray, max_colors: int) -> list[int] | None:
+    """First-fit in index order, or None if it needs more than ``max_colors``.
+
+    Built one color class at a time over int bitsets of the conflict rows:
+    class c takes, in index order, every uncolored vertex with no neighbor
+    already in class c, which is the vertex set first-fit gives color c.
+    """
+    m = len(conflict)
+    packed = np.packbits(conflict, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    rows = [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(m)]
+    colors = [0] * m
+    left = (1 << m) - 1
+    c = 0
+    while left:
+        if c == max_colors:
+            return None
+        free = left
+        while free:
+            low = free & -free
+            v = low.bit_length() - 1
+            colors[v] = c
+            left ^= low
+            free &= ~(rows[v] | low)
+        c += 1
     return colors
 
 
 def group_qwc(obs: Observable) -> QwcGrouping:
     """Group terms into qubit-wise-commuting sets via saturation coloring.
 
-    Builds the QWC-conflict matrix with numpy (x and z masks packed into
-    uint64 limbs of 64 qubits, so any width works) and colors it with
-    DSATUR: highest saturation, then highest degree, then canonical term
-    order. It falls back to greedy first-fit on the same matrix if that
-    uses fewer colors, so the result never exceeds the first-fit group
-    count. Memory is O(m^2) bytes for m terms: the boolean conflict matrix,
-    a boolean used-color table and, per limb, a few uint64 m x m temporaries.
+    Builds the QWC-conflict matrix with numpy from the observable's packed
+    view (x and z masks in uint64 limbs of 64 qubits, so any width works),
+    a block of rows at a time, and colors it with DSATUR: highest
+    saturation, then highest degree, then canonical term order. It falls
+    back to greedy first-fit on the same matrix if that uses fewer colors,
+    so the result never exceeds the first-fit group count; first-fit stops
+    as soon as it cannot. Memory is O(m^2) bytes for m terms: the boolean
+    conflict matrix, its bit-packed rows and a boolean used-color table,
+    plus, per limb, a few uint64 temporaries of ``_ROW_BLOCK`` x m.
     """
     if not obs.terms:
         return QwcGrouping(())
     conflict = _conflict_matrix(obs)
-    colors = _greedy_colors(conflict, dsatur=True)
-    ff = _greedy_colors(conflict, dsatur=False)
-    if ff.max() < colors.max():
-        colors = ff
-    groups: list[list[int]] = [[] for _ in range(colors.max() + 1)]
-    for i, c in enumerate(colors.tolist()):
+    colors = _dsatur_colors(conflict)
+    ncolors = max(colors) + 1
+    ff = _first_fit_colors(conflict, ncolors - 1)
+    if ff is not None:
+        colors, ncolors = ff, max(ff) + 1
+    groups: list[list[int]] = [[] for _ in range(ncolors)]
+    for i, c in enumerate(colors):
         groups[c].append(i)
     # Present groups in order of their smallest member for determinism.
     ordered = sorted((tuple(g) for g in groups), key=lambda g: g[0])

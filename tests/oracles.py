@@ -22,7 +22,13 @@ pair. ``part_table`` is the depth-first reconstruction walk, one
 and word, as the reference for the breadth-first stack walk.
 ``conjugate_clifford`` checks that a gate is Clifford before conjugating
 by it, and ``max_imag`` is an observable's largest imaginary coefficient.
+``canonicalize`` merges terms in a dict and ``conjugate_gate_terms`` splits
+one term at a time with ``multiply`` and ``commutes``, canonicalizing after
+each rotation, as the references for the packed-array canonicalization and
+rotation kernel.
 """
+
+import math
 
 from itertools import combinations
 from typing import Sequence
@@ -30,10 +36,18 @@ from typing import Sequence
 import numpy as np
 
 from cutprop.annealing import AnnealError
-from cutprop.backprop import BackpropError, backpropagate, conjugate_gate
-from cutprop.circuits import Circuit
+from cutprop.backprop import _ROTATIONS, BackpropError, backpropagate, conjugate_gate
+from cutprop.circuits import Circuit, _clifford_quarter_turns
 from cutprop.cutting import cost, find_cuts, total_executions
-from cutprop.paulis import PauliError, PauliString
+from cutprop.paulis import (
+    COEFF_TOL,
+    Observable,
+    PauliError,
+    PauliString,
+    PauliTerm,
+    commutes,
+    multiply,
+)
 from cutprop.qpd import _LETTER_BITS, PREP_STATES, QpdError
 from cutprop.sim import apply_1q, apply_pauli, product_state, simulate
 
@@ -321,6 +335,53 @@ def conjugate_clifford(obs, gate):
     if not gate.is_clifford():
         raise BackpropError(f"gate {gate} is not Clifford")
     return conjugate_gate(obs, gate)
+
+
+def canonicalize(obs):
+    """Sort terms, merge duplicate words, drop terms with |coeff| < 1e-14."""
+    acc: dict[tuple[int, int], complex] = {}
+    for t in obs.terms:
+        key = (t.word.x, t.word.z)
+        acc[key] = acc.get(key, 0j) + complex(t.coeff)
+    terms = tuple(
+        PauliTerm(c, PauliString(obs.n, x, z))
+        for (x, z), c in sorted(acc.items())
+        if abs(c) >= COEFF_TOL
+    )
+    return Observable(obs.n, terms)
+
+
+def conjugate_rotation_terms(obs, axis, angle):
+    """``conjugate_rotation`` one term at a time."""
+    k = _clifford_quarter_turns(angle)
+    if k is not None:
+        c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[k]
+    else:
+        c, s = math.cos(angle), math.sin(angle)
+    terms = []
+    for t in obs.terms:
+        if commutes(axis, t.word):
+            terms.append(t)
+            continue
+        if c:
+            terms.append(PauliTerm(c * t.coeff, t.word))
+        if s:
+            phase, w = multiply(axis, t.word)
+            terms.append(PauliTerm(1j * s * phase * t.coeff, w))
+    return canonicalize(Observable(obs.n, tuple(terms)))
+
+
+def conjugate_gate_terms(obs, gate):
+    """``conjugate_gate`` one rotation and one term at a time, last rotation first."""
+    if gate.kind not in _ROTATIONS:
+        return conjugate_rotation_terms(obs, gate.axis_word(obs.n), gate.angle)
+    for letters, k in reversed(_ROTATIONS[gate.kind]):
+        x = z = 0
+        for q, ch in zip(gate.qubits, letters):
+            x |= (ch in "XY") << q
+            z |= (ch in "YZ") << q
+        obs = conjugate_rotation_terms(obs, PauliString(obs.n, x, z), k * math.pi / 2)
+    return obs
 
 
 def max_imag(obs) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cutprop.annealing import (
+    MAX_LOG_ENTRIES,
     AnnealError,
     ObjectiveEvaluator,
     SAConfig,
@@ -118,6 +119,15 @@ def test_config_validation():
         SAConfig(seed=-1)
     with pytest.raises(AnnealError):
         SAConfig(step_size=-3)
+
+
+def test_iteration_log_is_capped():
+    SAConfig(num_iters=MAX_LOG_ENTRIES - 1, restarts=1)
+    SAConfig(num_iters=MAX_LOG_ENTRIES // 5 - 1, restarts=5)
+    with pytest.raises(AnnealError, match="restarts must be <="):
+        SAConfig(num_iters=MAX_LOG_ENTRIES, restarts=1)
+    with pytest.raises(AnnealError, match="restarts must be <="):
+        SAConfig(num_iters=1, restarts=MAX_LOG_ENTRIES // 2 + 1)
 
 
 def test_constant_objective_returns_first_sample():

@@ -23,10 +23,18 @@ from cutprop.generators import (
     random_observable,
     random_product_factors,
 )
-from cutprop.paulis import Observable, PauliString, group_qwc
+from cutprop.paulis import Observable, PauliString, PauliTerm, group_qwc
 from cutprop.sim import expectation, product_state, simulate
 
-from oracles import conjugate_clifford, gate_matrix, max_imag, obs_matrix, word_matrix
+from oracles import (
+    conjugate_clifford,
+    conjugate_gate_terms,
+    conjugate_rotation_terms,
+    gate_matrix,
+    max_imag,
+    obs_matrix,
+    word_matrix,
+)
 
 LETTERS = "IXYZ"
 
@@ -380,3 +388,123 @@ def test_at_budget_beyond_the_cap_when_fully_absorbed():
     assert cap.fully_absorbed
     for w in (1, 2, 3, 10):
         _assert_fields_equal(cap.at_budget(w), backpropagate(circ, obs, w), (w,))
+
+
+# --- packed rotation kernel against the per-term reference -------------------
+
+# Widths of one, two and three 64-qubit limbs, with qubits on both sides of
+# every limb edge.
+KERNEL_WIDTHS = (1, 3, 19, 64, 65, 130)
+# Quarter turns (exact and within the Clifford tolerance), just outside the
+# tolerance, and generic angles.
+KERNEL_ANGLES = (
+    0.0, math.pi / 2, math.pi, -math.pi / 2, 3 * math.pi / 2 + 1e-13,
+    math.pi / 2 + 1e-9, math.pi - 1e-7, 0.37, -1.9, 2.6,
+)
+
+
+def exact_terms(obs):
+    """Every term's word and both coefficient parts, bit for bit (signed zeros too)."""
+    return [(t.word.x, t.word.z, t.coeff.real.hex(), t.coeff.imag.hex()) for t in obs.terms]
+
+
+def kernel_qubits(n):
+    return sorted({q for q in (0, 1, 2, 62, 63, 64, 65, 127, 128, n - 1) if q < n})
+
+
+def kernel_observable(n, rng, size=40, canonical=True):
+    """Random words on a few qubits (limb edges likely), some repeated, mixed coefficients."""
+    active = kernel_qubits(n)
+    terms = []
+    for _ in range(size):
+        x = z = 0
+        for q in rng.choice(active, size=min(len(active), 3), replace=False):
+            letter = int(rng.integers(0, 4))
+            x |= (letter in (1, 2)) << int(q)
+            z |= (letter in (2, 3)) << int(q)
+        coeff = complex(rng.normal(), rng.normal() if rng.random() < 0.3 else rng.choice((0.0, -0.0)))
+        terms.append(PauliTerm(coeff, PauliString(n, x, z)))
+    terms += terms[: size // 4]  # duplicate words
+    if canonical:
+        return Observable.from_terms(n, [(t.coeff, t.word) for t in terms])
+    return Observable(n, tuple(terms))
+
+
+def kernel_gates(n, rng):
+    qubits = kernel_qubits(n)
+
+    def pick(k):
+        return tuple(int(q) for q in rng.choice(qubits, size=k, replace=False))
+
+    gates = [Gate(kind, pick(1)) for kind in ("h", "s", "sdg", "x", "y", "z", "sx", "sxdg")]
+    if n >= 2:
+        gates += [Gate(kind, pick(2)) for kind in ("cx", "cz")]
+    for angle in KERNEL_ANGLES:
+        gates.append(Gate("rz", pick(1), angle=angle))
+        for k in range(1, min(n, 3) + 1):
+            axis = "".join(rng.choice(list("XYZ"), size=k))
+            gates.append(Gate("rot", pick(k), angle=angle, axis=axis))
+    return gates
+
+
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "raw"])
+@pytest.mark.parametrize("n", KERNEL_WIDTHS)
+def test_conjugate_gate_matches_the_per_term_reference_bit_for_bit(n, canonical):
+    rng = np.random.default_rng((n, canonical))
+    for gate in kernel_gates(n, rng):
+        obs = kernel_observable(n, rng, canonical=canonical)
+        got = conjugate_gate(obs, gate)
+        assert exact_terms(got) == exact_terms(conjugate_gate_terms(obs, gate)), gate
+        # a chain of gates runs on the seeded packed view of each result
+        again = conjugate_gate(got, gate)
+        assert exact_terms(again) == exact_terms(conjugate_gate_terms(got, gate)), gate
+
+
+def test_conjugate_rotation_matches_the_per_term_reference_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for n in KERNEL_WIDTHS:
+        obs = kernel_observable(n, rng)
+        for angle in KERNEL_ANGLES:
+            axis = kernel_observable(n, rng, size=1).terms[0].word
+            got = conjugate_rotation(obs, axis, angle)
+            want = conjugate_rotation_terms(obs, axis, angle)
+            assert exact_terms(got) == exact_terms(want), (n, angle)
+
+
+def test_conjugation_merges_duplicates_and_drops_cancelled_terms():
+    # About Y, Z + X becomes (cos + sin) Z + (cos - sin) X: each word gets two
+    # contributions, and at pi/4 the X coefficient is 1.1e-16, below 1e-14.
+    obs = Observable.from_labels([(1.0, "Z"), (1.0, "X"), (0.5, "Y")])
+    axis = PauliString.from_label("Y")
+    for angle in (math.pi / 2, math.pi / 4, 0.3, math.pi / 4 + 2e-15, math.pi / 4 + 2e-14):
+        got = conjugate_rotation(obs, axis, angle)
+        assert exact_terms(got) == exact_terms(conjugate_rotation_terms(obs, axis, angle))
+    got = conjugate_rotation(obs, axis, math.pi / 4)
+    assert [t.word.label() for t in got.terms] == ["Z", "Y"]
+    assert got.terms[1] is obs.terms[2]
+    assert [t.word.label() for t in conjugate_rotation(obs, axis, math.pi / 4 + 2e-14).terms] \
+        == ["Z", "X", "Y"]
+
+
+def test_conjugation_keeps_the_input_terms_it_does_not_change():
+    rng = np.random.default_rng(11)
+    for n in (3, 65, 130):
+        obs = kernel_observable(n, rng, size=60)
+        for gate in kernel_gates(n, rng):
+            out = conjugate_gate(obs, gate)
+            untouched = [t for t in obs.terms
+                         if not any((t.word.x | t.word.z) >> q & 1 for q in gate.qubits)]
+            out_ids = {id(t) for t in out.terms}
+            assert untouched and all(id(t) in out_ids for t in untouched), gate
+    # Z on the control commutes with every rotation of cx: the same object.
+    obs = Observable.from_labels([(0.5, "ZI"), (0.25, "IZ")])
+    out = conjugate_gate(obs, Gate("cx", (0, 1)))
+    assert out.terms[0].word.label() == "ZI" and out.terms[0] is obs.terms[0]
+    # Nothing anticommutes: the observable itself comes back.
+    assert conjugate_gate(obs, Gate("z", (1,))) is obs
+    # ... unless it is not canonical, which the conjugation makes it.
+    raw = Observable(2, tuple(PauliTerm(complex(c), PauliString.from_label(w))
+                              for c, w in ((0.5, "ZI"), (0.25, "XI"), (0.5, "ZI"))))
+    out = conjugate_gate(raw, Gate("z", (1,)))
+    assert exact_terms(out) == exact_terms(conjugate_gate_terms(raw, Gate("z", (1,))))
+    assert [t.word.label() for t in out.terms] == ["ZI", "XI"]

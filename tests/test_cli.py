@@ -441,6 +441,8 @@ def test_bench_searches_each_circuit_once(workdir, monkeypatch):
         ["optimize", "{circ}", "{obs}", "--step-size", str(10**20)],
         ["optimize", "{circ}", "{obs}", "--bound-upper", str(10**20)],
         ["optimize", "{circ}", "{obs}", "--seed", str(2**62)],
+        # (20000 + 1) * 5 restarts is the first log size over MAX_LOG_ENTRIES.
+        ["optimize", "{circ}", "{obs}", "--iters", "20000"],
         ["cut", "{not_utf8}", "{obs}", "--bipartition"],
         ["cut", "{circ}", "{not_utf8}", "--bipartition"],
         ["verify", "{circ}", "{obs}", "--plan", "{not_utf8}"],

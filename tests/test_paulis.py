@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutprop.paulis import (
+    _ROW_BLOCK,
     Observable,
     PauliError,
     PauliString,
+    PauliTerm,
+    _conflict_matrix,
+    _dsatur_colors,
+    _first_fit_colors,
     canonicalize,
     commutes,
     format_observable,
@@ -17,6 +22,7 @@ from cutprop.paulis import (
     parse_observable,
 )
 
+from oracles import canonicalize as reference_canonicalize
 from oracles import (
     conflict_adjacency,
     dsatur_colors,
@@ -297,3 +303,88 @@ def test_from_terms_rejects_non_finite_coefficients(coeff):
     terms = [(1.0, PauliString.from_label("ZZ")), (coeff, PauliString.from_label("XX"))]
     with pytest.raises(PauliError, match="non-finite"):
         Observable.from_terms(2, terms)
+
+
+# --- packed kernels against the dict and pair-loop references ----------------
+
+KERNEL_WIDTHS = (1, 3, 19, 64, 65, 130)
+
+
+def exact_terms(obs):
+    """Every term's word and both coefficient parts, bit for bit (signed zeros too)."""
+    return [(t.word.x, t.word.z, t.coeff.real.hex(), t.coeff.imag.hex()) for t in obs.terms]
+
+
+def random_words(n, rng, m, letters_on=4):
+    """m words on a few qubits of n, limb edges likely, so conflict graphs are mixed."""
+    edges = [q for q in (0, 1, 63, 64, 65, 127, 128, 129, n - 1) if q < n]
+    active = sorted(set(edges) | {int(q) for q in rng.integers(0, n, size=2)})
+    words = []
+    for _ in range(m):
+        x = z = 0
+        for q in rng.choice(active, size=min(letters_on, len(active)), replace=False):
+            letter = int(rng.integers(0, 4))
+            x |= (letter in (1, 2)) << int(q)
+            z |= (letter in (2, 3)) << int(q)
+        words.append(PauliString(n, x, z))
+    return words
+
+
+@pytest.mark.parametrize("n", KERNEL_WIDTHS)
+def test_canonicalize_matches_the_dict_reference_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    words = random_words(n, rng, 30)
+    parts = (0.0, -0.0, 1e-14, -1e-14, 9.9e-15, 5e-15, 0.3, -0.3, 1.0 / 3, 2.0, 1e-300)
+    for trial in range(20):
+        terms = []
+        for _ in range(80):
+            re, im = rng.choice(parts, size=2) * rng.choice((1.0, rng.normal()), size=2)
+            terms.append(PauliTerm(complex(re, im), words[int(rng.integers(0, len(words)))]))
+        obs = Observable(n, tuple(terms))
+        assert exact_terms(canonicalize(obs)) == exact_terms(reference_canonicalize(obs))
+    assert canonicalize(Observable(n, ())).terms == ()
+
+
+def test_canonicalize_sums_duplicates_in_term_order():
+    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit.
+    word = PauliString.from_label("XZ")
+    for coeffs in ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1), (1.0, -1.0, 1e-15), (-0.0, 0.0)):
+        obs = Observable(2, tuple(PauliTerm(complex(c), word) for c in coeffs))
+        assert exact_terms(canonicalize(obs)) == exact_terms(reference_canonicalize(obs))
+    negative_zero = Observable(2, (PauliTerm(complex(-0.0, 1.0), word),))
+    assert canonicalize(negative_zero).terms[0].coeff.real.hex() == "0x0.0p+0"
+
+
+def test_canonical_observables_pass_through_canonicalize():
+    obs = Observable.from_labels([(0.5, "XZ"), (0.25, "ZZ")])
+    assert canonicalize(obs) is obs
+    # An equal observable made directly is packed and checked, and equal.
+    raw = Observable(2, obs.terms)
+    assert canonicalize(raw) is not raw and canonicalize(raw) == obs
+
+
+def adjacency_matrix(adj):
+    m = len(adj)
+    matrix = np.zeros((m, m), dtype=bool)
+    for i, js in enumerate(adj):
+        matrix[i, list(js)] = True
+    return matrix
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 40, _ROW_BLOCK + 1])
+@pytest.mark.parametrize("n", [3, 65, 130])
+def test_conflict_matrix_and_first_fit_match_the_pair_loops(n, m):
+    rng = np.random.default_rng((n, m))
+    words = random_words(n, rng, m, letters_on=2)
+    obs = Observable(n, tuple(PauliTerm(1.0 + i, w) for i, w in enumerate(words)))
+    adj = conflict_adjacency(words)
+    conflict = _conflict_matrix(obs)
+    assert conflict.shape == (m, m)
+    assert np.array_equal(conflict, adjacency_matrix(adj))
+    ff = first_fit_colors(words, adj)
+    assert _first_fit_colors(conflict, m) == ff
+    assert _dsatur_colors(conflict) == dsatur_colors(words, adj)
+    if m:
+        needed = max(ff) + 1
+        assert _first_fit_colors(conflict, needed) == ff
+        assert _first_fit_colors(conflict, needed - 1) is None
