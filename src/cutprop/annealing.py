@@ -94,7 +94,7 @@ class ObjectiveEvaluator:
         self.cut_seed = cut_seed
         self.result = backpropagate(circuit, obs, w_cap, trunc_budget_per_slice, slicing)
         canonical = canonicalize(obs)
-        self._input_groups = group_qwc(canonical).group_count if canonical.terms else 1
+        self._input_groups = group_qwc(canonical).group_count if len(canonical) else 1
         self._plans: dict[int, CutPlan] = {}
         # 2-qubit gates among the first b gates, for each prefix length b
         self._two_qubit_counts = [0]

@@ -6,9 +6,10 @@ qubit-wise-commuting group count would exceed the configured budget.
 Every gate is conjugated as Pauli rotations: each anticommuting term splits
 into cos(theta)*O + i*sin(theta)*P*O. A Clifford gate is a product of
 quarter-turn rotations, at which that split is exact and maps each term to
-one term. The rotations run on the observable's packed view (uint64 x and z
-limbs and a complex128 coefficient array), and each coefficient rounds as
-the per-term loop in ``tests/oracles.py`` rounds it.
+one term. The rotations and truncation run on the observable's arrays
+(uint64 x and z limbs and a complex128 coefficient array) and return new
+canonical observables; no term object is built. Each coefficient rounds as
+the per-term loops in ``tests/oracles.py`` round it.
 """
 
 from __future__ import annotations
@@ -24,15 +25,15 @@ from .paulis import (
     Observable,
     PauliError,
     PauliString,
+    _from_rows,
     _limbs,
+    _magnitudes,
     _pack_masks,
     canonicalize,
-    commutes,  # traced by perfbench/spans.py (ROADMAP item 4), no longer called here
+    commutes,  # traced by perfbench/spans.py (ROADMAP item 6), no longer called here
     group_qwc,
     merge_rows,
-    multiply,  # traced by perfbench/spans.py (ROADMAP item 4), no longer called here
-    observable_from_rows,
-    packed_terms,
+    multiply,  # traced by perfbench/spans.py (ROADMAP item 6), no longer called here
 )
 
 
@@ -98,7 +99,7 @@ def _rotate(rows: tuple, ax: np.ndarray, az: np.ndarray, angle: float) -> tuple 
     loop would list them, so merging sums duplicates in that order. A
     quarter turn has cos or sin exactly 0 and keeps one of the two.
     """
-    x, z, coeffs, origin = rows
+    x, z, coeffs = rows
     anti = _anticommuting(x, z, ax, az)
     if not len(anti):
         return None
@@ -107,8 +108,7 @@ def _rotate(rows: tuple, ax: np.ndarray, az: np.ndarray, angle: float) -> tuple 
         c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[k]
     else:
         c, s = math.cos(angle), math.sin(angle)
-    coeffs, origin = coeffs.copy(), origin.copy()
-    origin[anti] = -1
+    coeffs = coeffs.copy()
     if s:
         # Each factor is the Python product 1j * s * phase, so the row's
         # coefficient rounds as the per-term loop's 1j * s * phase * coeff.
@@ -119,17 +119,17 @@ def _rotate(rows: tuple, ax: np.ndarray, az: np.ndarray, angle: float) -> tuple 
     if not c:
         x, z = x.copy(), z.copy()
         x[anti], z[anti], coeffs[anti] = sx, sz, scoeffs
-        return x, z, coeffs, origin
+        return x, z, coeffs
     coeffs[anti] *= c
     if not s:
-        return x, z, coeffs, origin
+        return x, z, coeffs
     # Insert each sin row right after its term's cos row.
     total = len(coeffs) + len(anti)
     at = anti + np.arange(1, len(anti) + 1)
     old = np.ones(total, dtype=bool)
     old[at] = False
     out = []
-    for kept, new in ((x, sx), (z, sz), (coeffs, scoeffs), (origin, -1)):
+    for kept, new in ((x, sx), (z, sz), (coeffs, scoeffs)):
         merged = np.empty((total,) + kept.shape[1:], dtype=kept.dtype)
         merged[old], merged[at] = kept, new
         out.append(merged)
@@ -139,29 +139,20 @@ def _rotate(rows: tuple, ax: np.ndarray, az: np.ndarray, angle: float) -> tuple 
 def _conjugate(obs: Observable, rotations: list[tuple[PauliString, float]]) -> Observable:
     """Conjugate backward by Pauli rotations (axis, angle), in list order.
 
-    Runs on the observable's packed view and merges after every rotation.
-    A canonical input's terms that no rotation changes stay the same
-    objects in the result, and the result's view is seeded. Such a term is
-    never merged: it commutes with the axis, and every new row anticommutes.
+    Runs on the observable's arrays and merges after every rotation. A
+    canonical input that no rotation changes is returned as it is.
     """
-    view = packed_terms(obs)
     limbs = _limbs(obs.n)
-    m = len(view.coeffs)
-    origin = np.arange(m) if view.canonical else np.full(m, -1)
-    rows = (view.x, view.z, view.coeffs, origin)
+    rows = (obs.x, obs.z, obs.coeffs)
     changed = False
     for axis, angle in rotations:
         ax, az = _pack_masks([axis.x], limbs)[0], _pack_masks([axis.z], limbs)[0]
         rotated = _rotate(rows, ax, az, angle)
         # A raw input is merged at its first rotation, whether it changed or not.
-        if rotated is not None or not (view.canonical or changed):
-            x, z, coeffs, origin = rotated or rows
-            x, z, coeffs, first = merge_rows(x, z, coeffs)
-            rows = (x, z, coeffs, origin[first])
+        if rotated is not None or not (obs.canonical or changed):
+            rows = merge_rows(*(rotated or rows))
             changed = True
-    if not changed:
-        return obs
-    return observable_from_rows(obs.n, *rows, obs.terms)
+    return _from_rows(obs.n, *rows, True) if changed else obs
 
 
 def conjugate_rotation(obs: Observable, axis: PauliString, angle: float) -> Observable:
@@ -190,22 +181,28 @@ def conjugate_gate(obs: Observable, gate: Gate) -> Observable:
 
 
 def truncate(obs: Observable, budget: float) -> tuple[Observable, float]:
-    """Drop smallest-|coeff| terms while the dropped L1 mass stays <= budget."""
+    """Drop smallest-|coeff| terms while the dropped L1 mass stays <= budget.
+
+    Terms are dropped in order of (|coeff|, x, z), and the mass is summed
+    left to right from 0.0, as a per-term loop over Python floats sums it.
+    Returns the canonical rest and the mass dropped.
+    """
     if budget < 0:
         raise BackpropError("truncation budget must be nonnegative")
-    if budget == 0 or not obs.terms:
+    obs = canonicalize(obs)
+    if budget == 0 or not len(obs):
         return obs, 0.0
-    order = sorted(obs.terms, key=lambda t: (abs(t.coeff), t.word.sort_key()))
-    spent = 0.0
-    dropped: set[tuple[int, int]] = set()
-    for t in order:
-        mag = abs(t.coeff)
-        if spent + mag > budget:
-            break
-        spent += mag
-        dropped.add((t.word.x, t.word.z))
-    kept = tuple(t for t in obs.terms if (t.word.x, t.word.z) not in dropped)
-    return Observable(obs.n, kept), spent
+    mags = _magnitudes(obs.coeffs)
+    order = np.lexsort((*obs.z.T, *obs.x.T, mags))
+    # cumsum adds in order, so each prefix rounds as the running Python sum.
+    mass = np.cumsum(mags[order])
+    dropped = int(np.searchsorted(mass, budget, side="right"))
+    if not dropped:
+        return obs, 0.0
+    keep = np.ones(len(obs), dtype=bool)
+    keep[order[:dropped]] = False
+    rest = _from_rows(obs.n, obs.x[keep], obs.z[keep], obs.coeffs[keep], True)
+    return rest, float(mass[dropped - 1])
 
 
 @dataclass(frozen=True)

@@ -134,9 +134,8 @@ def _qpd_term_tables(extraction) -> dict:
 def _zero_state_expectation(obs: Observable) -> float:
     # <0...0|P|0...0> is 1 for words made of I and Z only, else 0.
     val = 0j
-    for term in obs.terms:
-        if term.word.x == 0:
-            val += term.coeff
+    for coeff in obs.coeffs[~obs.x.any(axis=1)].tolist():
+        val += coeff
     return float(val.real)
 
 

@@ -24,7 +24,16 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .paulis import Observable, PauliString, PauliTerm, canonicalize, group_qwc
+from .paulis import (
+    Observable,
+    PauliString,
+    _from_rows,
+    _limbs,
+    _mask_ints,
+    _pack_masks,
+    canonicalize,
+    group_qwc,
+)
 
 GATE_CUT_FACTOR = 9
 WIRE_CUT_FACTOR = 16
@@ -199,10 +208,6 @@ def validate_plan(circuit: Circuit, plan: CutPlan) -> None:
         raise CutError("a plan must produce at least 2 subcircuits")
 
 
-def _restrict_word(word: PauliString, qubit_mask: int) -> PauliString:
-    return PauliString(word.n, word.x & qubit_mask, word.z & qubit_mask)
-
-
 def cost(
     plan: CutPlan,
     evolved_obs: Observable,
@@ -219,7 +224,7 @@ def cost(
     if evolved_obs.n != plan.n:
         raise CutError(f"observable width {evolved_obs.n} != plan width {plan.n}")
     obs = canonicalize(evolved_obs)
-    groups = group_qwc(obs).group_count if obs.terms else 1
+    groups = group_qwc(obs).group_count if len(obs) else 1
     total = total_executions(plan.kg, plan.kw, groups)
     per = None
     if per_subcircuit:
@@ -228,13 +233,10 @@ def cost(
         rows = []
         for label, wires in plan.parts.items():
             qubit_mask = sum(1 << q for q, k in wires if k == len(plan.segments(q)) - 1)
-            restricted = canonicalize(
-                Observable(
-                    obs.n,
-                    tuple(PauliTerm(1.0 + 0j, _restrict_word(t.word, qubit_mask)) for t in obs.terms),
-                )
-            )
-            g_i = group_qwc(restricted).group_count if restricted.terms else 1
+            mask = _pack_masks([qubit_mask], _limbs(obs.n))
+            ones = np.ones(len(obs), dtype=np.complex128)
+            restricted = canonicalize(_from_rows(obs.n, obs.x & mask, obs.z & mask, ones, False))
+            g_i = group_qwc(restricted).group_count if len(restricted) else 1
             eta = 1
             for idx in plan.gate_cuts:
                 touched = {plan.segment_label(q, idx) for q in circuit.gates[idx].qubits}
@@ -657,13 +659,13 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
                 ops.extend(group)
         subcircuits.append(Subcircuit(n=m, ops=tuple(ops), wire_origin=wires))
         words = []
-        for term in obs.terms:
+        for term_x, term_z in zip(_mask_ints(obs.x), _mask_ints(obs.z)):
             x = z = 0
             for q, (final_label, i) in enumerate(final):
                 if final_label != label:
                     continue
-                x |= ((term.word.x >> q) & 1) << i
-                z |= ((term.word.z >> q) & 1) << i
+                x |= ((term_x >> q) & 1) << i
+                z |= ((term_z >> q) & 1) << i
             words.append(PauliString(m, x, z))
         subobservables.append(tuple(words))
     return Extraction(
@@ -671,6 +673,6 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
         subcircuits=tuple(subcircuits),
         gate_cut_infos=tuple(gate_cut_infos),
         wire_cut_infos=tuple(wire_cut_infos),
-        term_coeffs=tuple(t.coeff for t in obs.terms),
+        term_coeffs=tuple(obs.coeffs.tolist()),
         subobservables=tuple(subobservables),
     )

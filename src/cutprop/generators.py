@@ -202,35 +202,3 @@ def random_circuit(
             else:
                 gates.append(Gate(str(rng.choice(_RANDOM_1Q)), (q,)))
     return Circuit(n, tuple(gates))
-
-
-def random_product_factors(n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random single-qubit pure states, one per qubit."""
-    factors = []
-    for _ in range(n):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        factors.append(v / np.linalg.norm(v))
-    return factors
-
-
-def random_observable(
-    n: int, rng: np.random.Generator, max_weight: int = 3, num_terms: int = 3
-) -> Observable:
-    """Random Hermitian observable with a few low-weight Pauli terms."""
-    terms = []
-    for _ in range(num_terms):
-        weight = int(rng.integers(1, max_weight + 1))
-        qubits = rng.choice(n, size=min(weight, n), replace=False)
-        x = z = 0
-        for q in qubits:
-            letter = int(rng.integers(0, 3))
-            if letter in (0, 2):
-                x |= 1 << int(q)
-            if letter in (1, 2):
-                z |= 1 << int(q)
-        coeff = float(rng.uniform(-1.0, 1.0))
-        terms.append((coeff + 0j, PauliString(n, x, z)))
-    obs = Observable.from_terms(n, terms)
-    if not obs.terms:
-        obs = Observable.from_terms(n, [(1.0 + 0j, PauliString(n, 0, 1))])
-    return obs

@@ -15,7 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -116,61 +117,6 @@ class PauliTerm:
     word: PauliString
 
 
-@dataclass(frozen=True)
-class Observable:
-    """A sum of weighted Pauli words over a fixed qubit count.
-
-    Instances produced by :func:`canonicalize` (and everything in this
-    package that returns observables) are canonical: terms sorted by mask,
-    duplicate words merged, and near-zero coefficients dropped. Each
-    instance caches its terms as arrays, see :func:`packed_terms`.
-    """
-
-    n: int
-    terms: tuple[PauliTerm, ...]
-
-    def __post_init__(self):
-        for t in self.terms:
-            if t.word.n != self.n:
-                raise PauliError("term width differs from observable width")
-
-    @classmethod
-    def from_terms(cls, n: int, terms: Iterable[tuple[complex, PauliString]]) -> "Observable":
-        terms = tuple(PauliTerm(complex(c), w) for c, w in terms)
-        for t in terms:
-            if not cmath.isfinite(t.coeff):
-                raise PauliError(f"non-finite coefficient {t.coeff} on {t.word.label()}")
-        return canonicalize(cls(n, terms))
-
-    @classmethod
-    def from_labels(cls, pairs: Iterable[tuple[complex, str]]) -> "Observable":
-        terms = [(c, PauliString.from_label(s)) for c, s in pairs]
-        if not terms:
-            raise PauliError("cannot infer qubit count from an empty label list")
-        return cls.from_terms(terms[0][1].n, terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def words(self) -> tuple[PauliString, ...]:
-        return tuple(t.word for t in self.terms)
-
-
-class PackedTerms(NamedTuple):
-    """An observable's terms as arrays: the packed view the sweep's algebra runs on.
-
-    ``x`` and ``z`` are (m, limbs) uint64 masks, qubit 64*k + b at bit b of
-    limb k, and ``coeffs`` the (m,) complex128 coefficients, all in term
-    order. ``canonical`` is True when the rows are known to be canonical:
-    sorted, merged, near-zero rows dropped, no negative-zero coefficient part.
-    """
-
-    x: np.ndarray
-    z: np.ndarray
-    coeffs: np.ndarray
-    canonical: bool
-
-
 def _limbs(n: int) -> int:
     return max(1, -(-n // 64))
 
@@ -189,29 +135,94 @@ def _mask_ints(packed: np.ndarray) -> list[int]:
     return values
 
 
-def packed_terms(obs: Observable) -> PackedTerms:
-    """The observable's packed view, cached on the instance.
+def _magnitudes(coeffs: np.ndarray) -> np.ndarray:
+    """|coeff| per row, rounded as Python's ``abs(complex)`` (``np.abs`` is not)."""
+    return np.hypot(coeffs.real, coeffs.imag)
 
-    Observables made by this package's algebra arrive with their view seeded;
-    any other is packed from its terms on first use. The cache is not a
-    dataclass field, so equality and hashing ignore it.
+
+class Observable:
+    """A sum of weighted Pauli words over a fixed qubit count, held as arrays.
+
+    ``x`` and ``z`` are read-only (m, limbs) uint64 masks, qubit 64*k + b at
+    bit b of limb k, and ``coeffs`` the read-only (m,) complex128
+    coefficients, one row per term. ``canonical`` is True when the rows are
+    known to be canonical: sorted by mask, duplicate words merged, near-zero
+    rows dropped, no negative-zero coefficient part. Everything in this
+    package that returns observables returns canonical ones;
+    ``Observable(n, terms)`` packs the given terms as they are, not
+    canonical. ``terms`` builds the term objects on first use. ``==``
+    compares ``n`` and the rows; observables are not hashable.
     """
-    view = obs.__dict__.get("_packed")
-    if view is None:
-        limbs = _limbs(obs.n)
-        view = PackedTerms(
-            _pack_masks([t.word.x for t in obs.terms], limbs),
-            _pack_masks([t.word.z for t in obs.terms], limbs),
-            np.array([t.coeff for t in obs.terms], dtype=np.complex128),
-            False,
-        )
-        _seed(obs, view)
-    return view
+
+    __hash__ = None
+
+    def __init__(self, n: int, terms: Iterable[PauliTerm]):
+        terms = tuple(terms)
+        self._set(n, *_pack(n, [t.coeff for t in terms], [t.word for t in terms]), False)
+
+    def _set(self, n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, canonical: bool):
+        for array in (x, z, coeffs):
+            array.flags.writeable = False
+        self.__dict__.update(n=n, x=x, z=z, coeffs=coeffs, canonical=canonical)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Observable is immutable: cannot set {name!r}")
+
+    @classmethod
+    def from_terms(cls, n: int, terms: Iterable[tuple[complex, PauliString]]) -> "Observable":
+        coeffs, words = [], []
+        for c, w in terms:
+            c = complex(c)
+            if not cmath.isfinite(c):
+                raise PauliError(f"non-finite coefficient {c} on {w.label()}")
+            coeffs.append(c)
+            words.append(w)
+        return canonicalize(_from_rows(n, *_pack(n, coeffs, words), False))
+
+    @classmethod
+    def from_labels(cls, pairs: Iterable[tuple[complex, str]]) -> "Observable":
+        terms = [(c, PauliString.from_label(s)) for c, s in pairs]
+        if not terms:
+            raise PauliError("cannot infer qubit count from an empty label list")
+        return cls.from_terms(terms[0][1].n, terms)
+
+    @cached_property
+    def terms(self) -> tuple[PauliTerm, ...]:
+        n = self.n
+        return tuple(PauliTerm(c, PauliString(n, x, z)) for c, x, z in
+                     zip(self.coeffs.tolist(), _mask_ints(self.x), _mask_ints(self.z)))
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and all(
+            np.array_equal(a, b) for a, b in
+            ((self.x, other.x), (self.z, other.z), (self.coeffs, other.coeffs)))
+
+    def __repr__(self) -> str:
+        return f"Observable(n={self.n}, terms={self.terms!r})"
+
+    def words(self) -> tuple[PauliString, ...]:
+        return tuple(t.word for t in self.terms)
 
 
-def _seed(obs: Observable, view: PackedTerms) -> Observable:
-    """Cache ``view`` as obs's packed view; returns obs."""
-    object.__setattr__(obs, "_packed", view)
+def _pack(n: int, coeffs: Sequence[complex], words: Sequence[PauliString]) -> tuple:
+    """The (x, z, coeffs) rows of these terms, in the order given."""
+    if any(w.n != n for w in words):
+        raise PauliError("term width differs from observable width")
+    limbs = _limbs(n)
+    return (_pack_masks([w.x for w in words], limbs), _pack_masks([w.z for w in words], limbs),
+            np.array(coeffs, dtype=np.complex128))
+
+
+def _from_rows(n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
+               canonical: bool) -> Observable:
+    """The Observable of these rows; the arrays become its read-only state."""
+    obs = Observable.__new__(Observable)
+    obs._set(n, x, z, coeffs, canonical)
     return obs
 
 
@@ -220,7 +231,7 @@ def merge_rows(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
 
     Duplicates are summed in row order starting from 0j, so each sum rounds
     exactly as a left-to-right Python sum does. Returns the new (x, z,
-    coeffs) and, for each new row, the index of its first input row.
+    coeffs).
     """
     m = len(coeffs)
     # lexsort's last key is its primary one: x's top limb first, z's bottom last.
@@ -233,26 +244,9 @@ def merge_rows(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
     starts = np.flatnonzero(first)
     sums = np.zeros(len(starts), dtype=np.complex128)
     np.add.at(sums, inverse, coeffs)
-    keep = np.abs(sums) >= COEFF_TOL
+    keep = _magnitudes(sums) >= COEFF_TOL
     rows = order[starts][keep]
-    return x[rows], z[rows], sums[keep], rows
-
-
-def observable_from_rows(
-    n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, origin: np.ndarray,
-    source: Sequence[PauliTerm],
-) -> Observable:
-    """The Observable of canonical rows, its packed view seeded.
-
-    A row with ``origin`` i >= 0 is ``source[i]`` itself; only the other
-    rows get new term objects.
-    """
-    terms: list = [source[i] if i >= 0 else None for i in origin.tolist()]
-    new = np.flatnonzero(origin < 0)
-    for r, c, xi, zi in zip(new.tolist(), coeffs[new].tolist(), _mask_ints(x[new]),
-                            _mask_ints(z[new])):
-        terms[r] = PauliTerm(c, PauliString(n, xi, zi))
-    return _seed(Observable(n, tuple(terms)), PackedTerms(x, z, coeffs, True))
+    return x[rows], z[rows], sums[keep]
 
 
 def canonicalize(obs: Observable) -> Observable:
@@ -260,11 +254,9 @@ def canonicalize(obs: Observable) -> Observable:
 
     An observable already known to be canonical is returned as it is.
     """
-    view = packed_terms(obs)
-    if view.canonical:
+    if obs.canonical:
         return obs
-    x, z, coeffs, rows = merge_rows(view.x, view.z, view.coeffs)
-    return observable_from_rows(obs.n, x, z, coeffs, np.full(len(rows), -1), ())
+    return _from_rows(obs.n, *merge_rows(obs.x, obs.z, obs.coeffs), True)
 
 
 @dataclass(frozen=True)
@@ -285,8 +277,7 @@ _ROW_BLOCK = 256
 
 def _conflict_matrix(obs: Observable) -> np.ndarray:
     """Boolean m x m matrix, True where two terms do not commute qubit-wise."""
-    view = packed_terms(obs)
-    x, z = view.x, view.z
+    x, z = obs.x, obs.z
     s = x | z
     m, limbs = x.shape
     conflict = np.zeros((m, m), dtype=bool)
@@ -364,17 +355,19 @@ def _first_fit_colors(conflict: np.ndarray, max_colors: int) -> list[int] | None
 def group_qwc(obs: Observable) -> QwcGrouping:
     """Group terms into qubit-wise-commuting sets via saturation coloring.
 
-    Builds the QWC-conflict matrix with numpy from the observable's packed
-    view (x and z masks in uint64 limbs of 64 qubits, so any width works),
-    a block of rows at a time, and colors it with DSATUR: highest
-    saturation, then highest degree, then canonical term order. It falls
-    back to greedy first-fit on the same matrix if that uses fewer colors,
-    so the result never exceeds the first-fit group count; first-fit stops
-    as soon as it cannot. Memory is O(m^2) bytes for m terms: the boolean
-    conflict matrix, its bit-packed rows and a boolean used-color table,
-    plus, per limb, a few uint64 temporaries of ``_ROW_BLOCK`` x m.
+    Builds the QWC-conflict matrix with numpy from the observable's x and z
+    arrays (uint64 limbs of 64 qubits, so any width works), a block of rows
+    at a time, and colors it with DSATUR: highest saturation, then highest
+    degree, then row order. It falls back to greedy first-fit in row order
+    on the same matrix if that uses fewer colors, so the result never
+    exceeds the first-fit group count; first-fit stops as soon as it
+    cannot. DSATUR loses to first-fit on some inputs (see
+    ``test_grouping_falls_back_to_first_fit``). Memory is O(m^2) bytes for
+    m terms: the boolean conflict matrix, its bit-packed rows and a boolean
+    used-color table, plus, per limb, a few uint64 temporaries of
+    ``_ROW_BLOCK`` x m.
     """
-    if not obs.terms:
+    if not len(obs):
         return QwcGrouping(())
     conflict = _conflict_matrix(obs)
     colors = _dsatur_colors(conflict)

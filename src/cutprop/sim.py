@@ -33,7 +33,7 @@ import os
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .paulis import Observable, PauliString
+from .paulis import Observable, PauliString, _mask_ints
 
 DEFAULT_SIM_LIMIT = 20
 
@@ -424,9 +424,8 @@ def expectation(state: np.ndarray, obs: Observable) -> float:
     """<psi|O|psi> for a Hermitian observable; rejects non-real results."""
     if state.size != 1 << obs.n:
         raise SimulationError("state size does not match observable width")
-    words = [t.word for t in obs.terms]
-    values = pauli_expectations(state, [w.x for w in words], [w.z for w in words])
-    val = sum((t.coeff * v for t, v in zip(obs.terms, values)), 0j)
+    values = pauli_expectations(state, _mask_ints(obs.x), _mask_ints(obs.z))
+    val = sum((c * v for c, v in zip(obs.coeffs.tolist(), values)), 0j)
     if abs(val.imag) > 1e-10:
         raise SimulationError(f"non-Hermitian expectation residue {val.imag}")
     return float(val.real)

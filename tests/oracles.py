@@ -25,7 +25,9 @@ by it, and ``max_imag`` is an observable's largest imaginary coefficient.
 ``canonicalize`` merges terms in a dict and ``conjugate_gate_terms`` splits
 one term at a time with ``multiply`` and ``commutes``, canonicalizing after
 each rotation, as the references for the packed-array canonicalization and
-rotation kernel.
+rotation kernel; ``truncate_terms`` sorts term objects and sums the dropped
+mass over Python floats, as the reference for the array truncation.
+``random_observable`` and ``random_product_factors`` make seeded test inputs.
 """
 
 import math
@@ -384,6 +386,25 @@ def conjugate_gate_terms(obs, gate):
     return obs
 
 
+def truncate_terms(obs, budget):
+    """``truncate`` one term object at a time."""
+    if budget < 0:
+        raise BackpropError("truncation budget must be nonnegative")
+    if budget == 0 or not obs.terms:
+        return obs, 0.0
+    order = sorted(obs.terms, key=lambda t: (abs(t.coeff), t.word.sort_key()))
+    spent = 0.0
+    dropped: set[tuple[int, int]] = set()
+    for t in order:
+        mag = abs(t.coeff)
+        if spent + mag > budget:
+            break
+        spent += mag
+        dropped.add((t.word.x, t.word.z))
+    kept = tuple(t for t in obs.terms if (t.word.x, t.word.z) not in dropped)
+    return Observable(obs.n, kept), spent
+
+
 def max_imag(obs) -> float:
     return max((abs(t.coeff.imag) for t in obs.terms), default=0.0)
 
@@ -470,3 +491,35 @@ def part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
         return sum(w * _word_expectations(s, xs, zs) for w, s in branches)
 
     return walk(0, [(1.0 + 0j, product_state(factors))], (0, 0)), axes
+
+
+def random_product_factors(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random single-qubit pure states, one per qubit."""
+    factors = []
+    for _ in range(n):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        factors.append(v / np.linalg.norm(v))
+    return factors
+
+
+def random_observable(
+    n: int, rng: np.random.Generator, max_weight: int = 3, num_terms: int = 3
+) -> Observable:
+    """Random Hermitian observable with a few low-weight Pauli terms."""
+    terms = []
+    for _ in range(num_terms):
+        weight = int(rng.integers(1, max_weight + 1))
+        qubits = rng.choice(n, size=min(weight, n), replace=False)
+        x = z = 0
+        for q in qubits:
+            letter = int(rng.integers(0, 3))
+            if letter in (0, 2):
+                x |= 1 << int(q)
+            if letter in (1, 2):
+                z |= 1 << int(q)
+        coeff = float(rng.uniform(-1.0, 1.0))
+        terms.append((coeff + 0j, PauliString(n, x, z)))
+    obs = Observable.from_terms(n, terms)
+    if not obs.terms:
+        obs = Observable.from_terms(n, [(1.0 + 0j, PauliString(n, 0, 1))])
+    return obs

@@ -23,8 +23,6 @@ from cutprop.generators import (
     heisenberg_trotter,
     qaoa_like,
     random_circuit,
-    random_observable,
-    random_product_factors,
     weight_z_observable,
 )
 from cutprop.paulis import Observable, group_qwc
@@ -36,6 +34,8 @@ from cutprop.qpd import (
     verify_wirecut_identity,
 )
 from cutprop.sim import expectation, product_state, simulate
+
+from oracles import random_observable, random_product_factors
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -19,11 +19,10 @@ from cutprop.cutting import cost, find_cuts
 from cutprop.generators import (
     efficient_su2,
     random_circuit,
-    random_observable,
     weight_z_observable,
 )
 
-from oracles import objective
+from oracles import objective, random_observable
 
 
 class CountingObjective:

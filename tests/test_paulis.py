@@ -154,6 +154,14 @@ def test_canonicalize_sorts():
 def test_canonicalize_drops_tiny_terms():
     obs = Observable.from_labels([(1e-15, "X"), (1.0, "Z")])
     assert [t.word.label() for t in obs.terms] == ["Z"]
+    # |coeff| ~ 1e-14 rounds as Python's abs (kept, dropped, kept, dropped), not as np.abs.
+    edge = (complex(-9.972426976221218e-15, -7.420917759518231e-16),
+            complex(-3.7879920909420725e-15, 9.254788810068023e-15),
+            complex(6.170707524835357e-15, 7.869076733832267e-15),
+            complex(9.850454003935004e-15, 1.722949771862435e-15))
+    words = [PauliString.from_label(label) for label in ("XI", "YI", "ZI", "IX")]
+    obs = Observable.from_terms(2, zip(edge, words))
+    assert [t.word.label() for t in obs.terms] == ["ZI", "XI"]
 
 
 # --- grouping --------------------------------------------------------------------
@@ -361,6 +369,24 @@ def test_canonical_observables_pass_through_canonicalize():
     # An equal observable made directly is packed and checked, and equal.
     raw = Observable(2, obs.terms)
     assert canonicalize(raw) is not raw and canonicalize(raw) == obs
+    # Terms with duplicate words are packed raw, as given, until canonicalized.
+    pairs = [(0.5, PauliString.from_label("XZ")), (0.25, PauliString.from_label("ZZ")),
+             (0.125, PauliString.from_label("XZ"))]
+    dup = Observable(2, [PauliTerm(c, w) for c, w in pairs])
+    assert not dup.canonical and len(dup) == 3 and dup.terms[2].coeff == 0.125
+    assert canonicalize(dup) == Observable.from_terms(2, pairs) != dup
+
+
+def test_observable_state_is_read_only():
+    obs = Observable.from_labels([(0.5, "XZ"), (0.25, "ZZ")])
+    for array in (obs.x, obs.z, obs.coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(AttributeError):
+        obs.coeffs = obs.coeffs.copy()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(obs)
+    assert [(t.coeff, t.word.label()) for t in obs.terms] == [(0.25, "ZZ"), (0.5, "XZ")]
 
 
 def adjacency_matrix(adj):

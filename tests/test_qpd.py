@@ -6,8 +6,6 @@ from cutprop.circuits import Circuit, Gate, lower_rotations
 from cutprop.cutting import CutPlan, _build_plan, extract_subcircuits, find_cuts, validate_plan
 from cutprop.generators import (
     random_circuit,
-    random_observable,
-    random_product_factors,
     weight_z_observable,
 )
 from cutprop.paulis import Observable
@@ -24,7 +22,7 @@ from cutprop.qpd import (
 )
 
 import oracles
-from oracles import PAULI
+from oracles import PAULI, random_observable, random_product_factors
 
 
 # --- decomposition tables -------------------------------------------------------

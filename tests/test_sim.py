@@ -8,7 +8,6 @@ from cutprop.generators import (
     heavy_hex_19_edges,
     heisenberg_trotter,
     random_circuit,
-    random_product_factors,
 )
 from cutprop import sim
 from cutprop.paulis import Observable, PauliString
@@ -30,6 +29,7 @@ from oracles import (
     einsum_apply_1q,
     einsum_apply_gate,
     einsum_simulate,
+    random_product_factors,
     random_state,
     word_matrix,
 )
