@@ -13,8 +13,10 @@ contracts the tables with the cut coefficients in one einsum, so the value
 matches the uncut circuit to solver precision. A part's table comes from
 one breadth-first walk over a stack of branch states: each gate run is one
 ``simulate`` call on the whole stack, and each leaf one
-``pauli_expectations`` call. Every decomposition is checked against a
-dense channel oracle before first use, through the walk's own cut-end code.
+``pauli_expectations`` call. A wire cut's measured wire idles after the
+cut, so its letter never touches the stack: it joins the words at the
+leaf. Every decomposition is checked against a dense channel oracle before
+first use, through the walk's own cut-end and leaf code.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .cutting import CutPlan, Extraction, extract_subcircuits
-from .paulis import Observable, canonicalize
+from .paulis import _MASKS, Observable, canonicalize
 
 # apply_gate and apply_pauli are unused here, but the benchmark's tracer
 # wraps them in this module (perfbench/spans.py), so the imports stay.
@@ -127,34 +129,26 @@ def gatecut_terms(kind: str) -> tuple[QpdTerm, ...]:
 # --- cut-end instructions ---------------------------------------------------
 
 
-# (x bit, z bit) of the Pauli letter measured at a wire cut.
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-
-
 class _Stack(NamedTuple):
     """The branches of a part walk, one per row.
 
     ``states`` has shape (rows, 2^n). Each row has a sign ``weight`` (from
-    mzsign splits), a ``path`` id (its distinct instruction list at each
-    cut end so far, mixed-radix) and the (x, z) masks of the Pauli letters
-    measured on its path at wire cuts, which join every word at the leaf.
+    mzsign splits) and a ``path`` id (its distinct instruction list at each
+    gate-cut and prep end so far, mixed-radix).
     """
 
     states: np.ndarray
     weights: np.ndarray
     paths: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
 
 
 def _root(state: np.ndarray) -> _Stack:
-    """A one-row stack holding ``state``, with weight 1 and nothing measured."""
-    zero = np.zeros(1, dtype=np.int64)
-    return _Stack(np.asarray(state, dtype=complex)[None], np.ones(1), zero, zero, zero)
+    """A one-row stack holding ``state``, with weight 1."""
+    return _Stack(np.asarray(state, dtype=complex)[None], np.ones(1), np.zeros(1, dtype=np.int64))
 
 
 def _apply_endpoint(stack: _Stack, instrs: tuple, wire: int) -> _Stack:
-    """Apply one cut end's instructions to every branch of a part walk."""
+    """Apply one gate-cut or prep end's instructions to every branch of a part walk."""
     for instr in instrs:
         if instr[0] == "u":
             stack = stack._replace(states=apply_1q(stack.states, instr[2], wire))
@@ -165,14 +159,25 @@ def _apply_endpoint(stack: _Stack, instrs: tuple, wire: int) -> _Stack:
             halves[:, 0, :, 1] = 0  # row 2r keeps bit 0 of the wire, with weight w
             halves[:, 1, :, 0] = 0  # row 2r + 1 keeps bit 1, with weight -w
             weights = np.repeat(stack.weights, 2) * np.tile((1.0, -1.0), rows)
-            stack = _Stack(states, weights, *(np.repeat(a, 2) for a in stack[2:]))
-        elif instr[0] == "prep":  # the wire idles in |0> until its cut: apply |s><0|
+            stack = _Stack(states, weights, np.repeat(stack.paths, 2))
+        else:  # prep: the wire idles in |0> until its cut, so apply |s><0|
             prep = np.outer(PREP_STATES[instr[1]], (1, 0))
             stack = stack._replace(states=apply_1q(stack.states, prep, wire))
-        else:  # measure
-            bx, bz = _LETTER_BITS[instr[1]]
-            stack = stack._replace(x=stack.x | bx << wire, z=stack.z | bz << wire)
     return stack
+
+
+def _leaf_masks(xs, zs, measured: list) -> tuple[np.ndarray, np.ndarray]:
+    """The words (xs, zs) under every combination of letters measured at wire cuts.
+
+    ``measured`` holds (wire, letters) per wire-cut measure end. A measured
+    wire is idle after its cut, so its letter joins each word at the leaf.
+    The result is indexed [first end's letter, ..., word], flattened.
+    """
+    xs, zs = np.asarray(xs, dtype=np.int64), np.asarray(zs, dtype=np.int64)
+    for wire, letters in reversed(measured):
+        bx, bz = np.array([_MASKS[p] for p in letters], dtype=np.int64).T << wire
+        xs, zs = np.bitwise_or.outer(bx, xs).ravel(), np.bitwise_or.outer(bz, zs).ravel()
+    return xs, zs
 
 
 # --- build-time channel verification -------------------------------------
@@ -194,7 +199,8 @@ def _density(stack: _Stack) -> np.ndarray:
 def verify_wirecut_identity(num_states: int = 100, seed: int = 11, tol: float = 1e-12) -> float:
     """Max trace distance of the measure-and-prepare sum from the identity.
 
-    Each term runs through ``_apply_endpoint``, the code reconstruction runs.
+    Each term's measured letter goes through ``_leaf_masks`` and its prepared
+    state through ``_apply_endpoint``, the code reconstruction runs.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -203,10 +209,9 @@ def verify_wirecut_identity(num_states: int = 100, seed: int = 11, tol: float = 
         v = _random_pure_state(rng, 2)
         total = np.zeros((2, 2), dtype=complex)
         for t in terms:
-            measured = _apply_endpoint(_root(v), (t.left_op,), 0)
+            xs, zs = _leaf_masks([0], [0], [(0, t.left_op[1:])])
             prepared = _apply_endpoint(_root(PREP_STATES["0"]), (t.right_op,), 0)
-            value = pauli_expectations(measured.states, measured.x[:, None], measured.z[:, None])
-            total += t.coefficient * value[0, 0].real * _density(prepared)
+            total += t.coefficient * pauli_expectations(v, xs, zs)[0].real * _density(prepared)
         worst = max(worst, _trace_distance(total, _density(_root(v))))
     if worst > tol:
         raise QpdError(f"wire-cut identity check failed: trace distance {worst}")
@@ -276,18 +281,21 @@ def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
     """One part's values, indexed by [incident cuts' term choices..., observable term].
 
     A breadth-first walk of the op stream: one ``simulate`` call takes the
-    whole stack of branch states through each gate run, and each cut end
-    grows the stack once per distinct instruction list, so every shared
-    prefix is simulated once. A cut end whose grown stack would pass
-    STACK_BYTES walks each instruction list on in turn instead. At the
-    leaf, one ``pauli_expectations`` call evaluates the part's observable
-    words, extended by each row's measured letters, and the rows are
-    summed by path. Returns the table and the cut of each of its leading
-    axes, in op order.
+    whole stack of branch states through each gate run, and each gate-cut
+    or prep end grows the stack once per distinct instruction list, so every
+    shared prefix is simulated once. A cut end whose grown stack would pass
+    STACK_BYTES walks each instruction list on in turn instead. A wire-cut
+    measure end leaves the stack alone: its distinct letters are a table
+    axis, and at the leaf one ``pauli_expectations`` call evaluates every
+    word under every combination of measured letters (``_leaf_masks``). The
+    rows are summed by path. Returns the table and the cut of each of its
+    leading axes, in op order.
     """
     factors = [initial_factors[q] if seg == 0 else PREP_STATES["0"]
                for q, seg in sub.wire_origin]
     ends: dict[int, tuple] = {}  # op index -> (wire, distinct instruction lists)
+    measured: list[tuple] = []  # per measure end: (wire, distinct letters)
+    letter_axes: list[int] = []  # the measure ends' places among the cut axes
     axes: list[int] = []
     choices: list[list[int]] = []  # per cut end: each term's distinct-list index
     for i, op in enumerate(sub.ops):
@@ -304,18 +312,23 @@ def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
             raise QpdError(f"unknown subcircuit op {op.kind!r}")
         keys = [tuple(instr[:2] for instr in instrs) for instrs in per_term]
         distinct = list(dict.fromkeys(keys))
-        ends[i] = (op.wire, [per_term[keys.index(key)] for key in distinct])
+        if op.kind == "wc_measure":
+            letter_axes.append(len(axes))
+            measured.append((op.wire, [key[0][1] for key in distinct]))
+        else:
+            ends[i] = (op.wire, [per_term[keys.index(key)] for key in distinct])
         axes.append(cut)
         choices.append([distinct.index(key) for key in keys])
-    shape = [len(ends[i][1]) for i in ends] + [len(words)]
+    shape = [len(lists) for _, lists in ends.values()]
+    shape += [len(letters) for _, letters in measured] + [len(words)]
     table = np.zeros(math.prod(shape), dtype=complex)
-    word_x = np.array([w.x for w in words], dtype=np.int64)
-    word_z = np.array([w.z for w in words], dtype=np.int64)
+    xs, zs = _leaf_masks([w.x for w in words], [w.z for w in words], measured)
 
     def walk(start: int, stack: _Stack) -> None:
         for i in range(start, len(sub.ops)):
-            if i not in ends:
-                stack = stack._replace(states=simulate(sub.ops[i], stack.states))
+            if i not in ends:  # a gate run, or a measure end, read at the leaf
+                if isinstance(sub.ops[i], Circuit):
+                    stack = stack._replace(states=simulate(sub.ops[i], stack.states))
                 continue
             wire, lists = ends[i]
             grown = [stack._replace(paths=stack.paths * len(lists) + k) for k in range(len(lists))]
@@ -327,13 +340,13 @@ def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
                 return
             parts = [_apply_endpoint(part, instrs, wire) for part, instrs in zip(grown, lists)]
             stack = _Stack(*(np.concatenate(column) for column in zip(*parts)))
-        values = pauli_expectations(stack.states, word_x | stack.x[:, None],
-                                    word_z | stack.z[:, None])
-        cells = stack.paths[:, None] * len(words) + np.arange(len(words))
+        values = pauli_expectations(stack.states, xs, zs)
+        cells = stack.paths[:, None] * len(xs) + np.arange(len(xs))
         np.add.at(table, cells, stack.weights[:, None] * values)
 
     walk(0, _root(product_state(factors)))
     table = table.reshape(shape)
+    table = np.moveaxis(table, range(len(ends), len(axes)), letter_axes)
     for axis, choice in enumerate(choices):
         table = table.take(choice, axis=axis)
     return table, axes

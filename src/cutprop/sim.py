@@ -19,9 +19,11 @@ matrix, so every cx and cz reaches the state through the 4x4 kernel. It is
 the one gate loop, for whole circuits, for the reconstruction walk's gate
 runs and, through ``apply_gate``, for a single gate.
 The kernels, ``simulate`` and ``pauli_expectations`` also take a stack of
-states, shape (rows, 2^n), so the walk evolves and evaluates all of its
-branches in one call. ``apply_1q`` applies the walk's cut-end matrices to
-a copy, because the walk shares states between branches.
+states, shape (rows, 2^n), so the walk evolves all of its branches in one
+call and evaluates the same words on every row: one gather and one
+row-wise product per word, for one state or a stack alike. ``apply_1q``
+applies the walk's cut-end matrices to a copy, because the walk shares
+states between branches.
 """
 
 from __future__ import annotations
@@ -353,36 +355,13 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     return state
 
 
-# i^k for k = 0..3: a Pauli word with k Y letters (mod 4) carries phase i^k.
-_I_POWERS = np.array([1j**k for k in range(4)])
-
-
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    """Set bits per entry of a nonnegative integer array, a byte at a time
-    (numpy < 2 has no bitwise_count)."""
-    count = _BYTE_BITS[masks & 255]
-    masks = masks >> 8
-    while masks.any():
-        count += _BYTE_BITS[masks & 255]
-        masks >>= 8
-    return count
-
-
-def _word_expectations(states, base, sign, x, z, k) -> np.ndarray:
-    """<psi|P|psi> for each row psi of states and its word P = (x, z), of phase i^k.
+def _word_values(states: np.ndarray, x: int, z: int) -> np.ndarray:
+    """<psi|P|psi> for each row psi of states and the word P = (x, z).
 
     A function of its own, so that one word's index and amplitude arrays are
     freed before the next word's are made.
     """
-    src = base ^ x
-    amps = states.ravel()[src]
-    if z.any():
-        amps *= sign[src & z]
-    if k.any():
-        amps *= _I_POWERS[k]
+    amps = _apply_word(states, x, z)
     # sum psi * conj(P psi) per row, the conjugate of <psi|P|psi>
     np.conjugate(amps, out=amps)
     return np.matmul(states[:, None, :], amps[:, :, None]).ravel().conj()
@@ -391,33 +370,16 @@ def _word_expectations(states, base, sign, x, z, k) -> np.ndarray:
 def pauli_expectations(state: np.ndarray, xs, zs) -> np.ndarray:
     """<psi|P|psi> for each Pauli word P = (xs[j], zs[j]).
 
-    ``state`` is one state, or a stack of shape (rows, 2^n) whose words may
-    differ per row: xs and zs then hold one mask per word, shape (words,),
-    or one per row and word, shape (rows, words), and the result has shape
-    (rows, words). Each word is one gather over every row at once. One
-    state, or a stack of one, takes its words one at a time with
-    ``np.vdot``, which costs less than broadcasting the masks when the state
-    is small.
+    ``state`` is one state, or a stack of shape (rows, 2^n); xs and zs hold
+    one mask per word, shared by every row, and the result has shape
+    (words,) or (rows, words). Each word is one gather over every row and
+    one row-wise product.
     """
-    size = state.shape[-1]
-    states = state.reshape(-1, size)
-    if len(states) == 1:
-        psi = states[0]
-        values = [np.vdot(psi, _apply_word(psi, x, z))
-                  for x, z in zip(np.ravel(xs).tolist(), np.ravel(zs).tolist())]
-        return np.array(values if state.ndim == 1 else [values], dtype=complex)
-    index, sign = _index_tables(size)
-    # Flat index of each amplitude; a mask below size changes only its low
-    # bits, so base ^ x stays in the same row.
-    base = np.arange(0, states.size, size)[:, None] + index
-    xs, zs = (np.broadcast_to(np.asarray(m, dtype=np.int64), (len(states), np.shape(m)[-1]))
-              for m in (xs, zs))
-    phases = _popcount(xs & zs) % 4
-    out = np.empty(xs.shape, dtype=complex)
-    for j in range(xs.shape[1]):
-        out[:, j] = _word_expectations(states, base, sign, xs[:, j, None], zs[:, j, None],
-                                       phases[:, j, None])
-    return out
+    states = state.reshape(-1, state.shape[-1])
+    out = np.empty((len(states), len(xs)), dtype=complex)
+    for j, (x, z) in enumerate(zip(xs, zs)):
+        out[:, j] = _word_values(states, int(x), int(z))
+    return out.reshape(*state.shape[:-1], len(xs))
 
 
 def expectation(state: np.ndarray, obs: Observable) -> float:

@@ -42,6 +42,7 @@ from cutprop.backprop import _ROTATIONS, BackpropError, backpropagate, conjugate
 from cutprop.circuits import Circuit, _clifford_quarter_turns
 from cutprop.cutting import cost, find_cuts, total_executions
 from cutprop.paulis import (
+    _MASKS,
     COEFF_TOL,
     Observable,
     PauliError,
@@ -50,7 +51,7 @@ from cutprop.paulis import (
     commutes,
     multiply,
 )
-from cutprop.qpd import _LETTER_BITS, PREP_STATES, QpdError
+from cutprop.qpd import PREP_STATES, QpdError
 from cutprop.sim import apply_1q, apply_pauli, product_state, simulate
 
 I2 = np.eye(2, dtype=complex)
@@ -434,12 +435,12 @@ def apply_endpoint(branches: list, letters: tuple, instrs: tuple, wire: int):
             prep = np.outer(PREP_STATES[instr[1]], (1, 0))
             branches = [(w, apply_1q(s, prep, wire)) for w, s in branches]
         else:  # measure
-            bx, bz = _LETTER_BITS[instr[1]]
+            bx, bz = _MASKS[instr[1]]
             letters = (letters[0] | bx << wire, letters[1] | bz << wire)
     return branches, letters
 
 
-def _word_expectations(state, xs, zs):
+def _vdot_expectations(state, xs, zs):
     n = state.size.bit_length() - 1
     return np.array(
         [np.vdot(state, apply_pauli(state, PauliString(n, int(x), int(z)))) for x, z in zip(xs, zs)],
@@ -488,7 +489,7 @@ def part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
                 return np.stack([done[key] for key in keys])
             branches = [(w, simulate(sub.ops[i], s)) for w, s in branches]
         xs, zs = [w.x | letters[0] for w in words], [w.z | letters[1] for w in words]
-        return sum(w * _word_expectations(s, xs, zs) for w, s in branches)
+        return sum(w * _vdot_expectations(s, xs, zs) for w, s in branches)
 
     return walk(0, [(1.0 + 0j, product_state(factors))], (0, 0)), axes
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -354,13 +356,18 @@ def test_walk_cases_cover_every_cut_end():
             for op in ends:
                 kind = ext.gate_cut_infos[op.cut_id].kind if op.kind == "gatecut" else None
                 seen.add((op.kind, kind, op.role))
+            # a measured wire idles after its cut while later gates run on the others
+            for i, op in enumerate(sub.ops):
+                if not isinstance(op, Circuit) and op.kind == "wc_measure" and any(
+                        isinstance(later, Circuit) and later.gates for later in sub.ops[i + 1:]):
+                    seen.add("measure end, then a gate run")
             runs = [op for op in sub.ops if isinstance(op, Circuit)]
             seen.update(f"rot on {len(g.qubits)}" for run in runs for g in run.gates
                         if g.kind == "rot")
     assert seen >= {
         ("gatecut", "cz", "a"), ("gatecut", "cz", "b"), ("gatecut", "cx", "a"),
         ("gatecut", "cx", "b"), ("wc_measure", None, None), ("wc_prep", None, None),
-        "no cut end", "rot on 1", "rot on 2",
+        "no cut end", "rot on 1", "rot on 2", "measure end, then a gate run",
     }
 
 
@@ -386,16 +393,28 @@ def test_part_tables_match_depth_first_reference(monkeypatch, reference_tables, 
 
 def test_one_byte_bound_simulates_as_many_states_as_the_reference(monkeypatch):
     # At a 1-byte bound the stack walk holds, at each gate run, the branches
-    # of one path, as the depth-first walk does.
+    # of one path, as the depth-first walk does. The reference also branches
+    # on each letter measured at a wire cut, which the stack walk reads only
+    # at the leaf, so its branches count only where every measured letter is I.
     monkeypatch.setattr(qpd, "STACK_BYTES", 1)
-    rows = {"stack": [], "reference": []}
-    for module, key in ((qpd, "stack"), (oracles, "reference")):
-        def counting(circuit, initial, _key=key, _simulate=module.simulate):
-            rows[_key].append(len(np.atleast_2d(initial)))
-            return _simulate(circuit, initial)
-        monkeypatch.setattr(module, "simulate", counting)
+    stack_rows, reference_letters = [], []
+
+    def counting_stack(circuit, initial, _simulate=qpd.simulate):
+        stack_rows.append(len(initial))
+        return _simulate(circuit, initial)
+
+    def counting_reference(circuit, initial, _simulate=oracles.simulate):
+        frame = sys._getframe(1)
+        while "letters" not in frame.f_locals:  # the reference walk's frame
+            frame = frame.f_back
+        reference_letters.append(frame.f_locals["letters"])
+        return _simulate(circuit, initial)
+
+    monkeypatch.setattr(qpd, "simulate", counting_stack)
+    monkeypatch.setattr(oracles, "simulate", counting_reference)
     for ext, factors in list(_walk_cases())[:3]:
         _tables(qpd._part_table, ext, factors)
         _tables(oracles.part_table, ext, factors)
-    assert sum(rows["stack"]) == len(rows["reference"])
-    assert len(rows["stack"]) < len(rows["reference"])
+    unmeasured = reference_letters.count((0, 0))
+    assert sum(stack_rows) == unmeasured < len(reference_letters)
+    assert len(stack_rows) < unmeasured

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -319,20 +321,16 @@ def test_stacked_simulate_rejects_a_kernel_that_scales_one_row(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 5])
-def test_stacked_pauli_expectations_with_per_row_words(n):
+def test_stacked_pauli_expectations_with_shared_words(n):
     rng = np.random.default_rng((79, n))
     stack = _stack(n, rng, rows=6)
-    xs = rng.integers(0, 1 << n, size=(6, 20))
-    zs = rng.integers(0, 1 << n, size=(6, 20))
+    xs = [int(x) for x in rng.integers(0, 1 << n, size=20)]
+    zs = [int(z) for z in rng.integers(0, 1 << n, size=20)]
     got = pauli_expectations(stack, xs, zs)
     assert got.shape == (6, 20)
-    for row, psi, x, z in zip(got, stack, xs, zs):
-        assert np.abs(row - pauli_expectations(psi, x, z)).max() < 1e-12
-        assert np.abs(row - _dense_expectations(psi, n, x, z)).max() < 1e-12
-    # one mask per word applies to every row
-    shared = pauli_expectations(stack, xs[0], zs[0])
-    assert np.abs(shared - pauli_expectations(stack, np.tile(xs[0], (6, 1)),
-                                              np.tile(zs[0], (6, 1)))).max() == 0
+    for row, psi in zip(got, stack):
+        assert np.array_equal(row, pauli_expectations(psi, xs, zs))
+        assert np.abs(row - _dense_expectations(psi, n, xs, zs)).max() < 1e-12
 
 
 # --- two-qubit blocks ---------------------------------------------------------
@@ -575,8 +573,29 @@ def test_one_state_expectations_match_per_word_vdot_and_the_stacked_path(n):
         words = [PauliString(n, x, z) for x, z in zip(xs, zs)]
         # the same sums as a loop of apply_pauli and np.vdot, to the last bit
         assert np.array_equal(got, [np.vdot(psi, apply_pauli(psi, w)) for w in words])
-        assert np.abs(got - row).max() < 1e-12
-        # a stack of one row, with shared or per-row words, takes the same path
+        assert np.array_equal(got, row)
+        # a stack of one row takes the same path
         one_row = pauli_expectations(psi[None], xs, zs)
         assert one_row.shape == (1, 12) and np.array_equal(one_row[0], got)
-        assert np.array_equal(pauli_expectations(psi[None], [xs], [zs]), one_row)
+
+
+def test_expectations_hold_one_word_at_a_time():
+    # Each word gathers one state-sized copy, P|psi>, with two int64 index
+    # arrays and one int8 sign array; keeping the copy or an index array
+    # alive into the next word's would raise the peak by half a state or more.
+    n = 17
+    rng = np.random.default_rng(109)
+    psi = random_state(n, rng)
+    xs = [int(x) for x in rng.integers(0, 1 << n, size=5)]
+    zs = [int(z) for z in rng.integers(0, 1 << n, size=5)]
+    obs = Observable.from_terms(n, [(0.3, PauliString(n, x, z)) for x, z in zip(xs, zs)])
+    bound = psi.nbytes + (8 + 8 + 1) * psi.size + (64 << 10)
+    sim._index_tables(psi.size)  # the cached tables are not a word's
+    for run in (lambda: pauli_expectations(psi, xs, zs), lambda: expectation(psi, obs)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
