@@ -31,7 +31,6 @@ from .circuits import (
     CircuitError,
     Gate,
     QasmError,
-    Slice,
     emit_qasm,
     lower_rotations,
     parse_qasm,

@@ -113,9 +113,7 @@ class ObjectiveEvaluator:
         """The cut plan of the circuit's first ``boundary`` gates (memoized)."""
         key = self._two_qubit_counts[boundary]
         if key not in self._plans:
-            self._plans[key] = find_cuts(
-                self.circuit.prefix(boundary), force_bipartition=True, seed=self.cut_seed
-            )
+            self._plans[key] = find_cuts(self.circuit.prefix(boundary), seed=self.cut_seed)
         return self._plans[key]
 
     def evaluate(self, w: int) -> int:

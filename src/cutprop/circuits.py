@@ -120,18 +120,6 @@ class Circuit:
         return Circuit(self.n, self.gates[:stop])
 
 
-@dataclass(frozen=True)
-class Slice:
-    """A contiguous [start, stop) run of gate indices."""
-
-    start: int
-    stop: int
-    all_clifford: bool
-
-    def indices(self) -> range:
-        return range(self.start, self.stop)
-
-
 def _layer_ranges(gates: Sequence[Gate], start: int, stop: int) -> Iterator[tuple[int, int]]:
     """Greedy maximal layers of disjoint-qubit gates within [start, stop)."""
     i = start
@@ -145,8 +133,8 @@ def _layer_ranges(gates: Sequence[Gate], start: int, stop: int) -> Iterator[tupl
         i = j
 
 
-def slice_circuit(circuit: Circuit, policy: str = "auto") -> list[Slice]:
-    """Partition the gate sequence into ordered slices.
+def slice_circuit(circuit: Circuit, policy: str = "auto") -> list[range]:
+    """Partition the gate sequence into ordered slices, each a range of gate indices.
 
     per-gate: one gate per slice.
     per-layer: maximal runs of gates on disjoint qubits.
@@ -154,25 +142,22 @@ def slice_circuit(circuit: Circuit, policy: str = "auto") -> list[Slice]:
     """
     gates = circuit.gates
     if policy == "per-gate":
-        return [Slice(i, i + 1, gates[i].is_clifford()) for i in range(len(gates))]
+        return [range(i, i + 1) for i in range(len(gates))]
     if policy == "per-layer":
-        return [
-            Slice(a, b, all(g.is_clifford() for g in gates[a:b]))
-            for a, b in _layer_ranges(gates, 0, len(gates))
-        ]
+        return [range(a, b) for a, b in _layer_ranges(gates, 0, len(gates))]
     if policy != "auto":
         raise CircuitError(f"unknown slicing policy {policy!r}")
-    out: list[Slice] = []
+    out: list[range] = []
     i = 0
     while i < len(gates):
         if gates[i].is_clifford():
             j = i
             while j < len(gates) and gates[j].is_clifford():
                 j += 1
-            out.extend(Slice(a, b, True) for a, b in _layer_ranges(gates, i, j))
+            out.extend(range(a, b) for a, b in _layer_ranges(gates, i, j))
             i = j
         else:
-            out.append(Slice(i, i + 1, False))
+            out.append(range(i, i + 1))
             i += 1
     return out
 

@@ -180,12 +180,7 @@ def _cmd_backprop(args: argparse.Namespace) -> int:
 def _cmd_cut(args: argparse.Namespace) -> int:
     circuit, circ_hash = _load_circuit(args.circuit)
     obs, obs_hash = _load_observable(args.observable)
-    plan = find_cuts(
-        circuit,
-        max_qubits=args.max_qubits,
-        force_bipartition=args.bipartition,
-        seed=args.seed,
-    )
+    plan = find_cuts(circuit, max_qubits=args.max_qubits, seed=args.seed)
     report_obj = cost(plan, obs, per_subcircuit=args.per_subcircuit, circuit=circuit)
     report = _base_report("cut", args, circuit_sha256=circ_hash, observable_sha256=obs_hash)
     report["results"] = {"plan": plan.to_dict(), "cost": report_obj.to_dict()}
@@ -268,7 +263,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             work_circuit, work_obs = circuit, canonicalize(obs)
             pipeline["mode"] = "cut"
-        plan = find_cuts(work_circuit, force_bipartition=True, seed=args.seed)
+        plan = find_cuts(work_circuit, seed=args.seed)
     exact = uncut_expectation(circuit, obs)
     sampled = None
     if len(work_circuit.gates) == 0 and args.qwc_max is not None:

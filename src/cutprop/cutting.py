@@ -27,10 +27,7 @@ from .circuits import Circuit, Gate
 from .paulis import (
     Observable,
     PauliString,
-    _from_rows,
-    _limbs,
     _mask_ints,
-    _pack_masks,
     canonicalize,
     group_qwc,
 )
@@ -190,6 +187,8 @@ def validate_plan(circuit: Circuit, plan: CutPlan) -> None:
         if any(old == new for (_, old), (_, new) in zip(segs, segs[1:])):
             raise CutError(f"wire cut on qubit {q} does not change its label")
     gate_cut_set = set(plan.gate_cuts)
+    if len(gate_cut_set) != plan.kg:  # kg prices each listed cut
+        raise CutError("a gate cut index is listed twice")
     for idx in plan.gate_cuts:
         if not (0 <= idx < len(circuit.gates)) or len(circuit.gates[idx].qubits) != 2:
             raise CutError(f"gate cut index {idx} is not a 2-qubit gate")
@@ -216,10 +215,12 @@ def cost(
 ) -> CostReport:
     """Execution-count accounting for a plan and an (evolved) observable.
 
-    The per-subcircuit mode additionally reports each part's subobservable
-    group count g_i and the product eta_i of factors over cuts incident to
-    that part (this secondary accounting double-counts shared cuts; the
-    ``total_executions`` field is the normative number).
+    The per-subcircuit mode additionally reports, from the plan's
+    extraction on ``circuit``, each part's group count g_i over its
+    distinct observable words and the product eta_i of 9 per gate-cut end
+    and 16 per wire-cut end in its op stream (this secondary accounting
+    double-counts shared cuts; the ``total_executions`` field is the
+    normative number).
     """
     if evolved_obs.n != plan.n:
         raise CutError(f"observable width {evolved_obs.n} != plan width {plan.n}")
@@ -230,23 +231,13 @@ def cost(
     if per_subcircuit:
         if circuit is None:
             raise CutError("per-subcircuit accounting needs the circuit")
+        extraction = extract_subcircuits(circuit, plan, obs)
         rows = []
-        for label, wires in plan.parts.items():
-            qubit_mask = sum(1 << q for q, k in wires if k == len(plan.segments(q)) - 1)
-            mask = _pack_masks([qubit_mask], _limbs(obs.n))
-            ones = np.ones(len(obs), dtype=np.complex128)
-            restricted = canonicalize(_from_rows(obs.n, obs.x & mask, obs.z & mask, ones, False))
-            g_i = group_qwc(restricted).group_count if len(restricted) else 1
-            eta = 1
-            for idx in plan.gate_cuts:
-                touched = {plan.segment_label(q, idx) for q in circuit.gates[idx].qubits}
-                if label in touched:
-                    eta *= GATE_CUT_FACTOR
-            for q in range(plan.n):
-                segs = plan.segments(q)
-                for (_, old), (_, new) in zip(segs, segs[1:]):
-                    if label in (old, new):
-                        eta *= WIRE_CUT_FACTOR
+        for label, sub in zip(plan.parts, extraction.subcircuits):
+            words = Observable.from_terms(sub.n, [(1, w) for w in sub.words])  # distinct
+            g_i = group_qwc(words).group_count if len(words) else 1
+            eta = math.prod(GATE_CUT_FACTOR if op.cut < plan.kg else WIRE_CUT_FACTOR
+                            for op in sub.ops if isinstance(op, SubOp))
             rows.append((label, g_i, eta))
         per = tuple(rows)
     return CostReport(plan.kg, plan.kw, groups, total, per)
@@ -461,7 +452,6 @@ def _solve_bipartition(problem: _Bipartitioner, max_side, seed: int):
 def find_cuts(
     circuit: Circuit,
     max_qubits: int | None = None,
-    force_bipartition: bool = False,
     seed: int = 0,
 ) -> CutPlan:
     """Search for a minimum-overhead cut plan by repeated bisection.
@@ -478,8 +468,6 @@ def find_cuts(
     """
     if circuit.n < 2:
         raise CutError("cannot partition a circuit with fewer than 2 qubits")
-    if max_qubits is not None and force_bipartition:
-        raise CutError("give either max_qubits or force_bipartition, not both")
     if max_qubits is not None and max_qubits < 1:
         raise CutError("max_qubits must be positive")
     gates2q = _two_qubit_gates(circuit)
@@ -550,29 +538,34 @@ def _build_plan(
 class SubOp:
     """One cut end in a subcircuit's op stream.
 
-    kind "gatecut" marks one endpoint of a cut 2-qubit gate; "wc_measure"/
-    "wc_prep" mark the two ends of a cut wire. ``cut_id`` numbers gate cuts
-    and wire cuts separately, in circuit order.
+    ``cut`` is the global cut index that ``reconstruct`` contracts over:
+    gate cuts 0..kg-1, then wire cuts, each in circuit order. ``side``
+    picks the end's half of each of the cut's QPD terms: 0 reads
+    ``QpdTerm.left_op`` (a cut gate's first qubit, a cut wire's measure
+    end), 1 reads ``right_op`` (the gate's second qubit, the wire's prep
+    end). ``wire`` is the local wire the end acts on.
     """
 
-    kind: str
-    cut_id: int
+    cut: int
+    side: int
     wire: int
-    role: str | None = None  # "a" = first qubit of the cut gate, "b" = second
 
 
 @dataclass(frozen=True)
 class Subcircuit:
-    """One part: its op stream on ``n`` local wires.
+    """One part: its op stream on ``n`` local wires, and its observable words.
 
     Each op is a cut end (a ``SubOp``) or a run of the part's gates, as a
     ``Circuit`` on the local wires. Runs are maximal and never empty, so
-    no two runs are adjacent.
+    no two runs are adjacent. ``words`` holds each observable term
+    restricted to the part (its letters on the qubits whose final segment
+    the part holds), in term order.
     """
 
     n: int
     ops: tuple[Circuit | SubOp, ...]
     wire_origin: tuple[tuple[int, int], ...]  # local wire -> (qubit, segment)
+    words: tuple[PauliString, ...]
 
 
 @dataclass(frozen=True)
@@ -582,7 +575,7 @@ class GateCutInfo:
 
 @dataclass(frozen=True)
 class WireCutInfo:
-    """One wire cut; its ends are the part ops that carry its ``cut_id``."""
+    """One wire cut; its ends are the part ops that carry its cut index."""
 
 
 @dataclass(frozen=True)
@@ -592,11 +585,10 @@ class Extraction:
     gate_cut_infos: tuple[GateCutInfo, ...]
     wire_cut_infos: tuple[WireCutInfo, ...]
     term_coeffs: tuple[complex, ...]
-    subobservables: tuple[tuple[PauliString, ...], ...]  # [part][term]
 
 
 def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Extraction:
-    """Split a circuit along a plan into per-part op streams.
+    """Split a circuit along a plan into per-part op streams and words.
 
     Each part's gates, moved onto its local wires, are grouped into the
     maximal runs between its cut ends. Each observable term is restricted
@@ -620,13 +612,15 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
     gate_cut_infos: list[GateCutInfo] = []
     wire_cut_infos: list[WireCutInfo] = []
 
+    def emit_ends(cut: int, wires) -> None:
+        for side, wire in enumerate(wires):
+            label, local = local_index[wire]
+            stream[label].append(SubOp(cut, side, local))
+
     def emit_wire_cuts(pos: int) -> None:
         for q, k in wirecuts_at.get(pos, ()):
-            cut_id = len(wire_cut_infos)
-            m_label, m_wire = local_index[(q, k - 1)]
-            p_label, p_wire = local_index[(q, k)]
-            stream[m_label].append(SubOp("wc_measure", cut_id, m_wire))
-            stream[p_label].append(SubOp("wc_prep", cut_id, p_wire))
+            # Wire cuts are numbered after every gate cut.
+            emit_ends(plan.kg + len(wire_cut_infos), ((q, k - 1), (q, k)))
             wire_cut_infos.append(WireCutInfo())
 
     gate_cut_set = set(plan.gate_cuts)
@@ -640,15 +634,12 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
         else:
             if t not in gate_cut_set or len(g.qubits) != 2:
                 raise CutError(f"gate {t} crosses parts but is not a valid gate cut")
-            cut_id = len(gate_cut_infos)
-            (la, wa), (lb, wb) = local_index[wires[0]], local_index[wires[1]]
-            stream[la].append(SubOp("gatecut", cut_id, wa, role="a"))
-            stream[lb].append(SubOp("gatecut", cut_id, wb, role="b"))
+            emit_ends(len(gate_cut_infos), wires)
             gate_cut_infos.append(GateCutInfo(g.kind))
     emit_wire_cuts(len(circuit.gates))
 
     final = [local_index[plan.wire_at(q, len(circuit.gates))] for q in range(plan.n)]
-    subcircuits, subobservables = [], []
+    subcircuits = []
     for label, wires in plan.parts.items():
         m = len(wires)
         ops: list[Circuit | SubOp] = []
@@ -657,7 +648,6 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
                 ops.append(Circuit(m, tuple(group)))
             else:
                 ops.extend(group)
-        subcircuits.append(Subcircuit(n=m, ops=tuple(ops), wire_origin=wires))
         words = []
         for term_x, term_z in zip(_mask_ints(obs.x), _mask_ints(obs.z)):
             x = z = 0
@@ -667,12 +657,11 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
                 x |= ((term_x >> q) & 1) << i
                 z |= ((term_z >> q) & 1) << i
             words.append(PauliString(m, x, z))
-        subobservables.append(tuple(words))
+        subcircuits.append(Subcircuit(n=m, ops=tuple(ops), wire_origin=wires, words=tuple(words)))
     return Extraction(
         plan=plan,
         subcircuits=tuple(subcircuits),
         gate_cut_infos=tuple(gate_cut_infos),
         wire_cut_infos=tuple(wire_cut_infos),
         term_coeffs=tuple(obs.coeffs.tolist()),
-        subobservables=tuple(subobservables),
     )

@@ -7,15 +7,17 @@ of (measured Pauli, prepared eigenstate) with coefficients +-1/2. Gate cuts
 use the 6-term local decomposition of CZ/CX built from single-qubit
 rotations and sign-weighted Z measurements; coefficients sum to exactly 1.
 
-Reconstruction gives each part one table of exact expectations (no shot
-noise), indexed by its cuts' term choices and the observable term, and
-contracts the tables with the cut coefficients in one einsum, so the value
-matches the uncut circuit to solver precision. A part's table comes from
-one breadth-first walk over a stack of branch states: each gate run is one
-``simulate`` call on the whole stack, and each leaf one
-``pauli_expectations`` call. A wire cut's measured wire idles after the
-cut, so its letter never touches the stack: it joins the words at the
-leaf. Every decomposition is checked against a dense channel oracle before
+Both ends of every term are instruction tuples, and a subcircuit's cut
+end (``SubOp``) reads ``left_op`` or ``right_op`` of its cut's terms by its
+side, whatever the cut's kind. Reconstruction gives each part one table of
+exact expectations (no shot noise), indexed by its cuts' term choices and
+the observable term, and contracts the tables with the cut coefficients in
+one einsum, so the value matches the uncut circuit to solver precision. A
+part's table comes from one breadth-first walk over a stack of branch
+states: each gate run is one ``simulate`` call on the whole stack, and each
+leaf one ``pauli_expectations`` call. A wire cut's measured wire idles
+after the cut, so its letter never touches the stack: it joins the words
+at the leaf. Every decomposition is checked against a dense channel oracle before
 first use, through the walk's own cut-end and leaf code.
 """
 
@@ -63,15 +65,23 @@ PREP_STATES: dict[str, np.ndarray] = {
     "-i": np.array([_S2, -_S2 * 1j], dtype=complex),
 }
 
-# Cut-end instructions: ("u", name, 2x2 matrix) applies a unitary,
+# Cut-end instructions: ("u", name, 2x2 matrix) applies a matrix (a unitary,
+# or |s><0| at a wire cut's prep end, whose wire idles in |0> until its cut),
 # ("mzsign",) is the sign-weighted Z measurement Pi0 rho Pi0 - Pi1 rho Pi1,
-# and a wire cut's ends are ("measure", Pauli letter) and ("prep", state).
+# and ("measure", Pauli letter) is a wire cut's measure end, read at the leaf.
 _U = lambda name, m: ("u", name, m)
 _MZ = ("mzsign",)
 
 
 @dataclass(frozen=True)
 class QpdTerm:
+    """One term of a cut's decomposition: a coefficient and each end's instructions.
+
+    ``left_op`` is the instruction tuple of the end with side 0 (a cut
+    gate's first qubit, a cut wire's measure end), ``right_op`` that of
+    side 1 (the gate's second qubit, the wire's prep end).
+    """
+
     coefficient: float
     left_op: tuple
     right_op: tuple
@@ -91,7 +101,8 @@ def wirecut_terms() -> tuple[QpdTerm, ...]:
         (-0.5, "Z", "1"),
     ]
     return tuple(
-        QpdTerm(c, ("measure", p), ("prep", s), f"{'+' if c > 0 else '-'}1/2 meas {p} prep {s}")
+        QpdTerm(c, (("measure", p),), (_U(f"prep {s}", np.outer(PREP_STATES[s], (1, 0))),),
+                f"{'+' if c > 0 else '-'}1/2 meas {p} prep {s}")
         for c, p, s in spec
     )
 
@@ -152,7 +163,7 @@ def _apply_endpoint(stack: _Stack, instrs: tuple, wire: int) -> _Stack:
     for instr in instrs:
         if instr[0] == "u":
             stack = stack._replace(states=apply_1q(stack.states, instr[2], wire))
-        elif instr[0] == "mzsign":  # Pi0 rho Pi0 - Pi1 rho Pi1 splits each branch
+        else:  # mzsign: Pi0 rho Pi0 - Pi1 rho Pi1 splits each branch
             rows = len(stack.weights)
             states = np.repeat(stack.states, 2, axis=0)
             halves = states.reshape(rows, 2, -1, 2, 1 << wire)
@@ -160,9 +171,6 @@ def _apply_endpoint(stack: _Stack, instrs: tuple, wire: int) -> _Stack:
             halves[:, 1, :, 0] = 0  # row 2r + 1 keeps bit 1, with weight -w
             weights = np.repeat(stack.weights, 2) * np.tile((1.0, -1.0), rows)
             stack = _Stack(states, weights, np.repeat(stack.paths, 2))
-        else:  # prep: the wire idles in |0> until its cut, so apply |s><0|
-            prep = np.outer(PREP_STATES[instr[1]], (1, 0))
-            stack = stack._replace(states=apply_1q(stack.states, prep, wire))
     return stack
 
 
@@ -209,8 +217,9 @@ def verify_wirecut_identity(num_states: int = 100, seed: int = 11, tol: float = 
         v = _random_pure_state(rng, 2)
         total = np.zeros((2, 2), dtype=complex)
         for t in terms:
-            xs, zs = _leaf_masks([0], [0], [(0, t.left_op[1:])])
-            prepared = _apply_endpoint(_root(PREP_STATES["0"]), (t.right_op,), 0)
+            (_, letter), = t.left_op
+            xs, zs = _leaf_masks([0], [0], [(0, [letter])])
+            prepared = _apply_endpoint(_root(PREP_STATES["0"]), t.right_op, 0)
             total += t.coefficient * pauli_expectations(v, xs, zs)[0].real * _density(prepared)
         worst = max(worst, _trace_distance(total, _density(_root(v))))
     if worst > tol:
@@ -277,7 +286,7 @@ class ReconstructionResult:
     exact_value: float
 
 
-def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
+def _part_table(sub, cut_terms, initial_factors):
     """One part's values, indexed by [incident cuts' term choices..., observable term].
 
     A breadth-first walk of the op stream: one ``simulate`` call takes the
@@ -286,10 +295,10 @@ def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
     shared prefix is simulated once. A cut end whose grown stack would pass
     STACK_BYTES walks each instruction list on in turn instead. A wire-cut
     measure end leaves the stack alone: its distinct letters are a table
-    axis, and at the leaf one ``pauli_expectations`` call evaluates every
-    word under every combination of measured letters (``_leaf_masks``). The
-    rows are summed by path. Returns the table and the cut of each of its
-    leading axes, in op order.
+    axis, and at the leaf one ``pauli_expectations`` call evaluates each of
+    the part's words under every combination of measured letters
+    (``_leaf_masks``). The rows are summed by path. Returns the table and
+    the cut of each of its leading axes, in op order.
     """
     factors = [initial_factors[q] if seg == 0 else PREP_STATES["0"]
                for q, seg in sub.wire_origin]
@@ -301,28 +310,20 @@ def _part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
     for i, op in enumerate(sub.ops):
         if isinstance(op, Circuit):
             continue
-        if op.kind == "gatecut":
-            cut = op.cut_id
-            per_term = [t.left_op if op.role == "a" else t.right_op for t in cut_terms[cut]]
-        elif op.kind in ("wc_measure", "wc_prep"):
-            cut = wire_cut_base + op.cut_id
-            per_term = [(t.left_op if op.kind == "wc_measure" else t.right_op,)
-                        for t in cut_terms[cut]]
-        else:
-            raise QpdError(f"unknown subcircuit op {op.kind!r}")
+        per_term = [(t.left_op, t.right_op)[op.side] for t in cut_terms[op.cut]]
         keys = [tuple(instr[:2] for instr in instrs) for instrs in per_term]
         distinct = list(dict.fromkeys(keys))
-        if op.kind == "wc_measure":
+        if keys[0][0][0] == "measure":  # a wire cut's measure end
             letter_axes.append(len(axes))
             measured.append((op.wire, [key[0][1] for key in distinct]))
         else:
             ends[i] = (op.wire, [per_term[keys.index(key)] for key in distinct])
-        axes.append(cut)
+        axes.append(op.cut)
         choices.append([distinct.index(key) for key in keys])
     shape = [len(lists) for _, lists in ends.values()]
-    shape += [len(letters) for _, letters in measured] + [len(words)]
+    shape += [len(letters) for _, letters in measured] + [len(sub.words)]
     table = np.zeros(math.prod(shape), dtype=complex)
-    xs, zs = _leaf_masks([w.x for w in words], [w.z for w in words], measured)
+    xs, zs = _leaf_masks([w.x for w in sub.words], [w.z for w in sub.words], measured)
 
     def walk(start: int, stack: _Stack) -> None:
         for i in range(start, len(sub.ops)):
@@ -399,9 +400,9 @@ def reconstruct(
     if extraction.wire_cut_infos:
         _ensure_verified("wire")
 
-    kg, term_axis = len(extraction.gate_cut_infos), len(cut_terms)
-    tables, axes = zip(*(_part_table(sub, words, cut_terms, kg, initial_factors)
-                         for sub, words in zip(extraction.subcircuits, extraction.subobservables)))
+    term_axis = len(cut_terms)
+    tables, axes = zip(*(_part_table(sub, cut_terms, initial_factors)
+                         for sub in extraction.subcircuits))
     coefficients: list = []
     for c, terms in enumerate(cut_terms):
         coefficients += [np.array([t.coefficient for t in terms]), [c]]

@@ -7,6 +7,9 @@ code. ``crossing_count`` recounts a bipartition's crossing gates from
 scratch, as the reference for the cut search's running count.
 ``objective`` composes the public pipeline stages directly, as the
 reference for the annealer's single-pass objective evaluator.
+``per_subcircuit_costs`` masks the observable to each part's qubits and
+counts the cuts the plan puts on each part, as the reference for the
+per-subcircuit accounting that reads the part's extraction.
 ``einsum_simulate`` applies gates one at a time, each out of place (one
 ``np.einsum`` per 1-qubit gate or Pauli letter, index arrays for ``cx``
 and ``cz``), as the reference for the simulator's in-place, fused kernels.
@@ -40,7 +43,13 @@ import numpy as np
 from cutprop.annealing import AnnealError
 from cutprop.backprop import _ROTATIONS, BackpropError, backpropagate, conjugate_gate
 from cutprop.circuits import Circuit, _clifford_quarter_turns
-from cutprop.cutting import cost, find_cuts, total_executions
+from cutprop.cutting import (
+    GATE_CUT_FACTOR,
+    WIRE_CUT_FACTOR,
+    cost,
+    find_cuts,
+    total_executions,
+)
 from cutprop.paulis import (
     _MASKS,
     COEFF_TOL,
@@ -48,10 +57,15 @@ from cutprop.paulis import (
     PauliError,
     PauliString,
     PauliTerm,
+    _from_rows,
+    _limbs,
+    _pack_masks,
     commutes,
+    group_qwc,
     multiply,
 )
-from cutprop.qpd import PREP_STATES, QpdError
+from cutprop.paulis import canonicalize as package_canonicalize
+from cutprop.qpd import PREP_STATES
 from cutprop.sim import apply_1q, apply_pauli, product_state, simulate
 
 I2 = np.eye(2, dtype=complex)
@@ -167,8 +181,40 @@ def objective(circuit, obs, w, slicing="auto", trunc_budget_per_slice=0.0, cut_s
     result = backpropagate(circuit, obs, w, trunc_budget_per_slice, slicing)
     if result.fully_absorbed:
         return 0
-    plan = find_cuts(result.reduced_circuit, force_bipartition=True, seed=cut_seed)
+    plan = find_cuts(result.reduced_circuit, seed=cut_seed)
     return cost(plan, result.evolved_obs).total_executions
+
+
+def per_subcircuit_costs(plan, obs, circuit) -> tuple[tuple[int, int, int], ...]:
+    """``cost(plan, obs, per_subcircuit=True, circuit=circuit).per_subcircuit``
+    from qubit masks and cut incidence.
+
+    A part's words are the observable's terms masked to the qubits whose
+    final segment it holds. Its eta multiplies 9 per cut gate with an
+    endpoint segment in the part and 16 per cut wire with a segment on
+    either side in it, both read off the plan.
+    """
+    obs = package_canonicalize(obs)
+    rows = []
+    for label, wires in plan.parts.items():
+        qubit_mask = sum(1 << q for q, k in wires if k == len(plan.segments(q)) - 1)
+        mask = _pack_masks([qubit_mask], _limbs(obs.n))
+        ones = np.ones(len(obs), dtype=np.complex128)
+        restricted = package_canonicalize(
+            _from_rows(obs.n, obs.x & mask, obs.z & mask, ones, False))
+        g_i = group_qwc(restricted).group_count if len(restricted) else 1
+        eta = 1
+        for idx in plan.gate_cuts:
+            touched = {plan.segment_label(q, idx) for q in circuit.gates[idx].qubits}
+            if label in touched:
+                eta *= GATE_CUT_FACTOR
+        for q in range(plan.n):
+            segs = plan.segments(q)
+            for (_, old), (_, new) in zip(segs, segs[1:]):
+                if label in (old, new):
+                    eta *= WIRE_CUT_FACTOR
+        rows.append((label, g_i, eta))
+    return tuple(rows)
 
 
 def crossing_count(gates2q, labels, cuts) -> int:
@@ -431,9 +477,6 @@ def apply_endpoint(branches: list, letters: tuple, instrs: tuple, wire: int):
                 split for w, s in branches
                 for split in ((w, _project(s, wire, 0)), (-w, _project(s, wire, 1)))
             ]
-        elif instr[0] == "prep":  # the wire idles in |0> until its cut: apply |s><0|
-            prep = np.outer(PREP_STATES[instr[1]], (1, 0))
-            branches = [(w, apply_1q(s, prep, wire)) for w, s in branches]
         else:  # measure
             bx, bz = _MASKS[instr[1]]
             letters = (letters[0] | bx << wire, letters[1] | bz << wire)
@@ -448,7 +491,7 @@ def _vdot_expectations(state, xs, zs):
     )
 
 
-def part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
+def part_table(sub, cut_terms, initial_factors):
     """One part's values, indexed by [incident cuts' term choices..., observable term].
 
     A depth-first walk of the op stream evolves every branch through each
@@ -465,18 +508,10 @@ def part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
     for i, op in enumerate(sub.ops):
         if isinstance(op, Circuit):
             continue
-        if op.kind == "gatecut":
-            cut = op.cut_id
-            per_term = [t.left_op if op.role == "a" else t.right_op for t in cut_terms[cut]]
-        elif op.kind in ("wc_measure", "wc_prep"):
-            cut = wire_cut_base + op.cut_id
-            per_term = [(t.left_op if op.kind == "wc_measure" else t.right_op,)
-                        for t in cut_terms[cut]]
-        else:
-            raise QpdError(f"unknown subcircuit op {op.kind!r}")
+        per_term = [(t.left_op, t.right_op)[op.side] for t in cut_terms[op.cut]]
         keys = [tuple(instr[:2] for instr in instrs) for instrs in per_term]
         ends[i] = (op.wire, per_term, keys)
-        axes.append(cut)
+        axes.append(op.cut)
 
     def walk(start: int, branches: list, letters: tuple) -> np.ndarray:
         for i in range(start, len(sub.ops)):
@@ -488,7 +523,7 @@ def part_table(sub, words, cut_terms, wire_cut_base, initial_factors):
                         done[key] = walk(i + 1, *apply_endpoint(branches, letters, instrs, wire))
                 return np.stack([done[key] for key in keys])
             branches = [(w, simulate(sub.ops[i], s)) for w, s in branches]
-        xs, zs = [w.x | letters[0] for w in words], [w.z | letters[1] for w in words]
+        xs, zs = [w.x | letters[0] for w in sub.words], [w.z | letters[1] for w in sub.words]
         return sum(w * _vdot_expectations(s, xs, zs) for w, s in branches)
 
     return walk(0, [(1.0 + 0j, product_state(factors))], (0, 0)), axes

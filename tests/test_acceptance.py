@@ -112,7 +112,7 @@ def test_criterion_5_end_to_end_reconstruction():
         trial += 1
         n = int(rng.integers(4, 11))
         circ = lower_rotations(random_circuit(n, int(rng.integers(8, 22)), rng, p_two_qubit=0.3))
-        plan = find_cuts(circ, force_bipartition=True, seed=0)
+        plan = find_cuts(circ, seed=0)
         if 6**plan.kg * 8**plan.kw > 3000:
             continue  # keep the enumeration tractable per instance
         b = int(rng.integers(1, 4))
@@ -207,7 +207,7 @@ def test_criterion_8_benefit_and_oracle():
         ok &= result.chosen_cost <= result.vanilla_cost  # never-worse contract
         # the 19-qubit dense-oracle run sits behind the same path as --large
         if result.w_opt is None:
-            plan = find_cuts(circ, force_bipartition=True, seed=seed)
+            plan = find_cuts(circ, seed=seed)
             delta = abs(cut_and_reconstruct(circ, plan, obs).value - uncut_expectation(circ, obs))
         else:
             bp = backpropagate(circ, obs, result.w_opt)
@@ -216,7 +216,7 @@ def test_criterion_8_benefit_and_oracle():
                 # <0...0|P|0...0> is 1 exactly for I/Z-only words, else 0
                 value = sum(t.coeff.real for t in bp.evolved_obs.terms if t.word.x == 0)
             else:
-                plan = find_cuts(bp.reduced_circuit, force_bipartition=True, seed=seed)
+                plan = find_cuts(bp.reduced_circuit, seed=seed)
                 value = cut_and_reconstruct(bp.reduced_circuit, plan, bp.evolved_obs).value
             delta = abs(value - exact)
         ok &= delta < 1e-9

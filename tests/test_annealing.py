@@ -57,7 +57,7 @@ def test_objective_matches_manual_composition():
             if bp.fully_absorbed:
                 expected = 0
             else:
-                plan = find_cuts(bp.reduced_circuit, force_bipartition=True, seed=0)
+                plan = find_cuts(bp.reduced_circuit, seed=0)
                 expected = cost(plan, bp.evolved_obs).total_executions
             assert objective(circ, obs, w) == expected
 
@@ -254,7 +254,7 @@ def test_optimize_result_carries_the_chosen_plans(monkeypatch):
         calls.clear()
         result = optimize_budget(circ, obs, config, slicing, trunc, cut_seed=seed)
         assert len(calls) == 1
-        vanilla = find_cuts(circ, force_bipartition=True, seed=seed)
+        vanilla = find_cuts(circ, seed=seed)
         assert result.vanilla_plan == vanilla
         if result.w_opt is None:
             branches.add("vanilla")
@@ -268,5 +268,5 @@ def test_optimize_result_carries_the_chosen_plans(monkeypatch):
             assert result.plan is None
         else:
             branches.add("cut")
-            assert result.plan == find_cuts(bp.reduced_circuit, force_bipartition=True, seed=seed)
+            assert result.plan == find_cuts(bp.reduced_circuit, seed=seed)
     assert branches == {"vanilla", "absorbed", "cut"}

@@ -12,6 +12,7 @@ from cutprop.cutting import (
     _Bipartitioner,
     _two_qubit_gates,
     cost,
+    SubOp,
     extract_subcircuits,
     find_cuts,
     total_executions,
@@ -27,7 +28,13 @@ from cutprop.generators import (
 )
 from cutprop.paulis import Observable, PauliString, canonicalize
 from cutprop.qpd import cut_and_reconstruct, uncut_expectation
-from oracles import crossing_count, interaction_graph, refine_wire_cuts
+from oracles import (
+    crossing_count,
+    interaction_graph,
+    per_subcircuit_costs,
+    random_observable,
+    refine_wire_cuts,
+)
 
 
 def ladder(n, kind="cz", per_edge=1):
@@ -74,7 +81,7 @@ def test_cost_monotone_in_each_argument():
 
 def test_cost_uses_grouping_of_observable():
     circ = ladder(3)
-    plan = find_cuts(circ, force_bipartition=True)
+    plan = find_cuts(circ)
     obs = Observable.from_labels(
         [(1.0, "IZI"), (1.0, "IIZ"), (1.0, "ZII"), (1.0, "IXZ"), (1.0, "IZX")]
     )
@@ -85,13 +92,58 @@ def test_cost_uses_grouping_of_observable():
 
 def test_cost_per_subcircuit_mode():
     circ = ladder(3)
-    plan = find_cuts(circ, force_bipartition=True)
+    plan = find_cuts(circ)
     obs = weight_z_observable(3, 1)
     report = cost(plan, obs, per_subcircuit=True, circuit=circ)
-    assert report.per_subcircuit is not None
-    assert len(report.per_subcircuit) == 2
-    for _, g_i, eta in report.per_subcircuit:
-        assert g_i >= 1 and eta >= 1
+    # One cut gate; each part holds one of its ends and its own Z words
+    # (a part's restriction of another part's term is the identity word).
+    assert report.per_subcircuit == per_subcircuit_costs(plan, obs, circ)
+    assert [(g_i, eta) for _, g_i, eta in report.per_subcircuit] == [(1, 9), (1, 9)]
+
+
+def _heis19():
+    return lower_rotations(
+        heisenberg_trotter(list(heavy_hex_19_edges()), HEISENBERG_J, HEISENBERG_H, 1.0, 1)
+    )
+
+
+def test_cost_per_subcircuit_matches_mask_reference():
+    # Rows read off the extraction equal the plan's own masks and cut
+    # incidence: on seeded circuits with bounded and unbounded plans, on
+    # heis19 split into parts of at most 6, 8 and 10 wires.
+    # test_wire_cut_order_does_not_matter covers two wire cuts on one qubit.
+    cases = []
+    for trial in range(8):
+        rng = np.random.default_rng((77, trial))
+        n = int(rng.integers(3, 8))
+        circ = lower_rotations(random_circuit(n, 3 * n, rng, p_two_qubit=0.5))
+        obs = random_observable(n, rng, max_weight=3, num_terms=6)
+        cases += [(circ, find_cuts(circ, seed=trial), obs),
+                  (circ, find_cuts(circ, max_qubits=2, seed=trial), obs)]
+    heis19 = _heis19()
+    obs19 = random_observable(19, np.random.default_rng(78), max_weight=4, num_terms=12)
+    cases += [(heis19, find_cuts(heis19, max_qubits=b), obs19) for b in (6, 8, 10)]
+    etas = set()
+    for circ, plan, obs in cases:
+        rows = cost(plan, obs, per_subcircuit=True, circuit=circ).per_subcircuit
+        assert rows == per_subcircuit_costs(plan, obs, circ)
+        etas.update(eta for _, _, eta in rows)
+    # parts with gate-cut ends only, wire-cut ends only, both, and none
+    assert {1, 9, 16} <= etas and any(eta % 144 == 0 for eta in etas)
+
+
+def test_cost_per_subcircuit_rejects_a_circuit_the_plan_does_not_fit():
+    circ = Circuit(3, (Gate("h", (0,)), Gate("cz", (0, 1)), Gate("cx", (1, 2)),
+                       Gate("cz", (0, 2))))
+    plan = find_cuts(circ)
+    assert plan.gate_cuts == (2, 3)
+    obs = weight_z_observable(3, 1)
+    # Too few gates for the cut indices, and a 1-qubit gate where a cut gate
+    # was: the extraction's plan check refuses both.
+    for gates in ((Gate("h", (0,)),),
+                  (Gate("cz", (1, 2)), Gate("h", (0,)), Gate("h", (0,)), Gate("h", (0,)))):
+        with pytest.raises(CutError):
+            cost(plan, obs, per_subcircuit=True, circuit=Circuit(3, gates))
 
 
 # --- find_cuts -------------------------------------------------------------------
@@ -99,14 +151,14 @@ def test_cost_per_subcircuit_mode():
 
 def test_disconnected_circuit_zero_cuts():
     circ = Circuit(4, (Gate("cx", (0, 1)), Gate("cz", (2, 3))))
-    plan = find_cuts(circ, force_bipartition=True)
+    plan = find_cuts(circ)
     assert plan.kg == 0 and plan.kw == 0
     assert plan.num_subcircuits == 2
     validate_plan(circ, plan)
 
 
 def test_path_single_gate_cut():
-    plan = find_cuts(ladder(3), force_bipartition=True)
+    plan = find_cuts(ladder(3))
     assert (plan.kg, plan.kw) == (1, 0)
     assert total_executions(plan.kg, plan.kw, 1) == 9
 
@@ -126,7 +178,7 @@ def test_wire_cut_beats_two_gate_cuts():
         Gate("cz", (4, 5)),
     )
     circ = Circuit(6, gates)
-    plan = find_cuts(circ, force_bipartition=True)
+    plan = find_cuts(circ)
     assert (plan.kg, plan.kw) == (0, 1)
     assert plan.wire_cuts[0][0] == 2
     assert 9**plan.kg * 16**plan.kw == brute_force_minimum(circ)
@@ -165,7 +217,7 @@ def test_optimizer_matches_brute_force_on_small_corpus():
     for circ in corpus:
         if not interaction_graph(circ):
             continue
-        plan = find_cuts(circ, force_bipartition=True)
+        plan = find_cuts(circ)
         got = 9**plan.kg * 16**plan.kw
         assert got == brute_force_minimum(circ), circ
 
@@ -301,7 +353,7 @@ def test_heis19_bench_search_outputs_pinned(heis19_bench_searches):
         "vanilla_wire_cuts": 1, "obp_slices_absorbed": 371,
     }
     for _, kwargs in calls:
-        assert kwargs == {"force_bipartition": True, "seed": 0}
+        assert kwargs == {"seed": 0}
     # The 446-, 450- and 570-gate leftovers have the same 114 two-qubit
     # gates, so the budget search cuts the first of them it meets (450) and
     # the memo gives the other two its plan without another search.
@@ -327,9 +379,7 @@ def test_find_cuts_pinned_plans():
     # Plans written out in full, so any change in what the search picks
     # shows here: the exhaustive path, the annealed path at two seeds, and
     # recursive bisection.
-    heis19 = lower_rotations(
-        heisenberg_trotter(list(heavy_hex_19_edges()), HEISENBERG_J, HEISENBERG_H, 1.0, 1)
-    )
+    heis19 = _heis19()
     cases = [
         (_random_dense(10, 1), None, 0,
          ((0, 0, 1, 0, 0, 0, 0, 0, 0, 0), ((7, 36, 1),), ())),
@@ -357,16 +407,14 @@ def test_find_cuts_pinned_plans():
           (1, 3, 33, 34, 80, 82))),
     ]
     for circ, max_qubits, seed, expected in cases:
-        plan = find_cuts(
-            circ, max_qubits=max_qubits, force_bipartition=max_qubits is None, seed=seed
-        )
+        plan = find_cuts(circ, max_qubits=max_qubits, seed=seed)
         assert (plan.labels, plan.wire_cuts, plan.gate_cuts) == expected
 
 
 def test_find_cuts_deterministic_tie_break():
     circ = ladder(4)
-    p1 = find_cuts(circ, force_bipartition=True, seed=0)
-    p2 = find_cuts(circ, force_bipartition=True, seed=0)
+    p1 = find_cuts(circ, seed=0)
+    p2 = find_cuts(circ, seed=0)
     assert p1 == p2
 
 
@@ -395,17 +443,15 @@ def test_max_qubits_one_splits_down_to_single_wires():
 
 def test_constraint_errors():
     with pytest.raises(CutError):
-        find_cuts(Circuit(1, ()), force_bipartition=True)
+        find_cuts(Circuit(1, ()))
     with pytest.raises(CutError):
         find_cuts(ladder(3), max_qubits=0)
-    with pytest.raises(CutError):
-        find_cuts(ladder(3), max_qubits=2, force_bipartition=True)
 
 
 def test_annealed_search_path():
     # above the exhaustive width limit; a chain still cuts with one gate
     circ = ladder(16)
-    plan = find_cuts(circ, force_bipartition=True, seed=7)
+    plan = find_cuts(circ, seed=7)
     validate_plan(circ, plan)
     assert 9**plan.kg * 16**plan.kw == 9
 
@@ -425,10 +471,13 @@ def test_validate_rejects_phantom_gate_cut():
     bad = CutPlan(3, (0, 0, 0), (), (0,), 1)
     with pytest.raises(CutError):
         validate_plan(circ, bad)
+    # A cut listed twice would be priced twice (kg = 2) but cut once.
+    with pytest.raises(CutError, match="listed twice"):
+        validate_plan(circ, CutPlan(3, (0, 1, 1), (), (0, 0), 2))
 
 
 def test_plan_json_roundtrip():
-    plan = find_cuts(ladder(4), force_bipartition=True)
+    plan = find_cuts(ladder(4))
     again = CutPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
     assert again == plan
 
@@ -485,6 +534,7 @@ def test_wire_cut_order_does_not_matter():
         for plan in plans
     ]
     assert seen[0] == seen[1]
+    assert seen[0][3].per_subcircuit == per_subcircuit_costs(plans[0], obs, circ)
     assert seen[0][0] == ((0, 0), (3, 1), (5, 0))
     assert seen[0][1] == [0, 0, 0, 1, 1, 0, 0]
     assert seen[0][4] == pytest.approx(uncut_expectation(circ, obs), abs=1e-9)
@@ -503,7 +553,7 @@ def test_plan_parts_sorted_by_label_then_wire():
 
 def test_extract_disconnected_components_verbatim():
     circ = Circuit(4, (Gate("cx", (0, 1)), Gate("h", (0,)), Gate("cz", (2, 3))))
-    plan = find_cuts(circ, force_bipartition=True)
+    plan = find_cuts(circ)
     obs = weight_z_observable(4, 1)
     ext = extract_subcircuits(circ, plan, obs)
     assert len(ext.subcircuits) == 2
@@ -518,9 +568,9 @@ def test_extract_gate_cut_placeholders():
     plan = CutPlan(2, (0, 1), (), (1,), 2)
     ext = extract_subcircuits(circ, plan, weight_z_observable(2, 1))
     assert len(ext.gate_cut_infos) == 1
-    for sub in ext.subcircuits:
+    for side, sub in enumerate(ext.subcircuits):
         assert sub.n == 1
-        assert any(op.kind == "gatecut" for op in sub.ops if not isinstance(op, Circuit))
+        assert [op for op in sub.ops if not isinstance(op, Circuit)] == [SubOp(0, side, 0)]
 
 
 def test_extract_emits_maximal_gate_runs_in_circuit_order():
@@ -529,7 +579,7 @@ def test_extract_emits_maximal_gate_runs_in_circuit_order():
     wire_cuts = parts = 0
     for trial in range(6):
         circ = lower_rotations(random_circuit(6, 18, np.random.default_rng((141, trial))))
-        for plan in (find_cuts(circ, force_bipartition=True), find_cuts(circ, max_qubits=2)):
+        for plan in (find_cuts(circ), find_cuts(circ, max_qubits=2)):
             wire_cuts += plan.kw
             parts = max(parts, plan.num_subcircuits)
             expected = {label: [] for label in plan.parts}
@@ -552,15 +602,15 @@ def test_extract_emits_maximal_gate_runs_in_circuit_order():
 def test_extract_subobservables_tensor_back():
     rng = np.random.default_rng(71)
     circ = lower_rotations(random_circuit(5, 14, rng))
-    plan = find_cuts(circ, force_bipartition=True)
+    plan = find_cuts(circ)
     obs = canonicalize(
         Observable.from_labels([(0.5, "ZZIXI"), (0.25, "IYIIZ"), (-0.75, "XIIII")])
     )
     ext = extract_subcircuits(circ, plan, obs)
     for k, term in enumerate(obs.terms):
         x = z = 0
-        for pi, sub in enumerate(ext.subcircuits):
-            w = ext.subobservables[pi][k]
+        for sub in ext.subcircuits:
+            w = sub.words[k]
             for local, (q, seg) in enumerate(sub.wire_origin):
                 x |= ((w.x >> local) & 1) << q
                 z |= ((w.z >> local) & 1) << q
@@ -576,7 +626,7 @@ def test_plan_split_graph_components_respect_parts():
         circ = lower_rotations(random_circuit(6, 16, rng, p_two_qubit=0.35))
         if not interaction_graph(circ):
             continue
-        plan = find_cuts(circ, force_bipartition=True)
+        plan = find_cuts(circ)
         cuts_by_qubit = {}
         for q, pos, new in plan.wire_cuts:
             cuts_by_qubit.setdefault(q, []).append(pos)
@@ -627,7 +677,7 @@ def test_annealed_search_finds_known_community_cut():
             gates.append(Gate("cx", (qubits[0], qubits[i + 1])))
     gates.append(Gate("cz", (7, 8)))
     circ = Circuit(17, tuple(gates))
-    plan = find_cuts(circ, force_bipartition=True, seed=11)
+    plan = find_cuts(circ, seed=11)
     validate_plan(circ, plan)
     assert 9**plan.kg * 16**plan.kw == 9
     assert set(plan.gate_cuts) == {len(circ.gates) - 1}

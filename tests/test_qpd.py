@@ -34,17 +34,20 @@ def test_wirecut_term_table():
     terms = wirecut_terms()
     assert len(terms) == 8
     assert all(t.coefficient in (0.5, -0.5) for t in terms)
-    measured = {t.left_op[1] for t in terms}
-    assert measured == {"I", "X", "Y", "Z"}
-    assert {t.right_op[1] for t in terms} <= set(PREP_STATES)
+    assert {t.left_op for t in terms} == {(("measure", p),) for p in "IXYZ"}
+    for t in terms:
+        (kind, name, matrix), = t.right_op
+        state = name.removeprefix("prep ")
+        assert kind == "u" and np.array_equal(matrix, np.outer(PREP_STATES[state], (1, 0)))
 
 
 def test_wirecut_identity_on_basis_state():
     rho = np.array([[1, 0], [0, 0]], dtype=complex)
     total = np.zeros((2, 2), dtype=complex)
     for t in wirecut_terms():
-        prep = PREP_STATES[t.right_op[1]]
-        total += t.coefficient * np.trace(rho @ PAULI[t.left_op[1]]).real * np.outer(
+        (_, letter), = t.left_op
+        prep = t.right_op[0][2] @ PREP_STATES["0"]
+        total += t.coefficient * np.trace(rho @ PAULI[letter]).real * np.outer(
             prep, prep.conj()
         )
     assert np.allclose(total, rho, atol=1e-14)
@@ -76,7 +79,7 @@ def test_gatecut_unsupported_kind():
 
 def test_reconstruct_zero_cut_plan_is_product():
     circ = Circuit(4, (Gate("x", (0,)), Gate("cx", (0, 1)), Gate("h", (2,)), Gate("cz", (2, 3))))
-    plan = find_cuts(circ, force_bipartition=True)
+    plan = find_cuts(circ)
     assert plan.kg == 0 and plan.kw == 0
     obs = Observable.from_labels([(1.0, "ZZZI")])
     rec = cut_and_reconstruct(circ, plan, obs)
@@ -118,7 +121,7 @@ def test_reconstruct_combination_count_is_literal():
             Gate("cz", (0, 1)),
         ),
     )
-    plan = find_cuts(circ, force_bipartition=True)
+    plan = find_cuts(circ)
     rec = cut_and_reconstruct(circ, plan, weight_z_observable(3, 1))
     assert rec.num_combinations == 6**plan.kg * 8**plan.kw
     assert rec.num_subexperiments == rec.num_combinations * plan.num_subcircuits
@@ -130,7 +133,7 @@ def test_reconstruct_matches_oracle_on_random_instances():
         rng = np.random.default_rng((91, trial))
         n = int(rng.integers(3, 7))
         circ = lower_rotations(random_circuit(n, int(rng.integers(6, 18)), rng, p_two_qubit=0.3))
-        plan = find_cuts(circ, force_bipartition=True)
+        plan = find_cuts(circ)
         obs = random_observable(n, rng, max_weight=3)
         factors = random_product_factors(n, rng)
         rec = cut_and_reconstruct(circ, plan, obs, factors)
@@ -163,7 +166,7 @@ def test_backprop_then_cut_then_reconstruct_pipeline():
 
             value = expectation(product_state(factors), bp.evolved_obs)
         else:
-            plan = find_cuts(bp.reduced_circuit, force_bipartition=True)
+            plan = find_cuts(bp.reduced_circuit)
             value = cut_and_reconstruct(bp.reduced_circuit, plan, bp.evolved_obs, factors).value
         worst = max(worst, abs(value - exact))
     assert worst < 1e-9
@@ -251,8 +254,9 @@ def test_reconstruct_multiway_plan():
 
 
 def test_reconstruct_part_with_every_cut_end():
-    # Each part holds a gate-cut end in both roles, a measured and a prepared
-    # wire-cut end, interleaved in an order that differs from the cut order.
+    # Each part holds a gate-cut end on both sides, a measured (side 0) and a
+    # prepared (side 1) wire-cut end, interleaved in an order that differs
+    # from the cut order. Gate cuts are cuts 0 and 1, wire cuts 2 and 3.
     gates = (
         Gate("h", (0,)), Gate("h", (1,)), Gate("rz", (2,), angle=0.3), Gate("h", (3,)),
         Gate("cz", (0, 2)), Gate("rz", (1,), angle=0.5), Gate("cx", (1, 3)),
@@ -263,12 +267,9 @@ def test_reconstruct_part_with_every_cut_end():
     plan = CutPlan(4, (0, 0, 1, 1), ((1, 6, 1), (2, 8, 0)), (4, 7), 2)
     obs = Observable.from_labels([(0.4, "ZXYZ"), (0.3, "XIZY"), (0.5, "IZXX"), (0.2, "ZZZZ")])
     ext = extract_subcircuits(circ, plan, obs)
-    ends = [[(op.kind, op.cut_id, op.role) for op in sub.ops if not isinstance(op, Circuit)]
+    ends = [[(op.cut, op.side) for op in sub.ops if not isinstance(op, Circuit)]
             for sub in ext.subcircuits]
-    assert ends == [
-        [("gatecut", 0, "a"), ("wc_measure", 0, None), ("gatecut", 1, "b"), ("wc_prep", 1, None)],
-        [("gatecut", 0, "b"), ("wc_prep", 0, None), ("gatecut", 1, "a"), ("wc_measure", 1, None)],
-    ]
+    assert ends == [[(0, 0), (2, 0), (1, 1), (3, 1)], [(0, 1), (2, 1), (1, 0), (3, 0)]]
     factors = random_product_factors(4, np.random.default_rng(7))
     rec = reconstruct(ext, factors)
     assert rec.num_combinations == 6**2 * 8**2
@@ -316,7 +317,7 @@ def _walk_cases():
         circ = lower_rotations(random_circuit(n, 20, rng, p_two_qubit=0.35))
         circ = _with_rotations(circ, rng)
         plan = (find_cuts(circ, max_qubits=n - 2, seed=trial) if trial % 2
-                else find_cuts(circ, force_bipartition=True, seed=trial))
+                else find_cuts(circ, seed=trial))
         if 6**plan.kg * 8**plan.kw > 6**3 * 8:
             continue
         obs = random_observable(n, rng, max_weight=3)
@@ -341,9 +342,7 @@ def _walk_cases():
 def _tables(part_table, ext, factors):
     cut_terms = [gatecut_terms(i.kind) for i in ext.gate_cut_infos]
     cut_terms += [wirecut_terms()] * len(ext.wire_cut_infos)
-    kg = len(ext.gate_cut_infos)
-    return [part_table(sub, words, cut_terms, kg, factors)
-            for sub, words in zip(ext.subcircuits, ext.subobservables)]
+    return [part_table(sub, cut_terms, factors) for sub in ext.subcircuits]
 
 
 def test_walk_cases_cover_every_cut_end():
@@ -353,20 +352,19 @@ def test_walk_cases_cover_every_cut_end():
             ends = [op for op in sub.ops if not isinstance(op, Circuit)]
             if not ends:
                 seen.add("no cut end")
+            kg = len(ext.gate_cut_infos)
             for op in ends:
-                kind = ext.gate_cut_infos[op.cut_id].kind if op.kind == "gatecut" else None
-                seen.add((op.kind, kind, op.role))
+                seen.add((ext.gate_cut_infos[op.cut].kind if op.cut < kg else "wire", op.side))
             # a measured wire idles after its cut while later gates run on the others
             for i, op in enumerate(sub.ops):
-                if not isinstance(op, Circuit) and op.kind == "wc_measure" and any(
+                if not isinstance(op, Circuit) and op.cut >= kg and op.side == 0 and any(
                         isinstance(later, Circuit) and later.gates for later in sub.ops[i + 1:]):
                     seen.add("measure end, then a gate run")
             runs = [op for op in sub.ops if isinstance(op, Circuit)]
             seen.update(f"rot on {len(g.qubits)}" for run in runs for g in run.gates
                         if g.kind == "rot")
     assert seen >= {
-        ("gatecut", "cz", "a"), ("gatecut", "cz", "b"), ("gatecut", "cx", "a"),
-        ("gatecut", "cx", "b"), ("wc_measure", None, None), ("wc_prep", None, None),
+        ("cz", 0), ("cz", 1), ("cx", 0), ("cx", 1), ("wire", 0), ("wire", 1),
         "no cut end", "rot on 1", "rot on 2", "measure end, then a gate run",
     }
 
