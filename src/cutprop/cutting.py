@@ -286,6 +286,10 @@ class _Bipartitioner:
         )
         # The cut position of an uncut wire: after every gate.
         self.never = self.gates2q[-1][0] + 1 if self.gates2q else 0
+        # The wires with a 2-qubit gate: only their labels reach a refinement.
+        self._linked = tuple(w for w, timeline in enumerate(self.by_wire) if timeline)
+        # (max_passes, labels of the linked wires) -> (cuts, kg).
+        self._refined: dict[tuple[int, ...], tuple[dict[int, int], int]] = {}
 
     def refine_wire_cuts(self, labels, max_passes: int = 8) -> tuple[dict[int, int], int]:
         """Coordinate descent over per-wire cut positions; returns (cuts, kg).
@@ -306,7 +310,15 @@ class _Bipartitioner:
         a tie) and its value at the wire's current cut. A wire whose
         partners' cuts have not moved since its last sweep would find the
         same cut again, so it is skipped.
+
+        An idle wire's label moves neither the crossing count nor any sweep,
+        so each pattern of linked labels is refined once per instance, and
+        labelings that differ only on idle wires share its result.
         """
+        key = (max_passes, *[labels[w] for w in self._linked])
+        if key in self._refined:
+            cuts, kg = self._refined[key]
+            return dict(cuts), kg
         never = self.never
         cut_at = [never] * self.n
         stale = [True] * self.n
@@ -342,7 +354,9 @@ class _Bipartitioner:
                         stale[p] = True
             if not changed:
                 break
-        return {w: t for w, t in enumerate(cut_at) if t != never}, kg
+        cuts = {w: t for w, t in enumerate(cut_at) if t != never}
+        self._refined[key] = (cuts, kg)
+        return dict(cuts), kg
 
 
 def _feasible(labels, cuts: dict[int, int], max_side: int | None) -> bool:
@@ -424,18 +438,23 @@ def _search_annealed(problem: _Bipartitioner, max_side, seed: int):
             labels = _bfs_balanced_labels(problem)
         else:
             labels = tuple(0 if q == 0 else int(rng.integers(0, 2)) for q in range(n))
-        if len(set(labels)) < 2:
+        # Wire 0 is always labelled 0 and never flipped, so a labeling is
+        # one-sided exactly when it has no ones.
+        ones = sum(labels)
+        if not ones:
             labels = tuple(0 if q < n // 2 else 1 for q in range(n))
+            ones = n - n // 2
         e = energy(labels)
         temp = 2.0
         for _ in range(iters):
             w = int(rng.integers(1, n))
-            cand = labels[:w] + (labels[w] ^ 1,) + labels[w + 1 :]
-            if len(set(cand)) < 2:
+            cand_ones = ones + 1 - 2 * labels[w]
+            if not cand_ones:
                 continue
+            cand = labels[:w] + (labels[w] ^ 1,) + labels[w + 1 :]
             e_new = energy(cand)
             if e_new <= e or rng.random() < math.exp(-(e_new - e) / temp):
-                labels, e = cand, e_new
+                labels, e, ones = cand, e_new, cand_ones
             temp = max(temp * 0.97, 1e-9)
 
     # Fully re-refine only the most promising labelings found by the walk.

@@ -329,6 +329,69 @@ def test_refine_matches_reference(heis19_bench_searches):
     assert with_cuts > len(checks) // 4
 
 
+def test_refine_ignores_idle_wire_labels():
+    # Labelings that agree on the wires with a 2-qubit gate and differ on
+    # the idle ones get one refinement, equal to the reference's for each.
+    heis = _heis19().prefix(146)  # its 2-qubit gates touch 8 of the 19 wires
+    two_phase, groups = _two_phase_problem(20, np.random.default_rng(59))
+    gate_free = {1, 6, 13}
+    gates2q = [g for g in two_phase.gates2q if not {g[1], g[2]} & gate_free]
+    problems = [
+        (_Bipartitioner(heis.n, _two_qubit_gates(heis)), None),
+        (_Bipartitioner(two_phase.n, gates2q, two_phase.cuttable), groups),
+    ]
+    rng = np.random.default_rng(60)
+    with_cuts = 0
+    for problem, groups in problems:
+        idle = [w for w, timeline in enumerate(problem.by_wire) if not timeline]
+        assert len(idle) >= 3
+        for _ in range(30):
+            if groups is not None and rng.random() < 0.5:
+                labels = groups[int(rng.integers(0, 2))] ^ (rng.random(problem.n) < 0.1)
+            else:
+                labels = rng.random(problem.n) < 0.5
+            labels = [int(l) for l in labels]
+            other = list(labels)
+            for w in idle:
+                other[w] = int(rng.integers(0, 2))
+            other[idle[0]] ^= 1
+            for passes in (0, 2, 8):
+                refined = len(problem._refined)
+                got = problem.refine_wire_cuts(tuple(labels), passes)
+                assert got == refine_wire_cuts(problem, labels, passes), (labels, passes)
+                assert problem.refine_wire_cuts(tuple(other), passes) == got, (other, passes)
+                assert got == refine_wire_cuts(problem, other, passes), (other, passes)
+                assert len(problem._refined) <= refined + 1
+                with_cuts += bool(got[0])
+    assert with_cuts > 60
+
+
+def test_heis19_bench_search_refines_each_pattern_once(heis19_bench_searches, monkeypatch):
+    # The seed-0 row's six cut searches price 16,399 labelings but refine
+    # only 1,348 distinct (passes, linked labels) patterns.
+    _, searched, calls = heis19_bench_searches
+    problems, priced = [], 0
+    init, refine = _Bipartitioner.__init__, _Bipartitioner.refine_wire_cuts
+
+    def recording_init(self, *args):
+        init(self, *args)
+        problems.append(self)
+
+    def counting_refine(self, *args):
+        nonlocal priced
+        priced += 1
+        return refine(self, *args)
+
+    monkeypatch.setattr(_Bipartitioner, "__init__", recording_init)
+    monkeypatch.setattr(_Bipartitioner, "refine_wire_cuts", counting_refine)
+    for b, kwargs in calls:
+        circuit, plan = searched[b]
+        assert find_cuts(circuit, **kwargs) == plan
+    assert len(problems) == 6
+    assert priced == 16399
+    assert sum(len(p._refined) for p in problems) == 1348
+
+
 # Leftover gate count -> (the one qubit labelled 1, wire cuts) of each plan
 # the heis19 seed-0 bench row's budget search chose.
 HEIS19_SEED0_PLANS = {
