@@ -23,7 +23,6 @@ from .backprop import (
     BackpropResult,
     backpropagate,
     conjugate_gate,
-    conjugate_rotation,
     truncate,
 )
 from .circuits import (

@@ -116,7 +116,7 @@ class ObjectiveEvaluator:
             self._plans[key] = find_cuts(self.circuit.prefix(boundary), seed=self.cut_seed)
         return self._plans[key]
 
-    def evaluate(self, w: int) -> int:
+    def __call__(self, w: int) -> int:
         """Executions needed after backpropagating with budget w and cutting."""
         bp = self.backprop(w)
         if bp.fully_absorbed:
@@ -124,9 +124,6 @@ class ObjectiveEvaluator:
         plan = self.plan(len(bp.reduced_circuit.gates))
         groups = bp.group_history[-1] if bp.group_history else self._input_groups
         return total_executions(plan.kg, plan.kw, groups)
-
-    def __call__(self, w: int) -> int:
-        return self.evaluate(w)
 
 
 def accept_move(delta: float, temperature: float, rng: np.random.Generator) -> bool:

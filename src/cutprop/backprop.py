@@ -23,17 +23,16 @@ from .circuits import Circuit, Gate, _clifford_quarter_turns, slice_circuit
 from .paulis import (
     _PHASES,
     Observable,
-    PauliError,
     PauliString,
     _from_rows,
     _limbs,
     _magnitudes,
     _pack_masks,
     canonicalize,
-    commutes,  # traced by perfbench/spans.py (ROADMAP item 6), no longer called here
+    commutes,  # traced by perfbench/spans.py (ROADMAP item 7), no longer called here
     group_qwc,
     merge_rows,
-    multiply,  # traced by perfbench/spans.py (ROADMAP item 6), no longer called here
+    multiply,  # traced by perfbench/spans.py (ROADMAP item 7), no longer called here
 )
 
 
@@ -155,17 +154,6 @@ def _conjugate(obs: Observable, rotations: list[tuple[PauliString, float]]) -> O
     return _from_rows(obs.n, *rows, True) if changed else obs
 
 
-def conjugate_rotation(obs: Observable, axis: PauliString, angle: float) -> Observable:
-    """Conjugate by exp(-i*angle/2 * axis) backward.
-
-    Commuting terms pass through; each anticommuting term becomes
-    cos(angle)*term + i*sin(angle)*axis*term.
-    """
-    if axis.n != obs.n:
-        raise PauliError(f"size mismatch: {axis.n} vs {obs.n} qubits")
-    return _conjugate(obs, [(axis, angle)])
-
-
 def conjugate_gate(obs: Observable, gate: Gate) -> Observable:
     """G_dag O G, one Pauli rotation at a time, last rotation first."""
     if gate.kind not in _ROTATIONS:
@@ -274,8 +262,9 @@ def backpropagate(
         spent = 0.0
         if trunc_budget_per_slice > 0:
             cand, spent = truncate(cand, trunc_budget_per_slice)
-        # A slice that leaves every term unchanged keeps the last grouping.
-        groups = history[-1] if history and cand == current else group_qwc(cand).group_count
+        # A grouping reads only the x/z rows: a slice that changes no row keeps it.
+        same_rows = np.array_equal(cand.x, current.x) and np.array_equal(cand.z, current.z)
+        groups = history[-1] if history and same_rows else group_qwc(cand).group_count
         if groups > max_qwc_groups:
             break
         if groups > max(history, default=0):

@@ -113,9 +113,6 @@ class Circuit:
             if max(g.qubits) >= self.n:
                 raise CircuitError(f"gate {g} exceeds width {self.n}")
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
     def prefix(self, stop: int) -> "Circuit":
         return Circuit(self.n, self.gates[:stop])
 

@@ -263,10 +263,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             work_circuit, work_obs = circuit, canonicalize(obs)
             pipeline["mode"] = "cut"
-        plan = find_cuts(work_circuit, seed=args.seed)
+        # Backpropagation that absorbed every gate leaves nothing to cut.
+        absorbed_all = args.qwc_max is not None and not work_circuit.gates
+        plan = None if absorbed_all else find_cuts(work_circuit, seed=args.seed)
     exact = uncut_expectation(circuit, obs)
     sampled = None
-    if len(work_circuit.gates) == 0 and args.qwc_max is not None:
+    if plan is None:
         reconstructed = _zero_state_expectation(work_obs)
         num_combos = 0
         num_subexp = 0
@@ -286,7 +288,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = _base_report("verify", args, circuit_sha256=circ_hash, observable_sha256=obs_hash)
     report["results"] = {
         "pipeline": pipeline,
-        "plan": plan.to_dict(),
+        "plan": None if plan is None else plan.to_dict(),
         "exact_expectation": exact,
         "reconstructed_expectation": reconstructed,
         "abs_delta": delta,

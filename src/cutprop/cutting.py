@@ -83,9 +83,6 @@ class CutPlan:
     def segment_label(self, q: int, t: int) -> int:
         return self.segments(q)[self.wire_at(q, t)[1]][1]
 
-    def final_label(self, q: int) -> int:
-        return self.segments(q)[-1][1]
-
     @cached_property
     def parts(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Part label -> its (qubit, segment index) wires.

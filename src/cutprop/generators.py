@@ -77,7 +77,6 @@ def heisenberg_trotter(
     h: tuple[float, float, float],
     t: float,
     steps: int,
-    n: int | None = None,
 ) -> Circuit:
     """First-order product-formula circuit for the XYZ spin Hamiltonian.
 
@@ -87,11 +86,10 @@ def heisenberg_trotter(
     """
     if steps < 1:
         raise CircuitError("steps must be >= 1")
-    if n is None:
-        n = 1 + max(max(u, v) for u, v in edges) if edges else 0
+    n = 1 + max(max(u, v) for u, v in edges) if edges else 0
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise CircuitError(f"invalid edge ({u}, {v}) for {n} qubits")
+        if min(u, v) < 0 or u == v:
+            raise CircuitError(f"invalid edge ({u}, {v})")
     dt = t / steps
     jx, jy, jz = j
     hx, hy, hz = h
@@ -180,7 +178,6 @@ def random_circuit(
     depth: int,
     rng: np.random.Generator,
     p_two_qubit: float = 0.35,
-    p_rotation: float = 0.4,
 ) -> Circuit:
     """Seeded mixed Clifford/rotation circuit for tests and benchmarks."""
     gates: list[Gate] = []
@@ -188,7 +185,7 @@ def random_circuit(
         if n >= 2 and rng.random() < p_two_qubit:
             u, v = map(int, rng.choice(n, size=2, replace=False))
             pair = (min(u, v), max(u, v))
-            if rng.random() < p_rotation:
+            if rng.random() < 0.4:
                 axis = str(rng.choice(_RANDOM_AXES_2Q))
                 angle = float(rng.uniform(-PI, PI))
                 gates.append(Gate("rot", pair, angle=angle, axis=axis))
@@ -197,7 +194,7 @@ def random_circuit(
                 gates.append(Gate(kind, pair))
         else:
             q = int(rng.integers(0, n))
-            if rng.random() < p_rotation:
+            if rng.random() < 0.4:
                 gates.append(Gate("rz", (q,), angle=float(rng.uniform(-PI, PI))))
             else:
                 gates.append(Gate(str(rng.choice(_RANDOM_1Q)), (q,)))

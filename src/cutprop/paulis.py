@@ -59,32 +59,11 @@ class PauliString:
             z |= zb << q
         return cls(len(label), x, z)
 
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0)
-
     def letter(self, q: int) -> str:
         return _LETTERS[((self.x >> q) & 1, (self.z >> q) & 1)]
 
     def label(self) -> str:
         return "".join(self.letter(q) for q in range(self.n))
-
-    def __str__(self) -> str:
-        return self.label()
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        occ = self.x | self.z
-        return tuple(q for q in range(self.n) if (occ >> q) & 1)
-
-    def sort_key(self) -> tuple[int, int]:
-        return (self.x, self.z)
 
 
 def _check_sizes(p: PauliString, q: PauliString) -> None:
@@ -204,9 +183,6 @@ class Observable:
 
     def __repr__(self) -> str:
         return f"Observable(n={self.n}, terms={self.terms!r})"
-
-    def words(self) -> tuple[PauliString, ...]:
-        return tuple(t.word for t in self.terms)
 
 
 def _pack(n: int, coeffs: Sequence[complex], words: Sequence[PauliString]) -> tuple:
@@ -415,11 +391,11 @@ def parse_observable(text: str) -> Observable:
     return Observable.from_labels(pairs)
 
 
-def format_observable(obs: Observable, imag_tol: float = 1e-12) -> str:
+def format_observable(obs: Observable) -> str:
     """Render an observable in the text format (requires real coefficients)."""
     lines = []
     for t in obs.terms:
-        if abs(t.coeff.imag) > imag_tol:
+        if abs(t.coeff.imag) > 1e-12:
             raise PauliError(f"non-real coefficient {t.coeff} cannot be formatted")
         lines.append(f"{t.coeff.real!r} {t.word.label()}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -365,7 +365,7 @@ def dsatur_colors(words: Sequence[PauliString], adj: list[set[int]]) -> list[int
 
 def qwc_groups(obs) -> tuple[tuple[int, ...], ...]:
     """``group_qwc(obs).groups`` from the pair-loop colorers."""
-    words = obs.words()
+    words = tuple(t.word for t in obs.terms)
     if not words:
         return ()
     adj = conflict_adjacency(words)
@@ -401,7 +401,7 @@ def canonicalize(obs):
 
 
 def conjugate_rotation_terms(obs, axis, angle):
-    """``conjugate_rotation`` one term at a time."""
+    """Backprop's ``_conjugate(obs, [(axis, angle)])`` one term at a time."""
     k = _clifford_quarter_turns(angle)
     if k is not None:
         c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[k]
@@ -439,7 +439,7 @@ def truncate_terms(obs, budget):
         raise BackpropError("truncation budget must be nonnegative")
     if budget == 0 or not obs.terms:
         return obs, 0.0
-    order = sorted(obs.terms, key=lambda t: (abs(t.coeff), t.word.sort_key()))
+    order = sorted(obs.terms, key=lambda t: (abs(t.coeff), t.word.x, t.word.z))
     spent = 0.0
     dropped: set[tuple[int, int]] = set()
     for t in order:

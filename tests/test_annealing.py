@@ -72,7 +72,7 @@ def test_objective_evaluator_agrees_with_objective():
                 evaluator = ObjectiveEvaluator(circ, obs, 12, slicing, trunc)
                 for w in range(1, 13):
                     expected = objective(circ, obs, w, slicing, trunc)
-                    assert evaluator.evaluate(w) == expected, (trial, slicing, trunc, w)
+                    assert evaluator(w) == expected, (trial, slicing, trunc, w)
 
 
 def test_objective_rejects_bad_w():

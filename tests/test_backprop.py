@@ -7,9 +7,9 @@ import pytest
 
 from cutprop.backprop import (
     BackpropError,
+    _conjugate,
     backpropagate,
     conjugate_gate,
-    conjugate_rotation,
     truncate,
 )
 from cutprop.circuits import Circuit, Gate, lower_rotations
@@ -149,20 +149,20 @@ def test_clifford_rot_gate_matches_dense(angle):
 
 
 def test_rotation_commuting_axis_unchanged():
-    out = conjugate_rotation(single("Z"), PauliString.from_label("Z"), 0.813)
+    out = _conjugate(single("Z"), [(PauliString.from_label("Z"), 0.813)])
     assert [(t.coeff, t.word.label()) for t in out.terms] == [(1.0, "Z")]
 
 
 def test_rotation_splits_x_under_z_axis():
     theta = 0.7
-    out = conjugate_rotation(single("X"), PauliString.from_label("Z"), theta)
+    out = _conjugate(single("X"), [(PauliString.from_label("Z"), theta)])
     coeffs = {t.word.label(): t.coeff for t in out.terms}
     assert coeffs["X"] == pytest.approx(math.cos(theta))
     assert coeffs["Y"] == pytest.approx(-math.sin(theta))
 
 
 def test_rotation_zz_axis_on_xi():
-    out = conjugate_rotation(single("XI"), PauliString.from_label("ZZ"), math.pi / 2)
+    out = _conjugate(single("XI"), [(PauliString.from_label("ZZ"), math.pi / 2)])
     assert len(out.terms) == 1
     got = dense(out, 2)
     u = gate_matrix(Gate("rot", (0, 1), angle=math.pi / 2, axis="ZZ"), 2)
@@ -180,7 +180,7 @@ def test_rotation_matches_dense_random():
         word = "".join(rng.choice(list(LETTERS), size=n))
         theta = float(rng.uniform(-7, 7))
         axis = PauliString.from_label(axis_label)
-        out = conjugate_rotation(single(word), axis, theta)
+        out = _conjugate(single(word), [(axis, theta)])
         u = np.cos(theta / 2) * np.eye(1 << n) - 1j * np.sin(theta / 2) * word_matrix(axis_label)
         assert np.allclose(dense(out, n), u.conj().T @ word_matrix(word) @ u, atol=1e-12)
 
@@ -189,7 +189,7 @@ def test_rotation_preserves_two_norm_on_anticommuting_term():
     rng = np.random.default_rng(12)
     for _ in range(30):
         theta = float(rng.uniform(-6, 6))
-        out = conjugate_rotation(single("X", 0.7), PauliString.from_label("Z"), theta)
+        out = _conjugate(single("X", 0.7), [(PauliString.from_label("Z"), theta)])
         norm = sum(abs(t.coeff) ** 2 for t in out.terms)
         assert norm == pytest.approx(0.49, abs=1e-12)
 
@@ -311,6 +311,15 @@ def test_unchanged_observable_is_not_regrouped(monkeypatch):
     result = backpropagate(circ, obs, max_qwc_groups=4, slicing="per-gate")
     assert result.fully_absorbed and result.group_history == (1, 1, 1)
     assert len(calls) == result.slices_absorbed - 1
+    # x(0) maps Z0 to -Z0, a change of coefficient only, so its slice reuses
+    # the grouping as well: the same history, one grouping fewer.
+    calls.clear()
+    circ = Circuit(2, circ.gates[:1] + (Gate("x", (0,)),) + circ.gates[1:])
+    result = backpropagate(circ, obs, max_qwc_groups=4, slicing="per-gate")
+    assert result.fully_absorbed and result.group_history == (1, 1, 1, 1)
+    assert len(calls) == result.slices_absorbed - 2
+    assert [(t.coeff, t.word.label()) for t in result.evolved_obs.terms] \
+        == [(-1.0, "XI"), (0.5, "IX")]
 
 
 def test_absorption_monotone_in_budget():
@@ -467,7 +476,7 @@ def test_conjugate_rotation_matches_the_per_term_reference_bit_for_bit():
         obs = kernel_observable(n, rng)
         for angle in KERNEL_ANGLES:
             axis = kernel_observable(n, rng, size=1).terms[0].word
-            got = conjugate_rotation(obs, axis, angle)
+            got = _conjugate(obs, [(axis, angle)])
             want = conjugate_rotation_terms(obs, axis, angle)
             assert exact_terms(got) == exact_terms(want), (n, angle)
 
@@ -478,12 +487,12 @@ def test_conjugation_merges_duplicates_and_drops_cancelled_terms():
     obs = Observable.from_labels([(1.0, "Z"), (1.0, "X"), (0.5, "Y")])
     axis = PauliString.from_label("Y")
     for angle in (math.pi / 2, math.pi / 4, 0.3, math.pi / 4 + 2e-15, math.pi / 4 + 2e-14):
-        got = conjugate_rotation(obs, axis, angle)
+        got = _conjugate(obs, [(axis, angle)])
         assert exact_terms(got) == exact_terms(conjugate_rotation_terms(obs, axis, angle))
-    got = conjugate_rotation(obs, axis, math.pi / 4)
+    got = _conjugate(obs, [(axis, math.pi / 4)])
     assert [t.word.label() for t in got.terms] == ["Z", "Y"]
     assert exact_terms(got)[1] == exact_terms(obs)[2]
-    assert [t.word.label() for t in conjugate_rotation(obs, axis, math.pi / 4 + 2e-14).terms] \
+    assert [t.word.label() for t in _conjugate(obs, [(axis, math.pi / 4 + 2e-14)]).terms] \
         == ["Z", "X", "Y"]
 
 

@@ -195,6 +195,28 @@ def test_verify_pipeline_within_tolerance(workdir):
     assert report["results"]["abs_delta"] < 1e-9
 
 
+@pytest.mark.parametrize("n, gates, label", [
+    (3, (Gate("h", (0,)), Gate("cx", (0, 1))), "ZZI"),
+    # One qubit cannot be partitioned, so a search on it would exit 2.
+    (1, (Gate("h", (0,)),), "Z"),
+])
+def test_verify_fully_absorbed_skips_the_cut_search(tmp_path, monkeypatch, n, gates, label):
+    import cutprop.cli
+
+    def must_not_search(*args, **kwargs):
+        raise AssertionError("find_cuts ran on a fully absorbed circuit")
+
+    monkeypatch.setattr(cutprop.cli, "find_cuts", must_not_search)
+    circ_path, obs_path, out = tmp_path / "c.qasm", tmp_path / "o.txt", tmp_path / "v.json"
+    circ_path.write_text(emit_qasm(Circuit(n, gates)))
+    obs_path.write_text(f"1 {label}\n")
+    rc = main(["verify", str(circ_path), str(obs_path), "--qwc-max", "2", "--out", str(out)])
+    assert rc == EXIT_OK
+    results = read_json(out)["results"]
+    assert results["pipeline"]["fully_absorbed"] is True and results["plan"] is None
+    assert results["qpd_combinations"] == 0 and results["within_tolerance"] is True
+
+
 def test_verify_explicit_plan(workdir):
     tmp, circ, obs, _, _ = workdir
     plan_out = tmp / "plan.json"

@@ -590,7 +590,7 @@ def test_wire_cut_order_does_not_matter():
         (
             plan.segments(0),
             [plan.segment_label(0, t) for t in range(len(circ.gates) + 1)],
-            plan.final_label(0),
+            plan.segments(0)[-1][1],
             cost(plan, obs, per_subcircuit=True, circuit=circ),
             cut_and_reconstruct(circ, plan, obs).value,
         )

@@ -153,7 +153,7 @@ def test_weight_one_observable():
     assert len(obs.terms) == 6
     for t in obs.terms:
         assert t.coeff == pytest.approx(1 / 6)
-        assert t.word.weight() == 1
+        assert (t.word.x | t.word.z).bit_count() == 1
 
 
 def test_weight_full_observable_single_term():
@@ -177,8 +177,8 @@ def test_weight_observable_range_check():
 def test_first_k_z_observable():
     obs = first_k_z_observable(19, 6)
     assert len(obs.terms) == 6
-    assert all(t.word.weight() == 1 for t in obs.terms)
-    assert {t.word.support()[0] for t in obs.terms} == set(range(6))
+    assert all((t.word.x | t.word.z).bit_count() == 1 for t in obs.terms)
+    assert {(t.word.x | t.word.z).bit_length() - 1 for t in obs.terms} == set(range(6))
 
 
 # --- emitted circuits stay inside the parseable subset ------------------------------
