@@ -51,7 +51,6 @@ from .paulis import (
     PauliError,
     PauliString,
     PauliTerm,
-    QwcGrouping,
     canonicalize,
     commutes,
     format_observable,

@@ -94,20 +94,12 @@ class ObjectiveEvaluator:
         self.cut_seed = cut_seed
         self.result = backpropagate(circuit, obs, w_cap, trunc_budget_per_slice, slicing)
         canonical = canonicalize(obs)
-        self._input_groups = group_qwc(canonical).group_count if len(canonical) else 1
+        self._input_groups = len(group_qwc(canonical)) if len(canonical) else 1
         self._plans: dict[int, CutPlan] = {}
         # 2-qubit gates among the first b gates, for each prefix length b
         self._two_qubit_counts = [0]
         for g in circuit.gates:
             self._two_qubit_counts.append(self._two_qubit_counts[-1] + (len(g.qubits) >= 2))
-
-    def backprop(self, w: int) -> BackpropResult:
-        """The backpropagation with budget w, read off the one at the cap."""
-        if w < 1:
-            raise AnnealError("w must be >= 1")
-        if w > self.w_cap and not self.result.fully_absorbed:
-            raise AnnealError(f"budget {w} exceeds the backpropagation cap {self.w_cap}")
-        return self.result.at_budget(w)
 
     def plan(self, boundary: int) -> CutPlan:
         """The cut plan of the circuit's first ``boundary`` gates (memoized)."""
@@ -118,7 +110,11 @@ class ObjectiveEvaluator:
 
     def __call__(self, w: int) -> int:
         """Executions needed after backpropagating with budget w and cutting."""
-        bp = self.backprop(w)
+        if w < 1:
+            raise AnnealError("w must be >= 1")
+        if w > self.w_cap and not self.result.fully_absorbed:
+            raise AnnealError(f"budget {w} exceeds the backpropagation cap {self.w_cap}")
+        bp = self.result.at_budget(w)
         if bp.fully_absorbed:
             return 0
         plan = self.plan(len(bp.reduced_circuit.gates))
@@ -233,8 +229,10 @@ class OptimizeResult:
     cache: dict[int, int]
     runs: list[AnnealResult]
     vanilla_plan: CutPlan
-    backprop: BackpropResult | None  # the backpropagation at w_opt; None when w_opt is
-    plan: CutPlan | None  # the chosen circuit's cut plan, None when fully absorbed
+    # The chosen backpropagation: at w_opt, or the one that absorbs nothing
+    # (at_budget(0)) when vanilla cutting wins.
+    backprop: BackpropResult
+    plan: CutPlan | None  # the cut plan of backprop's circuit, None when fully absorbed
 
     @property
     def beneficial(self) -> bool:
@@ -253,29 +251,25 @@ def optimize_budget(
     config: SAConfig,
     slicing: str = "auto",
     trunc_budget_per_slice: float = 0.0,
-    cut_seed: int = 0,
 ) -> OptimizeResult:
     """Annealed budget search with a vanilla-cutting fallback.
 
     The returned recommendation is never worse than cutting the original
     circuit directly: the vanilla cost enters the final comparison as a
-    candidate. The result carries the plans it chose between, so callers
-    need no further search.
+    candidate, and vanilla cutting is the backpropagation that absorbs
+    nothing. The result carries the backpropagation and plan it chose, so
+    callers need no further search. Cut searches use ``config.seed``.
     """
     evaluator = ObjectiveEvaluator(
-        circuit, obs, config.bound_upper, slicing, trunc_budget_per_slice, cut_seed
+        circuit, obs, config.bound_upper, slicing, trunc_budget_per_slice, config.seed
     )
     par = parallel_anneal(config, evaluator)
     vanilla_plan = evaluator.plan(len(circuit.gates))
     vanilla_cost = cost(vanilla_plan, obs).total_executions
-    if par.opt_num_circuits > vanilla_cost:
-        return OptimizeResult(
-            None, vanilla_cost, par.opt_num_circuits, par.w_opt,
-            vanilla_cost, par.cache, par.runs, vanilla_plan, None, vanilla_plan,
-        )
-    bp = evaluator.backprop(par.w_opt)
+    w_opt = par.w_opt if par.opt_num_circuits <= vanilla_cost else None
+    bp = evaluator.result.at_budget(0 if w_opt is None else w_opt)
     plan = None if bp.fully_absorbed else evaluator.plan(len(bp.reduced_circuit.gates))
     return OptimizeResult(
-        par.w_opt, par.opt_num_circuits, par.opt_num_circuits, par.w_opt,
+        w_opt, min(par.opt_num_circuits, vanilla_cost), par.opt_num_circuits, par.w_opt,
         vanilla_cost, par.cache, par.runs, vanilla_plan, bp, plan,
     )

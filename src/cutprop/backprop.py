@@ -31,6 +31,7 @@ from .paulis import (
     canonicalize,
     commutes,  # traced by perfbench/spans.py (ROADMAP item 7), no longer called here
     group_qwc,
+    letter_masks,
     merge_rows,
     multiply,  # traced by perfbench/spans.py (ROADMAP item 7), no longer called here
 )
@@ -158,13 +159,8 @@ def conjugate_gate(obs: Observable, gate: Gate) -> Observable:
     """G_dag O G, one Pauli rotation at a time, last rotation first."""
     if gate.kind not in _ROTATIONS:
         return _conjugate(obs, [(gate.axis_word(obs.n), gate.angle)])
-    rotations = []
-    for letters, k in reversed(_ROTATIONS[gate.kind]):
-        x = z = 0
-        for q, ch in zip(gate.qubits, letters):
-            x |= (ch in "XY") << q
-            z |= (ch in "YZ") << q
-        rotations.append((PauliString(obs.n, x, z), k * math.pi / 2))
+    rotations = [(PauliString(obs.n, *letter_masks(letters, gate.qubits)), k * math.pi / 2)
+                 for letters, k in reversed(_ROTATIONS[gate.kind])]
     return _conjugate(obs, rotations)
 
 
@@ -211,7 +207,9 @@ class BackpropResult:
 
         Budget w absorbs the slices before the first history entry above w.
         Valid for w up to the budget this result was made with, and for any
-        w when every slice was absorbed.
+        w when every slice was absorbed. Budget 0 absorbs nothing (the
+        circuit and the canonical input observable) unless the observable
+        is empty: only an empty observable has 0 groups.
         """
         history = self.group_history
         k = next((k for k, groups in enumerate(history) if groups > w), len(history))
@@ -264,7 +262,7 @@ def backpropagate(
             cand, spent = truncate(cand, trunc_budget_per_slice)
         # A grouping reads only the x/z rows: a slice that changes no row keeps it.
         same_rows = np.array_equal(cand.x, current.x) and np.array_equal(cand.z, current.z)
-        groups = history[-1] if history and same_rows else group_qwc(cand).group_count
+        groups = history[-1] if history and same_rows else len(group_qwc(cand))
         if groups > max_qwc_groups:
             break
         if groups > max(history, default=0):

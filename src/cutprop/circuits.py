@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .paulis import PauliString
+from .paulis import PauliString, letter_masks
 
 CLIFFORD_1Q = ("h", "s", "sdg", "x", "y", "z", "sx", "sxdg")
 CLIFFORD_2Q = ("cx", "cz")
@@ -80,17 +80,9 @@ class Gate:
 
     def axis_word(self, n: int) -> PauliString:
         """Rotation axis as a width-n Pauli word ("rz" rotates about Z)."""
-        if self.kind == "rz":
-            return PauliString(n, 0, 1 << self.qubits[0])
-        if self.kind != "rot":
+        if self.kind not in ("rz", "rot"):
             raise CircuitError(f"{self.kind} gate has no rotation axis")
-        x = z = 0
-        for q, ch in zip(self.qubits, self.axis):
-            if ch in ("X", "Y"):
-                x |= 1 << q
-            if ch in ("Z", "Y"):
-                z |= 1 << q
-        return PauliString(n, x, z)
+        return PauliString(n, *letter_masks(self.axis or "Z", self.qubits))
 
 
 def _clifford_quarter_turns(angle: float | None) -> int | None:

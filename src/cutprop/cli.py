@@ -39,7 +39,7 @@ from .generators import (
 from .paulis import Observable, PauliError, canonicalize, format_observable, parse_observable
 from .qpd import (
     QpdError,
-    cut_and_reconstruct,
+    cut_and_reconstruct,  # traced by perfbench/spans.py (ROADMAP item 7), no longer called here
     gatecut_terms,
     reconstruct,
     uncut_expectation,
@@ -118,17 +118,11 @@ def _base_report(command: str, args: argparse.Namespace, **inputs) -> dict:
 
 def _qpd_term_tables(extraction) -> dict:
     """Coefficient/label tables for every cut kind the plan uses."""
-    tables: dict[str, list[dict]] = {}
-    kinds = {info.kind for info in extraction.gate_cut_infos}
-    for kind in sorted(kinds):
-        tables[kind] = [
-            {"coefficient": t.coefficient, "label": t.label} for t in gatecut_terms(kind)
-        ]
+    terms = {kind: gatecut_terms(kind) for kind in set(extraction.gate_cut_infos)}
     if extraction.wire_cut_infos:
-        tables["wire"] = [
-            {"coefficient": t.coefficient, "label": t.label} for t in wirecut_terms()
-        ]
-    return tables
+        terms["wire"] = wirecut_terms()
+    return {kind: [{"coefficient": t.coefficient, "label": t.label} for t in kind_terms]
+            for kind, kind_terms in terms.items()}
 
 
 def _zero_state_expectation(obs: Observable) -> float:
@@ -139,14 +133,31 @@ def _zero_state_expectation(obs: Observable) -> float:
     return float(val.real)
 
 
+def _reconstruction(circuit: Circuit, plan: CutPlan | None, obs: Observable,
+                    shots: int | None = None, seed: int = 0) -> dict:
+    """obs's value after circuit, cut along plan and recombined, as report fields.
+
+    With no plan (every slice was absorbed) the value is <0...0|obs|0...0>.
+    """
+    if plan is None:
+        return {"reconstructed_expectation": _zero_state_expectation(obs),
+                "qpd_combinations": 0, "subexperiments": 0, "qpd_terms": {}}
+    extraction = extract_subcircuits(circuit, plan, obs)
+    rec = reconstruct(extraction, shots=shots, sample_seed=seed)
+    fields = {"reconstructed_expectation": rec.exact_value,
+              "qpd_combinations": rec.num_combinations, "subexperiments": rec.num_subexperiments,
+              "qpd_terms": _qpd_term_tables(extraction)}
+    if shots:
+        fields["sampled_expectation"] = rec.value
+    return fields
+
+
 # --- backprop ---------------------------------------------------------------
 
 
 def _cmd_backprop(args: argparse.Namespace) -> int:
     circuit, circ_hash = _load_circuit(args.circuit)
     obs, obs_hash = _load_observable(args.observable)
-    if args.qwc_max < 1:
-        raise CliInputError("--qwc-max must be >= 1")
     result = backpropagate(circuit, obs, args.qwc_max, args.trunc_eps, args.slice)
     reduced_qasm = emit_qasm(result.reduced_circuit)
     evolved_text = format_observable(result.evolved_obs)
@@ -205,7 +216,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         restarts=args.restarts,
         seed=args.seed,
     )
-    result = optimize_budget(circuit, obs, config, slicing=args.slice, cut_seed=args.seed)
+    result = optimize_budget(circuit, obs, config, slicing=args.slice)
     report = _base_report(
         "optimize", args, circuit_sha256=circ_hash, observable_sha256=obs_hash
     )
@@ -236,9 +247,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliInputError(
             f"{circuit.n} qubits exceeds the simulator cap {sim_limit()}"
         )
-    tolerance = args.tolerance
     trunc_bound = 0.0
-    pipeline: dict = {}
     if args.plan and args.qwc_max is not None:
         raise CliInputError("give either --plan or --qwc-max, not both")
     if args.plan:
@@ -248,59 +257,38 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise CliInputError(f"cannot load plan: {exc}") from exc
         plan = CutPlan.from_dict(plan_data)
         work_circuit, work_obs = circuit, canonicalize(obs)
-        pipeline["mode"] = "plan"
+        pipeline = {"mode": "plan"}
+    elif args.qwc_max is not None:
+        bp = backpropagate(circuit, obs, args.qwc_max, args.trunc_eps, args.slice)
+        work_circuit, work_obs = bp.reduced_circuit, bp.evolved_obs
+        trunc_bound = bp.slices_absorbed * args.trunc_eps
+        pipeline = {
+            "mode": "backprop+cut",
+            "slices_absorbed": bp.slices_absorbed,
+            "fully_absorbed": bp.fully_absorbed,
+            "truncation_error_accrued": bp.truncation_error_accrued,
+        }
+        # Backpropagation that absorbed every slice leaves nothing to cut.
+        plan = None if bp.fully_absorbed else find_cuts(work_circuit, seed=args.seed)
     else:
-        if args.qwc_max is not None:
-            bp = backpropagate(circuit, obs, args.qwc_max, args.trunc_eps, args.slice)
-            work_circuit, work_obs = bp.reduced_circuit, bp.evolved_obs
-            trunc_bound = bp.slices_absorbed * args.trunc_eps
-            pipeline = {
-                "mode": "backprop+cut",
-                "slices_absorbed": bp.slices_absorbed,
-                "fully_absorbed": bp.fully_absorbed,
-                "truncation_error_accrued": bp.truncation_error_accrued,
-            }
-        else:
-            work_circuit, work_obs = circuit, canonicalize(obs)
-            pipeline["mode"] = "cut"
-        # Backpropagation that absorbed every gate leaves nothing to cut.
-        absorbed_all = args.qwc_max is not None and not work_circuit.gates
-        plan = None if absorbed_all else find_cuts(work_circuit, seed=args.seed)
+        work_circuit, work_obs = circuit, canonicalize(obs)
+        pipeline = {"mode": "cut"}
+        plan = find_cuts(work_circuit, seed=args.seed)
     exact = uncut_expectation(circuit, obs)
-    sampled = None
-    if plan is None:
-        reconstructed = _zero_state_expectation(work_obs)
-        num_combos = 0
-        num_subexp = 0
-        term_tables = {}
-    else:
-        extraction = extract_subcircuits(work_circuit, plan, work_obs)
-        rec = reconstruct(extraction, shots=args.shots, sample_seed=args.seed)
-        reconstructed = rec.exact_value
-        num_combos = rec.num_combinations
-        num_subexp = rec.num_subexperiments
-        term_tables = _qpd_term_tables(extraction)
-        if args.shots:
-            sampled = rec.value
-    delta = abs(reconstructed - exact)
-    bound = tolerance + trunc_bound
-    ok = delta <= bound
+    fields = _reconstruction(work_circuit, plan, work_obs, args.shots, args.seed)
+    delta = abs(fields["reconstructed_expectation"] - exact)
+    ok = delta <= args.tolerance + trunc_bound
     report = _base_report("verify", args, circuit_sha256=circ_hash, observable_sha256=obs_hash)
     report["results"] = {
         "pipeline": pipeline,
         "plan": None if plan is None else plan.to_dict(),
         "exact_expectation": exact,
-        "reconstructed_expectation": reconstructed,
         "abs_delta": delta,
-        "tolerance": tolerance,
+        "tolerance": args.tolerance,
         "truncation_bound": trunc_bound,
         "within_tolerance": ok,
-        "qpd_combinations": num_combos,
-        "subexperiments": num_subexp,
-        "qpd_terms": term_tables,
+        **fields,
     }
-    if sampled is not None:
-        report["results"]["sampled_expectation"] = sampled
     _emit_report(report, args)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -331,7 +319,7 @@ def _bench_instances(suite: str, seed: int):
 
 def _bench_row(name: str, circuit: Circuit, obs: Observable, seed: int, large: bool) -> dict:
     config = SAConfig(seed=seed)
-    result = optimize_budget(circuit, obs, config, cut_seed=seed)
+    result = optimize_budget(circuit, obs, config)
     bp, plan = result.backprop, result.plan
     row = {
         "circuit": name,
@@ -345,19 +333,14 @@ def _bench_row(name: str, circuit: Circuit, obs: Observable, seed: int, large: b
         "ratio": result.reduction_ratio,
         "beneficial": result.beneficial,
     }
-    if bp is not None:
+    if result.w_opt is not None:
         row["obp_slices_absorbed"] = bp.slices_absorbed
         row["obp_gate_cuts"] = plan.kg if plan else 0
         row["obp_wire_cuts"] = plan.kw if plan else 0
     if large and circuit.n <= sim_limit():
         exact = uncut_expectation(circuit, obs)
-        if bp is None:
-            value = cut_and_reconstruct(circuit, plan, canonicalize(obs)).value
-        elif plan is None:
-            value = _zero_state_expectation(bp.evolved_obs)
-        else:
-            value = cut_and_reconstruct(bp.reduced_circuit, plan, bp.evolved_obs).value
-        delta = abs(value - exact)
+        fields = _reconstruction(bp.reduced_circuit, plan, bp.evolved_obs)
+        delta = abs(fields["reconstructed_expectation"] - exact)
         row["oracle_abs_delta"] = delta
         row["oracle_ok"] = delta < 1e-9
     return row

@@ -222,7 +222,7 @@ def cost(
     if evolved_obs.n != plan.n:
         raise CutError(f"observable width {evolved_obs.n} != plan width {plan.n}")
     obs = canonicalize(evolved_obs)
-    groups = group_qwc(obs).group_count if len(obs) else 1
+    groups = len(group_qwc(obs)) if len(obs) else 1
     total = total_executions(plan.kg, plan.kw, groups)
     per = None
     if per_subcircuit:
@@ -232,7 +232,7 @@ def cost(
         rows = []
         for label, sub in zip(plan.parts, extraction.subcircuits):
             words = Observable.from_terms(sub.n, [(1, w) for w in sub.words])  # distinct
-            g_i = group_qwc(words).group_count if len(words) else 1
+            g_i = len(group_qwc(words)) if len(words) else 1
             eta = math.prod(GATE_CUT_FACTOR if op.cut < plan.kg else WIRE_CUT_FACTOR
                             for op in sub.ops if isinstance(op, SubOp))
             rows.append((label, g_i, eta))
@@ -585,21 +585,16 @@ class Subcircuit:
 
 
 @dataclass(frozen=True)
-class GateCutInfo:
-    kind: str
-
-
-@dataclass(frozen=True)
-class WireCutInfo:
-    """One wire cut; its ends are the part ops that carry its cut index."""
-
-
-@dataclass(frozen=True)
 class Extraction:
+    """A plan's parts, with each gate cut's gate kind and each wire cut's qubit.
+
+    Both are in cut order: gate cut c has cut index c, wire cut j ``plan.kg + j``.
+    """
+
     plan: CutPlan
     subcircuits: tuple[Subcircuit, ...]
-    gate_cut_infos: tuple[GateCutInfo, ...]
-    wire_cut_infos: tuple[WireCutInfo, ...]
+    gate_cut_infos: tuple[str, ...]
+    wire_cut_infos: tuple[int, ...]
     term_coeffs: tuple[complex, ...]
 
 
@@ -625,8 +620,8 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
             wirecuts_at.setdefault(start, []).append((q, k))
 
     stream: dict[int, list[Gate | SubOp]] = {label: [] for label in plan.parts}
-    gate_cut_infos: list[GateCutInfo] = []
-    wire_cut_infos: list[WireCutInfo] = []
+    gate_cut_infos: list[str] = []
+    wire_cut_infos: list[int] = []
 
     def emit_ends(cut: int, wires) -> None:
         for side, wire in enumerate(wires):
@@ -637,7 +632,7 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
         for q, k in wirecuts_at.get(pos, ()):
             # Wire cuts are numbered after every gate cut.
             emit_ends(plan.kg + len(wire_cut_infos), ((q, k - 1), (q, k)))
-            wire_cut_infos.append(WireCutInfo())
+            wire_cut_infos.append(q)
 
     gate_cut_set = set(plan.gate_cuts)
     for t, g in enumerate(circuit.gates):
@@ -651,7 +646,7 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
             if t not in gate_cut_set or len(g.qubits) != 2:
                 raise CutError(f"gate {t} crosses parts but is not a valid gate cut")
             emit_ends(len(gate_cut_infos), wires)
-            gate_cut_infos.append(GateCutInfo(g.kind))
+            gate_cut_infos.append(g.kind)
     emit_wire_cuts(len(circuit.gates))
 
     final = [local_index[plan.wire_at(q, len(circuit.gates))] for q in range(plan.n)]

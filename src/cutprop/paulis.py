@@ -32,6 +32,19 @@ class PauliError(ValueError):
     pass
 
 
+def letter_masks(letters: str, qubits: Iterable[int]) -> tuple[int, int]:
+    """The (x, z) masks of Pauli letters (either case) placed on the given qubits."""
+    x = z = 0
+    for q, ch in zip(qubits, letters):
+        try:
+            xb, zb = _MASKS[ch.upper()]
+        except KeyError:
+            raise PauliError(f"invalid Pauli letter {ch!r} in {letters!r}") from None
+        x |= xb << q
+        z |= zb << q
+    return x, z
+
+
 @dataclass(frozen=True)
 class PauliString:
     """An n-qubit Pauli word in symplectic (x, z) mask form."""
@@ -49,15 +62,7 @@ class PauliString:
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
-        x = z = 0
-        for q, ch in enumerate(label):
-            try:
-                xb, zb = _MASKS[ch.upper()]
-            except KeyError:
-                raise PauliError(f"invalid Pauli letter {ch!r} in {label!r}") from None
-            x |= xb << q
-            z |= zb << q
-        return cls(len(label), x, z)
+        return cls(len(label), *letter_masks(label, range(len(label))))
 
     def letter(self, q: int) -> str:
         return _LETTERS[((self.x >> q) & 1, (self.z >> q) & 1)]
@@ -235,17 +240,6 @@ def canonicalize(obs: Observable) -> Observable:
     return _from_rows(obs.n, *merge_rows(obs.x, obs.z, obs.coeffs), True)
 
 
-@dataclass(frozen=True)
-class QwcGrouping:
-    """A partition of term indices into qubit-wise-commuting groups."""
-
-    groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def group_count(self) -> int:
-        return len(self.groups)
-
-
 # Rows of the conflict matrix computed at once: a limb's temporaries are
 # _ROW_BLOCK x m uint64.
 _ROW_BLOCK = 256
@@ -328,8 +322,8 @@ def _first_fit_colors(conflict: np.ndarray, max_colors: int) -> list[int] | None
     return colors
 
 
-def group_qwc(obs: Observable) -> QwcGrouping:
-    """Group terms into qubit-wise-commuting sets via saturation coloring.
+def group_qwc(obs: Observable) -> tuple[tuple[int, ...], ...]:
+    """Group term indices into qubit-wise-commuting sets via saturation coloring.
 
     Builds the QWC-conflict matrix with numpy from the observable's x and z
     arrays (uint64 limbs of 64 qubits, so any width works), a block of rows
@@ -344,7 +338,7 @@ def group_qwc(obs: Observable) -> QwcGrouping:
     ``_ROW_BLOCK`` x m.
     """
     if not len(obs):
-        return QwcGrouping(())
+        return ()
     conflict = _conflict_matrix(obs)
     colors = _dsatur_colors(conflict)
     ncolors = max(colors) + 1
@@ -355,8 +349,7 @@ def group_qwc(obs: Observable) -> QwcGrouping:
     for i, c in enumerate(colors):
         groups[c].append(i)
     # Present groups in order of their smallest member for determinism.
-    ordered = sorted((tuple(g) for g in groups), key=lambda g: g[0])
-    return QwcGrouping(tuple(ordered))
+    return tuple(sorted((tuple(g) for g in groups), key=lambda g: g[0]))
 
 
 def parse_observable(text: str) -> Observable:

@@ -389,13 +389,13 @@ def reconstruct(
     if initial_factors is None:
         initial_factors = [PREP_STATES["0"]] * plan.n
     # Cut c < kg is gate cut c; cut kg + j is wire cut j.
-    cut_terms = [gatecut_terms(i.kind) for i in extraction.gate_cut_infos]
+    cut_terms = [gatecut_terms(kind) for kind in extraction.gate_cut_infos]
     cut_terms += [wirecut_terms()] * len(extraction.wire_cut_infos)
     num_combos = math.prod(len(terms) for terms in cut_terms)
     if num_combos > MAX_QPD_COMBINATIONS:
         raise QpdError(f"plan needs {num_combos} QPD combinations (6^kg * 8^kw), "
                        f"more than the limit {MAX_QPD_COMBINATIONS}")
-    for kind in {i.kind for i in extraction.gate_cut_infos}:
+    for kind in set(extraction.gate_cut_infos):
         _ensure_verified(kind)
     if extraction.wire_cut_infos:
         _ensure_verified("wire")

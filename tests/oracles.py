@@ -202,7 +202,7 @@ def per_subcircuit_costs(plan, obs, circuit) -> tuple[tuple[int, int, int], ...]
         ones = np.ones(len(obs), dtype=np.complex128)
         restricted = package_canonicalize(
             _from_rows(obs.n, obs.x & mask, obs.z & mask, ones, False))
-        g_i = group_qwc(restricted).group_count if len(restricted) else 1
+        g_i = len(group_qwc(restricted)) if len(restricted) else 1
         eta = 1
         for idx in plan.gate_cuts:
             touched = {plan.segment_label(q, idx) for q in circuit.gates[idx].qubits}
@@ -364,7 +364,7 @@ def dsatur_colors(words: Sequence[PauliString], adj: list[set[int]]) -> list[int
 
 
 def qwc_groups(obs) -> tuple[tuple[int, ...], ...]:
-    """``group_qwc(obs).groups`` from the pair-loop colorers."""
+    """``group_qwc(obs)`` from the pair-loop colorers."""
     words = tuple(t.word for t in obs.terms)
     if not words:
         return ()

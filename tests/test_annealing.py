@@ -21,6 +21,7 @@ from cutprop.generators import (
     random_circuit,
     weight_z_observable,
 )
+from cutprop.paulis import canonicalize
 
 from oracles import objective, random_observable
 
@@ -252,13 +253,17 @@ def test_optimize_result_carries_the_chosen_plans(monkeypatch):
     for circ, config, slicing, trunc, seed in cases:
         obs = weight_z_observable(circ.n, 1)
         calls.clear()
-        result = optimize_budget(circ, obs, config, slicing, trunc, cut_seed=seed)
+        result = optimize_budget(circ, obs, config, slicing, trunc)
         assert len(calls) == 1
         vanilla = find_cuts(circ, seed=seed)
         assert result.vanilla_plan == vanilla
         if result.w_opt is None:
             branches.add("vanilla")
-            assert result.backprop is None
+            # the zero-slice backpropagation: the whole circuit is cut
+            cap = backpropagate(circ, obs, config.bound_upper, trunc, slicing)
+            assert result.backprop == cap.at_budget(0)
+            assert result.backprop.reduced_circuit.gates == circ.gates
+            assert result.backprop.evolved_obs == canonicalize(obs)
             assert result.plan == vanilla
             continue
         bp = backpropagate(circ, obs, result.w_opt, trunc, slicing)

@@ -245,7 +245,7 @@ def test_all_clifford_fully_absorbed():
     rng = np.random.default_rng(2)
     circ = clifford_circuit(4, 30, rng)
     obs = random_observable(4, rng, num_terms=3)
-    budget = group_qwc(obs).group_count + 4
+    budget = len(group_qwc(obs)) + 4
     result = backpropagate(circ, obs, max_qwc_groups=budget)
     # Clifford conjugation cannot raise the term count, so a large enough
     # budget always empties the circuit.
@@ -272,7 +272,7 @@ def test_budget_respected_and_history_recorded():
     for w in (1, 2, 4):
         result = backpropagate(circ, obs, max_qwc_groups=w)
         if result.slices_absorbed:
-            assert group_qwc(result.evolved_obs).group_count <= w
+            assert len(group_qwc(result.evolved_obs)) <= w
             assert len(result.group_history) == result.slices_absorbed
             assert max(result.group_history) <= w
 
@@ -398,6 +398,25 @@ def test_at_budget_beyond_the_cap_when_fully_absorbed():
     assert cap.fully_absorbed
     for w in (1, 2, 3, 10):
         _assert_fields_equal(cap.at_budget(w), backpropagate(circ, obs, w), (w,))
+
+
+@pytest.mark.parametrize("case", ["absorbed some", "absorbed all", "absorbed none"])
+def test_at_budget_zero_absorbs_nothing(case):
+    if case == "absorbed some":
+        (_, circ, obs), = _bench_instances("vqe6", 0)
+    elif case == "absorbed all":
+        circ, obs = Circuit(2, (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("s", (1,)))), single("ZZ")
+    else:
+        # X rotated by a generic rz angle is X and Y on one qubit: 2 groups.
+        circ, obs = Circuit(1, (Gate("rz", (0,), angle=0.3),)), single("X", 0.5)
+    cap = backpropagate(circ, obs, 1 if case == "absorbed none" else 40)
+    assert (cap.slices_absorbed > 0) == (case != "absorbed none")
+    assert cap.fully_absorbed == (case == "absorbed all")
+    zero = cap.at_budget(0)
+    assert zero.reduced_circuit.gates == circ.gates
+    assert zero.evolved_obs == canonicalize(obs)
+    assert zero.slices_absorbed == 0 and zero.group_history == ()
+    assert zero.truncation_error_accrued == 0.0 and not zero.fully_absorbed
 
 
 # --- packed rotation kernel against the per-term reference -------------------

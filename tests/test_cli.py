@@ -20,7 +20,7 @@ from cutprop.generators import (
     heisenberg_trotter,
     weight_z_observable,
 )
-from cutprop.paulis import Observable, QwcGrouping, format_observable
+from cutprop.paulis import Observable, format_observable
 
 from oracles import qwc_groups
 
@@ -100,6 +100,14 @@ def test_backprop_parse_error_exit_code(workdir, tmp_path, capsys):
     assert "measurement" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["backprop", "verify"])
+def test_zero_qwc_budget_is_refused_by_backpropagate(workdir, capsys, command):
+    tmp, circ, obs, _, _ = workdir
+    capsys.readouterr()
+    assert main([command, circ, obs, "--qwc-max", "0"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: max_qwc_groups must be >= 1\n"
+
+
 def test_backprop_across_the_64_qubit_limb_edge(tmp_path, monkeypatch):
     # Terms on qubits 0, 63, 64 and 69 put each word's masks in two uint64
     # limbs; the history must match the pair-loop reference colorers.
@@ -126,7 +134,7 @@ def test_backprop_across_the_64_qubit_limb_edge(tmp_path, monkeypatch):
     obs_path.write_text(format_observable(obs))
     rc = main(["backprop", str(circ_path), str(obs_path), "--qwc-max", "3", "--out", str(out)])
     assert rc == EXIT_OK
-    monkeypatch.setattr(backprop, "group_qwc", lambda o: QwcGrouping(qwc_groups(o)))
+    monkeypatch.setattr(backprop, "group_qwc", qwc_groups)
     expected = list(backprop.backpropagate(circuit, obs, 3).group_history)
     assert read_json(out)["results"]["group_history"] == expected == [2, 2, 2, 2, 3, 3]
 
@@ -306,6 +314,14 @@ def test_bench_and_optimize_agree_on_beneficial_for_heis19_seed_15(tmp_path):
     res = read_json(out)["results"]
     assert (res["sa_best_num_circuits"], res["vanilla_num_circuits"]) == (30, 16)
     assert res["beneficial"] is False and res["reduction_ratio"] == 1.0
+    # Vanilla cutting is the backpropagation that absorbs nothing: --large
+    # reconstructs its plan on the whole circuit, against the dense oracle.
+    out = tmp_path / "large.json"
+    argv = ["bench", "--suite", "heis19", "--seed", "15", "--large", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    (row,) = read_json(out)["results"]["rows"]
+    assert row["obp_w_opt"] is None and "obp_slices_absorbed" not in row
+    assert row["oracle_ok"] is True and row["oracle_abs_delta"] < 1e-9
 
 
 def test_bench_deterministic(workdir):

@@ -653,6 +653,10 @@ def test_extract_emits_maximal_gate_runs_in_circuit_order():
                 local = tuple(plan.parts[label].index(plan.wire_at(q, t)) for q in g.qubits)
                 expected[label].append(Gate(g.kind, local, angle=g.angle, axis=g.axis))
             ext = extract_subcircuits(circ, plan, weight_z_observable(6, 1))
+            # Gate cuts by position, then wire cuts by (position, qubit).
+            assert ext.gate_cut_infos == tuple(circ.gates[t].kind for t in sorted(plan.gate_cuts))
+            assert ext.wire_cut_infos == tuple(q for q, _, _ in sorted(
+                plan.wire_cuts, key=lambda cut: (cut[1], cut[0])))
             for label, sub in zip(plan.parts, ext.subcircuits):
                 is_run = [isinstance(op, Circuit) for op in sub.ops]
                 assert not any(a and b for a, b in zip(is_run, is_run[1:]))

@@ -18,6 +18,7 @@ from cutprop.paulis import (
     commutes,
     format_observable,
     group_qwc,
+    letter_masks,
     multiply,
     parse_observable,
 )
@@ -190,11 +191,11 @@ def test_grouping_five_term_example():
         ]
     )
     grouping = group_qwc(obs)
-    assert grouping.group_count == 2
+    assert len(grouping) == 2
     # partition: disjoint, covering, and internally qubit-wise commuting
-    seen = sorted(i for g in grouping.groups for i in g)
+    seen = sorted(i for g in grouping for i in g)
     assert seen == list(range(len(obs.terms)))
-    for g in grouping.groups:
+    for g in grouping:
         for i in g:
             for j in g:
                 assert qubitwise_commutes(obs.terms[i].word, obs.terms[j].word)
@@ -202,12 +203,12 @@ def test_grouping_five_term_example():
 
 def test_grouping_all_z_single_group():
     obs = Observable.from_labels([(1.0, "ZII"), (1.0, "IZI"), (1.0, "IIZ")])
-    assert group_qwc(obs).group_count == 1
+    assert len(group_qwc(obs)) == 1
 
 
 def test_grouping_pairwise_conflicting():
     obs = Observable.from_labels([(1.0, "X"), (1.0, "Y"), (1.0, "Z")])
-    assert group_qwc(obs).group_count == 3
+    assert len(group_qwc(obs)) == 3
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,8 +219,8 @@ def test_grouping_never_beats_first_fit_and_is_valid(raw, n):
     if not obs.terms:
         return
     grouping = group_qwc(obs)
-    assert grouping.group_count <= first_fit_group_count([t.word for t in obs.terms])
-    for g in grouping.groups:
+    assert len(grouping) <= first_fit_group_count([t.word for t in obs.terms])
+    for g in grouping:
         for i in g:
             for j in g:
                 assert qubitwise_commutes(obs.terms[i].word, obs.terms[j].word)
@@ -254,7 +255,7 @@ def few_qubit_observables(draw):
 @settings(max_examples=120, deadline=None)
 @given(few_qubit_observables())
 def test_grouping_equals_the_pair_loop_colorers(obs):
-    assert group_qwc(obs).groups == qwc_groups(obs)
+    assert group_qwc(obs) == qwc_groups(obs)
 
 
 def test_grouping_falls_back_to_first_fit():
@@ -265,12 +266,12 @@ def test_grouping_falls_back_to_first_fit():
     adj = conflict_adjacency(words)
     assert max(dsatur_colors(words, adj)) + 1 == 11
     assert max(first_fit_colors(words, adj)) + 1 == 10
-    assert group_qwc(obs).groups == qwc_groups(obs)
-    assert group_qwc(obs).group_count == 10
+    assert group_qwc(obs) == qwc_groups(obs)
+    assert len(group_qwc(obs)) == 10
 
 
 def test_grouping_empty():
-    assert group_qwc(Observable(3, ())).group_count == 0
+    assert len(group_qwc(Observable(3, ()))) == 0
 
 
 # --- text format -------------------------------------------------------------------
@@ -304,6 +305,16 @@ def test_observable_text_leftmost_is_qubit_zero():
 def test_observable_text_errors(text):
     with pytest.raises(PauliError):
         parse_observable(text)
+
+
+def test_letter_masks():
+    # X on 4, Y on 0, Z on 2, I on 1; either case.
+    assert letter_masks("XyzI", (4, 0, 2, 1)) == (0b10001, 0b00101)
+    assert PauliString.from_label("xYzi") == PauliString(4, 0b0011, 0b0110)
+    with pytest.raises(PauliError, match="invalid Pauli letter 'Q' in 'XQ'"):
+        letter_masks("XQ", (0, 1))
+    with pytest.raises(PauliError, match="invalid Pauli letter 'q' in 'zq'"):
+        PauliString.from_label("zq")
 
 
 @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), complex(float("nan"), 0)])

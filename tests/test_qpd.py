@@ -340,7 +340,7 @@ def _walk_cases():
 
 
 def _tables(part_table, ext, factors):
-    cut_terms = [gatecut_terms(i.kind) for i in ext.gate_cut_infos]
+    cut_terms = [gatecut_terms(kind) for kind in ext.gate_cut_infos]
     cut_terms += [wirecut_terms()] * len(ext.wire_cut_infos)
     return [part_table(sub, cut_terms, factors) for sub in ext.subcircuits]
 
@@ -354,7 +354,7 @@ def test_walk_cases_cover_every_cut_end():
                 seen.add("no cut end")
             kg = len(ext.gate_cut_infos)
             for op in ends:
-                seen.add((ext.gate_cut_infos[op.cut].kind if op.cut < kg else "wire", op.side))
+                seen.add((ext.gate_cut_infos[op.cut] if op.cut < kg else "wire", op.side))
             # a measured wire idles after its cut while later gates run on the others
             for i, op in enumerate(sub.ops):
                 if not isinstance(op, Circuit) and op.cut >= kg and op.side == 0 and any(
