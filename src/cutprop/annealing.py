@@ -23,7 +23,12 @@ import numpy as np
 from .backprop import BackpropResult, backpropagate
 from .circuits import Circuit
 from .cutting import CutPlan, cost, find_cuts, total_executions
-from .paulis import Observable, canonicalize, group_qwc
+from .paulis import (
+    Observable,
+    canonicalize,
+    group_qwc,  # traced by perfbench/spans.py (ROADMAP item 7), no longer called here
+    measurement_groups,
+)
 
 
 class AnnealError(ValueError):
@@ -93,8 +98,7 @@ class ObjectiveEvaluator:
         self.w_cap = w_cap
         self.cut_seed = cut_seed
         self.result = backpropagate(circuit, obs, w_cap, trunc_budget_per_slice, slicing)
-        canonical = canonicalize(obs)
-        self._input_groups = len(group_qwc(canonical)) if len(canonical) else 1
+        self._input_groups = measurement_groups(canonicalize(obs))
         self._plans: dict[int, CutPlan] = {}
         # 2-qubit gates among the first b gates, for each prefix length b
         self._two_qubit_counts = [0]

@@ -27,6 +27,7 @@ from .paulis import (
     _from_rows,
     _limbs,
     _magnitudes,
+    _mask_ints,
     _pack_masks,
     canonicalize,
     commutes,  # traced by perfbench/spans.py (ROADMAP item 7), no longer called here
@@ -162,6 +163,30 @@ def conjugate_gate(obs: Observable, gate: Gate) -> Observable:
     rotations = [(PauliString(obs.n, *letter_masks(letters, gate.qubits)), k * math.pi / 2)
                  for letters, k in reversed(_ROTATIONS[gate.kind])]
     return _conjugate(obs, rotations)
+
+
+def light_cone(circuit: Circuit, obs: Observable) -> tuple[Circuit, tuple[int, ...]]:
+    """The observable's backward light cone: its gates, and the wires it covers.
+
+    The cone starts as the observable's support. Walking the gates last to
+    first, a gate joins the cone if it touches a cone wire, and its wires
+    join the cone. A gate outside it commutes with the observable
+    conjugated by every later gate, so absorbing it changes nothing:
+    dropping it is exact, the free case of absorption. Returns the cone's
+    gates in circuit order, on the full width (``circuit`` itself when every
+    gate joins), and its wires in order.
+    """
+    support = np.bitwise_or.reduce(obs.x | obs.z, axis=0)
+    cone = _mask_ints(support[None])[0]
+    kept = []
+    for gate in reversed(circuit.gates):
+        wires = sum(1 << q for q in gate.qubits)
+        if wires & cone:
+            cone |= wires
+            kept.append(gate)
+    if len(kept) < len(circuit.gates):
+        circuit = Circuit(circuit.n, tuple(reversed(kept)))
+    return circuit, tuple(q for q in range(circuit.n) if cone >> q & 1)
 
 
 def truncate(obs: Observable, budget: float) -> tuple[Observable, float]:

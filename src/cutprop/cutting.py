@@ -29,7 +29,8 @@ from .paulis import (
     PauliString,
     _mask_ints,
     canonicalize,
-    group_qwc,
+    group_qwc,  # traced by perfbench/spans.py (ROADMAP item 7), no longer called here
+    measurement_groups,
 )
 
 GATE_CUT_FACTOR = 9
@@ -222,7 +223,7 @@ def cost(
     if evolved_obs.n != plan.n:
         raise CutError(f"observable width {evolved_obs.n} != plan width {plan.n}")
     obs = canonicalize(evolved_obs)
-    groups = len(group_qwc(obs)) if len(obs) else 1
+    groups = measurement_groups(obs)
     total = total_executions(plan.kg, plan.kw, groups)
     per = None
     if per_subcircuit:
@@ -232,7 +233,7 @@ def cost(
         rows = []
         for label, sub in zip(plan.parts, extraction.subcircuits):
             words = Observable.from_terms(sub.n, [(1, w) for w in sub.words])  # distinct
-            g_i = len(group_qwc(words)) if len(words) else 1
+            g_i = measurement_groups(words)
             eta = math.prod(GATE_CUT_FACTOR if op.cut < plan.kg else WIRE_CUT_FACTOR
                             for op in sub.ops if isinstance(op, SubOp))
             rows.append((label, g_i, eta))
@@ -287,6 +288,29 @@ class _Bipartitioner:
         self._linked = tuple(w for w, timeline in enumerate(self.by_wire) if timeline)
         # (max_passes, labels of the linked wires) -> (cuts, kg).
         self._refined: dict[tuple[int, ...], tuple[dict[int, int], int]] = {}
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The connected components of the 2-qubit-gate graph, a gate-free wire alone.
+
+        One breadth-first walk: each component starts at its smallest wire
+        and lists its wires in visiting order, neighbours in wire order, and
+        the components follow in order of their smallest wire.
+        """
+        seen = [False] * self.n
+        components = []
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            seen[start] = True
+            order = [start]
+            for v in order:  # the list is the queue: it grows while it is read
+                for w in sorted({partner for _, partner in self.by_wire[v]}):
+                    if not seen[w]:
+                        seen[w] = True
+                        order.append(w)
+            components.append(tuple(order))
+        return tuple(components)
 
     def refine_wire_cuts(self, labels, max_passes: int = 8) -> tuple[dict[int, int], int]:
         """Coordinate descent over per-wire cut positions; returns (cuts, kg).
@@ -395,20 +419,7 @@ def _search_exhaustive(problem: _Bipartitioner, max_side):
 
 def _bfs_balanced_labels(problem: _Bipartitioner) -> tuple[int, ...]:
     n = problem.n
-    order: list[int] = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue = [start]
-        seen[start] = True
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in sorted({partner for _, partner in problem.by_wire[v]}):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+    order = [w for component in problem.components for w in component]
     labels = [1] * n
     for q in order[: (n + 1) // 2]:
         labels[q] = 0
@@ -460,6 +471,13 @@ def _search_annealed(problem: _Bipartitioner, max_side, seed: int):
 
 
 def _solve_bipartition(problem: _Bipartitioner, max_side, seed: int):
+    if max_side is None and len(problem.components) > 1:
+        # Every bisection costs at least 1, and one component alone costs 1,
+        # with no cut. The last component (the largest smallest wire) alone
+        # on side 1 is the lexicographically smallest such labeling, the one
+        # the exhaustive search returns.
+        last = set(problem.components[-1])
+        return _evaluate_labeling(problem, tuple(int(w in last) for w in range(problem.n)), None)
     if problem.n <= EXHAUSTIVE_LIMIT:
         return _search_exhaustive(problem, max_side)
     return _search_annealed(problem, max_side, seed)
@@ -479,8 +497,11 @@ def find_cuts(
     wire cut per qubit (qubits cut at an earlier pass are frozen, so the
     bound holds globally); it is exhaustive up to 14 wires and annealed
     above, with seed ``seed + i`` at pass i. It takes the cheapest labeling
-    whose sides fit ``max_qubits``, else the cheapest one. The new part of
-    pass i gets label i + 1.
+    whose sides fit ``max_qubits``, else the cheapest one. An unbounded
+    bisection of wires whose 2-qubit gates leave two or more connected
+    components needs no search: it puts the component with the largest
+    smallest wire alone on side 1, at cost 1. The new part of pass i gets
+    label i + 1.
     """
     if circuit.n < 2:
         raise CutError("cannot partition a circuit with fewer than 2 qubits")

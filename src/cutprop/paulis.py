@@ -352,6 +352,11 @@ def group_qwc(obs: Observable) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(g) for g in groups), key=lambda g: g[0]))
 
 
+def measurement_groups(obs: Observable) -> int:
+    """The QWC groups that measure obs: ``group_qwc``'s count, and one for an empty observable."""
+    return len(group_qwc(obs)) if len(obs) else 1
+
+
 def parse_observable(text: str) -> Observable:
     """Parse the one-term-per-line observable format.
 

@@ -17,26 +17,30 @@ part's table comes from one breadth-first walk over a stack of branch
 states: each gate run is one ``simulate`` call on the whole stack, and each
 leaf one ``pauli_expectations`` call. A wire cut's measured wire idles
 after the cut, so its letter never touches the stack: it joins the words
-at the leaf. Every decomposition is checked against a dense channel oracle before
-first use, through the walk's own cut-end and leaf code.
+at the leaf. A wire that no gate and no cut end of its part touches never
+leaves its initial state, so it stays out of the walk and adds one factor
+per word. Every decomposition is checked against a dense channel oracle before
+first use, through the walk's own cut-end and leaf code. The uncut reference
+value simulates only the observable's backward light cone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuits import Circuit
+from .backprop import light_cone
+from .circuits import Circuit, Gate
 from .cutting import CutPlan, Extraction, extract_subcircuits
-from .paulis import _MASKS, Observable, canonicalize
+from .paulis import _MASKS, Observable, _from_rows, _limbs, _mask_ints, _pack_masks, canonicalize
 
 # apply_gate and apply_pauli are unused here, but the benchmark's tracer
 # wraps them in this module (perfbench/spans.py), so the imports stay.
 from .sim import apply_1q, apply_gate, apply_pauli, expectation  # noqa: F401
-from .sim import GATE_1Q, pauli_expectations, product_state, rz_matrix, simulate
+from .sim import GATE_1Q, SimulationError, pauli_expectations, product_state, rz_matrix, simulate
 
 _S2 = 1.0 / math.sqrt(2.0)
 
@@ -286,6 +290,33 @@ class ReconstructionResult:
     exact_value: float
 
 
+def _onto(wires: Sequence[int], ops: Sequence, xs: Sequence[int], zs: Sequence[int]):
+    """Gate runs and cut ends, and the words (xs, zs), moved onto ``wires``.
+
+    Wire ``wires[i]`` becomes wire i: each run is rebuilt on the new width
+    and each cut end's wire renumbered. Every op must act on listed wires
+    only; a word's letters on the other wires are dropped. Returns the ops,
+    xs and zs.
+    """
+    local = {w: i for i, w in enumerate(wires)}
+    moved = [
+        Circuit(len(wires), tuple(Gate(g.kind, tuple(local[q] for q in g.qubits),
+                                       angle=g.angle, axis=g.axis) for g in op.gates))
+        if isinstance(op, Circuit) else replace(op, wire=local[op.wire])
+        for op in ops
+    ]
+
+    def compress(masks):
+        return [sum((m >> w & 1) << i for i, w in enumerate(wires)) for m in masks]
+
+    return moved, compress(xs), compress(zs)
+
+
+# The (x, z) masks of I, X, Z and Y: a word's letter on wire w reads entry
+# (x >> w & 1) | (z >> w & 1) << 1 of their values.
+_LETTER_XS, _LETTER_ZS = (0, 1, 0, 1), (0, 0, 1, 1)
+
+
 def _part_table(sub, cut_terms, initial_factors):
     """One part's values, indexed by [incident cuts' term choices..., observable term].
 
@@ -299,15 +330,36 @@ def _part_table(sub, cut_terms, initial_factors):
     the part's words under every combination of measured letters
     (``_leaf_masks``). The rows are summed by path. Returns the table and
     the cut of each of its leading axes, in op order.
+
+    An idle wire, one with no gate in any run and no cut end, stays in its
+    initial factor phi on every branch, so it adds one factor per word,
+    <phi|P|phi> of the word's letter P there. The walk runs on the other
+    wires only, and the word axis is multiplied by those factors.
     """
     factors = [initial_factors[q] if seg == 0 else PREP_STATES["0"]
                for q, seg in sub.wire_origin]
+    ops, xs, zs = sub.ops, [w.x for w in sub.words], [w.z for w in sub.words]
+    busy: set[int] = set()
+    for op in ops:
+        if isinstance(op, Circuit):
+            busy.update(q for g in op.gates for q in g.qubits)
+        else:
+            busy.add(op.wire)
+    word_factors = None
+    if len(busy) < sub.n:
+        word_factors = np.ones(len(xs), dtype=complex)
+        for w in sorted(set(range(sub.n)) - busy):
+            values = pauli_expectations(product_state([factors[w]]), _LETTER_XS, _LETTER_ZS)
+            word_factors *= values[[(x >> w & 1) | (z >> w & 1) << 1 for x, z in zip(xs, zs)]]
+        kept = sorted(busy)
+        ops, xs, zs = _onto(kept, ops, xs, zs)
+        factors = [factors[w] for w in kept]
     ends: dict[int, tuple] = {}  # op index -> (wire, distinct instruction lists)
     measured: list[tuple] = []  # per measure end: (wire, distinct letters)
     letter_axes: list[int] = []  # the measure ends' places among the cut axes
     axes: list[int] = []
     choices: list[list[int]] = []  # per cut end: each term's distinct-list index
-    for i, op in enumerate(sub.ops):
+    for i, op in enumerate(ops):
         if isinstance(op, Circuit):
             continue
         per_term = [(t.left_op, t.right_op)[op.side] for t in cut_terms[op.cut]]
@@ -323,13 +375,13 @@ def _part_table(sub, cut_terms, initial_factors):
     shape = [len(lists) for _, lists in ends.values()]
     shape += [len(letters) for _, letters in measured] + [len(sub.words)]
     table = np.zeros(math.prod(shape), dtype=complex)
-    xs, zs = _leaf_masks([w.x for w in sub.words], [w.z for w in sub.words], measured)
+    leaf_xs, leaf_zs = _leaf_masks(xs, zs, measured)
 
     def walk(start: int, stack: _Stack) -> None:
-        for i in range(start, len(sub.ops)):
+        for i in range(start, len(ops)):
             if i not in ends:  # a gate run, or a measure end, read at the leaf
-                if isinstance(sub.ops[i], Circuit):
-                    stack = stack._replace(states=simulate(sub.ops[i], stack.states))
+                if isinstance(ops[i], Circuit):
+                    stack = stack._replace(states=simulate(ops[i], stack.states))
                 continue
             wire, lists = ends[i]
             grown = [stack._replace(paths=stack.paths * len(lists) + k) for k in range(len(lists))]
@@ -341,12 +393,14 @@ def _part_table(sub, cut_terms, initial_factors):
                 return
             parts = [_apply_endpoint(part, instrs, wire) for part, instrs in zip(grown, lists)]
             stack = _Stack(*(np.concatenate(column) for column in zip(*parts)))
-        values = pauli_expectations(stack.states, xs, zs)
-        cells = stack.paths[:, None] * len(xs) + np.arange(len(xs))
+        values = pauli_expectations(stack.states, leaf_xs, leaf_zs)
+        cells = stack.paths[:, None] * len(leaf_xs) + np.arange(len(leaf_xs))
         np.add.at(table, cells, stack.weights[:, None] * values)
 
     walk(0, _root(product_state(factors)))
     table = table.reshape(shape)
+    if word_factors is not None:
+        table *= word_factors
     table = np.moveaxis(table, range(len(ends), len(axes)), letter_axes)
     for axis, choice in enumerate(choices):
         table = table.take(choice, axis=axis)
@@ -443,8 +497,26 @@ def cut_and_reconstruct(
 def uncut_expectation(
     circuit: Circuit, obs: Observable, initial_factors: list[np.ndarray] | None = None
 ) -> float:
-    """The dense-simulation reference value for the same inputs."""
+    """The dense-simulation reference value for the same inputs.
+
+    Only the observable's backward light cone (``backprop.light_cone``) is
+    simulated, on the cone's wires. Every other wire carries only I
+    letters, so its factor of the initial product state drops out. When the
+    cone holds every wire, its gates run on the circuit's own width, and
+    when it holds every gate too, the circuit runs as given.
+    """
+    if initial_factors is not None and len(initial_factors) != circuit.n:
+        raise SimulationError("initial state size does not match circuit width")
+    obs = canonicalize(obs)
+    cone, wires = light_cone(circuit, obs)
+    if len(wires) < circuit.n:
+        (cone,), xs, zs = _onto(wires, [cone], _mask_ints(obs.x), _mask_ints(obs.z))
+        limbs = _limbs(len(wires))
+        obs = _from_rows(len(wires), _pack_masks(xs, limbs), _pack_masks(zs, limbs),
+                         obs.coeffs, True)
+        if initial_factors is not None:
+            initial_factors = [initial_factors[q] for q in wires]
     initial = None
     if initial_factors is not None:
         initial = product_state(list(initial_factors))
-    return expectation(simulate(circuit, initial), canonicalize(obs))
+    return expectation(simulate(cone, initial), obs)

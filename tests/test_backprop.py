@@ -10,6 +10,7 @@ from cutprop.backprop import (
     _conjugate,
     backpropagate,
     conjugate_gate,
+    light_cone,
     truncate,
 )
 from cutprop.circuits import Circuit, Gate, lower_rotations
@@ -568,3 +569,45 @@ def test_truncate_matches_the_per_term_reference_bit_for_bit(n):
             assert canonicalize(out) is out
         assert len(truncate(obs, 2 * total)[0]) == 0
         assert truncate(obs, 0.0) == (obs, 0.0)
+
+
+# --- light cone -------------------------------------------------------------------
+
+
+def test_light_cone_of_each_suite():
+    # heis19's Z on qubits 0-5 sees 201 of its 570 gates, on qubits 0-7; the
+    # other suites' observables see every gate, and the circuit is returned.
+    for suite in ("vqe6", "heis19", "qaoa3", "random"):
+        for name, circ, obs in _bench_instances(suite, 0):
+            cone, wires = light_cone(circ, obs)
+            if suite == "heis19":
+                assert (len(cone.gates), wires) == (201, tuple(range(8)))
+            else:
+                assert cone is circ and wires == tuple(range(circ.n)), name
+
+
+def test_light_cone_absorbs_to_the_same_observable():
+    # Conjugating by the cone's gates alone gives the observable that
+    # conjugating by every gate gives, bit for bit: a gate outside the cone
+    # changes no term. The cone's gates keep circuit order, and they and the
+    # evolved observable stay on the cone's wires.
+    rng = np.random.default_rng(71)
+    pruned = 0
+    for trial in range(30):
+        n = int(rng.integers(2, 9))
+        circ = lower_rotations(random_circuit(n, 10, rng, p_two_qubit=0.3))
+        obs = random_observable(n, rng, max_weight=2, num_terms=2)
+        cone, wires = light_cone(circ, obs)
+        everything = cone_only = canonicalize(obs)
+        for gate in reversed(circ.gates):
+            everything = conjugate_gate(everything, gate)
+        for gate in reversed(cone.gates):
+            cone_only = conjugate_gate(cone_only, gate)
+        assert cone_only == everything, trial
+        later = iter(circ.gates)  # a subsequence: each cone gate is found after the last
+        assert all(any(g == h for h in later) for g in cone.gates)
+        outside = sum(1 << q for q in range(n) if q not in wires)
+        assert not any(q not in wires for g in cone.gates for q in g.qubits)
+        assert not any((t.word.x | t.word.z) & outside for t in everything.terms)
+        pruned += len(wires) < n and len(cone.gates) < len(circ.gates)
+    assert pruned >= 10

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from cutprop.circuits import Circuit, Gate, lower_rotations
+import cutprop.cutting as cutting
+from cutprop.cli import _bench_instances
 from cutprop.cutting import (
     CutError,
     CutPlan,
     _Bipartitioner,
+    _search_exhaustive,
+    _solve_bipartition,
     _two_qubit_gates,
     cost,
     SubOp,
@@ -367,8 +371,10 @@ def test_refine_ignores_idle_wire_labels():
 
 
 def test_heis19_bench_search_refines_each_pattern_once(heis19_bench_searches, monkeypatch):
-    # The seed-0 row's six cut searches price 16,399 labelings but refine
-    # only 1,348 distinct (passes, linked labels) patterns.
+    # The seed-0 row's six cut searches price 1,091 labelings and refine
+    # 1,091 distinct (passes, linked labels) patterns: five of the six
+    # bisections are disconnected and price one labeling each, and the
+    # sixth has no idle wire.
     _, searched, calls = heis19_bench_searches
     problems, priced = [], 0
     init, refine = _Bipartitioner.__init__, _Bipartitioner.refine_wire_cuts
@@ -388,15 +394,98 @@ def test_heis19_bench_search_refines_each_pattern_once(heis19_bench_searches, mo
         circuit, plan = searched[b]
         assert find_cuts(circuit, **kwargs) == plan
     assert len(problems) == 6
-    assert priced == 16399
-    assert sum(len(p._refined) for p in problems) == 1348
+    assert priced == 1091
+    assert sum(len(p._refined) for p in problems) == 1091
+
+
+def test_heis19_bench_shortcut_answers_five_of_six_searches(heis19_bench_searches,
+                                                            monkeypatch):
+    # Five of the seed-0 row's six bisections are disconnected and take the
+    # shortcut; only the 450-gate leftover, whose 2-qubit gates join all 19
+    # wires, runs the annealed search. A count of searches, not a speed-up.
+    _, searched, calls = heis19_bench_searches
+    solved, annealed = [], []
+    solve, anneal = cutting._solve_bipartition, cutting._search_annealed
+
+    def recording_solve(problem, *args):
+        solved.append(problem)
+        return solve(problem, *args)
+
+    def recording_anneal(problem, *args):
+        annealed.append(problem)
+        return anneal(problem, *args)
+
+    monkeypatch.setattr(cutting, "_solve_bipartition", recording_solve)
+    monkeypatch.setattr(cutting, "_search_annealed", recording_anneal)
+    for b, kwargs in calls:
+        circuit, plan = searched[b]
+        assert find_cuts(circuit, **kwargs) == plan
+    assert len(solved) == 6
+    assert sum(len(p.components) > 1 for p in solved) == 5
+    assert [len(p.components) for p in annealed] == [1]
+
+
+def _disconnected_problems():
+    """Bisections of at most 14 wires whose 2-qubit gates leave two or more
+    components: the circuit prefixes of every suite but heis19, and seeded
+    circuits with idle wires or with two blocks that never meet, some with
+    wires frozen as at a recursion level."""
+    for suite in ("vqe6", "qaoa3", "random"):
+        for _, circ, _ in _bench_instances(suite, 0):
+            counts = {len(_two_qubit_gates(circ.prefix(b))): b for b in range(len(circ.gates) + 1)}
+            for b in counts.values():
+                yield _Bipartitioner(circ.n, _two_qubit_gates(circ.prefix(b)))
+    rng = np.random.default_rng(61)
+    for trial in range(30):
+        n = int(rng.integers(3, 15))
+        if trial % 2:  # idle wires among one random block
+            blocks = [[int(q) for q in rng.permutation(n)[: n - int(rng.integers(1, n - 1))]]]
+        else:  # two blocks, each joined inside
+            order = [int(q) for q in rng.permutation(n)]
+            cut = int(rng.integers(1, n))
+            blocks = [order[:cut], order[cut:]]
+        gates = []
+        for block in blocks:
+            if len(block) < 2:
+                continue
+            local = random_circuit(len(block), 2 * len(block), rng, p_two_qubit=0.8)
+            gates += [Gate(g.kind, tuple(block[q] for q in g.qubits), angle=g.angle, axis=g.axis)
+                      for g in local.gates]
+        order = rng.permutation(len(gates))  # interleave the blocks
+        circ = Circuit(n, tuple(gates[i] for i in order))
+        cuttable = [bool(c) for c in rng.random(n) > 0.2] if trial % 3 == 0 else None
+        yield _Bipartitioner(n, _two_qubit_gates(circ), cuttable)
+
+
+def test_disconnected_bisection_shortcut_equals_the_exhaustive_search():
+    # Unbounded, the shortcut returns what the exhaustive search returns:
+    # the same cost 1, labels and (no) cuts.
+    disconnected = 0
+    for problem in _disconnected_problems():
+        assert sorted(w for c in problem.components for w in c) == list(range(problem.n))
+        if len(problem.components) < 2:
+            continue
+        disconnected += 1
+        got = _solve_bipartition(problem, None, 0)
+        assert got == _search_exhaustive(problem, None)
+        assert got[0] == 1 and got[2] == ()
+    assert disconnected >= 40
+
+
+def test_disconnected_heis19_leftover_shortcut_equals_the_exhaustive_search():
+    # Above the exhaustive width too: the 41-gate heis19 leftover, whose
+    # 2-qubit gates touch 3 of 19 wires, over all 2^18 labelings (about 2 s).
+    problem = _Bipartitioner(19, _two_qubit_gates(_heis19().prefix(41)))
+    assert len(problem.components) == 17
+    got = _solve_bipartition(problem, None, 0)
+    assert got == _search_exhaustive(problem, None) == (1, (0,) * 18 + (1,), (), True)
 
 
 # Leftover gate count -> (the one qubit labelled 1, wire cuts) of each plan
 # the heis19 seed-0 bench row's budget search chose.
 HEIS19_SEED0_PLANS = {
-    41: (14, []),
-    104: (17, []),
+    41: (18, []),
+    104: (18, []),
     130: (18, []),
     139: (18, []),
     146: (18, []),

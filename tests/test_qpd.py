@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from cutprop import qpd
+from cutprop.backprop import light_cone
 from cutprop.circuits import Circuit, Gate, lower_rotations
+from cutprop.cli import _bench_instances
 from cutprop.cutting import CutPlan, _build_plan, extract_subcircuits, find_cuts, validate_plan
 from cutprop.generators import (
     random_circuit,
     weight_z_observable,
 )
-from cutprop.paulis import Observable
+from cutprop.paulis import Observable, canonicalize
 from cutprop.qpd import (
     PREP_STATES,
     QpdError,
@@ -22,6 +24,7 @@ from cutprop.qpd import (
     verify_wirecut_identity,
     wirecut_terms,
 )
+from cutprop.sim import expectation, product_state, simulate
 
 import oracles
 from oracles import PAULI, random_observable, random_product_factors
@@ -337,6 +340,30 @@ def _walk_cases():
         made += 1
         yield (extract_subcircuits(circ, plan, random_observable(n, rng, max_weight=3)),
                random_product_factors(n, rng))
+    # Seeded bipartitions, with a gate cut and a wire cut, whose parts each
+    # hold idle wires (no gate, no cut end) that carry X, Y and Z letters.
+    made = 0
+    while made < 6:
+        n = int(rng.integers(5, 9))
+        idle = [int(q) for q in rng.choice(n, size=3, replace=False)]
+        active = [q for q in range(n) if q not in idle]
+        local = _with_rotations(
+            lower_rotations(random_circuit(len(active), 14, rng, p_two_qubit=0.4)), rng)
+        circ = Circuit(n, tuple(Gate(g.kind, tuple(active[q] for q in g.qubits), angle=g.angle,
+                                     axis=g.axis) for g in local.gates))
+        labels = [int(b) for b in rng.integers(0, 2, size=n)]
+        labels[idle[0]], labels[idle[1]] = 0, 1
+        q = active[int(rng.integers(len(active)))]
+        plan = _build_plan(circ, labels, {q: (int(rng.integers(1, len(circ.gates))), 1 - labels[q])})
+        if plan.num_subcircuits != 2 or not plan.kg or 6**plan.kg * 8**plan.kw > 6**3 * 8:
+            continue
+        terms = [(float(rng.uniform(-1, 1)), "".join(rng.choice(list("IXYZ"), size=n)))
+                 for _ in range(4)]
+        on_idle = dict(zip(idle, "XYZ"))
+        terms.append((0.5, "".join(on_idle.get(w, "I") for w in range(n))))
+        made += 1
+        yield (extract_subcircuits(circ, plan, Observable.from_labels(terms)),
+               random_product_factors(n, rng))
 
 
 def _tables(part_table, ext, factors):
@@ -363,9 +390,15 @@ def test_walk_cases_cover_every_cut_end():
             runs = [op for op in sub.ops if isinstance(op, Circuit)]
             seen.update(f"rot on {len(g.qubits)}" for run in runs for g in run.gates
                         if g.kind == "rot")
+            # a wire no gate and no cut end touches, under a word's letter
+            busy = {op.wire for op in ends} | {q for run in runs for g in run.gates
+                                              for q in g.qubits}
+            seen.update(f"idle {word.letter(w)}" for word in sub.words
+                        for w in set(range(sub.n)) - busy)
     assert seen >= {
         ("cz", 0), ("cz", 1), ("cx", 0), ("cx", 1), ("wire", 0), ("wire", 1),
         "no cut end", "rot on 1", "rot on 2", "measure end, then a gate run",
+        "idle X", "idle Y", "idle Z",
     }
 
 
@@ -416,3 +449,70 @@ def test_one_byte_bound_simulates_as_many_states_as_the_reference(monkeypatch):
     unmeasured = reference_letters.count((0, 0))
     assert sum(stack_rows) == unmeasured < len(reference_letters)
     assert len(stack_rows) < unmeasured
+
+
+# --- the light-cone oracle and idle wires -----------------------------------------
+
+
+def _dense(circ, obs, factors=None):
+    """The unpruned dense value: every gate, on every wire."""
+    initial = None if factors is None else product_state(factors)
+    return expectation(simulate(circ, initial), canonicalize(obs))
+
+
+def test_cone_oracle_matches_the_whole_circuit_on_every_suite():
+    for suite in ("vqe6", "heis19", "qaoa3", "random"):
+        for name, circ, obs in _bench_instances(suite, 0):
+            assert abs(uncut_expectation(circ, obs) - _dense(circ, obs)) < 1e-12, name
+
+
+def _cone_cases():
+    """Seeded circuits with 1- and 2-qubit rotations, low-weight observables
+    and random product initial factors."""
+    rng = np.random.default_rng(139)
+    for _ in range(24):
+        n = int(rng.integers(2, 10))
+        circ = _with_rotations(lower_rotations(random_circuit(n, 10, rng, p_two_qubit=0.3)), rng)
+        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+        rot = Gate("rot", (a, b), angle=float(rng.uniform(-3, 3)), axis="XY")
+        circ = Circuit(n, circ.gates + (rot,))
+        yield circ, random_observable(n, rng, max_weight=2, num_terms=3), random_product_factors(n, rng)
+
+
+def test_cone_oracle_matches_the_whole_circuit_on_seeded_circuits():
+    pruned = 0
+    for circ, obs, factors in _cone_cases():
+        got = uncut_expectation(circ, obs, factors)
+        assert abs(got - _dense(circ, obs, factors)) < 1e-12
+        pruned += len(light_cone(circ, obs)[1]) < circ.n
+    assert pruned >= 8
+
+
+def test_cone_oracle_of_an_identity_observable():
+    # The cone of an all-I observable holds no wire: its value is the
+    # identity's coefficient, whatever the circuit and the initial state.
+    circ, _, factors = next(_cone_cases())
+    obs = Observable.from_labels([(0.7, "I" * circ.n)])
+    assert light_cone(circ, obs) == (Circuit(circ.n), ())
+    assert uncut_expectation(circ, obs, factors) == pytest.approx(0.7, abs=1e-15)
+    assert abs(uncut_expectation(circ, obs, factors) - _dense(circ, obs, factors)) < 1e-12
+
+
+def test_cone_oracle_of_every_wire_runs_the_circuit_as_given():
+    # A cone that holds every gate and wire simulates the circuit itself:
+    # the value is the unpruned one, bit for bit.
+    for circ, _, factors in _cone_cases():
+        obs = Observable.from_labels([(0.5, "Z" * circ.n), (0.25, "X" * circ.n)])
+        assert light_cone(circ, obs)[0] is circ
+        assert uncut_expectation(circ, obs, factors) == _dense(circ, obs, factors)
+
+
+def test_cone_oracle_matches_the_einsum_reference():
+    # The reference applies every gate, one at a time and out of place, to
+    # the whole register.
+    for circ, obs, factors in _cone_cases():
+        if len(light_cone(circ, obs)[1]) < circ.n:
+            break
+    psi = oracles.einsum_simulate(circ, product_state(factors))
+    want = np.vdot(psi, oracles.obs_matrix(obs) @ psi).real
+    assert abs(uncut_expectation(circ, obs, factors) - want) < 1e-12
