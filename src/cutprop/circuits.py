@@ -85,10 +85,8 @@ class Gate:
         return PauliString(n, *letter_masks(self.axis or "Z", self.qubits))
 
 
-def _clifford_quarter_turns(angle: float | None) -> int | None:
+def _clifford_quarter_turns(angle: float) -> int | None:
     """Return k (mod 4) if angle is within tolerance of k*pi/2, else None."""
-    if angle is None:
-        return None
     k = round(angle / (math.pi / 2))
     if abs(angle - k * (math.pi / 2)) <= CLIFFORD_ANGLE_TOL:
         return k % 4

@@ -74,16 +74,6 @@ def _write_text(path: str, text: str, what: str) -> None:
         raise CliInputError(f"cannot write {what} {path}: {exc}") from exc
 
 
-def _load_circuit(path: str) -> tuple[Circuit, str]:
-    text = _read_text(path, "circuit file")
-    return parse_qasm(text), _sha256(text.encode())
-
-
-def _load_observable(path: str) -> tuple[Observable, str]:
-    text = _read_text(path, "observable file")
-    return parse_observable(text), _sha256(text.encode())
-
-
 def _emit_report(report: dict, args: argparse.Namespace) -> None:
     if getattr(args, "timings", False):
         report["timings"] = {"wall_clock_seconds": time.time() - args._started}
@@ -114,6 +104,17 @@ def _base_report(command: str, args: argparse.Namespace, **inputs) -> dict:
         "inputs": inputs,
         "flags": flags,
     }
+
+
+def _load_inputs(command: str, args: argparse.Namespace) -> tuple[Circuit, Observable, dict]:
+    """The circuit, then the observable, and the report envelope with their hashes."""
+    circuit_text = _read_text(args.circuit, "circuit file")
+    circuit = parse_qasm(circuit_text)
+    obs_text = _read_text(args.observable, "observable file")
+    obs = parse_observable(obs_text)
+    report = _base_report(command, args, circuit_sha256=_sha256(circuit_text.encode()),
+                          observable_sha256=_sha256(obs_text.encode()))
+    return circuit, obs, report
 
 
 def _qpd_term_tables(extraction) -> dict:
@@ -156,14 +157,10 @@ def _reconstruction(circuit: Circuit, plan: CutPlan | None, obs: Observable,
 
 
 def _cmd_backprop(args: argparse.Namespace) -> int:
-    circuit, circ_hash = _load_circuit(args.circuit)
-    obs, obs_hash = _load_observable(args.observable)
+    circuit, obs, report = _load_inputs("backprop", args)
     result = backpropagate(circuit, obs, args.qwc_max, args.trunc_eps, args.slice)
     reduced_qasm = emit_qasm(result.reduced_circuit)
     evolved_text = format_observable(result.evolved_obs)
-    report = _base_report(
-        "backprop", args, circuit_sha256=circ_hash, observable_sha256=obs_hash
-    )
     report["results"] = {
         "fully_absorbed": result.fully_absorbed,
         "slices_absorbed": result.slices_absorbed,
@@ -189,11 +186,9 @@ def _cmd_backprop(args: argparse.Namespace) -> int:
 
 
 def _cmd_cut(args: argparse.Namespace) -> int:
-    circuit, circ_hash = _load_circuit(args.circuit)
-    obs, obs_hash = _load_observable(args.observable)
+    circuit, obs, report = _load_inputs("cut", args)
     plan = find_cuts(circuit, max_qubits=args.max_qubits, seed=args.seed)
-    report_obj = cost(plan, obs, per_subcircuit=args.per_subcircuit, circuit=circuit)
-    report = _base_report("cut", args, circuit_sha256=circ_hash, observable_sha256=obs_hash)
+    report_obj = cost(plan, obs, circuit if args.per_subcircuit else None)
     report["results"] = {"plan": plan.to_dict(), "cost": report_obj.to_dict()}
     if args.plan_out:
         _write_text(args.plan_out, json.dumps(plan.to_dict(), sort_keys=True, indent=2), "plan")
@@ -205,8 +200,7 @@ def _cmd_cut(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    circuit, circ_hash = _load_circuit(args.circuit)
-    obs, obs_hash = _load_observable(args.observable)
+    circuit, obs, report = _load_inputs("optimize", args)
     config = SAConfig(
         bound_lower=args.bound_lower,
         bound_upper=args.bound_upper,
@@ -217,9 +211,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     result = optimize_budget(circuit, obs, config, slicing=args.slice)
-    report = _base_report(
-        "optimize", args, circuit_sha256=circ_hash, observable_sha256=obs_hash
-    )
     report["results"] = {
         "w_opt": result.w_opt,
         "chosen_num_circuits": result.chosen_cost,
@@ -241,8 +232,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    circuit, circ_hash = _load_circuit(args.circuit)
-    obs, obs_hash = _load_observable(args.observable)
+    circuit, obs, report = _load_inputs("verify", args)
     if circuit.n > sim_limit():
         raise CliInputError(
             f"{circuit.n} qubits exceeds the simulator cap {sim_limit()}"
@@ -278,7 +268,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     fields = _reconstruction(work_circuit, plan, work_obs, args.shots, args.seed)
     delta = abs(fields["reconstructed_expectation"] - exact)
     ok = delta <= args.tolerance + trunc_bound
-    report = _base_report("verify", args, circuit_sha256=circ_hash, observable_sha256=obs_hash)
     report["results"] = {
         "pipeline": pipeline,
         "plan": None if plan is None else plan.to_dict(),
@@ -313,8 +302,6 @@ def _bench_instances(suite: str, seed: int):
             rng = np.random.default_rng((seed, 400 + i))
             circ = lower_rotations(random_circuit(n, depth, rng))
             yield f"random-{n}q", circ, weight_z_observable(n, 1)
-    else:
-        raise CliInputError(f"unknown suite {suite!r}")
 
 
 def _bench_row(name: str, circuit: Circuit, obs: Observable, seed: int, large: bool) -> dict:

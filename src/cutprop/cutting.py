@@ -208,37 +208,32 @@ def validate_plan(circuit: Circuit, plan: CutPlan) -> None:
 def cost(
     plan: CutPlan,
     evolved_obs: Observable,
-    per_subcircuit: bool = False,
     circuit: Circuit | None = None,
 ) -> CostReport:
     """Execution-count accounting for a plan and an (evolved) observable.
 
-    The per-subcircuit mode additionally reports, from the plan's
-    extraction on ``circuit``, each part's group count g_i over its
-    distinct observable words and the product eta_i of 9 per gate-cut end
-    and 16 per wire-cut end in its op stream (this secondary accounting
-    double-counts shared cuts; the ``total_executions`` field is the
-    normative number).
+    Given ``circuit``, it additionally reports, from the plan's extraction
+    on it, each part's group count g_i over its distinct observable words
+    and the product eta_i of 9 per gate-cut end and 16 per wire-cut end in
+    its op stream (this secondary accounting double-counts shared cuts;
+    the ``total_executions`` field is the normative number).
     """
     if evolved_obs.n != plan.n:
         raise CutError(f"observable width {evolved_obs.n} != plan width {plan.n}")
     obs = canonicalize(evolved_obs)
     groups = measurement_groups(obs)
     total = total_executions(plan.kg, plan.kw, groups)
-    per = None
-    if per_subcircuit:
-        if circuit is None:
-            raise CutError("per-subcircuit accounting needs the circuit")
-        extraction = extract_subcircuits(circuit, plan, obs)
-        rows = []
-        for label, sub in zip(plan.parts, extraction.subcircuits):
-            words = Observable.from_terms(sub.n, [(1, w) for w in sub.words])  # distinct
-            g_i = measurement_groups(words)
-            eta = math.prod(GATE_CUT_FACTOR if op.cut < plan.kg else WIRE_CUT_FACTOR
-                            for op in sub.ops if isinstance(op, SubOp))
-            rows.append((label, g_i, eta))
-        per = tuple(rows)
-    return CostReport(plan.kg, plan.kw, groups, total, per)
+    if circuit is None:
+        return CostReport(plan.kg, plan.kw, groups, total)
+    extraction = extract_subcircuits(circuit, plan, obs)
+    rows = []
+    for label, sub in zip(plan.parts, extraction.subcircuits):
+        words = Observable.from_terms(sub.n, [(1, w) for w in sub.words])  # distinct
+        g_i = measurement_groups(words)
+        eta = math.prod(GATE_CUT_FACTOR if op.cut < plan.kg else WIRE_CUT_FACTOR
+                        for op in sub.ops if isinstance(op, SubOp))
+        rows.append((label, g_i, eta))
+    return CostReport(plan.kg, plan.kw, groups, total, tuple(rows))
 
 
 # --- bipartition search -------------------------------------------------------
@@ -286,7 +281,8 @@ class _Bipartitioner:
         self.never = self.gates2q[-1][0] + 1 if self.gates2q else 0
         # The wires with a 2-qubit gate: only their labels reach a refinement.
         self._linked = tuple(w for w, timeline in enumerate(self.by_wire) if timeline)
-        # (max_passes, labels of the linked wires) -> (cuts, kg).
+        # (max_passes, linked labels) -> (cuts, kg). It pays only in bounded searches: an
+        # unbounded bisection with an idle wire takes the shortcut; a connected one keys on all.
         self._refined: dict[tuple[int, ...], tuple[dict[int, int], int]] = {}
 
     @cached_property
@@ -421,10 +417,8 @@ def _bfs_balanced_labels(problem: _Bipartitioner) -> tuple[int, ...]:
     n = problem.n
     order = [w for component in problem.components for w in component]
     labels = [1] * n
-    for q in order[: (n + 1) // 2]:
+    for q in order[: (n + 1) // 2]:  # components[0] starts at wire 0, so it is labelled 0
         labels[q] = 0
-    if labels[0] == 1:
-        labels = [l ^ 1 for l in labels]
     return tuple(labels)
 
 
@@ -655,7 +649,6 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
             emit_ends(plan.kg + len(wire_cut_infos), ((q, k - 1), (q, k)))
             wire_cut_infos.append(q)
 
-    gate_cut_set = set(plan.gate_cuts)
     for t, g in enumerate(circuit.gates):
         emit_wire_cuts(t)
         wires = [plan.wire_at(q, t) for q in g.qubits]
@@ -663,9 +656,7 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
         if len(labels) == 1:
             local_qubits = tuple(local_index[w][1] for w in wires)
             stream[labels.pop()].append(Gate(g.kind, local_qubits, angle=g.angle, axis=g.axis))
-        else:
-            if t not in gate_cut_set or len(g.qubits) != 2:
-                raise CutError(f"gate {t} crosses parts but is not a valid gate cut")
+        else:  # validate_plan made every crossing gate a listed 2-qubit cut
             emit_ends(len(gate_cut_infos), wires)
             gate_cut_infos.append(g.kind)
     emit_wire_cuts(len(circuit.gates))

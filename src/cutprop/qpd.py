@@ -442,6 +442,8 @@ def reconstruct(
         raise QpdError("shots must be positive")
     if initial_factors is None:
         initial_factors = [PREP_STATES["0"]] * plan.n
+    elif len(initial_factors) != plan.n:
+        raise QpdError(f"{len(initial_factors)} initial factors for {plan.n} qubits")
     # Cut c < kg is gate cut c; cut kg + j is wire cut j.
     cut_terms = [gatecut_terms(kind) for kind in extraction.gate_cut_infos]
     cut_terms += [wirecut_terms()] * len(extraction.wire_cut_infos)
@@ -501,12 +503,14 @@ def uncut_expectation(
 
     Only the observable's backward light cone (``backprop.light_cone``) is
     simulated, on the cone's wires. Every other wire carries only I
-    letters, so its factor of the initial product state drops out. When the
-    cone holds every wire, its gates run on the circuit's own width, and
-    when it holds every gate too, the circuit runs as given.
+    letters, so its factor of the initial product state drops out (each is
+    still checked). When the cone holds every wire, its gates run on the
+    circuit's own width, and when it holds every gate too, the circuit runs as given.
     """
-    if initial_factors is not None and len(initial_factors) != circuit.n:
-        raise SimulationError("initial state size does not match circuit width")
+    if initial_factors is not None:
+        if len(initial_factors) != circuit.n:
+            raise SimulationError("initial state size does not match circuit width")
+        initial_factors = [product_state([factor]) for factor in initial_factors]
     obs = canonicalize(obs)
     cone, wires = light_cone(circuit, obs)
     if len(wires) < circuit.n:
@@ -514,9 +518,7 @@ def uncut_expectation(
         limbs = _limbs(len(wires))
         obs = _from_rows(len(wires), _pack_masks(xs, limbs), _pack_masks(zs, limbs),
                          obs.coeffs, True)
-        if initial_factors is not None:
-            initial_factors = [initial_factors[q] for q in wires]
     initial = None
     if initial_factors is not None:
-        initial = product_state(list(initial_factors))
+        initial = product_state([initial_factors[q] for q in wires])
     return expectation(simulate(cone, initial), obs)

@@ -84,6 +84,8 @@ def product_state(factors: list[np.ndarray]) -> np.ndarray:
             raise SimulationError("each factor must be a length-2 vector")
         state = np.kron(f, state)
     norm = np.linalg.norm(state)
+    if not 0 < norm < math.inf:  # NaN fails both comparisons
+        raise SimulationError(f"the initial product state has norm {norm}")
     if abs(norm - 1.0) > 1e-9:
         state = state / norm
     return state

@@ -186,8 +186,7 @@ def objective(circuit, obs, w, slicing="auto", trunc_budget_per_slice=0.0, cut_s
 
 
 def per_subcircuit_costs(plan, obs, circuit) -> tuple[tuple[int, int, int], ...]:
-    """``cost(plan, obs, per_subcircuit=True, circuit=circuit).per_subcircuit``
-    from qubit masks and cut incidence.
+    """``cost(plan, obs, circuit).per_subcircuit`` from qubit masks and cut incidence.
 
     A part's words are the observable's terms masked to the qubits whose
     final segment it holds. Its eta multiplies 9 per cut gate with an

@@ -438,6 +438,59 @@ def test_bad_numbers_are_one_line_input_errors(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_QASM = "OPENQASM 2.0;\nqreg q[3];\n"
+_PLAN = {"n": 3, "labels": [0, 0, 1], "wire_cuts": [], "gate_cuts": [3], "num_subcircuits": 2}
+
+
+@pytest.mark.parametrize(
+    "circuit_text, plan, sim_limit, message",
+    [
+        ("qreg q[3];\nh q[0];\n", None, None, "line 1: missing OPENQASM header"),
+        ("OPENQASM 2.0;\n", None, None, "line 1: missing qreg declaration"),
+        (_QASM + "qreg r[3];\n", None, None, "line 3: multiple qreg declarations"),
+        ("OPENQASM 2.0;\nh q[0];\nqreg q[3];\n", None, None,
+         "line 2: gate before qreg declaration"),
+        (_QASM + "= q[0];\n", None, None, "line 3: malformed statement '= q[0]'"),
+        (_QASM + "rz(0.5) q[0],q[1];\n", None, None, "line 3: rz takes exactly one qubit"),
+        (_QASM + "h(0.5) q[0];\n", None, None, "line 3: h takes no parameter"),
+        (_QASM + "rz(pi+) q[0];\n", None, None, "line 3: malformed angle expression 'pi+'"),
+        (_QASM + "rz(abs(1)) q[0];\n", None, None,
+         "line 3: unsupported construct in angle 'abs(1)'"),
+        (_QASM + "rz('a') q[0];\n", None, None, "line 3: non-numeric constant in angle \"'a'\""),
+        (None, {**_PLAN, "n": 4, "labels": [0, 0, 1, 1]}, None, "plan width 4 != circuit width 3"),
+        (None, {**_PLAN, "labels": [0, 1]}, None, "label vector length mismatch"),
+        (None, {**_PLAN, "wire_cuts": [[5, 2, 1]]}, None, "wire cut on unknown qubit 5"),
+        (None, {**_PLAN, "wire_cuts": [[0, 99, 1]]}, None, "wire cut position 99 out of range"),
+        (None, {**_PLAN, "labels": [0, 0, 0], "wire_cuts": [[1, 2, 1], [1, 2, 0]]}, None,
+         "duplicate wire cut positions on qubit 1"),
+        (None, {**_PLAN, "wire_cuts": [[0, 2, 0]]}, None,
+         "wire cut on qubit 0 does not change its label"),
+        (None, {**_PLAN, "num_subcircuits": 3}, None, "2 labels in use but num_subcircuits=3"),
+        (None, "{not json", None, "cannot load plan: Expecting property name enclosed in "
+         "double quotes: line 1 column 2 (char 1)"),
+        (None, None, "2", "3 qubits exceeds the simulator cap 2"),
+    ],
+)
+def test_rejected_inputs_are_one_line_errors_naming_the_fault(
+    workdir, capsys, monkeypatch, circuit_text, plan, sim_limit, message
+):
+    # The whole line is matched: with a check gone, a later one would
+    # often still reject the input in one line, with another message.
+    tmp, circ, obs, _, _ = workdir
+    argv = ["verify", circ, obs]
+    if circuit_text is not None:
+        argv[1] = str(tmp / "bad.qasm")
+        (tmp / "bad.qasm").write_text(circuit_text)
+    if plan is not None:
+        (tmp / "bad_plan.json").write_text(plan if isinstance(plan, str) else json.dumps(plan))
+        argv += ["--plan", str(tmp / "bad_plan.json")]
+    if sim_limit is not None:
+        monkeypatch.setenv("QCUT_SIM_LIMIT", sim_limit)
+    capsys.readouterr()
+    rc = main(argv)
+    assert (rc, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")
+
+
 def test_bench_searches_each_circuit_once(workdir, monkeypatch):
     import cutprop.annealing
     import cutprop.cli
@@ -493,10 +546,8 @@ def test_bench_searches_each_circuit_once(workdir, monkeypatch):
 )
 def test_bad_flags_are_one_line_input_errors(workdir, capsys, argv):
     tmp, circ, obs, _, _ = workdir
-    plan = {"n": 3, "labels": [0, 0, 1], "wire_cuts": [], "gate_cuts": [3],
-            "num_subcircuits": 2}
-    (tmp / "huge_n.json").write_text(json.dumps(plan).replace('"n": 3', '"n": 1e999'))
-    (tmp / "float_label.json").write_text(json.dumps({**plan, "labels": [0, 0, 1.7]}))
+    (tmp / "huge_n.json").write_text(json.dumps(_PLAN).replace('"n": 3', '"n": 1e999'))
+    (tmp / "float_label.json").write_text(json.dumps({**_PLAN, "labels": [0, 0, 1.7]}))
     (tmp / "not_utf8").write_bytes(b"\xff\xfe")
     paths = {"circ": circ, "obs": obs, "plan_huge_n": str(tmp / "huge_n.json"),
              "plan_float_label": str(tmp / "float_label.json"),

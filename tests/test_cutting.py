@@ -98,7 +98,7 @@ def test_cost_per_subcircuit_mode():
     circ = ladder(3)
     plan = find_cuts(circ)
     obs = weight_z_observable(3, 1)
-    report = cost(plan, obs, per_subcircuit=True, circuit=circ)
+    report = cost(plan, obs, circ)
     # One cut gate; each part holds one of its ends and its own Z words
     # (a part's restriction of another part's term is the identity word).
     assert report.per_subcircuit == per_subcircuit_costs(plan, obs, circ)
@@ -129,7 +129,7 @@ def test_cost_per_subcircuit_matches_mask_reference():
     cases += [(heis19, find_cuts(heis19, max_qubits=b), obs19) for b in (6, 8, 10)]
     etas = set()
     for circ, plan, obs in cases:
-        rows = cost(plan, obs, per_subcircuit=True, circuit=circ).per_subcircuit
+        rows = cost(plan, obs, circ).per_subcircuit
         assert rows == per_subcircuit_costs(plan, obs, circ)
         etas.update(eta for _, _, eta in rows)
     # parts with gate-cut ends only, wire-cut ends only, both, and none
@@ -147,7 +147,7 @@ def test_cost_per_subcircuit_rejects_a_circuit_the_plan_does_not_fit():
     for gates in ((Gate("h", (0,)),),
                   (Gate("cz", (1, 2)), Gate("h", (0,)), Gate("h", (0,)), Gate("h", (0,)))):
         with pytest.raises(CutError):
-            cost(plan, obs, per_subcircuit=True, circuit=Circuit(3, gates))
+            cost(plan, obs, Circuit(3, gates))
 
 
 # --- find_cuts -------------------------------------------------------------------
@@ -370,32 +370,51 @@ def test_refine_ignores_idle_wire_labels():
     assert with_cuts > 60
 
 
-def test_heis19_bench_search_refines_each_pattern_once(heis19_bench_searches, monkeypatch):
-    # The seed-0 row's six cut searches price 1,091 labelings and refine
-    # 1,091 distinct (passes, linked labels) patterns: five of the six
-    # bisections are disconnected and price one labeling each, and the
-    # sixth has no idle wire.
-    _, searched, calls = heis19_bench_searches
-    problems, priced = [], 0
+def _record_bisections(monkeypatch) -> tuple[list, list[int]]:
+    """Record each bisection problem built and count the labelings priced.
+
+    Returns the problems and a one-item list holding the count.
+    """
+    problems, priced = [], [0]
     init, refine = _Bipartitioner.__init__, _Bipartitioner.refine_wire_cuts
 
     def recording_init(self, *args):
         init(self, *args)
         problems.append(self)
 
-    def counting_refine(self, *args):
-        nonlocal priced
-        priced += 1
-        return refine(self, *args)
+    def counting_refine(self, *args, **kwargs):
+        priced[0] += 1
+        return refine(self, *args, **kwargs)
 
     monkeypatch.setattr(_Bipartitioner, "__init__", recording_init)
     monkeypatch.setattr(_Bipartitioner, "refine_wire_cuts", counting_refine)
+    return problems, priced
+
+
+def test_heis19_bench_search_refines_each_pattern_once(heis19_bench_searches, monkeypatch):
+    # The seed-0 row's six cut searches price 1,091 labelings and refine
+    # 1,091 distinct (passes, linked labels) patterns: five of the six
+    # bisections are disconnected and price one labeling each, and the
+    # sixth has no idle wire.
+    _, searched, calls = heis19_bench_searches
+    problems, priced = _record_bisections(monkeypatch)
     for b, kwargs in calls:
         circuit, plan = searched[b]
         assert find_cuts(circuit, **kwargs) == plan
     assert len(problems) == 6
-    assert priced == 1091
+    assert priced == [1091]
     assert sum(len(p._refined) for p in problems) == 1091
+
+
+def test_bounded_heis19_search_refines_each_pattern_once(monkeypatch):
+    # A bounded search is where the refinement cache pays: on the first 41
+    # gates at max_qubits=6 it prices 57,577 labelings but refines 69
+    # patterns.
+    (_, heis19, _), = _bench_instances("heis19", 0)
+    problems, priced = _record_bisections(monkeypatch)
+    find_cuts(heis19.prefix(41), max_qubits=6, seed=0)
+    assert priced == [57577]
+    assert sum(len(p._refined) for p in problems) == 69
 
 
 def test_heis19_bench_shortcut_answers_five_of_six_searches(heis19_bench_searches,
@@ -616,6 +635,10 @@ def test_validate_rejects_uncut_crossing_gate():
     bad = CutPlan(3, (0, 1, 1), (), (), 2)
     with pytest.raises(CutError, match="crosses"):
         validate_plan(circ, bad)
+    # A 3-qubit rotation across the partition has no gate cut.
+    rot = Circuit(3, (Gate("rot", (0, 1, 2), angle=0.3, axis="XYZ"),))
+    with pytest.raises(CutError, match="gate 0 couples >2 qubits across the partition"):
+        validate_plan(rot, bad)
 
 
 def test_validate_rejects_phantom_gate_cut():
@@ -680,7 +703,7 @@ def test_wire_cut_order_does_not_matter():
             plan.segments(0),
             [plan.segment_label(0, t) for t in range(len(circ.gates) + 1)],
             plan.segments(0)[-1][1],
-            cost(plan, obs, per_subcircuit=True, circuit=circ),
+            cost(plan, obs, circ),
             cut_and_reconstruct(circ, plan, obs).value,
         )
         for plan in plans

@@ -12,7 +12,7 @@ from cutprop.generators import (
     random_circuit,
     weight_z_observable,
 )
-from cutprop.paulis import Observable, canonicalize
+from cutprop.paulis import Observable, PauliString, canonicalize
 from cutprop.qpd import (
     PREP_STATES,
     QpdError,
@@ -24,7 +24,7 @@ from cutprop.qpd import (
     verify_wirecut_identity,
     wirecut_terms,
 )
-from cutprop.sim import expectation, product_state, simulate
+from cutprop.sim import SimulationError, expectation, product_state, simulate
 
 import oracles
 from oracles import PAULI, random_observable, random_product_factors
@@ -110,6 +110,16 @@ def test_reconstruct_single_wire_cut():
     rec = cut_and_reconstruct(circ, plan, obs, factors)
     assert rec.num_combinations == 8
     assert rec.value == pytest.approx(uncut_expectation(circ, obs, factors), abs=1e-10)
+
+
+def test_reconstruct_rejects_a_factor_list_of_the_wrong_length():
+    circ = Circuit(2, (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rz", (1,), angle=0.9)))
+    ext = extract_subcircuits(circ, CutPlan(2, (0, 0), ((0, 2, 1),), (), 2),
+                              weight_z_observable(2, 1))
+    factors = random_product_factors(3, np.random.default_rng(5))
+    for wrong in (factors[:1], factors):
+        with pytest.raises(QpdError, match=f"{len(wrong)} initial factors for 2 qubits"):
+            reconstruct(ext, wrong)
 
 
 def test_reconstruct_combination_count_is_literal():
@@ -505,6 +515,16 @@ def test_cone_oracle_of_every_wire_runs_the_circuit_as_given():
         obs = Observable.from_labels([(0.5, "Z" * circ.n), (0.25, "X" * circ.n)])
         assert light_cone(circ, obs)[0] is circ
         assert uncut_expectation(circ, obs, factors) == _dense(circ, obs, factors)
+
+
+@pytest.mark.parametrize("factor", [np.ones(3), np.zeros(2), np.array([np.nan, 1.0])])
+def test_cone_oracle_checks_the_factors_of_wires_outside_the_cone(factor):
+    # Z on qubit 0 after h on each qubit: the cone holds wire 0 only.
+    circ = Circuit(2, (Gate("h", (0,)), Gate("h", (1,))))
+    obs = Observable.from_terms(2, [(1.0, PauliString(2, 0, 1))])
+    assert light_cone(circ, obs)[1] == (0,)
+    with pytest.raises(SimulationError):
+        uncut_expectation(circ, obs, [PREP_STATES["0"], factor])
 
 
 def test_cone_oracle_matches_the_einsum_reference():

@@ -89,6 +89,12 @@ def test_product_state_ordering():
     assert np.allclose(state, expected)
 
 
+@pytest.mark.parametrize("factor", [np.zeros(2), np.array([np.nan, 1.0]), np.array([np.inf, 0.0])])
+def test_product_state_rejects_a_zero_or_non_finite_norm(factor):
+    with pytest.raises(SimulationError, match="initial product state has norm"):
+        product_state([np.array([1.0, 0.0]), factor])
+
+
 def test_width_limit(monkeypatch):
     monkeypatch.setenv("QCUT_SIM_LIMIT", "3")
     with pytest.raises(SimulationError, match="exceeds"):
