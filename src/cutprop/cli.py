@@ -370,8 +370,18 @@ def _common_output_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line in one stderr line, exit 2, with no usage text.
+
+    ``add_subparsers`` makes each subparser of this class too.
+    """
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cutprop",
         description="Cut quantum circuits with observable backpropagation.",
     )

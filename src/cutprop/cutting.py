@@ -167,7 +167,11 @@ def _crossing_gates(circuit: Circuit, plan: CutPlan) -> list[int]:
 
 
 def validate_plan(circuit: Circuit, plan: CutPlan) -> None:
-    """Raise CutError unless the plan is a consistent partition of the circuit."""
+    """Raise CutError unless the plan is a consistent partition of the circuit.
+
+    A plan of 2 or more qubits must make 2 or more parts; on fewer qubits
+    the one-part plan, which cuts nothing, is the only partition.
+    """
     if plan.n != circuit.n:
         raise CutError(f"plan width {plan.n} != circuit width {circuit.n}")
     if len(plan.labels) != plan.n:
@@ -201,7 +205,7 @@ def validate_plan(circuit: Circuit, plan: CutPlan) -> None:
         raise CutError(
             f"{len(plan.parts)} labels in use but num_subcircuits={plan.num_subcircuits}"
         )
-    if plan.num_subcircuits < 2:
+    if plan.num_subcircuits < min(2, plan.n):
         raise CutError("a plan must produce at least 2 subcircuits")
 
 
@@ -495,14 +499,15 @@ def find_cuts(
     bisection of wires whose 2-qubit gates leave two or more connected
     components needs no search: it puts the component with the largest
     smallest wire alone on side 1, at cost 1. The new part of pass i gets
-    label i + 1.
+    label i + 1. A circuit on fewer than 2 qubits needs no cut: its plan is
+    the one-part plan.
     """
-    if circuit.n < 2:
-        raise CutError("cannot partition a circuit with fewer than 2 qubits")
     if max_qubits is not None and max_qubits < 1:
         raise CutError("max_qubits must be positive")
-    gates2q = _two_qubit_gates(circuit)
     plan = _build_plan(circuit, (0,) * circuit.n, {})
+    if circuit.n < 2:
+        return plan
+    gates2q = _two_qubit_gates(circuit)
     label = 0  # the whole register is bisected first
     # Each pass adds one part and a plan has at most 2n wires (one wire cut
     # per qubit), so at most 2n - 1 passes run.

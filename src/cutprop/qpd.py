@@ -15,13 +15,16 @@ the observable term, and contracts the tables with the cut coefficients in
 one einsum, so the value matches the uncut circuit to solver precision. A
 part's table comes from one breadth-first walk over a stack of branch
 states: each gate run is one ``simulate`` call on the whole stack, and each
-leaf one ``pauli_expectations`` call. A wire cut's measured wire idles
-after the cut, so its letter never touches the stack: it joins the words
-at the leaf. A wire that no gate and no cut end of its part touches never
-leaves its initial state, so it stays out of the walk and adds one factor
-per word. Every decomposition is checked against a dense channel oracle before
-first use, through the walk's own cut-end and leaf code. The uncut reference
-value simulates only the observable's backward light cone.
+leaf one ``pauli_expectations`` call. A cut end stacks its branches while
+the stack fits one simulator block (``sim._BLOCK`` amplitudes, 512 KiB):
+a smaller stack saves no memory that matters and only multiplies the
+``simulate`` calls. A wire cut's measured wire idles after the cut, so its
+letter never touches the stack: it joins the words at the leaf. A wire
+that no gate and no cut end of its part touches never leaves its initial
+state, so it stays out of the walk and adds one factor per word. Every
+decomposition is checked against a dense channel oracle before first use,
+through the walk's own cut-end and leaf code. The uncut reference value
+simulates only the observable's backward light cone.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from .paulis import _MASKS, Observable, _from_rows, _limbs, _mask_ints, _pack_ma
 # apply_gate and apply_pauli are unused here, but the benchmark's tracer
 # wraps them in this module (perfbench/spans.py), so the imports stay.
 from .sim import apply_1q, apply_gate, apply_pauli, expectation  # noqa: F401
-from .sim import GATE_1Q, SimulationError, pauli_expectations, product_state, rz_matrix, simulate
+from .sim import (_BLOCK, GATE_1Q, SimulationError, pauli_expectations, product_state,
+                  rz_matrix, simulate)
 
 _S2 = 1.0 / math.sqrt(2.0)
 
@@ -55,9 +59,10 @@ class QpdError(ValueError):
 MAX_QPD_COMBINATIONS = 8**6
 
 # Largest stack of branch states, in bytes, that the reconstruction walk
-# builds at a cut end; past it, the end's instruction lists are walked on
-# one at a time, which holds no more states than a depth-first walk.
-STACK_BYTES = 1 << 16
+# builds at a cut end: one simulator block, the slice every kernel works in.
+# Past it, the end's instruction lists are walked on one at a time, which
+# holds no more states than a depth-first walk.
+STACK_BYTES = _BLOCK * np.dtype(complex).itemsize
 
 
 PREP_STATES: dict[str, np.ndarray] = {
@@ -324,12 +329,15 @@ def _part_table(sub, cut_terms, initial_factors):
     whole stack of branch states through each gate run, and each gate-cut
     or prep end grows the stack once per distinct instruction list, so every
     shared prefix is simulated once. A cut end whose grown stack would pass
-    STACK_BYTES walks each instruction list on in turn instead. A wire-cut
-    measure end leaves the stack alone: its distinct letters are a table
-    axis, and at the leaf one ``pauli_expectations`` call evaluates each of
-    the part's words under every combination of measured letters
-    (``_leaf_masks``). The rows are summed by path. Returns the table and
-    the cut of each of its leading axes, in op order.
+    STACK_BYTES, one simulator block (512 KiB), walks each instruction list
+    on in turn instead. Every kernel works in slices of one block anyway, so
+    a split below it would only add fusion and kernel dispatch per
+    ``simulate`` call. A wire-cut measure end leaves the stack alone: its
+    distinct letters are a table axis, and at the leaf one
+    ``pauli_expectations`` call evaluates each of the part's words under
+    every combination of measured letters (``_leaf_masks``). The rows are
+    summed by path. Returns the table and the cut of each of its leading
+    axes, in op order.
 
     An idle wire, one with no gate in any run and no cut end, stays in its
     initial factor phi on every branch, so it adds one factor per word,

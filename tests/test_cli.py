@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,58 @@ def test_cut_requires_a_constraint(workdir):
         main(["cut", circ, obs])
 
 
+# An unknown flag, a bad choice, a missing argument and bad int and float
+# values on every subcommand (cut has no choice or float flag, bench no
+# float flag). An unknown flag is reported by the top-level parser.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["backprop", "{circ}", "{obs}", "--qwc-max", "2", "--nope"],
+        ["backprop", "{circ}", "{obs}", "--qwc-max", "2", "--slice", "x"],
+        ["backprop", "{circ}", "{obs}"],
+        ["backprop", "{circ}", "{obs}", "--qwc-max", "x"],
+        ["backprop", "{circ}", "{obs}", "--qwc-max", "2", "--trunc-eps", "x"],
+        ["cut", "{circ}", "{obs}", "--bipartition", "--nope"],
+        ["cut", "{circ}", "{obs}"],
+        ["cut", "{circ}", "{obs}", "--bipartition", "--max-qubits", "2"],
+        ["cut", "{circ}", "{obs}", "--max-qubits", "x"],
+        ["cut", "{circ}", "{obs}", "--bipartition", "--seed", "1.5"],
+        ["optimize", "{circ}", "{obs}", "--nope"],
+        ["optimize", "{circ}", "{obs}", "--slice", "x"],
+        ["optimize", "{circ}"],
+        ["optimize", "{circ}", "{obs}", "--iters", "x"],
+        ["optimize", "{circ}", "{obs}", "--t0", "x"],
+        ["verify", "{circ}", "{obs}", "--nope"],
+        ["verify", "{circ}", "{obs}", "--slice", "x"],
+        ["verify"],
+        ["verify", "{circ}", "{obs}", "--shots", "x"],
+        ["verify", "{circ}", "{obs}", "--tolerance", "x"],
+        ["bench", "--suite", "qaoa3", "--nope"],
+        ["bench", "--suite", "nope"],
+        ["bench"],
+        ["bench", "--suite", "qaoa3", "--seed", "x"],
+        [],
+        ["nope"],
+    ],
+)
+def test_argument_rejections_are_one_line(workdir, capsys, argv):
+    _, circ, obs, _, _ = workdir
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(circ=circ, obs=obs) for arg in argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT and out == ""
+    assert re.fullmatch(r"cutprop( [a-z]+)?: error: [^\n]+\n", err), err
+
+
+def test_help_keeps_its_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith("usage: cutprop bench [-h] --suite {vqe6,heis19,qaoa3,random}")
+
+
 # --- optimize ---------------------------------------------------------------------
 
 
@@ -205,7 +258,7 @@ def test_verify_pipeline_within_tolerance(workdir):
 
 @pytest.mark.parametrize("n, gates, label", [
     (3, (Gate("h", (0,)), Gate("cx", (0, 1))), "ZZI"),
-    # One qubit cannot be partitioned, so a search on it would exit 2.
+    # One qubit needs no cut, and no search runs either.
     (1, (Gate("h", (0,)),), "Z"),
 ])
 def test_verify_fully_absorbed_skips_the_cut_search(tmp_path, monkeypatch, n, gates, label):
@@ -223,6 +276,25 @@ def test_verify_fully_absorbed_skips_the_cut_search(tmp_path, monkeypatch, n, ga
     results = read_json(out)["results"]
     assert results["pipeline"]["fully_absorbed"] is True and results["plan"] is None
     assert results["qpd_combinations"] == 0 and results["within_tolerance"] is True
+
+
+def test_one_qubit_circuit_is_answered_with_the_one_part_plan(tmp_path):
+    circ_path, obs_path = tmp_path / "c.qasm", tmp_path / "o.txt"
+    circ_path.write_text(emit_qasm(Circuit(1, (Gate("h", (0,)), Gate("rz", (0,), angle=0.3)))))
+    obs_path.write_text("0.5 X\n")
+    one_part = {"n": 1, "labels": [0], "wire_cuts": [], "gate_cuts": [], "num_subcircuits": 1}
+    out = tmp_path / "r.json"
+    assert main(["verify", str(circ_path), str(obs_path), "--out", str(out)]) == EXIT_OK
+    results = read_json(out)["results"]
+    assert results["plan"] == one_part and results["within_tolerance"] is True
+    assert results["reconstructed_expectation"] == pytest.approx(0.5 * math.cos(0.3), abs=1e-12)
+    assert (results["qpd_combinations"], results["subexperiments"]) == (1, 1)
+    rc = main(["cut", str(circ_path), str(obs_path), "--bipartition", "--out", str(out)])
+    assert rc == EXIT_OK
+    results = read_json(out)["results"]
+    assert results["plan"] == one_part and results["cost"]["total_executions"] == 1
+    assert main(["optimize", str(circ_path), str(obs_path), "--out", str(out)]) == EXIT_OK
+    assert read_json(out)["results"]["vanilla_num_circuits"] == 1
 
 
 def test_verify_explicit_plan(workdir):

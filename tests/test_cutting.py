@@ -613,8 +613,12 @@ def test_max_qubits_one_splits_down_to_single_wires():
 
 
 def test_constraint_errors():
-    with pytest.raises(CutError):
-        find_cuts(Circuit(1, ()))
+    # One qubit needs no cut: the search returns the one-part plan.
+    one = Circuit(1, (Gate("h", (0,)),))
+    for max_qubits in (None, 1):
+        plan = find_cuts(one, max_qubits=max_qubits)
+        assert plan == CutPlan(1, (0,), (), (), 1)
+        validate_plan(one, plan)
     with pytest.raises(CutError):
         find_cuts(ladder(3), max_qubits=0)
 

@@ -1,18 +1,21 @@
+import importlib.util
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cutprop import qpd
 from cutprop.backprop import light_cone
-from cutprop.circuits import Circuit, Gate, lower_rotations
+from cutprop.circuits import Circuit, Gate, lower_rotations, parse_qasm
 from cutprop.cli import _bench_instances
 from cutprop.cutting import CutPlan, _build_plan, extract_subcircuits, find_cuts, validate_plan
 from cutprop.generators import (
     random_circuit,
     weight_z_observable,
 )
-from cutprop.paulis import Observable, PauliString, canonicalize
+from cutprop.paulis import Observable, PauliString, canonicalize, parse_observable
 from cutprop.qpd import (
     PREP_STATES,
     QpdError,
@@ -418,9 +421,10 @@ def reference_tables():
             for ext, factors in _walk_cases()]
 
 
-# None keeps the default bound; 1 byte makes every cut end walk its
-# instruction lists one at a time; 2 KiB mixes the two.
-@pytest.mark.parametrize("stack_bytes", [None, 2048, 1])
+# None keeps the default bound (one simulator block), which few of these
+# walks reach; 1 byte makes every cut end walk its instruction lists one at
+# a time; 2 KiB and 64 KiB mix the two.
+@pytest.mark.parametrize("stack_bytes", [None, 1 << 16, 2048, 1])
 def test_part_tables_match_depth_first_reference(monkeypatch, reference_tables, stack_bytes):
     if stack_bytes is not None:
         monkeypatch.setattr(qpd, "STACK_BYTES", stack_bytes)
@@ -459,6 +463,56 @@ def test_one_byte_bound_simulates_as_many_states_as_the_reference(monkeypatch):
     unmeasured = reference_letters.count((0, 0))
     assert sum(stack_rows) == unmeasured < len(reference_letters)
     assert len(stack_rows) < unmeasured
+
+
+INPUTS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+
+
+def _recon_extractions(workdir):
+    """The extraction of each plan that the benchmark's recon commands verify at seed 0."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS_PATH)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclass looks its module up there
+    spec.loader.exec_module(inputs)
+    for command in inputs.recon_commands(0, workdir):
+        _, circuit, obs, _, plan, *_ = command.argv
+        plan = CutPlan.from_dict(json.loads(Path(plan).read_text()))
+        yield command.label, extract_subcircuits(parse_qasm(Path(circuit).read_text()), plan,
+                                                 parse_observable(Path(obs).read_text()))
+
+
+# (simulate calls, stacked rows) of one reconstruction per plan. At the
+# default bound a stack fills one simulator block; at 64 KiB the (3,0),
+# (4,0) and (2,1) walks split more ends over the same rows.
+_RECON_STACKS = {
+    None: {"recon-g2-w0": (6, 86), "recon-g3-w0": (8, 518), "recon-g4-w0": (18, 3110),
+           "recon-g1-w1": (6, 51), "recon-g2-w1": (8, 308)},
+    1 << 16: {"recon-g2-w0": (6, 86), "recon-g3-w0": (16, 518), "recon-g4-w0": (66, 3110),
+              "recon-g1-w1": (6, 51), "recon-g2-w1": (12, 308)},
+}
+
+
+def test_recon_plans_stack_up_to_one_simulator_block(monkeypatch, tmp_path):
+    rows = []
+
+    def counting(circuit, initial, _simulate=qpd.simulate):
+        rows.append(len(initial))
+        return _simulate(circuit, initial)
+
+    monkeypatch.setattr(qpd, "simulate", counting)
+    extractions = list(_recon_extractions(tmp_path))
+    values = {}
+    for stack_bytes, want in _RECON_STACKS.items():
+        if stack_bytes is not None:
+            monkeypatch.setattr(qpd, "STACK_BYTES", stack_bytes)
+        got = {}
+        for label, ext in extractions:
+            rows.clear()
+            values.setdefault(label, set()).add(reconstruct(ext).exact_value)
+            got[label] = (len(rows), sum(rows))
+        assert got == want
+    # The bound moves no value, not even in the last bit.
+    assert all(len(v) == 1 for v in values.values())
 
 
 # --- the light-cone oracle and idle wires -----------------------------------------
