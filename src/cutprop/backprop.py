@@ -219,6 +219,11 @@ class BackpropResult:
     reduced_circuit: Circuit
     evolved_obs: Observable
     slices_absorbed: int
+    # The QWC group count after each absorbed slice: the size of a valid
+    # grouping of that slice's observable. A fresh ``group_qwc`` count, or
+    # the previous entry carried through a slice that kept the rows or held
+    # only 1-qubit Cliffords. A carried count can differ from a fresh one,
+    # since DSATUR breaks ties by row index and the slice reorders the rows.
     group_history: tuple[int, ...]
     truncation_error_accrued: float
     fully_absorbed: bool
@@ -264,7 +269,11 @@ def backpropagate(
     Slices are consumed from the end of the circuit. After conjugating a
     candidate slice (and truncating, when budgeted) the grouping is checked;
     a slice that pushes the group count past the budget is reverted and
-    absorption stops there. The result keeps the state at every slice where
+    absorption stops there. The first absorbed slice is grouped fresh. A
+    later slice that changes no x/z row, or that holds only 1-qubit
+    Cliffords and lost no term to truncation, keeps the previous count: the
+    previous grouping, carried through the slice, is a valid QWC grouping
+    of the new observable. The result keeps the state at every slice where
     a smaller budget would stop, so ``at_budget`` needs no second pass.
     """
     if obs.n != circuit.n:
@@ -279,15 +288,22 @@ def backpropagate(
     stops = []
     accrued = 0.0
     for sl in reversed(slices):
+        gates = circuit.gates[sl.start : sl.stop]
         cand = current
-        for gate in reversed(circuit.gates[sl.start : sl.stop]):
+        for gate in reversed(gates):
             cand = conjugate_gate(cand, gate)
         spent = 0.0
         if trunc_budget_per_slice > 0:
             cand, spent = truncate(cand, trunc_budget_per_slice)
-        # A grouping reads only the x/z rows: a slice that changes no row keeps it.
-        same_rows = np.array_equal(cand.x, current.x) and np.array_equal(cand.z, current.z)
-        groups = history[-1] if history and same_rows else len(group_qwc(cand))
+        # A grouping reads only the x/z rows: a slice that changes no row keeps
+        # its count. So does a slice of 1-qubit Cliffords that truncation left
+        # whole: it permutes X, Y and Z on each qubit, which maps the words one
+        # to one and keeps which pairs commute qubit-wise.
+        carried = history and (
+            (not spent and all(len(g.qubits) == 1 and g.is_clifford() for g in gates))
+            or (np.array_equal(cand.x, current.x) and np.array_equal(cand.z, current.z))
+        )
+        groups = history[-1] if carried else len(group_qwc(cand))
         if groups > max_qwc_groups:
             break
         if groups > max(history, default=0):

@@ -75,6 +75,11 @@ def zero_state(n: int) -> np.ndarray:
     return state
 
 
+def _check_norm(norm: float) -> None:
+    if not 0 < norm < math.inf:  # NaN fails both comparisons
+        raise SimulationError(f"the initial product state has norm {norm}")
+
+
 def product_state(factors: list[np.ndarray]) -> np.ndarray:
     """Tensor product of single-qubit states; factors[q] belongs to qubit q."""
     state = np.array([1.0 + 0j])
@@ -82,10 +87,11 @@ def product_state(factors: list[np.ndarray]) -> np.ndarray:
         f = np.asarray(f, dtype=complex)
         if f.shape != (2,):
             raise SimulationError("each factor must be a length-2 vector")
+        # Each factor is checked before the product, where inf * 0 would warn.
+        _check_norm(np.linalg.norm(f))
         state = np.kron(f, state)
     norm = np.linalg.norm(state)
-    if not 0 < norm < math.inf:  # NaN fails both comparisons
-        raise SimulationError(f"the initial product state has norm {norm}")
+    _check_norm(norm)  # finite factors can still under- or overflow together
     if abs(norm - 1.0) > 1e-9:
         state = state / norm
     return state

@@ -1,6 +1,10 @@
 import dataclasses
+import importlib.util
 import itertools
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,8 @@ from cutprop.backprop import (
     light_cone,
     truncate,
 )
-from cutprop.circuits import Circuit, Gate, lower_rotations
-from cutprop.cli import _bench_instances
+from cutprop.circuits import CLIFFORD_1Q, Circuit, Gate, lower_rotations, parse_qasm, slice_circuit
+from cutprop.cli import EXIT_OK, _bench_instances, main
 from cutprop.generators import (
     HEISENBERG_H,
     HEISENBERG_J,
@@ -22,7 +26,14 @@ from cutprop.generators import (
     heisenberg_trotter,
     random_circuit,
 )
-from cutprop.paulis import Observable, PauliString, PauliTerm, canonicalize, group_qwc
+from cutprop.paulis import (
+    Observable,
+    PauliString,
+    PauliTerm,
+    canonicalize,
+    group_qwc,
+    parse_observable,
+)
 from cutprop.sim import expectation, product_state, simulate
 
 from oracles import (
@@ -32,6 +43,7 @@ from oracles import (
     gate_matrix,
     max_imag,
     obs_matrix,
+    qubitwise_commutes,
     random_observable,
     random_product_factors,
     truncate_terms,
@@ -311,16 +323,118 @@ def test_unchanged_observable_is_not_regrouped(monkeypatch):
     obs = Observable.from_labels([(1.0, "ZI"), (0.5, "IZ")])
     result = backpropagate(circ, obs, max_qwc_groups=4, slicing="per-gate")
     assert result.fully_absorbed and result.group_history == (1, 1, 1)
-    assert len(calls) == result.slices_absorbed - 1
+    # h(0), the last slice, is a 1-qubit Clifford, so its count is carried:
+    # only the first slice is grouped.
+    assert len(calls) == 1
     # x(0) maps Z0 to -Z0, a change of coefficient only, so its slice reuses
-    # the grouping as well: the same history, one grouping fewer.
+    # the grouping as well: the same history, and still one grouping.
     calls.clear()
     circ = Circuit(2, circ.gates[:1] + (Gate("x", (0,)),) + circ.gates[1:])
     result = backpropagate(circ, obs, max_qwc_groups=4, slicing="per-gate")
     assert result.fully_absorbed and result.group_history == (1, 1, 1, 1)
-    assert len(calls) == result.slices_absorbed - 2
+    assert len(calls) == 1
     assert [(t.coeff, t.word.label()) for t in result.evolved_obs.terms] \
         == [(-1.0, "XI"), (0.5, "IX")]
+
+
+# Every 1-qubit Clifford kind, with rz and a 1-qubit rot at quarter turns.
+_CLIFFORDS_1Q = (
+    [Gate(kind, (0,)) for kind in CLIFFORD_1Q]
+    + [Gate("rz", (0,), angle=k * math.pi / 2) for k in (-1, 1, 2, 3)]
+    + [Gate("rot", (0,), angle=math.pi / 2, axis="Y")]
+)
+
+
+def test_grouping_carried_through_a_1q_clifford_stays_valid():
+    # Each group of a fresh grouping, mapped word by word through the gate,
+    # is a qubit-wise-commuting group of the conjugated observable, and the
+    # images partition its words: a valid grouping with the same count.
+    rng = np.random.default_rng(2603)
+    for _ in range(12):
+        n = int(rng.integers(3, 9))
+        obs = random_observable(n, rng, max_weight=n, num_terms=int(rng.integers(10, 121)))
+        groups = group_qwc(obs)
+        for gate in _CLIFFORDS_1Q:
+            gate = dataclasses.replace(gate, qubits=(int(rng.integers(n)),))
+            image = [
+                [conjugate_gate(Observable.from_terms(n, [(1.0, obs.terms[i].word)]), gate)
+                 .terms[0].word for i in group]
+                for group in groups
+            ]
+            words = sorted((w.x, w.z) for group in image for w in group)
+            assert words == sorted((t.word.x, t.word.z) for t in conjugate_gate(obs, gate).terms)
+            assert all(qubitwise_commutes(p, q)
+                       for group in image for p, q in itertools.combinations(group, 2))
+
+
+@pytest.fixture
+def groupings(monkeypatch):
+    """The observables that backpropagate groups, in call order."""
+    grouped = []
+
+    def counting_group_qwc(obs):
+        grouped.append(obs)
+        return group_qwc(obs)
+
+    monkeypatch.setattr("cutprop.backprop.group_qwc", counting_group_qwc)
+    return grouped
+
+
+_H0 = Gate("h", (0,))
+
+
+@pytest.mark.parametrize("gates, labels, slicing, trunc, calls", [
+    # h(0) is absorbed first and grouped fresh; then a layer that holds a cx
+    # or a cz changes the rows and is grouped again.
+    ((Gate("h", (2,)), Gate("cx", (0, 1)), _H0), ["IZI"], "per-layer", 0.0, 2),
+    ((Gate("h", (2,)), Gate("cz", (0, 1)), _H0), ["IXI"], "per-layer", 0.0, 2),
+    # h(0) turns Z into X, and rz(0.3) splits X into X and Y; at a quarter
+    # turn rz maps X to one word, and the count is carried.
+    ((Gate("rz", (0,), angle=0.3), _H0), ["Z"], "per-gate", 0.0, 2),
+    ((Gate("rz", (0,), angle=math.pi / 2), _H0), ["Z"], "per-gate", 0.0, 1),
+    # The first absorbed slice is always grouped, Clifford or not.
+    ((_H0,), ["Z"], "per-gate", 0.0, 1),
+    # Each slice's truncation drops one 0.006 term, so the second h(0) is
+    # grouped again; a budget below 0.006 drops nothing, and it is carried.
+    ((_H0, _H0), ["ZI", "IZ", "IX"], "per-gate", 0.01, 2),
+    ((_H0, _H0), ["ZI", "IZ", "IX"], "per-gate", 0.005, 1),
+])
+def test_count_is_carried_only_through_a_whole_slice_of_1q_cliffords(
+        groupings, gates, labels, slicing, trunc, calls):
+    n = len(labels[0])
+    obs = Observable.from_labels([(1.0 if i == 0 else 0.006, label) for i, label in enumerate(labels)])
+    result = backpropagate(Circuit(n, gates), obs, 4, trunc, slicing)
+    assert result.fully_absorbed
+    assert len(groupings) == calls
+    assert result.truncation_error_accrued == (0.012 if trunc == 0.01 else 0.0)
+
+
+INPUTS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+
+
+def test_absorb_workload_groupings_are_pinned(groupings, tmp_path, capsys):
+    # The benchmark's absorb commands at seed 0: the group_qwc calls each
+    # makes, and every group_history entry, carried or not, equal to a fresh
+    # count of its slice's observable.
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS_PATH)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclass looks its module up there
+    spec.loader.exec_module(inputs)
+    got = {}
+    for command in inputs.absorb_commands(0, tmp_path):
+        groupings.clear()
+        assert main(command.argv) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)["results"]
+        got[command.label] = (len(groupings), report["slices_absorbed"])
+        circuit = parse_qasm(Path(command.argv[1]).read_text())
+        obs = canonicalize(parse_observable(Path(command.argv[2]).read_text()))
+        fresh = []
+        for sl in reversed(slice_circuit(circuit)[-report["slices_absorbed"]:]):
+            for gate in reversed(circuit.gates[sl.start : sl.stop]):
+                obs = conjugate_gate(obs, gate)
+            fresh.append(len(group_qwc(obs)))
+        assert report["group_history"] == fresh
+    assert got == {"absorb-zz-edges": (61, 210), "absorb-z6": (76, 486)}
 
 
 def test_absorption_monotone_in_budget():
