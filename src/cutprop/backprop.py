@@ -6,14 +6,19 @@ qubit-wise-commuting group count would exceed the configured budget.
 Every gate is conjugated as Pauli rotations: each anticommuting term splits
 into cos(theta)*O + i*sin(theta)*P*O. A Clifford gate is a product of
 quarter-turn rotations, at which that split is exact and maps each term to
-one term. The rotations and truncation run on the observable's arrays
-(uint64 x and z limbs and a complex128 coefficient array) and return new
-canonical observables; no term object is built. Each coefficient rounds as
-the per-term loops in ``tests/oracles.py`` round it.
+one term. So each Clifford kind's rotations are run once, on every word of
+its 1 or 2 qubits, into a table from a row's letters on the gate's qubits
+to new letters and a phase: a Clifford gate is one lookup and one merge,
+while ``rz`` and ``rot`` gates rotate and merge. The conjugation and
+truncation run on the observable's arrays (uint64 x and z limbs and a
+complex128 coefficient array) and return new canonical observables; no
+term object is built. Each coefficient rounds as the per-term loops in
+``tests/oracles.py`` round it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,6 +65,8 @@ _ROTATIONS = {
 
 _BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
 _PARITY_FOLDS = tuple(np.uint64(shift) for shift in (32, 16, 8, 4, 2, 1))
+_ONE = np.uint64(1)
+_PHASE_VALUES = np.array(_PHASES)
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
@@ -156,13 +163,61 @@ def _conjugate(obs: Observable, rotations: list[tuple[PauliString, float]]) -> O
     return _from_rows(obs.n, *rows, True) if changed else obs
 
 
+@functools.cache
+def _clifford_table(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(new letter code, ``_PHASES`` index) per letter code of a Clifford kind's qubits.
+
+    A row's letter code holds 2 bits per gate qubit, x then z, in the order
+    of ``gate.qubits``. The table is read off ``_conjugate`` on the 1- or
+    2-qubit observable of every word, word c with coefficient c + 1: the
+    gate maps each word to one word times a phase, so the coefficient's
+    magnitude names the input and its direction is the phase.
+    """
+    letters = _ROTATIONS[kind]
+    width = len(letters[0][0])
+    codes = range(4 ** width)
+    x = _pack_masks([sum((c >> 2 * j & 1) << j for j in range(width)) for c in codes], 1)
+    z = _pack_masks([sum((c >> 2 * j + 1 & 1) << j for j in range(width)) for c in codes], 1)
+    coeffs = np.arange(1, 4 ** width + 1, dtype=np.complex128)
+    rotations = [(PauliString(width, *letter_masks(axis, range(width))), k * math.pi / 2)
+                 for axis, k in reversed(letters)]
+    out = _conjugate(_from_rows(width, x, z, coeffs, False), rotations)
+    new = np.empty(len(coeffs), dtype=np.uint64)
+    phase = np.empty(len(coeffs), dtype=np.intp)
+    for (wx,), (wz,), c in zip(out.x.tolist(), out.z.tolist(), out.coeffs.tolist()):
+        row = round(abs(c)) - 1
+        new[row] = sum((wx >> j & 1) << 2 * j | (wz >> j & 1) << 2 * j + 1 for j in range(width))
+        phase[row] = _PHASES.index(c / (row + 1))
+    return new, phase
+
+
 def conjugate_gate(obs: Observable, gate: Gate) -> Observable:
-    """G_dag O G, one Pauli rotation at a time, last rotation first."""
+    """G_dag O G, returned canonical; the input itself when no row changes.
+
+    A Clifford kind rewrites each row's letters on the gate's qubits and
+    multiplies its coefficient by a phase, both looked up in the kind's
+    table, then merges once: the map is one to one on words, so the merge
+    sums nothing, and its 0j start clears any signed zero the phase left.
+    Any other gate is its rotation about ``axis_word``.
+    """
     if gate.kind not in _ROTATIONS:
         return _conjugate(obs, [(gate.axis_word(obs.n), gate.angle)])
-    rotations = [(PauliString(obs.n, *letter_masks(letters, gate.qubits)), k * math.pi / 2)
-                 for letters, k in reversed(_ROTATIONS[gate.kind])]
-    return _conjugate(obs, rotations)
+    if not obs.canonical:
+        obs = canonicalize(obs)
+    new_codes, phases = _clifford_table(gate.kind)
+    x, z = obs.x, obs.z
+    places = [(k, np.uint64(b)) for k, b in (divmod(q, 64) for q in gate.qubits)]
+    code = np.zeros(len(obs), dtype=np.uint64)
+    for j, (k, b) in enumerate(places):
+        code |= ((x[:, k] >> b & _ONE) | (z[:, k] >> b & _ONE) << _ONE) << np.uint64(2 * j)
+    flip, phase = new_codes[code] ^ code, phases[code]
+    if not (flip.any() or phase.any()):
+        return obs
+    x, z = x.copy(), z.copy()
+    for j, (k, b) in enumerate(places):
+        x[:, k] ^= (flip >> np.uint64(2 * j) & _ONE) << b
+        z[:, k] ^= (flip >> np.uint64(2 * j + 1) & _ONE) << b
+    return _from_rows(obs.n, *merge_rows(x, z, _PHASE_VALUES[phase] * obs.coeffs), True)
 
 
 def light_cone(circuit: Circuit, obs: Observable) -> tuple[Circuit, tuple[int, ...]]:

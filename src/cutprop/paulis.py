@@ -240,36 +240,47 @@ def canonicalize(obs: Observable) -> Observable:
     return _from_rows(obs.n, *merge_rows(obs.x, obs.z, obs.coeffs), True)
 
 
-# Rows of the conflict matrix computed at once: a limb's temporaries are
-# _ROW_BLOCK x m uint64.
+def _bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """The (m, n) uint8 bits of (m, limbs) uint64 masks, qubit q in column q."""
+    raw = masks.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :n]
+
+
+# Rows of the conflict matrix computed at once: the product's temporaries
+# are _ROW_BLOCK x m float32.
 _ROW_BLOCK = 256
 
 
 def _conflict_matrix(obs: Observable) -> np.ndarray:
-    """Boolean m x m matrix, True where two terms do not commute qubit-wise."""
-    x, z = obs.x, obs.z
-    s = x | z
-    m, limbs = x.shape
-    conflict = np.zeros((m, m), dtype=bool)
+    """Boolean m x m matrix, True where two terms do not commute qubit-wise.
+
+    A = [X | Y | Z] holds each term's one-hot letters per qubit and
+    B = [S - X | S - Y | S - Z] its support S minus each letter, so
+    (A B^T)_ij counts the qubits where terms i and j both act with
+    different letters: one float32 product per block of rows. Every entry
+    is an integer of at most n, so float32 holds it exactly.
+    """
+    x, z = _bits(obs.x, obs.n), _bits(obs.z, obs.n)
+    letters = (x > z, x & z, z > x)
+    a = np.concatenate(letters, axis=1).astype(np.float32)
+    b = np.concatenate([(x | z) - one for one in letters], axis=1).astype(np.float32)
+    m = len(a)
+    conflict = np.empty((m, m), dtype=bool)
     for start in range(0, m, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        block = conflict[rows]
-        for k in range(limbs):
-            xk, zk, sk = x[:, k], z[:, k], s[:, k]
-            differ = xk[rows, None] ^ xk[None, :]
-            differ |= zk[rows, None] ^ zk[None, :]
-            differ &= sk[rows, None] & sk[None, :]
-            block |= differ != 0
+        np.greater(a[rows] @ b.T, 0.5, out=conflict[rows])
     return conflict
 
 
-def _dsatur_colors(conflict: np.ndarray) -> list[int]:
+def _dsatur_colors(conflict: np.ndarray) -> tuple[list[int], int]:
     """Color vertices in DSATUR order, each with the smallest color no colored neighbor has.
 
     The turn order is highest saturation (distinct neighbor colors), then
     highest degree, then lowest index: one argmax over
     ``saturation * (m + 1) + degree``, as the degree is below m + 1 and
-    ``np.argmax`` returns the first maximum.
+    ``np.argmax`` returns the first maximum. Returns the colors and the
+    length of the opening run of turns that each open a new color: those
+    vertices form a clique, so no coloring uses fewer colors than that.
     """
     m = len(conflict)
     # used[c, v]: some colored neighbor of v has color c.
@@ -279,18 +290,20 @@ def _dsatur_colors(conflict: np.ndarray) -> list[int]:
     # A colored vertex's key gains at most (m - 1) * (m + 1) more, so it stays
     # below every uncolored key (>= 0).
     colored = -m * (m + 1)
-    ncolors = 0
-    for _ in range(m):
+    ncolors = clique = 0
+    for turn in range(m):
         v = int(key.argmax())
         c = int(used[: ncolors + 1, v].argmin())
         colors[v] = c
+        # Turn t can take color t only if every earlier turn opened a color.
+        clique += c == turn
         ncolors = max(ncolors, c + 1)
         neighbors = conflict[v]
         key[v] = colored
         # Saturation rises for the neighbors that had no neighbor of color c.
         np.add(key, m + 1, out=key, where=neighbors > used[c])
         used[c] |= neighbors
-    return colors
+    return colors, clique
 
 
 def _first_fit_colors(conflict: np.ndarray, max_colors: int) -> list[int] | None:
@@ -325,24 +338,27 @@ def _first_fit_colors(conflict: np.ndarray, max_colors: int) -> list[int] | None
 def group_qwc(obs: Observable) -> tuple[tuple[int, ...], ...]:
     """Group term indices into qubit-wise-commuting sets via saturation coloring.
 
-    Builds the QWC-conflict matrix with numpy from the observable's x and z
-    arrays (uint64 limbs of 64 qubits, so any width works), a block of rows
-    at a time, and colors it with DSATUR: highest saturation, then highest
-    degree, then row order. It falls back to greedy first-fit in row order
-    on the same matrix if that uses fewer colors, so the result never
-    exceeds the first-fit group count; first-fit stops as soon as it
-    cannot. DSATUR loses to first-fit on some inputs (see
-    ``test_grouping_falls_back_to_first_fit``). Memory is O(m^2) bytes for
-    m terms: the boolean conflict matrix, its bit-packed rows and a boolean
-    used-color table, plus, per limb, a few uint64 temporaries of
-    ``_ROW_BLOCK`` x m.
+    Builds the QWC-conflict matrix from the observable's x and z arrays
+    (uint64 limbs of 64 qubits, so any width works), unpacked to one-hot
+    letters and multiplied in float32, a block of rows at a time, and
+    colors it with DSATUR: highest saturation, then highest degree, then
+    row order. It falls back to greedy first-fit in row order on the same
+    matrix if that uses fewer colors, so the result never exceeds the
+    first-fit group count; first-fit stops as soon as it cannot, and is
+    not run at all when DSATUR's opening turns, each a new color, form a
+    clique as large as its count. DSATUR loses to first-fit on some inputs
+    (see ``test_grouping_falls_back_to_first_fit``). Memory is O(m^2) bytes
+    for m terms: the boolean conflict matrix, its bit-packed rows and a
+    boolean used-color table, plus two m x 3n float32 letter matrices and
+    a ``_ROW_BLOCK`` x m float32 product.
     """
     if not len(obs):
         return ()
     conflict = _conflict_matrix(obs)
-    colors = _dsatur_colors(conflict)
+    colors, clique = _dsatur_colors(conflict)
     ncolors = max(colors) + 1
-    ff = _first_fit_colors(conflict, ncolors - 1)
+    # A clique as large as DSATUR's count proves that no coloring is smaller.
+    ff = _first_fit_colors(conflict, ncolors - 1) if clique < ncolors else None
     if ff is not None:
         colors, ncolors = ff, max(ff) + 1
     groups: list[list[int]] = [[] for _ in range(ncolors)]
@@ -391,9 +407,12 @@ def parse_observable(text: str) -> Observable:
 
 def format_observable(obs: Observable) -> str:
     """Render an observable in the text format (requires real coefficients)."""
-    lines = []
-    for t in obs.terms:
-        if abs(t.coeff.imag) > 1e-12:
-            raise PauliError(f"non-real coefficient {t.coeff} cannot be formatted")
-        lines.append(f"{t.coeff.real!r} {t.word.label()}")
+    coeffs = obs.coeffs
+    bad = np.flatnonzero(np.abs(coeffs.imag) > 1e-12)
+    if len(bad):
+        raise PauliError(f"non-real coefficient {coeffs[bad[0]].item()} cannot be formatted")
+    letters = np.frombuffer(b"IZXY", dtype=np.uint8)
+    labels = letters[2 * _bits(obs.x, obs.n) + _bits(obs.z, obs.n)].tobytes().decode()
+    n = obs.n
+    lines = [f"{c!r} {labels[i * n : (i + 1) * n]}" for i, c in enumerate(coeffs.real.tolist())]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cutprop.backprop import (
+    _ROTATIONS,
     BackpropError,
     _conjugate,
     backpropagate,
@@ -32,6 +33,7 @@ from cutprop.paulis import (
     PauliTerm,
     canonicalize,
     group_qwc,
+    letter_masks,
     parse_observable,
 )
 from cutprop.sim import expectation, product_state, simulate
@@ -651,6 +653,63 @@ def test_conjugation_keeps_the_input_terms_it_does_not_change():
     out = conjugate_gate(raw, Gate("z", (1,)))
     assert exact_terms(out) == exact_terms(conjugate_gate_terms(raw, Gate("z", (1,))))
     assert [t.word.label() for t in out.terms] == ["ZI", "XI"]
+
+
+def rotation_path(obs, gate):
+    """A Clifford kind's conjugation as its quarter-turn rotations, a merge after each."""
+    rotations = [(PauliString(obs.n, *letter_masks(letters, gate.qubits)), k * math.pi / 2)
+                 for letters, k in reversed(_ROTATIONS[gate.kind])]
+    return _conjugate(obs, rotations)
+
+
+def table_gates(n):
+    """Every Clifford kind on qubits below, at and across each 64-qubit limb edge."""
+    singles = sorted({q for q in (0, 63, 64, n - 1) if q < n})
+    pairs = [(0, 1), (1, 0), (0, n - 1), (n - 1, 0), (62, 63), (63, 64), (64, 63), (64, 65),
+             (127, 128)]
+    pairs = [p for p in pairs if max(p) < n]
+    for kind, rotations in _ROTATIONS.items():
+        for qubits in (pairs if len(rotations[0][0]) == 2 else [(q,) for q in singles]):
+            yield Gate(kind, qubits)
+
+
+def assert_same_rows(got, want, where):
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z), where
+    assert got.coeffs.tobytes() == want.coeffs.tobytes(), where
+
+
+@pytest.mark.parametrize("n", [3, 64, 65, 130])
+def test_clifford_tables_match_the_rotations_and_the_per_term_reference(n):
+    rng = np.random.default_rng((n, 27))
+    for gate in table_gates(n):
+        around = sorted(set(kernel_qubits(n)) | set(gate.qubits))
+        for canonical in (True, False):
+            obs = kernel_observable(n, rng, canonical=canonical)
+            # Also words on the gate's qubits, whatever kernel_qubits holds.
+            words = [PauliString(n, *letter_masks(
+                "".join(rng.choice(list(LETTERS), size=3)),
+                [int(q) for q in rng.choice(around, size=3, replace=False)])) for _ in range(30)]
+            obs = Observable(n, obs.terms + tuple(PauliTerm(complex(rng.normal(), -0.0), w)
+                                                  for w in words))
+            if canonical:
+                obs = canonicalize(obs)
+            got = conjugate_gate(obs, gate)
+            assert got.canonical and canonicalize(got) is got
+            assert_same_rows(got, conjugate_gate_terms(obs, gate), (gate, canonical))
+            assert_same_rows(got, rotation_path(obs, gate), (gate, canonical))
+        raw_empty = Observable(n, ())
+        empty = conjugate_gate(raw_empty, gate)
+        assert len(empty) == 0 and empty.canonical and empty is not raw_empty
+        assert conjugate_gate(empty, gate) is empty
+        # Z on every gate qubit is fixed by cz, s, sdg and z; a word off the
+        # gate's qubits by every kind.
+        off = [q for q in kernel_qubits(n) if q not in gate.qubits]
+        if off:
+            fixed = Observable.from_terms(n, [(0.5, PauliString(n, 0, 1 << off[0]))])
+            assert conjugate_gate(fixed, gate) is fixed
+        if gate.kind in ("cz", "s", "sdg", "z"):
+            zs = Observable.from_terms(n, [(0.5, PauliString(n, *letter_masks("ZZ", gate.qubits)))])
+            assert conjugate_gate(zs, gate) is zs
 
 
 def tied_observable(n, rng, size=60):

@@ -1,10 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutprop import paulis
 from cutprop.paulis import (
     _ROW_BLOCK,
     Observable,
@@ -270,6 +272,19 @@ def test_grouping_falls_back_to_first_fit():
     assert len(group_qwc(obs)) == 10
 
 
+def test_first_fit_is_skipped_when_dsatur_opens_a_clique_of_its_count(monkeypatch):
+    def first_fit(conflict, max_colors):
+        raise AssertionError("first-fit ran on a graph whose clique certifies DSATUR")
+
+    monkeypatch.setattr(paulis, "_first_fit_colors", first_fit)
+    # XI, YI and ZI conflict pairwise; IZ, ZZ and IX join their groups: 3 colors, a 3-clique.
+    obs = Observable.from_labels(
+        [(1.0, label) for label in ("XI", "YI", "ZI", "IZ", "ZZ", "IX")])
+    assert _dsatur_colors(_conflict_matrix(obs))[1] == 3
+    assert group_qwc(obs) == qwc_groups(obs) and len(group_qwc(obs)) == 3
+    assert len(group_qwc(Observable.from_labels([(1.0, "ZI"), (1.0, "IZ")]))) == 1
+
+
 def test_grouping_empty():
     assert len(group_qwc(Observable(3, ()))) == 0
 
@@ -281,6 +296,25 @@ def test_observable_text_roundtrip():
     obs = Observable.from_labels([(0.25, "XIZ"), (-1.5, "IYI"), (0.75, "ZZZ")])
     again = parse_observable(format_observable(obs))
     assert again.terms == obs.terms
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 65, 130])
+def test_format_observable_renders_each_term_label(n):
+    rng = np.random.default_rng((n, 27))
+    words = random_words(n, rng, 40)
+    coeffs = [-0.0, 1e-300, 0.1 + 1e-13j, *rng.normal(size=37)]
+    obs = Observable(n, tuple(PauliTerm(complex(c), w) for c, w in zip(coeffs, words)))
+    want = "".join(f"{t.coeff.real!r} {t.word.label()}\n" for t in obs.terms)
+    assert format_observable(obs) == want
+    assert format_observable(Observable(n, ())) == ""
+
+
+def test_format_observable_names_the_first_non_real_coefficient():
+    # Rows sort by x, so ZI comes first; the message shows a Python complex.
+    obs = Observable.from_labels([(1.0, "XZ"), (0.5 + 0.25j, "ZI"), (-1j, "YY")])
+    message = "non-real coefficient (0.5+0.25j) cannot be formatted"
+    with pytest.raises(PauliError, match=f"^{re.escape(message)}$"):
+        format_observable(obs)
 
 
 def test_observable_text_comments_and_blanks():
@@ -409,7 +443,7 @@ def adjacency_matrix(adj):
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 40, _ROW_BLOCK + 1])
-@pytest.mark.parametrize("n", [3, 65, 130])
+@pytest.mark.parametrize("n", [3, 64, 65, 130])
 def test_conflict_matrix_and_first_fit_match_the_pair_loops(n, m):
     rng = np.random.default_rng((n, m))
     words = random_words(n, rng, m, letters_on=2)
@@ -420,8 +454,11 @@ def test_conflict_matrix_and_first_fit_match_the_pair_loops(n, m):
     assert np.array_equal(conflict, adjacency_matrix(adj))
     ff = first_fit_colors(words, adj)
     assert _first_fit_colors(conflict, m) == ff
-    assert _dsatur_colors(conflict) == dsatur_colors(words, adj)
+    colors, clique = _dsatur_colors(conflict)
+    assert colors == dsatur_colors(words, adj)
     if m:
         needed = max(ff) + 1
         assert _first_fit_colors(conflict, needed) == ff
         assert _first_fit_colors(conflict, needed - 1) is None
+        # The opening clique bounds every coloring from below.
+        assert 1 <= clique <= min(needed, max(colors) + 1)
