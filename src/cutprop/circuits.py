@@ -197,8 +197,20 @@ def emit_qasm(circuit: Circuit) -> str:
 # --- QASM parsing ------------------------------------------------------------
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
-_ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
-_GATE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(\(([^()]*(?:\([^()]*\))?[^()]*)\))?\s*(.*)$")
+# A gate statement: its name, an optional parenthesised parameter, and its
+# argument text. When that text is one or two register[index] arguments, as
+# in every well-formed statement, the match also holds their registers and
+# indices.
+_GATE_RE = re.compile(
+    r"^([A-Za-z_][A-Za-z0-9_]*)\s*(\(([^()]*(?:\([^()]*\))?[^()]*)\))?\s*"
+    r"((?:([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]"
+    r"(?:\s*,\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\])?$)?.*)$"
+)
+# A Python float literal with an optional minus sign, in ASCII digits and
+# without underscores: float() reads it to the same value as the ast route.
+# Integer literals take the ast route, which rejects 01 and, like Python,
+# integers longer than 4300 digits.
+_FLOAT_RE = re.compile(r"-?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)")
 
 _ALLOWED_AST = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
@@ -207,8 +219,18 @@ _ALLOWED_AST = (
 
 
 def _eval_angle(expr: str, lineno: int) -> float:
+    text = expr.strip()
+
+    def finite(value) -> float:
+        # A negative base to a fractional power gives a complex number.
+        if not isinstance(value, float) or not math.isfinite(value):
+            raise QasmError(f"angle {expr!r} is not a finite real number", lineno)
+        return value
+
+    if _FLOAT_RE.fullmatch(text):
+        return finite(float(text))
     try:
-        tree = ast.parse(expr.strip(), mode="eval")
+        tree = ast.parse(text, mode="eval")
     except SyntaxError:
         raise QasmError(f"malformed angle expression {expr!r}", lineno) from None
 
@@ -217,10 +239,7 @@ def _eval_angle(expr: str, lineno: int) -> float:
             value = term(node)
         except (OverflowError, ZeroDivisionError):
             value = math.nan
-        # A negative base to a fractional power gives a complex number.
-        if not isinstance(value, float) or not math.isfinite(value):
-            raise QasmError(f"angle {expr!r} is not a finite real number", lineno)
-        return value
+        return finite(value)
 
     def term(node: ast.AST) -> float:
         if not isinstance(node, _ALLOWED_AST):
@@ -244,6 +263,13 @@ def _eval_angle(expr: str, lineno: int) -> float:
         return ops[type(node.op)](ev(node.left), ev(node.right))
 
     return ev(tree)
+
+
+def _qubit(index: str, width: int, lineno: int) -> int:
+    q = int(index)
+    if q >= width:
+        raise QasmError(f"qubit index {q} outside qreg[{width}]", lineno)
+    return q
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -283,33 +309,31 @@ def parse_qasm(text: str) -> Circuit:
             m = _GATE_RE.match(stmt)
             if not m:
                 raise QasmError(f"malformed statement {stmt!r}", lineno)
-            name, _, param, args = m.group(1), m.group(2), m.group(3), m.group(4)
+            name, _, param, args, reg, index, reg2, index2 = m.groups()
             if name not in QASM_GATES:
                 raise QasmError(f"unsupported gate {name!r}", lineno)
             if reg_name is None:
                 raise QasmError("gate before qreg declaration", lineno)
-            qubits = []
-            for arg in filter(None, (a.strip() for a in args.split(","))):
-                am = _ARG_RE.match(arg)
-                if not am or am.group(1) != reg_name:
-                    raise QasmError(f"bad qubit argument {arg!r}", lineno)
-                q = int(am.group(2))
-                if q >= width:
-                    raise QasmError(f"qubit index {q} outside qreg[{width}]", lineno)
-                qubits.append(q)
+            if args and (reg != reg_name or reg2 not in (None, reg_name)):
+                raise QasmError(f"bad qubit arguments {args!r}", lineno)
+            qubits = [_qubit(i, width, lineno) for i in (index, index2) if i is not None]
             if name == "rz":
                 if param is None:
                     raise QasmError("rz requires an angle parameter", lineno)
                 if len(qubits) != 1:
                     raise QasmError("rz takes exactly one qubit", lineno)
-                gates.append(Gate("rz", (qubits[0],), angle=_eval_angle(param, lineno)))
+                angle = _eval_angle(param, lineno)
             else:
                 if param is not None:
                     raise QasmError(f"{name} takes no parameter", lineno)
                 want = 2 if name in CLIFFORD_2Q else 1
                 if len(qubits) != want:
                     raise QasmError(f"{name} takes {want} qubit(s)", lineno)
-                gates.append(Gate(name, tuple(qubits)))
+                angle = None
+            try:
+                gates.append(Gate(name, tuple(qubits), angle))
+            except CircuitError as exc:
+                raise QasmError(str(exc), lineno) from None
 
     if not saw_header:
         raise QasmError("missing OPENQASM header", 1)

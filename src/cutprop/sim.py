@@ -15,7 +15,10 @@ cos*psi - i*sin*P*psi for a Pauli rotation. ``simulate`` copies its input
 once, then runs them in place. It fuses each run of 1-qubit gates on one
 qubit into one 2x2 matrix, and each run of cx/cz gates confined to one
 qubit pair, with the 1-qubit gates among and around them, into one 4x4
-matrix, so every cx and cz reaches the state through the 4x4 kernel. It is
+matrix, so every cx and cz reaches the state through the 4x4 kernel. The
+fusion multiplies Python complex numbers, not numpy arrays: the states of
+the reconstruction walk are small, so a gate's cost is the calls it makes,
+and a numpy array is made only where a fused matrix reaches a kernel. It is
 the one gate loop, for whole circuits, for the reconstruction walk's gate
 runs and, through ``apply_gate``, for a single gate.
 The kernels, ``simulate`` and ``pauli_expectations`` also take a stack of
@@ -28,6 +31,7 @@ states between branches.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
@@ -65,8 +69,14 @@ GATE_1Q = {
 }
 
 
+def _rz_phases(theta: float) -> tuple[complex, complex]:
+    """The diagonal of rz(theta), as Python complex numbers."""
+    return cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)
+
+
 def rz_matrix(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex)
+    e0, e1 = _rz_phases(theta)
+    return np.array([[e0, 0], [0, e1]], dtype=complex)
 
 
 def zero_state(n: int) -> np.ndarray:
@@ -143,14 +153,6 @@ def _pair_view(state: np.ndarray, hi: int, lo: int) -> np.ndarray:
     return state.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
 
 
-def _matrix_1q(gate: Gate) -> np.ndarray | None:
-    if gate.kind in GATE_1Q:
-        return GATE_1Q[gate.kind]
-    if gate.kind == "rz":
-        return rz_matrix(gate.angle)
-    return None
-
-
 def apply_1q(state: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
     """u on qubit q, returned as a new array; state is left unchanged."""
     out = np.array(state, dtype=complex)
@@ -218,6 +220,8 @@ def _kernel_2q(state: np.ndarray, m: np.ndarray, hi: int, lo: int) -> None:
     is taken in slices of at most _BLOCK amplitudes, so that each slice's
     three passes run in cache: gather its four quarters into one buffer,
     multiply them by m as one (4, _BLOCK / 4) product, and scatter them back.
+    The buffers and their views are made once, so a state that fits one
+    slice pays one gather, one matmul and one scatter.
     """
     view = _pair_view(state, hi, lo)
     a, _, b, _, c = view.shape
@@ -225,19 +229,19 @@ def _kernel_2q(state: np.ndarray, m: np.ndarray, hi: int, lo: int) -> None:
     sc = min(c, quarter)
     sb = min(b, quarter // sc)
     sa = min(a, quarter // (sb * sc))
-    buffers = np.empty((2, 4 * sa * sb * sc), dtype=complex)
     for i in range(0, a, sa):
         # sb and sc divide b and c, but a stack's a = rows * 2^(n - hi - 1)
-        # may leave a shorter last slice: its buffers are the front of the
-        # full ones, still contiguous.
-        rows = min(sa, a - i)
-        gathered, product = buffers[:, : 4 * rows * sb * sc].reshape(2, 2, 2, rows, sb, sc)
+        # may leave a shorter last slice, which gets buffers of its own.
+        if i == 0 or a - i < sa:
+            gathered, product = np.empty((2, 2, 2, min(sa, a - i), sb, sc), dtype=complex)
+            operand, result = gathered.reshape(4, -1), product.reshape(4, -1)
+            scatter = product.transpose(2, 0, 3, 1, 4)
         for j in range(0, b, sb):
             for k in range(0, c, sc):
                 part = view[i : i + sa, :, j : j + sb, :, k : k + sc]
                 np.copyto(gathered, part.transpose(1, 3, 0, 2, 4))
-                np.matmul(m, gathered.reshape(4, -1), out=product.reshape(4, -1))
-                part[...] = product.transpose(2, 0, 3, 1, 4)
+                np.matmul(m, operand, out=result)
+                part[...] = scatter
 
 
 def _kernel_rot(state: np.ndarray, word: PauliString, theta: float) -> None:
@@ -248,60 +252,85 @@ def _kernel_rot(state: np.ndarray, word: PauliString, theta: float) -> None:
     state -= (1j * math.sin(0.5 * theta)) * rotated
 
 
+def _mix(u, x: list, y: list) -> tuple[list, list]:
+    """The pair of rows (x, y) multiplied from the left by the 2x2 matrix u,
+    all of them Python complex numbers."""
+    (a, b), (c, d) = u
+    return [a * s + b * t for s, t in zip(x, y)], [c * s + d * t for s, t in zip(x, y)]
+
+
+# The 1-qubit matrices as two rows of Python complex numbers, the form in
+# which ``simulate`` multiplies them.
+_ROWS_1Q = {kind: u.tolist() for kind, u in GATE_1Q.items()}
+_IDENTITY = ((1, 0), (0, 1))
+
+
 class _Block:
     """An open run of cx and cz gates on one qubit pair, with the 1-qubit
     gates before, among and after them, as one 4x4 matrix.
 
-    The matrix's rows and columns are indexed 2 * (bit hi) + (bit lo).
-    Opening a block takes in the pair's pending 1-qubit matrices; closing it
-    takes in those pending since its last gate and applies the product with
-    one ``_kernel_2q`` call.
+    The matrix is four rows of Python complex numbers, indexed
+    2 * (bit hi) + (bit lo), so that a gate costs a few scalar products and
+    no numpy call. Opening a block takes in the pair's pending 1-qubit
+    matrices as their Kronecker product; closing it takes in those pending
+    since its last gate and applies the product as one numpy 4x4 with one
+    ``_kernel_2q`` call.
     """
 
-    __slots__ = ("hi", "lo", "matrix")
+    __slots__ = ("hi", "lo", "rows")
 
-    def __init__(self, gate: Gate, pending: dict[int, np.ndarray]):
-        a, b = gate.qubits
-        self.hi, self.lo = max(a, b), min(a, b)
-        self.matrix = np.eye(4, dtype=complex)
-        self.add(gate, pending)
+    def __init__(self, gate: Gate, pending: dict[int, list]):
+        self.hi, self.lo = max(gate.qubits), min(gate.qubits)
+        (a, b), (c, d) = pending.pop(self.hi, _IDENTITY)
+        (p, q), (r, s) = pending.pop(self.lo, _IDENTITY)
+        self.rows = [[a * p, a * q, b * p, b * q], [a * r, a * s, b * r, b * s],
+                     [c * p, c * q, d * p, d * q], [c * r, c * s, d * r, d * s]]
+        self._gate(gate)
 
-    def add(self, gate: Gate, pending: dict[int, np.ndarray]) -> None:
+    def add(self, gate: Gate, pending: dict[int, list]) -> None:
         """Multiply in the pair's pending matrices, then the next cx or cz."""
         self._fold(pending)
-        m = self.matrix
+        self._gate(gate)
+
+    def close(self, state: np.ndarray, pending: dict[int, list]) -> None:
+        """Multiply in the pair's pending matrices and apply the block to state."""
+        self._fold(pending)
+        _kernel_2q(state, np.array(self.rows, dtype=complex), self.hi, self.lo)
+
+    def _gate(self, gate: Gate) -> None:
+        """Multiply in a cx or cz: a permutation or a sign of the rows."""
+        rows = self.rows
         if gate.kind == "cz":
-            m[3] *= -1
+            rows[3] = [-x for x in rows[3]]
         else:
             # swap the rows with the control set: target 0 and target 1
             r = 2 if gate.qubits[0] > gate.qubits[1] else 1
-            m[[r, 3]] = m[[3, r]]
+            rows[r], rows[3] = rows[3], rows[r]
 
-    def close(self, state: np.ndarray, pending: dict[int, np.ndarray]) -> None:
-        """Multiply in the pair's pending matrices and apply the block to state."""
-        self._fold(pending)
-        _kernel_2q(state, self.matrix, self.hi, self.lo)
-
-    def _fold(self, pending: dict[int, np.ndarray]) -> None:
+    def _fold(self, pending: dict[int, list]) -> None:
         """Multiply in and remove the pair's matrices in pending."""
-        # rows 2h + l: a matrix on hi acts on h, the rows' first axis
+        r0, r1, r2, r3 = self.rows
+        # a matrix on hi mixes rows whose bit hi differs, on lo those whose bit lo does
         u = pending.pop(self.hi, None)
         if u is not None:
-            self.matrix = (u @ self.matrix.reshape(2, 8)).reshape(4, 4)
+            (r0, r2), (r1, r3) = _mix(u, r0, r2), _mix(u, r1, r3)
         u = pending.pop(self.lo, None)
         if u is not None:
-            self.matrix = (u @ self.matrix.reshape(2, 2, 4)).reshape(4, 4)
+            (r0, r1), (r2, r3) = _mix(u, r0, r1), _mix(u, r2, r3)
+        self.rows = [r0, r1, r2, r3]
 
 
 def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Evolve an initial state (default |0...0>) through the circuit.
 
     The state is a copy of ``initial`` that the gates update in place. Each
-    run of 1-qubit gates on one qubit is multiplied into one 2x2 matrix.
-    Each run of cx and cz gates confined to one qubit pair, with the 1-qubit
-    gates on that pair before, among and after them, is one block: one 4x4
-    matrix, applied in one pass over the state when another gate touches
-    either of its qubits, or at the end. ``rot`` gates are applied one at a
+    run of 1-qubit gates on one qubit is multiplied into one 2x2 matrix, an
+    rz as its two phases. Each run of cx and cz gates confined to one qubit
+    pair, with the 1-qubit gates on that pair before, among and after them,
+    is one block: one 4x4 matrix, applied in one pass over the state when
+    another gate touches either of its qubits, or at the end. These products
+    are of Python complex numbers; each matrix becomes a numpy array only
+    when it reaches a kernel. ``rot`` gates are applied one at a
     time. ``initial`` may be a stack of states, shape (rows, 2^n): every row
     goes through the same kernels, and a stack is returned. The gates are
     unitary, so each row must keep its input's norm, which is below 1 for a
@@ -323,15 +352,29 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     if state.shape[-1] != size:
         raise SimulationError("initial state size does not match circuit width")
     expected_norms = _norms(state)
-    pending: dict[int, np.ndarray] = {}  # qubit -> its 1-qubit gates not yet applied
+    pending: dict[int, list] = {}  # qubit -> the rows of its 1-qubit gates not yet applied
     blocks: dict[int, _Block] = {}  # qubit -> the open block on its pair
     for gate in circuit.gates:
-        u = _matrix_1q(gate)
+        kind = gate.kind
+        if kind == "rz":
+            # diagonal, so its product with the pending rows is four multiplies
+            q = gate.qubits[0]
+            e0, e1 = _rz_phases(gate.angle)
+            (a, b), (c, d) = pending.get(q, _IDENTITY)
+            pending[q] = (e0 * a, e0 * b), (e1 * c, e1 * d)
+            continue
+        u = _ROWS_1Q.get(kind)
         if u is not None:
             q = gate.qubits[0]
-            pending[q] = u @ pending[q] if q in pending else u
+            p = pending.get(q)
+            if p is None:
+                pending[q] = u
+            else:
+                (a, b), (c, d) = p
+                (e, f), (g, h) = u
+                pending[q] = (e * a + f * c, e * b + f * d), (g * a + h * c, g * b + h * d)
             continue
-        entangling = gate.kind in ("cx", "cz")
+        entangling = kind in ("cx", "cz")
         if entangling:
             block = blocks.get(gate.qubits[0])
             if block is not None and block is blocks.get(gate.qubits[1]):
@@ -349,15 +392,15 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
             continue
         for q in gate.qubits:
             if q in pending:
-                _kernel_1q(state, pending.pop(q), q)
+                _kernel_1q(state, np.array(pending.pop(q), dtype=complex), q)
         _kernel_rot(state, gate.axis_word(circuit.n), gate.angle)
     for block in dict.fromkeys(blocks.values()):
         block.close(state, pending)
     for q, u in pending.items():
-        _kernel_1q(state, u, q)
+        _kernel_1q(state, np.array(u, dtype=complex), q)
     norms = _norms(state)
     drift = np.abs(norms - expected_norms)
-    if drift.max() > 1e-10:
+    if not drift.max() <= 1e-10:  # a NaN drift fails too
         row = int(drift.argmax())
         raise SimulationError(f"state norm drifted from {expected_norms[row]} to {norms[row]}")
     return state

@@ -30,19 +30,36 @@ one term at a time with ``multiply`` and ``commutes``, canonicalizing after
 each rotation, as the references for the packed-array canonicalization and
 rotation kernel; ``truncate_terms`` sorts term objects and sums the dropped
 mass over Python floats, as the reference for the array truncation.
-``random_observable`` and ``random_product_factors`` make seeded test inputs.
+``per_arg_parse_qasm`` matches each qubit argument with its
+own regex and evaluates every angle with ``ast_eval_angle``, through ``ast``
+alone, as the reference for the parser's one-match gate statement and its
+``float()`` literals on well-formed argument lists.
+``random_observable`` and ``random_product_factors`` make seeded test inputs,
+and ``perfbench_inputs`` loads the benchmark's input generators.
 """
 
+import ast
+import importlib.util
 import math
+import re
+import sys
 
 from itertools import combinations
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from cutprop.annealing import AnnealError
 from cutprop.backprop import _ROTATIONS, BackpropError, backpropagate, conjugate_gate
-from cutprop.circuits import Circuit, _clifford_quarter_turns
+from cutprop.circuits import (
+    CLIFFORD_2Q,
+    QASM_GATES,
+    Circuit,
+    Gate,
+    QasmError,
+    _clifford_quarter_turns,
+)
 from cutprop.cutting import (
     GATE_CUT_FACTOR,
     WIRE_CUT_FACTOR,
@@ -558,3 +575,129 @@ def random_observable(
     if not obs.terms:
         obs = Observable.from_terms(n, [(1.0 + 0j, PauliString(n, 0, 1))])
     return obs
+
+
+_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_GATE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(\(([^()]*(?:\([^()]*\))?[^()]*)\))?\s*(.*)$")
+_ALLOWED_AST = (
+    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.UAdd, ast.Pow,
+)
+
+
+def ast_eval_angle(expr: str, lineno: int) -> float:
+    """An angle expression evaluated through ``ast`` alone."""
+    try:
+        tree = ast.parse(expr.strip(), mode="eval")
+    except SyntaxError:
+        raise QasmError(f"malformed angle expression {expr!r}", lineno) from None
+
+    def ev(node: ast.AST) -> float:
+        try:
+            value = term(node)
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        if not isinstance(value, float) or not math.isfinite(value):
+            raise QasmError(f"angle {expr!r} is not a finite real number", lineno)
+        return value
+
+    def term(node: ast.AST) -> float:
+        if not isinstance(node, _ALLOWED_AST):
+            raise QasmError(f"unsupported construct in angle {expr!r}", lineno)
+        if isinstance(node, ast.Expression):
+            return ev(node.body)
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, (int, float)):
+                return float(node.value)
+            raise QasmError(f"non-numeric constant in angle {expr!r}", lineno)
+        if isinstance(node, ast.Name):
+            if node.id == "pi":
+                return math.pi
+            raise QasmError(f"unknown symbol {node.id!r} in angle", lineno)
+        if isinstance(node, ast.UnaryOp):
+            v = ev(node.operand)
+            return -v if isinstance(node.op, ast.USub) else v
+        ops = {ast.Add: float.__add__, ast.Sub: float.__sub__,
+               ast.Mult: float.__mul__, ast.Div: float.__truediv__,
+               ast.Pow: float.__pow__}
+        return ops[type(node.op)](ev(node.left), ev(node.right))
+
+    return ev(tree)
+
+
+def per_arg_parse_qasm(text: str) -> Circuit:
+    """``parse_qasm`` with one regex per qubit argument and every angle through
+    ``ast_eval_angle``, as the reference for the one-match gate statement and
+    the float() literal on well-formed argument lists."""
+    reg_name = None
+    width = 0
+    gates = []
+    saw_header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("//", 1)[0].strip()
+        if not line:
+            continue
+        for stmt in filter(None, (s.strip() for s in line.split(";"))):
+            if stmt.startswith("OPENQASM"):
+                saw_header = True
+                continue
+            if stmt.startswith("include"):
+                continue
+            if stmt.startswith("barrier"):
+                continue
+            if stmt.startswith("measure") or " measure " in f" {stmt} ":
+                raise QasmError("mid-circuit measurement unsupported", lineno)
+            if stmt.startswith(("creg", "reset", "if")):
+                raise QasmError(f"unsupported statement {stmt.split()[0]!r}", lineno)
+            m = _QREG_RE.match(stmt)
+            if m:
+                if reg_name is not None:
+                    raise QasmError("multiple qreg declarations", lineno)
+                reg_name, width = m.group(1), int(m.group(2))
+                continue
+            m = _GATE_RE.match(stmt)
+            if not m:
+                raise QasmError(f"malformed statement {stmt!r}", lineno)
+            name, _, param, args = m.group(1), m.group(2), m.group(3), m.group(4)
+            if name not in QASM_GATES:
+                raise QasmError(f"unsupported gate {name!r}", lineno)
+            if reg_name is None:
+                raise QasmError("gate before qreg declaration", lineno)
+            qubits = []
+            for arg in filter(None, (a.strip() for a in args.split(","))):
+                am = _ARG_RE.match(arg)
+                if not am or am.group(1) != reg_name:
+                    raise QasmError(f"bad qubit argument {arg!r}", lineno)
+                q = int(am.group(2))
+                if q >= width:
+                    raise QasmError(f"qubit index {q} outside qreg[{width}]", lineno)
+                qubits.append(q)
+            if name == "rz":
+                if param is None:
+                    raise QasmError("rz requires an angle parameter", lineno)
+                if len(qubits) != 1:
+                    raise QasmError("rz takes exactly one qubit", lineno)
+                gates.append(Gate("rz", (qubits[0],), angle=ast_eval_angle(param, lineno)))
+            else:
+                if param is not None:
+                    raise QasmError(f"{name} takes no parameter", lineno)
+                want = 2 if name in CLIFFORD_2Q else 1
+                if len(qubits) != want:
+                    raise QasmError(f"{name} takes {want} qubit(s)", lineno)
+                gates.append(Gate(name, tuple(qubits)))
+    if not saw_header:
+        raise QasmError("missing OPENQASM header", 1)
+    if reg_name is None:
+        raise QasmError("missing qreg declaration", 1)
+    return Circuit(width, tuple(gates))
+
+
+def perfbench_inputs():
+    """The benchmark's input generators, ``perfbench/inputs.py``, as a module."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclass looks its module up there
+    spec.loader.exec_module(inputs)
+    return inputs

@@ -1,9 +1,7 @@
 import dataclasses
-import importlib.util
 import itertools
 import json
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +43,7 @@ from oracles import (
     gate_matrix,
     max_imag,
     obs_matrix,
+    perfbench_inputs,
     qubitwise_commutes,
     random_observable,
     random_product_factors,
@@ -411,19 +410,12 @@ def test_count_is_carried_only_through_a_whole_slice_of_1q_cliffords(
     assert result.truncation_error_accrued == (0.012 if trunc == 0.01 else 0.0)
 
 
-INPUTS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-
-
 def test_absorb_workload_groupings_are_pinned(groupings, tmp_path, capsys):
     # The benchmark's absorb commands at seed 0: the group_qwc calls each
     # makes, and every group_history entry, carried or not, equal to a fresh
     # count of its slice's observable.
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS_PATH)
-    inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs  # its dataclass looks its module up there
-    spec.loader.exec_module(inputs)
     got = {}
-    for command in inputs.absorb_commands(0, tmp_path):
+    for command in perfbench_inputs().absorb_commands(0, tmp_path):
         groupings.clear()
         assert main(command.argv) == EXIT_OK
         report = json.loads(capsys.readouterr().out)["results"]

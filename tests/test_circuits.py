@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cutprop.cli import _bench_instances
 from cutprop.circuits import (
     Circuit,
     CircuitError,
@@ -14,7 +16,7 @@ from cutprop.circuits import (
     slice_circuit,
 )
 
-from oracles import circuit_unitary, rotation_matrix
+from oracles import circuit_unitary, perfbench_inputs, per_arg_parse_qasm, rotation_matrix
 
 
 def test_gate_validation():
@@ -91,6 +93,61 @@ def test_parse_angle_expressions():
     assert circ.gates[0].angle == pytest.approx(-math.pi / 4)
     assert circ.gates[1].angle == pytest.approx(7 * math.pi / 2)
     assert circ.gates[2].angle == 0.125
+
+
+def _parsed(parse, text):
+    """A parse's gates, angles to the bit, or its error message."""
+    try:
+        circuit = parse(text)
+    except QasmError as exc:
+        return str(exc)
+    return circuit.n, [(g.kind, g.qubits, None if g.angle is None else g.angle.hex())
+                       for g in circuit.gates]
+
+
+def test_parser_matches_the_per_argument_reference_on_emitted_circuits(tmp_path):
+    texts = [emit_qasm(circ) for suite in ("vqe6", "heis19", "qaoa3", "random")
+             for seed in (0, 1) for _, circ, _ in _bench_instances(suite, seed)]
+    inputs = perfbench_inputs()
+    for seed in (0, 1):
+        commands = inputs.recon_commands(seed, tmp_path) + inputs.absorb_commands(seed, tmp_path)
+        texts += [Path(command.argv[1]).read_text() for command in commands]
+    texts.append(Path(inputs.warmup_command(tmp_path).argv[1]).read_text())
+    for text in texts:
+        assert _parsed(parse_qasm, text) == _parsed(per_arg_parse_qasm, text)
+
+
+_HEAD = "OPENQASM 2.0;\nqreg q[3];\n"
+
+
+@pytest.mark.parametrize("body", [
+    # several statements a line, comments, and spaces around every token
+    "h q[0]; cx q[0],q[1];  rz(0.5) q[2]; // cz q[1],q[2];\n",
+    "  cx   q[2] ,  q[0]  ;rz( -pi / 4 )q[1];;\n// rz(1) q[0];\nsx q[1]//;\n",
+    "cz q[0],q[1]; barrier q; include \"x\"; h q[2]\n",
+    # argument lists of at most two qreg qubits, in range or not; any other
+    # argument text has its own error, below
+    "cx q[0],q[5];\n", "cx q[3],q[0];\n", "h q[2];\n", "h q[3];\n", "h measure [0];\n",
+    "rz( measure ) q[0];\n", "h q [ 1 ] ;\n", "h q[\u0661];\n", "h;\n", "rz(0.5) q[0],q[1];\n",
+    "x q[0],q[1];\n",
+    *(f"rz({lit}) q[0];\n" for lit in (
+        "01", "00", "0_1", "1_0", "0x10", "True", "5.", ".5", "-.5e+3", "-1e400", "1e-400",
+        "pi/4", "2*pi/3", "nan", "1j", "01.5", "01e3", " 0.25 ", "- 0.5", "+0.5", "-0.0",
+        "1e", "1.5.5", "\u0661.5", "1" * 5000, "1" * 5000 + ".5", "4e-324", "1.7976931348623157e308",
+    )),
+], ids=lambda body: body[:40])
+def test_parser_matches_the_per_argument_reference_statement_by_statement(body):
+    assert _parsed(parse_qasm, _HEAD + body) == _parsed(per_arg_parse_qasm, _HEAD + body)
+
+
+@pytest.mark.parametrize("args", [
+    "q[0],,q[1]", "q[0],", ",q[0]", "q[0],q[1],q[2]", "q[0] q[1]", "q[0], r[1]", "r[0]",
+    "q[5],r[1]", "q[0]]", "q",
+])
+def test_argument_text_other_than_one_or_two_qreg_qubits_is_one_error(args):
+    with pytest.raises(QasmError) as exc:
+        parse_qasm(_HEAD + f"cx {args};\n")
+    assert str(exc.value) == f"line 3: bad qubit arguments {args!r}"
 
 
 def test_roundtrip_exact_gate_sequence():

@@ -541,6 +541,12 @@ _PLAN = {"n": 3, "labels": [0, 0, 1], "wire_cuts": [], "gate_cuts": [3], "num_su
         (None, "{not json", None, "cannot load plan: Expecting property name enclosed in "
          "double quotes: line 1 column 2 (char 1)"),
         (None, None, "2", "3 qubits exceeds the simulator cap 2"),
+        (_QASM + "cx q[0],q[0];\n", None, None,
+         "line 3: repeated qubit in Gate(kind='cx', qubits=(0, 0), angle=None, axis=None)"),
+        (_QASM + "cx q[0],,q[1];\n", None, None, "line 3: bad qubit arguments 'q[0],,q[1]'"),
+        (_QASM + "h q[0],;\n", None, None, "line 3: bad qubit arguments 'q[0],'"),
+        (_QASM + "x q[0],q[1],q[2];\n", None, None,
+         "line 3: bad qubit arguments 'q[0],q[1],q[2]'"),
     ],
 )
 def test_rejected_inputs_are_one_line_errors_naming_the_fault(

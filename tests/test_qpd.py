@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -30,7 +29,7 @@ from cutprop.qpd import (
 from cutprop.sim import SimulationError, expectation, product_state, simulate
 
 import oracles
-from oracles import PAULI, random_observable, random_product_factors
+from oracles import PAULI, perfbench_inputs, random_observable, random_product_factors
 
 
 # --- decomposition tables -------------------------------------------------------
@@ -465,16 +464,9 @@ def test_one_byte_bound_simulates_as_many_states_as_the_reference(monkeypatch):
     assert len(stack_rows) < unmeasured
 
 
-INPUTS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-
-
 def _recon_extractions(workdir):
     """The extraction of each plan that the benchmark's recon commands verify at seed 0."""
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS_PATH)
-    inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs  # its dataclass looks its module up there
-    spec.loader.exec_module(inputs)
-    for command in inputs.recon_commands(0, workdir):
+    for command in perfbench_inputs().recon_commands(0, workdir):
         _, circuit, obs, _, plan, *_ = command.argv
         plan = CutPlan.from_dict(json.loads(Path(plan).read_text()))
         yield command.label, extract_subcircuits(parse_qasm(Path(circuit).read_text()), plan,

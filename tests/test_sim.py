@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -240,6 +241,13 @@ def test_simulate_keeps_a_sub_normalised_states_norm(n):
         out = simulate(circ, projected)
         assert np.abs(out - einsum_simulate(circ, projected)).max() < KERNEL_TOL
         assert abs(np.linalg.norm(out) - norm) < KERNEL_TOL
+
+
+@pytest.mark.parametrize("angle", [math.inf, math.nan])
+def test_simulate_rejects_an_angle_that_makes_the_state_nan(angle):
+    for gates in ([Gate("rz", (0,), angle=angle)], [Gate("rz", (0,), angle=angle), Gate("cx", (0, 1))]):
+        with pytest.raises(SimulationError, match="norm drifted from 1.0 to nan"):
+            simulate(Circuit(2, tuple(gates)))
 
 
 def test_simulate_rejects_a_kernel_that_scales_the_state(monkeypatch):
