@@ -281,6 +281,9 @@ def parse_qasm(text: str) -> Circuit:
     reg_name: str | None = None
     width = 0
     gates: list[Gate] = []
+    # Statement text -> its gate. Only a statement after the one qreg is
+    # stored, and only once it parsed, so a repeat means the same gate.
+    known: dict[str, Gate] = {}
     saw_header = False
 
     # Statements end with ';'; keep line numbers for diagnostics.
@@ -289,6 +292,9 @@ def parse_qasm(text: str) -> Circuit:
         if not line:
             continue
         for stmt in filter(None, (s.strip() for s in line.split(";"))):
+            if stmt in known:
+                gates.append(known[stmt])
+                continue
             if stmt.startswith("OPENQASM"):
                 saw_header = True
                 continue
@@ -331,9 +337,10 @@ def parse_qasm(text: str) -> Circuit:
                     raise QasmError(f"{name} takes {want} qubit(s)", lineno)
                 angle = None
             try:
-                gates.append(Gate(name, tuple(qubits), angle))
+                known[stmt] = Gate(name, tuple(qubits), angle)
             except CircuitError as exc:
                 raise QasmError(str(exc), lineno) from None
+            gates.append(known[stmt])
 
     if not saw_header:
         raise QasmError("missing OPENQASM header", 1)

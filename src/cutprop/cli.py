@@ -473,9 +473,11 @@ def _check_numeric_flags(args: argparse.Namespace) -> None:
         raise CliInputError("--shots must be >= 1")
 
 
+_PARSER = build_parser()  # parse_args keeps no state between command lines
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     args._started = time.time()
     try:
         _check_numeric_flags(args)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import count, groupby
+from itertools import compress, count, groupby
 from operator import itemgetter
 from typing import Sequence
 
@@ -274,20 +275,31 @@ class _Bipartitioner:
         for t, u, v in self.gates2q:
             self.by_wire[u].append((t, v))
             self.by_wire[v].append((t, u))
-        # The wires a cut can split (cuttable, two or more 2-qubit gates):
-        # each with its first gate, its later gates and its partner set.
-        self.sweeps = tuple(
-            (w, timeline[0], tuple(timeline[1:]), frozenset(p for _, p in timeline))
-            for w, timeline in enumerate(self.by_wire)
-            if self.cuttable[w] and len(timeline) >= 2
-        )
         # The cut position of an uncut wire: after every gate.
         self.never = self.gates2q[-1][0] + 1 if self.gates2q else 0
-        # The wires with a 2-qubit gate: only their labels reach a refinement.
-        self._linked = tuple(w for w, timeline in enumerate(self.by_wire) if timeline)
-        # (max_passes, linked labels) -> (cuts, kg). It pays only in bounded searches: an
+        # The wires a cut can split (cuttable, two or more 2-qubit gates):
+        # each with its first gate, its later gates, its partners in wire
+        # order and the bit mask of itself and its partners; and each one's
+        # partner cuts before any wire is cut.
+        self.sweeps = []
+        self._uncut = [None] * n
+        for w, timeline in enumerate(self.by_wire):
+            if self.cuttable[w] and len(timeline) >= 2:
+                partners = tuple(sorted({p for _, p in timeline}))
+                mask = sum(1 << p for p in (w, *partners))
+                self.sweeps.append((w, timeline[0], tuple(timeline[1:]), partners, mask))
+                self._uncut[w] = (self.never,) * len(partners)
+        # Each wire pair's 2-qubit gate count: the starting kg sums one per crossing pair.
+        self._pairs = tuple(Counter((u, v) for _, u, v in self.gates2q).items())
+        # Each wire's label bit, 0 for a wire without a 2-qubit gate: only
+        # the linked wires' labels reach a refinement.
+        self._bits = [1 << w if timeline else 0 for w, timeline in enumerate(self.by_wire)]
+        # (max_passes, linked label bits) -> (cuts, kg). It pays only in bounded searches: an
         # unbounded bisection with an idle wire takes the shortcut; a connected one keys on all.
-        self._refined: dict[tuple[int, ...], tuple[dict[int, int], int]] = {}
+        self._refined: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
+        # (wire, its and its partners' label bits, partner cuts, own cut) -> (new cut, kg
+        # change): one wire sweep. It pays in the connected unbounded bisection too.
+        self._swept: dict[tuple[int, int, tuple[int, ...], int], tuple[int, int]] = {}
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -334,50 +346,69 @@ class _Bipartitioner:
 
         An idle wire's label moves neither the crossing count nor any sweep,
         so each pattern of linked labels is refined once per instance, and
-        labelings that differ only on idle wires share its result.
+        labelings that differ only on idle wires share its result. A sweep
+        reads only the wire's and its partners' labels, its partners' cuts
+        and its own cut, so each distinct sweep runs once per instance too.
         """
-        key = (max_passes, *[labels[w] for w in self._linked])
+        bits = sum(compress(self._bits, labels))
+        key = (max_passes, bits)
         if key in self._refined:
             cuts, kg = self._refined[key]
             return dict(cuts), kg
         never = self.never
         cut_at = [never] * self.n
         stale = [True] * self.n
-        kg = sum(labels[u] != labels[v] for _, u, v in self.gates2q)
+        partner_cuts = list(self._uncut)  # None once a partner's cut has moved
+        swept = self._swept
+        kg = sum(c for (u, v), c in self._pairs if labels[u] != labels[v])
         for _ in range(max_passes):
             changed = False
-            for w, (t0, p0), rest, partners in self.sweeps:
+            for w, first, rest, partners, mask in self.sweeps:
                 if not stale[w]:
                     continue
                 stale[w] = False
-                current, cut_at[w] = cut_at[w], never
-                side = labels[w]
-                g = 2 * (side != (labels[p0] ^ (t0 >= cut_at[p0]))) - 1
-                low = d = len(rest) + 1  # g <= i < d, so the first interior g sets low
-                g_current = None
-                for t, p in rest:
-                    if g < low:
-                        low, pos = g, t
-                    if t == current:
-                        g_current = g
-                    g += 2 * (side != (labels[p] ^ (t >= cut_at[p]))) - 1
-                s = (g + d) // 2
-                own = s if g_current is None else g_current + d - s
-                best, new = low + d - s, s
-                # 9 < 16 < 9², so one wire cut pays for itself iff it saves
-                # two or more gate cuts.
-                if best <= s - 2:
-                    cut_at[w], new = pos, best
-                kg += new - own
-                if cut_at[w] != current:
+                if partner_cuts[w] is None:
+                    partner_cuts[w] = tuple([cut_at[p] for p in partners])
+                current = cut_at[w]
+                sweep = (w, bits & mask, partner_cuts[w], current)
+                hit = swept.get(sweep)
+                if hit is None:
+                    hit = swept[sweep] = self._sweep(labels, cut_at, w, first, rest, current)
+                cut, delta = hit
+                kg += delta
+                if cut != current:
+                    cut_at[w] = cut
                     changed = True
                     for p in partners:
                         stale[p] = True
+                        partner_cuts[p] = None
             if not changed:
                 break
         cuts = {w: t for w, t in enumerate(cut_at) if t != never}
         self._refined[key] = (cuts, kg)
         return dict(cuts), kg
+
+    def _sweep(self, labels, cut_at, w, first, rest, current) -> tuple[int, int]:
+        """Wire w's best cut given its partners' cuts, and kg's change from its current cut."""
+        side = labels[w]
+        t0, p0 = first
+        g = 2 * (side != (labels[p0] ^ (t0 >= cut_at[p0]))) - 1
+        low = d = len(rest) + 1  # g <= i < d, so the first interior g sets low
+        g_current = None
+        for t, p in rest:
+            if g < low:
+                low, pos = g, t
+            if t == current:
+                g_current = g
+            g += 2 * (side != (labels[p] ^ (t >= cut_at[p]))) - 1
+        s = (g + d) // 2
+        own = s if g_current is None else g_current + d - s
+        best = low + d - s
+        # 9 < 16 < 9², so one wire cut pays for itself iff it saves
+        # two or more gate cuts.
+        if best <= s - 2:
+            return pos, best - own
+        return self.never, s - own
 
 
 def _feasible(labels, cuts: dict[int, int], max_side: int | None) -> bool:

@@ -140,6 +140,19 @@ def test_parser_matches_the_per_argument_reference_statement_by_statement(body):
     assert _parsed(parse_qasm, _HEAD + body) == _parsed(per_arg_parse_qasm, _HEAD + body)
 
 
+def test_repeated_statements_parse_as_the_reference_and_a_later_error_names_its_line():
+    # A repeated statement gives the gate its first occurrence gave; a
+    # statement that fails is never reused, so its error names its own line.
+    text = _HEAD + "h q[0];\ncx q[0],q[1]; rz(pi/8) q[2];\nh q[0]; rz(pi/8) q[2];\ncx q[0],q[1];\n"
+    circuit = parse_qasm(text)
+    assert _parsed(parse_qasm, text) == _parsed(per_arg_parse_qasm, text)
+    assert [g.kind for g in circuit.gates] == ["h", "cx", "rz", "h", "rz", "cx"]
+    for later, message in [("cx q[0],q[3];", "line 8: qubit index 3 outside qreg[3]"),
+                           ("qreg q[3];", "line 8: multiple qreg declarations")]:
+        bad = text + f"h q[0];\n{later}\nh q[0];\n"
+        assert _parsed(parse_qasm, bad) == _parsed(per_arg_parse_qasm, bad) == message
+
+
 @pytest.mark.parametrize("args", [
     "q[0],,q[1]", "q[0],", ",q[0]", "q[0],q[1],q[2]", "q[0] q[1]", "q[0], r[1]", "r[0]",
     "q[5],r[1]", "q[0]]", "q",

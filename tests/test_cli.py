@@ -410,22 +410,42 @@ def test_missing_file_is_input_error(workdir, capsys):
     assert rc == EXIT_INPUT
 
 
-def test_module_entry_point_exit_codes(tmp_path):
-    # The console script calls the same console_main that `python -m` runs.
+def _fresh_process(cwd, *argv) -> subprocess.CompletedProcess:
+    """``python -m cutprop.cli argv`` in a new process, with this checkout's src."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "cutprop.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
 
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "cutprop.cli", *argv], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=120)
 
-    ok = run("bench", "--suite", "qaoa3", "--seed", "0")
+def test_module_entry_point_exit_codes(tmp_path):
+    # The console script calls the same console_main that `python -m` runs.
+    ok = _fresh_process(tmp_path, "bench", "--suite", "qaoa3", "--seed", "0")
     assert ok.returncode == EXIT_OK
     assert json.loads(ok.stdout)["command"] == "bench"
-    missing = run("cut", "missing.qasm", "missing.txt", "--bipartition")
+    missing = _fresh_process(tmp_path, "cut", "missing.qasm", "missing.txt", "--bipartition")
     assert missing.returncode == EXIT_INPUT
     assert missing.stderr.startswith("error: ") and missing.stderr.count("\n") == 1
+
+
+def test_one_parser_serves_a_process_as_a_fresh_one_would(workdir, capsys):
+    # The module builds its parser once. A valid command, two command lines
+    # the parser rejects, then the valid command again, all in this process:
+    # each prints the same stdout and stderr, and exits with the same code,
+    # as in a fresh process.
+    tmp, circ, obs, _, _ = workdir
+    valid = ["cut", circ, obs, "--max-qubits", "2"]
+    for argv in (valid, ["optimize", circ, obs, "--max-qubits", "1"], ["cut", circ, obs], valid):
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = _fresh_process(tmp, *argv)
+        assert (out, err, code) == (fresh.stdout, fresh.stderr, fresh.returncode), argv
+        assert err.count("\n") == (code != EXIT_OK), argv
 
 
 def test_verify_tolerance_failure_exit_code(workdir):

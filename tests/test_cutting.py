@@ -370,6 +370,35 @@ def test_refine_ignores_idle_wire_labels():
     assert with_cuts > 60
 
 
+def test_sweep_memo_matches_reference():
+    # One instance serves many labelings at 0, 1, 2 and 8 passes, so later
+    # refinements replay sweeps that earlier ones stored; each answer equals
+    # the reference's, which sweeps every wire afresh. The problems have two
+    # idle wires, frozen wires, and two gates on one pair wherever a gate is
+    # doubled.
+    rng = np.random.default_rng(62)
+    with_cuts = 0
+    for n in rng.integers(6, 16, size=10):
+        base, groups = _two_phase_problem(int(n), rng)
+        gates2q = [(2 * t, u, v) for t, u, v in base.gates2q]
+        gates2q += [(t + 1, v, u) for t, u, v in gates2q if rng.random() < 0.3]
+        problem = _Bipartitioner(base.n + 2, gates2q, base.cuttable + [True, True])
+        groups = np.hstack([groups, rng.integers(0, 2, size=(2, 2))])
+        assert not problem.by_wire[-1] and not problem.by_wire[-2]
+        assert not all(problem.cuttable[w] for w in range(base.n) if len(problem.by_wire[w]) > 1)
+        for _ in range(40):
+            if rng.random() < 0.5:
+                labels = groups[int(rng.integers(0, 2))] ^ (rng.random(problem.n) < 0.1)
+            else:
+                labels = rng.random(problem.n) < rng.uniform(0.1, 0.5)
+            labels = tuple(int(l) for l in labels)
+            for passes in (0, 1, 2, 8):
+                got = problem.refine_wire_cuts(labels, passes)
+                assert got == refine_wire_cuts(problem, labels, passes), (labels, passes)
+                with_cuts += bool(got[0])
+    assert with_cuts > 200
+
+
 def _record_bisections(monkeypatch) -> tuple[list, list[int]]:
     """Record each bisection problem built and count the labelings priced.
 
@@ -395,7 +424,8 @@ def test_heis19_bench_search_refines_each_pattern_once(heis19_bench_searches, mo
     # The seed-0 row's six cut searches price 1,091 labelings and refine
     # 1,091 distinct (passes, linked labels) patterns: five of the six
     # bisections are disconnected and price one labeling each, and the
-    # sixth has no idle wire.
+    # sixth has no idle wire. The sixth's 1,086 refinements run 341
+    # distinct wire sweeps.
     _, searched, calls = heis19_bench_searches
     problems, priced = _record_bisections(monkeypatch)
     for b, kwargs in calls:
@@ -404,17 +434,19 @@ def test_heis19_bench_search_refines_each_pattern_once(heis19_bench_searches, mo
     assert len(problems) == 6
     assert priced == [1091]
     assert sum(len(p._refined) for p in problems) == 1091
+    assert [len(p._swept) for p in problems] == [3, 341, 8, 8, 7, 6]
 
 
 def test_bounded_heis19_search_refines_each_pattern_once(monkeypatch):
     # A bounded search is where the refinement cache pays: on the first 41
     # gates at max_qubits=6 it prices 57,577 labelings but refines 69
-    # patterns.
+    # patterns, which run 96 distinct wire sweeps.
     (_, heis19, _), = _bench_instances("heis19", 0)
     problems, priced = _record_bisections(monkeypatch)
     find_cuts(heis19.prefix(41), max_qubits=6, seed=0)
     assert priced == [57577]
     assert sum(len(p._refined) for p in problems) == 69
+    assert sum(len(p._swept) for p in problems) == 96
 
 
 def test_heis19_bench_shortcut_answers_five_of_six_searches(heis19_bench_searches,
