@@ -34,6 +34,11 @@ mass over Python floats, as the reference for the array truncation.
 own regex and evaluates every angle with ``ast_eval_angle``, through ``ast``
 alone, as the reference for the parser's one-match gate statement and its
 ``float()`` literals on well-formed argument lists.
+``wirecut_distances`` and ``gatecut_distances`` check a cut's decomposition
+one seeded state at a time (``seeded_pure_states``), each term one branch
+list through ``apply_endpoint``, a measured letter's value one ``np.vdot``
+and every trace distance one ``eigvalsh``, as the reference for the
+stacked channel checks.
 ``random_observable`` and ``random_product_factors`` make seeded test inputs,
 and ``perfbench_inputs`` loads the benchmark's input generators.
 """
@@ -543,6 +548,54 @@ def part_table(sub, cut_terms, initial_factors):
         return sum(w * _vdot_expectations(s, xs, zs) for w, s in branches)
 
     return walk(0, [(1.0 + 0j, product_state(factors))], (0, 0)), axes
+
+
+def seeded_pure_states(num_states: int, dim: int, seed: int) -> list[np.ndarray]:
+    """Random pure states drawn one at a time from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(num_states):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        states.append(v / np.linalg.norm(v))
+    return states
+
+
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+def _branch_density(branches: list) -> np.ndarray:
+    return sum(w * np.outer(s, s.conj()) for w, s in branches)
+
+
+def wirecut_distances(terms, num_states: int, seed: int) -> list[float]:
+    """Per seeded 1-qubit state, the trace distance of the measure-and-prepare sum from it."""
+    distances = []
+    for v in seeded_pure_states(num_states, 2, seed):
+        total = np.zeros((2, 2), dtype=complex)
+        for t in terms:
+            (_, letter), = t.left_op
+            prepared, _ = apply_endpoint([(1.0, PREP_STATES["0"])], (0, 0), t.right_op, 0)
+            total += t.coefficient * np.vdot(v, PAULI[letter] @ v).real * _branch_density(prepared)
+        distances.append(_trace_distance(total, np.outer(v, v.conj())))
+    return distances
+
+
+def gatecut_distances(terms, kind: str, num_states: int, seed: int) -> list[float]:
+    """Per seeded 2-qubit state, the trace distance of the QPD channel sum from the gate's.
+
+    The gate's first qubit, its control for cx, is wire 1.
+    """
+    u = {"cz": cz_matrix, "cx": cx_matrix}[kind](1, 0, 2)
+    distances = []
+    for v in seeded_pure_states(num_states, 4, seed):
+        total = np.zeros((4, 4), dtype=complex)
+        for t in terms:
+            branches, _ = apply_endpoint([(1.0, v)], (0, 0), t.left_op, 1)
+            branches, _ = apply_endpoint(branches, (0, 0), t.right_op, 0)
+            total += t.coefficient * _branch_density(branches)
+        distances.append(_trace_distance(total, u @ np.outer(v, v.conj()) @ u.conj().T))
+    return distances
 
 
 def random_product_factors(n: int, rng: np.random.Generator) -> list[np.ndarray]:

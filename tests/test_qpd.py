@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from cutprop import qpd
 from cutprop.backprop import light_cone
 from cutprop.circuits import Circuit, Gate, lower_rotations, parse_qasm
-from cutprop.cli import _bench_instances
+from cutprop.cli import _bench_instances, main
 from cutprop.cutting import CutPlan, _build_plan, extract_subcircuits, find_cuts, validate_plan
 from cutprop.generators import (
     random_circuit,
@@ -77,6 +78,120 @@ def test_gatecut_coefficients_sum_to_one_exactly(kind):
 def test_gatecut_unsupported_kind():
     with pytest.raises(QpdError):
         gatecut_terms("rot")
+
+
+# --- stacked channel checks against the per-state reference ------------------------
+
+_CHECK_SEEDS = [11, 13, 0, 2024]
+
+
+def _swapped(terms, first: str, second: str, field: str):
+    """A term table with ``field`` swapped between the terms whose labels end in
+    ``first`` and ``second``."""
+    i, j = (next(k for k, t in enumerate(terms) if t.label.endswith(name))
+            for name in (first, second))
+    terms = list(terms)
+    terms[i], terms[j] = (replace(terms[i], **{field: getattr(terms[j], field)}),
+                          replace(terms[j], **{field: getattr(terms[i], field)}))
+    return tuple(terms)
+
+
+def _corrupted_cz():
+    # the sum is still 1, so only the channel check can catch it
+    return _swapped(gatecut_terms("cz"), "R+ (x) Mz", "R- (x) Mz", "coefficient")
+
+
+def _corrupted_wire():
+    return _swapped(wirecut_terms(), "prep +", "prep -", "right_op")
+
+
+@pytest.mark.parametrize("num_states", [20, 100])
+@pytest.mark.parametrize("seed", _CHECK_SEEDS)
+def test_stacked_states_are_the_one_at_a_time_draws(num_states, seed):
+    for dim in (2, 4):
+        stacked = qpd._random_pure_states(num_states, dim, seed)
+        reference = np.array(oracles.seeded_pure_states(num_states, dim, seed))
+        assert stacked.shape == reference.shape
+        assert stacked.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("num_states", [20, 100])
+@pytest.mark.parametrize("seed", _CHECK_SEEDS)
+def test_stacked_distances_match_the_per_state_reference(num_states, seed):
+    # Each state's distance, not only the worst, so one bad state cannot hide.
+    states = qpd._random_pure_states(num_states, 2, seed)
+    stacked = qpd._wirecut_distances(states)
+    reference = oracles.wirecut_distances(wirecut_terms(), num_states, seed)
+    assert stacked.shape == (num_states,)
+    assert np.abs(stacked - reference).max() <= 1e-15
+    assert verify_wirecut_identity(num_states, seed) == stacked.max()
+    states = qpd._random_pure_states(num_states, 4, seed)
+    for kind in ("cz", "cx"):
+        stacked = qpd._gatecut_distances(kind, states)
+        reference = oracles.gatecut_distances(gatecut_terms(kind), kind, num_states, seed)
+        assert stacked.shape == (num_states,)
+        assert np.abs(stacked - reference).max() <= 1e-15
+        assert verify_gatecut_channel(kind, num_states, seed) == stacked.max()
+
+
+@pytest.mark.parametrize("num_states", [20, 100])
+@pytest.mark.parametrize("seed", _CHECK_SEEDS)
+def test_corrupted_tables_fail_the_stacked_checks(monkeypatch, num_states, seed):
+    wire, cz = _corrupted_wire(), _corrupted_cz()
+    assert sum(t.coefficient for t in cz) == 1.0
+    wire_reference = oracles.wirecut_distances(wire, num_states, seed)
+    cz_reference = oracles.gatecut_distances(cz, "cz", num_states, seed)
+    assert max(wire_reference) > 1e-2 and max(cz_reference) > 1e-2
+    monkeypatch.setattr(qpd, "wirecut_terms", lambda: wire)
+    monkeypatch.setattr(qpd, "gatecut_terms", lambda kind: cz)
+    stacked = qpd._wirecut_distances(qpd._random_pure_states(num_states, 2, seed))
+    assert np.allclose(stacked, wire_reference, rtol=0, atol=1e-12)
+    stacked = qpd._gatecut_distances("cz", qpd._random_pure_states(num_states, 4, seed))
+    assert np.allclose(stacked, cz_reference, rtol=0, atol=1e-12)
+    with pytest.raises(QpdError, match="wire-cut identity check failed"):
+        verify_wirecut_identity(num_states, seed)
+    with pytest.raises(QpdError, match="cz gate-cut channel check failed"):
+        verify_gatecut_channel("cz", num_states, seed)
+
+
+@pytest.mark.parametrize("check, args, count", [
+    (verify_wirecut_identity, (), 0),
+    (verify_gatecut_channel, ("cx",), -3),
+    (verify_gatecut_channel, ("cz",), 0),
+])
+def test_checks_of_no_states_are_refused(check, args, count):
+    with pytest.raises(QpdError) as info:
+        check(*args, num_states=count)
+    assert str(info.value) == f"num_states must be at least 1, got {count}"
+
+
+def test_a_nan_distance_fails_the_check():
+    with pytest.raises(QpdError, match="trace distance nan"):
+        qpd._worst("wire-cut identity", np.array([1e-16, np.nan, 1e-16]), 1e-12)
+
+
+def test_each_kind_is_checked_once_per_process(monkeypatch, tmp_path):
+    checked = []
+    wire, gate = qpd.verify_wirecut_identity, qpd.verify_gatecut_channel
+
+    def count_wire(*args, **kwargs):
+        checked.append("wire")
+        return wire(*args, **kwargs)
+
+    def count_gate(kind, *args, **kwargs):
+        checked.append(kind)
+        return gate(kind, *args, **kwargs)
+
+    monkeypatch.setattr(qpd, "_verified", set())
+    monkeypatch.setattr(qpd, "verify_wirecut_identity", count_wire)
+    monkeypatch.setattr(qpd, "verify_gatecut_channel", count_gate)
+    warm = perfbench_inputs().warmup_command(tmp_path)  # a cz, a cx and a wire cut
+    assert main(warm.argv + ["--out", str(tmp_path / "1.json")]) == 0
+    assert sorted(checked) == ["cx", "cz", "wire"]
+    assert main(warm.argv + ["--out", str(tmp_path / "2.json")]) == 0
+    _, circuit, obs, *_ = warm.argv
+    assert main(["backprop", circuit, obs, "--qwc-max", "4", "--out", str(tmp_path / "b.json")]) == 0
+    assert sorted(checked) == ["cx", "cz", "wire"]
 
 
 # --- reconstruction ----------------------------------------------------------------
