@@ -77,7 +77,10 @@ def _write_text(path: str, text: str, what: str) -> None:
 def _emit_report(report: dict, args: argparse.Namespace) -> None:
     if getattr(args, "timings", False):
         report["timings"] = {"wall_clock_seconds": time.time() - args._started}
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise CliInputError("the report holds a non-finite number; nothing written") from None
     out = getattr(args, "out", None)
     if out:
         _write_text(out, text, "report")

@@ -161,7 +161,14 @@ class Observable:
                 raise PauliError(f"non-finite coefficient {c} on {w.label()}")
             coeffs.append(c)
             words.append(w)
-        return canonicalize(_from_rows(n, *_pack(n, coeffs, words), False))
+        # Merged duplicates and the 1-norm may overflow; that is an input error,
+        # not a warning.
+        with np.errstate(over="ignore"):
+            obs = canonicalize(_from_rows(n, *_pack(n, coeffs, words), False))
+            norm = _magnitudes(obs.coeffs).sum()
+        if not math.isfinite(norm):
+            raise PauliError("the coefficients' 1-norm overflows to a non-finite number")
+        return obs
 
     @classmethod
     def from_labels(cls, pairs: Iterable[tuple[complex, str]]) -> "Observable":
@@ -276,33 +283,40 @@ def _dsatur_colors(conflict: np.ndarray) -> tuple[list[int], int]:
     """Color vertices in DSATUR order, each with the smallest color no colored neighbor has.
 
     The turn order is highest saturation (distinct neighbor colors), then
-    highest degree, then lowest index: one argmax over
-    ``saturation * (m + 1) + degree``, as the degree is below m + 1 and
-    ``np.argmax`` returns the first maximum. Returns the colors and the
-    length of the opening run of turns that each open a new color: those
-    vertices form a clique, so no coloring uses fewer colors than that.
+    highest degree, then lowest index: one argmax over the float64 key
+    ``saturation + degree * 2**-b`` with 2**b > m, as the degree is below m
+    and ``np.argmax`` returns the first maximum. Every key is a multiple of
+    2**-b below 2**b, so each raise by 1.0 is exact while m < 2**26, far
+    beyond an m x m matrix in memory. A colored vertex's key is -inf. A turn
+    that opens a new color raises every neighbor; only a turn that reuses a
+    color compares the row with that color's neighbors. Returns the colors
+    and the length of the opening run of turns that each open a new color:
+    those vertices form a clique, so no coloring uses fewer colors than that.
     """
     m = len(conflict)
     # used[c, v]: some colored neighbor of v has color c.
     used = np.zeros((m, m), dtype=bool)
     colors = [0] * m
-    key = conflict.sum(axis=1, dtype=np.int64)
-    # A colored vertex's key gains at most (m - 1) * (m + 1) more, so it stays
-    # below every uncolored key (>= 0).
-    colored = -m * (m + 1)
+    key = conflict.sum(axis=1) / (1 << m.bit_length())
+    raised = np.empty(m, dtype=bool)
     ncolors = clique = 0
     for turn in range(m):
-        v = int(key.argmax())
+        v = key.argmax()
         c = int(used[: ncolors + 1, v].argmin())
         colors[v] = c
-        # Turn t can take color t only if every earlier turn opened a color.
-        clique += c == turn
-        ncolors = max(ncolors, c + 1)
-        neighbors = conflict[v]
-        key[v] = colored
-        # Saturation rises for the neighbors that had no neighbor of color c.
-        np.add(key, m + 1, out=key, where=neighbors > used[c])
-        used[c] |= neighbors
+        key[v] = -np.inf
+        neighbors, row = conflict[v], used[c]
+        if c == ncolors:
+            # No vertex has color c yet, so every neighbor's saturation rises.
+            # Turn t can take color t only if every earlier turn opened a color.
+            clique += c == turn
+            ncolors += 1
+            key += neighbors
+        else:
+            # Saturation rises for the neighbors that had no neighbor of color c.
+            np.greater(neighbors, row, out=raised)
+            key += raised
+        row |= neighbors
     return colors, clique
 
 

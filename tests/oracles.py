@@ -16,6 +16,9 @@ and ``cz``), as the reference for the simulator's in-place, fused kernels.
 ``conflict_adjacency``, ``dsatur_colors`` and ``first_fit_colors`` are the
 pair-loop QWC colorers, and ``qwc_groups`` composes them as ``group_qwc``
 does, as the reference for its conflict-matrix and array DSATUR kernel;
+``int_key_dsatur_colors`` is the array DSATUR with an integer key and one
+masked add a turn, as the reference for the float key and its new-color
+shortcut on graphs too large for the pair loops;
 ``qubitwise_commutes`` is their pairwise test. ``refine_wire_cuts`` prices
 every cut position of a wire from a prefix list and a dict, and sweeps
 every wire in every pass, as the reference for the cut search's one-sweep
@@ -398,6 +401,34 @@ def qwc_groups(obs) -> tuple[tuple[int, ...], ...]:
     for i, c in enumerate(colors):
         groups[c].append(i)
     return tuple(sorted((tuple(g) for g in groups), key=lambda g: g[0]))
+
+
+def int_key_dsatur_colors(conflict: np.ndarray) -> tuple[list[int], int]:
+    """``paulis._dsatur_colors`` with the integer key ``saturation * (m + 1) + degree``.
+
+    Every turn raises the saturation of the neighbors with no neighbor of
+    the turn's color through one masked add, whether the color is new or
+    reused. Returns the colors and the opening clique's length.
+    """
+    m = len(conflict)
+    used = np.zeros((m, m), dtype=bool)
+    colors = [0] * m
+    key = conflict.sum(axis=1, dtype=np.int64)
+    # A colored vertex's key gains at most (m - 1) * (m + 1) more, so it stays
+    # below every uncolored key (>= 0).
+    colored = -m * (m + 1)
+    ncolors = clique = 0
+    for turn in range(m):
+        v = int(key.argmax())
+        c = int(used[: ncolors + 1, v].argmin())
+        colors[v] = c
+        clique += c == turn
+        ncolors = max(ncolors, c + 1)
+        neighbors = conflict[v]
+        key[v] = colored
+        np.add(key, m + 1, out=key, where=neighbors > used[c])
+        used[c] |= neighbors
+    return colors, clique
 
 
 def conjugate_clifford(obs, gate):

@@ -589,6 +589,37 @@ def test_rejected_inputs_are_one_line_errors_naming_the_fault(
     assert (rc, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")
 
 
+_OVERFLOW_QASM = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n' \
+    "h q[0];\ncx q[0],q[1];\nrz(0.3) q[1];\ncx q[1],q[2];\n"
+
+
+@pytest.mark.parametrize("command, obs_text", [
+    # Written twice, the term merges into an infinite coefficient.
+    ("backprop", "1e308 ZZI\n1e308 ZZI\n"),
+    # Each coefficient is finite, but the exact expectation would not be.
+    ("verify", "1e308 ZZI\n1e308 IZZ\n"),
+])
+def test_an_overflowing_observable_is_a_one_line_input_error(tmp_path, capsys, command, obs_text):
+    # RuntimeWarnings fail the test suite, so none is raised on the way.
+    (tmp_path / "c.qasm").write_text(_OVERFLOW_QASM)
+    (tmp_path / "o.obs").write_text(obs_text)
+    rc = main([command, str(tmp_path / "c.qasm"), str(tmp_path / "o.obs"), "--qwc-max", "2"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (
+        EXIT_INPUT, "", "error: the coefficients' 1-norm overflows to a non-finite number\n")
+
+
+def test_a_report_with_a_non_finite_number_is_not_written(workdir, capsys, monkeypatch):
+    tmp, _, _, clifford, obs2 = workdir
+    monkeypatch.setattr("cutprop.cli._zero_state_expectation", lambda obs: math.inf)
+    out = tmp / "bp.json"
+    rc = main(["backprop", clifford, obs2, "--qwc-max", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (
+        EXIT_INPUT, "", "error: the report holds a non-finite number; nothing written\n")
+    assert not out.exists()
+
+
 def test_bench_searches_each_circuit_once(workdir, monkeypatch):
     import cutprop.annealing
     import cutprop.cli

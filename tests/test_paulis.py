@@ -7,6 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutprop import paulis
+from cutprop.backprop import backpropagate
+from cutprop.circuits import emit_qasm, lower_rotations, parse_qasm
+from cutprop.generators import (
+    HEISENBERG_H,
+    HEISENBERG_J,
+    first_k_z_observable,
+    heavy_hex_19_edges,
+    heisenberg_trotter,
+)
 from cutprop.paulis import (
     _ROW_BLOCK,
     Observable,
@@ -30,6 +39,7 @@ from oracles import (
     conflict_adjacency,
     dsatur_colors,
     first_fit_colors,
+    int_key_dsatur_colors,
     qubitwise_commutes,
     qwc_groups,
     word_matrix,
@@ -358,6 +368,24 @@ def test_from_terms_rejects_non_finite_coefficients(coeff):
         Observable.from_terms(2, terms)
 
 
+@pytest.mark.parametrize("labels", [
+    # Merged, the two terms overflow to an infinite coefficient.
+    ("ZZ", "ZZ"),
+    # Each coefficient is finite, but their 1-norm, which bounds every
+    # expectation of the observable, is not.
+    ("ZZ", "IZ"),
+])
+def test_from_terms_rejects_a_non_finite_one_norm(labels):
+    with pytest.raises(PauliError, match="1-norm overflows"):
+        Observable.from_labels([(1e308, label) for label in labels])
+
+
+def test_from_terms_accepts_a_one_norm_just_below_the_float_range():
+    assert len(Observable.from_labels([(1e308, "ZZ"), (-1e308, "ZZ")])) == 0
+    obs = Observable.from_labels([(1.6e308, "ZZ"), (-1e307, "XX")])
+    assert obs.coeffs.real.tolist() == [1.6e308, -1e307]
+
+
 # --- packed kernels against the dict and pair-loop references ----------------
 
 KERNEL_WIDTHS = (1, 3, 19, 64, 65, 130)
@@ -462,3 +490,80 @@ def test_conflict_matrix_and_first_fit_match_the_pair_loops(n, m):
         assert _first_fit_colors(conflict, needed - 1) is None
         # The opening clique bounds every coloring from below.
         assert 1 <= clique <= min(needed, max(colors) + 1)
+
+
+# --- the float-keyed DSATUR against its integer-key reference -----------------
+
+
+def _assert_same_as_int_key(conflict):
+    assert _dsatur_colors(conflict) == int_key_dsatur_colors(conflict)
+
+
+def test_dsatur_matches_the_int_key_on_every_heis19_absorption_grouping(monkeypatch):
+    # backprop --qwc-max 200 on the lowered heis19 circuit with Z on the
+    # first six qubits, the CI run: every conflict matrix it colors.
+    sizes = []
+
+    def checked(conflict):
+        sizes.append(len(conflict))
+        _assert_same_as_int_key(conflict)
+        return dsatur(conflict)
+
+    dsatur = paulis._dsatur_colors
+    monkeypatch.setattr(paulis, "_dsatur_colors", checked)
+    circuit = heisenberg_trotter(
+        list(heavy_hex_19_edges()), HEISENBERG_J, HEISENBERG_H, t=0.2, steps=1)
+    result = backpropagate(
+        parse_qasm(emit_qasm(lower_rotations(circuit))), first_k_z_observable(19, 6), 200)
+    assert result.fully_absorbed
+    assert (len(sizes), max(sizes)) == (76, 1200)
+
+
+def _circulant(m, k):
+    # Each vertex is joined to the k nearest on either side: every degree is 2k.
+    offsets = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+    return (offsets != 0) & ((offsets <= k) | (offsets >= m - k))
+
+
+def _random_graph(m, p, seed):
+    upper = np.triu(np.random.default_rng(seed).random((m, m)) < p, 1)
+    return upper | upper.T
+
+
+def _blocks(m, size):
+    # Disjoint cliques of `size` vertices, all of one degree but the last.
+    block = np.arange(m) // size
+    return (block[:, None] == block[None, :]) & ~np.eye(m, dtype=bool)
+
+
+@pytest.mark.parametrize("conflict", [
+    np.zeros((0, 0), dtype=bool),
+    np.zeros((1, 1), dtype=bool),
+    np.zeros((30, 30), dtype=bool),
+    ~np.eye(40, dtype=bool),
+    _circulant(60, 3),
+    _circulant(61, 20),
+    _blocks(50, 7),
+    # The complete bipartite graph K(20, 20): one degree, two colors.
+    np.add.outer(np.arange(40) < 20, np.arange(40) >= 20) == 1,
+    *(_random_graph(m, p, (m, seed)) for m, p, seed in
+      ((2, 0.5, 0), (17, 0.5, 1), (64, 0.1, 2), (100, 0.9, 3), (120, 0.02, 4))),
+], ids=lambda c: f"m{len(c)}")
+def test_dsatur_matches_the_int_key_on_seeded_graphs(conflict):
+    _assert_same_as_int_key(conflict)
+
+
+def _with_hubs(conflict, count, seed):
+    # `count` vertices joined to every other: degree m - 1, the key's largest fraction.
+    hubs = np.random.default_rng(seed).choice(len(conflict), count, replace=False)
+    conflict = conflict.copy()
+    conflict[hubs, :] = conflict[:, hubs] = True
+    np.fill_diagonal(conflict, False)
+    return conflict
+
+
+@pytest.mark.parametrize("m", [255, 256, 257, 1023, 1024])
+def test_dsatur_matches_the_int_key_where_the_key_fraction_gains_a_bit(m):
+    # The degree's fraction 2**-b has b = m.bit_length(), which grows at 256 and 1024.
+    _assert_same_as_int_key(_with_hubs(_random_graph(m, 0.05, m), 3, m))
+    _assert_same_as_int_key(_circulant(m, 5))
