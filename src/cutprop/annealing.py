@@ -91,13 +91,12 @@ class ObjectiveEvaluator:
         obs: Observable,
         w_cap: int,  # budgets above this cannot be evaluated (absorption stops there)
         slicing: str = "auto",
-        trunc_budget_per_slice: float = 0.0,
         cut_seed: int = 0,
     ):
         self.circuit = circuit
         self.w_cap = w_cap
         self.cut_seed = cut_seed
-        self.result = backpropagate(circuit, obs, w_cap, trunc_budget_per_slice, slicing)
+        self.result = backpropagate(circuit, obs, w_cap, slicing=slicing)
         self._input_groups = measurement_groups(canonicalize(obs))
         self._plans: dict[int, CutPlan] = {}
         # 2-qubit gates among the first b gates, for each prefix length b
@@ -254,7 +253,6 @@ def optimize_budget(
     obs: Observable,
     config: SAConfig,
     slicing: str = "auto",
-    trunc_budget_per_slice: float = 0.0,
 ) -> OptimizeResult:
     """Annealed budget search with a vanilla-cutting fallback.
 
@@ -264,9 +262,7 @@ def optimize_budget(
     nothing. The result carries the backpropagation and plan it chose, so
     callers need no further search. Cut searches use ``config.seed``.
     """
-    evaluator = ObjectiveEvaluator(
-        circuit, obs, config.bound_upper, slicing, trunc_budget_per_slice, config.seed
-    )
+    evaluator = ObjectiveEvaluator(circuit, obs, config.bound_upper, slicing, config.seed)
     par = parallel_anneal(config, evaluator)
     vanilla_plan = evaluator.plan(len(circuit.gates))
     vanilla_cost = cost(vanilla_plan, obs).total_executions

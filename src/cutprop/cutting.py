@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress, count, groupby
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -137,7 +137,7 @@ class CostReport:
     kw: int
     groups: int
     total_executions: int
-    per_subcircuit: tuple[tuple[int, int, int], ...] | None = None  # (label, g_i, eta_i)
+    per_subcircuit: tuple[tuple[int, int], ...] | None = None  # (label, g_i)
 
     def to_dict(self) -> dict:
         out = {
@@ -147,9 +147,7 @@ class CostReport:
             "total_executions": self.total_executions,
         }
         if self.per_subcircuit is not None:
-            out["per_subcircuit"] = [
-                {"label": l, "groups": g, "eta": e} for l, g, e in self.per_subcircuit
-            ]
+            out["per_subcircuit"] = [{"label": l, "groups": g} for l, g in self.per_subcircuit]
         return out
 
 
@@ -218,10 +216,7 @@ def cost(
     """Execution-count accounting for a plan and an (evolved) observable.
 
     Given ``circuit``, it additionally reports, from the plan's extraction
-    on it, each part's group count g_i over its distinct observable words
-    and the product eta_i of 9 per gate-cut end and 16 per wire-cut end in
-    its op stream (this secondary accounting double-counts shared cuts;
-    the ``total_executions`` field is the normative number).
+    on it, each part's group count g_i over its distinct observable words.
     """
     if evolved_obs.n != plan.n:
         raise CutError(f"observable width {evolved_obs.n} != plan width {plan.n}")
@@ -234,10 +229,7 @@ def cost(
     rows = []
     for label, sub in zip(plan.parts, extraction.subcircuits):
         words = Observable.from_terms(sub.n, [(1, w) for w in sub.words])  # distinct
-        g_i = measurement_groups(words)
-        eta = math.prod(GATE_CUT_FACTOR if op.cut < plan.kg else WIRE_CUT_FACTOR
-                        for op in sub.ops if isinstance(op, SubOp))
-        rows.append((label, g_i, eta))
+        rows.append((label, measurement_groups(words)))
     return CostReport(plan.kg, plan.kw, groups, total, tuple(rows))
 
 
@@ -649,6 +641,11 @@ class Extraction:
     term_coeffs: tuple[complex, ...]
 
 
+def _move_bits(masks: Sequence[int], moves: Iterable[tuple[int, int]]) -> list[int]:
+    """Each mask with bit a moved to bit b for every (a, b) in moves, its other bits dropped."""
+    return [sum((mask >> a & 1) << b for a, b in moves) for mask in masks]
+
+
 def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Extraction:
     """Split a circuit along a plan into per-part op streams and words.
 
@@ -698,6 +695,7 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
     emit_wire_cuts(len(circuit.gates))
 
     final = [local_index[plan.wire_at(q, len(circuit.gates))] for q in range(plan.n)]
+    term_xs, term_zs = _mask_ints(obs.x), _mask_ints(obs.z)
     subcircuits = []
     for label, wires in plan.parts.items():
         m = len(wires)
@@ -707,15 +705,9 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
                 ops.append(Circuit(m, tuple(group)))
             else:
                 ops.extend(group)
-        words = []
-        for term_x, term_z in zip(_mask_ints(obs.x), _mask_ints(obs.z)):
-            x = z = 0
-            for q, (final_label, i) in enumerate(final):
-                if final_label != label:
-                    continue
-                x |= ((term_x >> q) & 1) << i
-                z |= ((term_z >> q) & 1) << i
-            words.append(PauliString(m, x, z))
+        moves = [(q, i) for q, (final_label, i) in enumerate(final) if final_label == label]
+        words = [PauliString(m, x, z)
+                 for x, z in zip(_move_bits(term_xs, moves), _move_bits(term_zs, moves))]
         subcircuits.append(Subcircuit(n=m, ops=tuple(ops), wire_origin=wires, words=tuple(words)))
     return Extraction(
         plan=plan,

@@ -38,7 +38,7 @@ import numpy as np
 
 from .backprop import light_cone
 from .circuits import Circuit, Gate
-from .cutting import CutPlan, Extraction, extract_subcircuits
+from .cutting import CutPlan, Extraction, _move_bits, extract_subcircuits
 from .paulis import _MASKS, Observable, _from_rows, _limbs, _mask_ints, _pack_masks, canonicalize
 
 # apply_gate and apply_pauli are unused here, but the benchmark's tracer
@@ -344,11 +344,7 @@ def _onto(wires: Sequence[int], ops: Sequence, xs: Sequence[int], zs: Sequence[i
         if isinstance(op, Circuit) else replace(op, wire=local[op.wire])
         for op in ops
     ]
-
-    def compress(masks):
-        return [sum((m >> w & 1) << i for i, w in enumerate(wires)) for m in masks]
-
-    return moved, compress(xs), compress(zs)
+    return moved, _move_bits(xs, local.items()), _move_bits(zs, local.items())
 
 
 # The (x, z) masks of I, X, Z and Y: a word's letter on wire w reads entry
@@ -505,11 +501,13 @@ def reconstruct(
     for c, terms in enumerate(cut_terms):
         coefficients += [np.array([t.coefficient for t in terms]), [c]]
     coefficients += [np.array(extraction.term_coeffs), [term_axis]]
+    # the rounding residue grows with the observable's scale, and so does its bound
+    residue_bound = 1e-9 * max(1.0, sum(map(abs, extraction.term_coeffs)))
 
     def contract(values) -> float:
         operands = [x for table, ax in zip(values, axes) for x in (table, ax + [term_axis])]
         total = complex(np.einsum(*operands, *coefficients, []))
-        if abs(total.imag) > 1e-9:
+        if abs(total.imag) > residue_bound:
             raise QpdError(f"reconstructed value has imaginary residue {total.imag}")
         return float(total.real)
 

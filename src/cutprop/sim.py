@@ -107,24 +107,18 @@ def product_state(factors: list[np.ndarray]) -> np.ndarray:
     return state
 
 
-# States up to _SMALL amplitudes take the 1-qubit matrix as one batched
-# matmul, which makes fewer numpy calls. Larger ones take the axpys in
-# blocks of _BLOCK amplitudes, so that their five passes run in cache.
-_SMALL = 1 << 8
+# A general 1-qubit matrix takes the axpys in blocks of _BLOCK amplitudes,
+# so that their five passes run in cache.
 _BLOCK = 1 << 15
 
 
 def _kernel_1q(state: np.ndarray, u: np.ndarray, q: int) -> None:
     """Apply the 2x2 matrix u to qubit q of state, in place.
 
-    The view [:, b, :] holds the amplitudes whose bit q is b. A small state
-    takes u as one matmul on the view; in a larger one a diagonal u is a
-    phase multiply per half and a general one two axpys.
+    The view [:, b, :] holds the amplitudes whose bit q is b. A diagonal u
+    is a phase multiply per half, a general one two axpys.
     """
     view = state.reshape(-1, 2, 1 << q)
-    if state.size <= _SMALL:
-        view[...] = u @ view
-        return
     (u00, u01), (u10, u11) = u.tolist()
     if u01 == 0 and u10 == 0:
         if u00 != 1:
@@ -324,17 +318,17 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Evolve an initial state (default |0...0>) through the circuit.
 
     The state is a copy of ``initial`` that the gates update in place. Each
-    run of 1-qubit gates on one qubit is multiplied into one 2x2 matrix, an
-    rz as its two phases. Each run of cx and cz gates confined to one qubit
-    pair, with the 1-qubit gates on that pair before, among and after them,
-    is one block: one 4x4 matrix, applied in one pass over the state when
-    another gate touches either of its qubits, or at the end. These products
-    are of Python complex numbers; each matrix becomes a numpy array only
-    when it reaches a kernel. ``rot`` gates are applied one at a
-    time. ``initial`` may be a stack of states, shape (rows, 2^n): every row
-    goes through the same kernels, and a stack is returned. The gates are
-    unitary, so each row must keep its input's norm, which is below 1 for a
-    projected branch of the reconstruction walk.
+    run of 1-qubit gates on one qubit is multiplied into one 2x2 matrix. Each
+    run of cx and cz gates confined to one qubit pair, with the 1-qubit gates
+    on that pair before, among and after them, is one block: one 4x4 matrix,
+    applied in one pass over the state when another gate touches either of
+    its qubits, or at the end. These products are of Python complex numbers;
+    each matrix becomes a numpy array only when it reaches a kernel. ``rot``
+    gates are applied one at a time. ``initial`` is one state, shape (2^n,),
+    or a stack of one or more states, shape (rows, 2^n): every row goes
+    through the same kernels, and a stack is returned. Any other shape is
+    refused. The gates are unitary, so each row must keep its input's norm,
+    which is below 1 for a projected branch of the reconstruction walk.
     """
     limit = sim_limit()
     if circuit.n > limit:
@@ -347,23 +341,18 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
         state = zero_state(circuit.n)
     else:
         state = np.array(initial, dtype=complex)
-        if state.ndim != 2 or state.shape[1] != size:
-            state = state.ravel()
-    if state.shape[-1] != size:
-        raise SimulationError("initial state size does not match circuit width")
+        if state.ndim not in (1, 2) or state.shape[-1] != size or not state.size:
+            raise SimulationError("initial state size does not match circuit width")
     expected_norms = _norms(state)
     pending: dict[int, list] = {}  # qubit -> the rows of its 1-qubit gates not yet applied
     blocks: dict[int, _Block] = {}  # qubit -> the open block on its pair
     for gate in circuit.gates:
         kind = gate.kind
         if kind == "rz":
-            # diagonal, so its product with the pending rows is four multiplies
-            q = gate.qubits[0]
             e0, e1 = _rz_phases(gate.angle)
-            (a, b), (c, d) = pending.get(q, _IDENTITY)
-            pending[q] = (e0 * a, e0 * b), (e1 * c, e1 * d)
-            continue
-        u = _ROWS_1Q.get(kind)
+            u = (e0, 0), (0, e1)
+        else:
+            u = _ROWS_1Q.get(kind)
         if u is not None:
             q = gate.qubits[0]
             p = pending.get(q)
@@ -434,11 +423,16 @@ def pauli_expectations(state: np.ndarray, xs, zs) -> np.ndarray:
 
 
 def expectation(state: np.ndarray, obs: Observable) -> float:
-    """<psi|O|psi> for a Hermitian observable; rejects non-real results."""
+    """<psi|O|psi> for a Hermitian observable; rejects non-real results.
+
+    Rounding leaves an imaginary residue that grows with the observable's
+    scale, so its bound is 1e-10 times the coefficients' 1-norm, if above 1.
+    """
     if state.size != 1 << obs.n:
         raise SimulationError("state size does not match observable width")
     values = pauli_expectations(state, _mask_ints(obs.x), _mask_ints(obs.z))
-    val = sum((c * v for c, v in zip(obs.coeffs.tolist(), values)), 0j)
-    if abs(val.imag) > 1e-10:
+    coeffs = obs.coeffs.tolist()
+    val = sum((c * v for c, v in zip(coeffs, values)), 0j)
+    if abs(val.imag) > 1e-10 * max(1.0, sum(map(abs, coeffs))):
         raise SimulationError(f"non-Hermitian expectation residue {val.imag}")
     return float(val.real)

@@ -7,9 +7,9 @@ code. ``crossing_count`` recounts a bipartition's crossing gates from
 scratch, as the reference for the cut search's running count.
 ``objective`` composes the public pipeline stages directly, as the
 reference for the annealer's single-pass objective evaluator.
-``per_subcircuit_costs`` masks the observable to each part's qubits and
-counts the cuts the plan puts on each part, as the reference for the
-per-subcircuit accounting that reads the part's extraction.
+``per_subcircuit_costs`` masks the observable to each part's qubits, as
+the reference for the per-subcircuit accounting that reads the part's
+extraction.
 ``einsum_simulate`` applies gates one at a time, each out of place (one
 ``np.einsum`` per 1-qubit gate or Pauli letter, index arrays for ``cx``
 and ``cz``), as the reference for the simulator's in-place, fused kernels.
@@ -69,8 +69,6 @@ from cutprop.circuits import (
     _clifford_quarter_turns,
 )
 from cutprop.cutting import (
-    GATE_CUT_FACTOR,
-    WIRE_CUT_FACTOR,
     cost,
     find_cuts,
     total_executions,
@@ -195,7 +193,7 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def objective(circuit, obs, w, slicing="auto", trunc_budget_per_slice=0.0, cut_seed=0):
+def objective(circuit, obs, w, slicing="auto", cut_seed=0):
     """Executions needed after backpropagating with budget w and cutting.
 
     One fresh backpropagation and cut search per call, with no sharing
@@ -203,20 +201,18 @@ def objective(circuit, obs, w, slicing="auto", trunc_budget_per_slice=0.0, cut_s
     """
     if w < 1:
         raise AnnealError("w must be >= 1")
-    result = backpropagate(circuit, obs, w, trunc_budget_per_slice, slicing)
+    result = backpropagate(circuit, obs, w, slicing=slicing)
     if result.fully_absorbed:
         return 0
     plan = find_cuts(result.reduced_circuit, seed=cut_seed)
     return cost(plan, result.evolved_obs).total_executions
 
 
-def per_subcircuit_costs(plan, obs, circuit) -> tuple[tuple[int, int, int], ...]:
-    """``cost(plan, obs, circuit).per_subcircuit`` from qubit masks and cut incidence.
+def per_subcircuit_costs(plan, obs) -> tuple[tuple[int, int], ...]:
+    """``cost(plan, obs, circuit).per_subcircuit`` from qubit masks.
 
     A part's words are the observable's terms masked to the qubits whose
-    final segment it holds. Its eta multiplies 9 per cut gate with an
-    endpoint segment in the part and 16 per cut wire with a segment on
-    either side in it, both read off the plan.
+    final segment it holds.
     """
     obs = package_canonicalize(obs)
     rows = []
@@ -226,18 +222,7 @@ def per_subcircuit_costs(plan, obs, circuit) -> tuple[tuple[int, int, int], ...]
         ones = np.ones(len(obs), dtype=np.complex128)
         restricted = package_canonicalize(
             _from_rows(obs.n, obs.x & mask, obs.z & mask, ones, False))
-        g_i = len(group_qwc(restricted)) if len(restricted) else 1
-        eta = 1
-        for idx in plan.gate_cuts:
-            touched = {plan.segment_label(q, idx) for q in circuit.gates[idx].qubits}
-            if label in touched:
-                eta *= GATE_CUT_FACTOR
-        for q in range(plan.n):
-            segs = plan.segments(q)
-            for (_, old), (_, new) in zip(segs, segs[1:]):
-                if label in (old, new):
-                    eta *= WIRE_CUT_FACTOR
-        rows.append((label, g_i, eta))
+        rows.append((label, len(group_qwc(restricted)) if len(restricted) else 1))
     return tuple(rows)
 
 

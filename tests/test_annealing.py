@@ -69,11 +69,10 @@ def test_objective_evaluator_agrees_with_objective():
         circ = lower_rotations(random_circuit(5, 18, r))
         obs = random_observable(5, r, max_weight=2)
         for slicing in ("auto", "per-gate", "per-layer"):
-            for trunc in (0.0, 0.05):
-                evaluator = ObjectiveEvaluator(circ, obs, 12, slicing, trunc)
-                for w in range(1, 13):
-                    expected = objective(circ, obs, w, slicing, trunc)
-                    assert evaluator(w) == expected, (trial, slicing, trunc, w)
+            evaluator = ObjectiveEvaluator(circ, obs, 12, slicing)
+            for w in range(1, 13):
+                expected = objective(circ, obs, w, slicing)
+                assert evaluator(w) == expected, (trial, slicing, w)
 
 
 def test_objective_rejects_bad_w():
@@ -237,36 +236,37 @@ def test_optimize_result_carries_the_chosen_plans(monkeypatch):
     import cutprop.annealing as annealing
 
     calls = []
-    monkeypatch.setattr(annealing, "backpropagate", lambda *a: calls.append(a) or backpropagate(*a))
+    monkeypatch.setattr(annealing, "backpropagate",
+                        lambda *a, **k: calls.append(a) or backpropagate(*a, **k))
     rng = np.random.default_rng((0, 101))
     params = [float(a) for a in rng.uniform(-np.pi, np.pi, size=24)]
-    cases = [(efficient_su2(6, 1, params), SAConfig(seed=0), "auto", 0.0, 0)]
+    cases = [(efficient_su2(6, 1, params), SAConfig(seed=0), "auto", 0)]
     for trial in range(6):
         r = np.random.default_rng((3, trial))
         circ = lower_rotations(random_circuit(5, 16, r))
-        slicing, trunc = (("auto", 0.0), ("per-layer", 0.05), ("per-gate", 0.0))[trial % 3]
-        cases.append((circ, SAConfig(seed=trial), slicing, trunc, trial))
+        slicing = ("auto", "per-layer", "per-gate")[trial % 3]
+        cases.append((circ, SAConfig(seed=trial), slicing, trial))
         if trial in (0, 4):
             config = SAConfig(bound_lower=2, bound_upper=2, restarts=1, seed=trial)
-            cases.append((circ, config, "auto", 0.0, trial))
+            cases.append((circ, config, "auto", trial))
     branches = set()
-    for circ, config, slicing, trunc, seed in cases:
+    for circ, config, slicing, seed in cases:
         obs = weight_z_observable(circ.n, 1)
         calls.clear()
-        result = optimize_budget(circ, obs, config, slicing, trunc)
+        result = optimize_budget(circ, obs, config, slicing)
         assert len(calls) == 1
         vanilla = find_cuts(circ, seed=seed)
         assert result.vanilla_plan == vanilla
         if result.w_opt is None:
             branches.add("vanilla")
             # the zero-slice backpropagation: the whole circuit is cut
-            cap = backpropagate(circ, obs, config.bound_upper, trunc, slicing)
+            cap = backpropagate(circ, obs, config.bound_upper, slicing=slicing)
             assert result.backprop == cap.at_budget(0)
             assert result.backprop.reduced_circuit.gates == circ.gates
             assert result.backprop.evolved_obs == canonicalize(obs)
             assert result.plan == vanilla
             continue
-        bp = backpropagate(circ, obs, result.w_opt, trunc, slicing)
+        bp = backpropagate(circ, obs, result.w_opt, slicing=slicing)
         assert result.backprop == bp
         if bp.fully_absorbed:
             branches.add("absorbed")

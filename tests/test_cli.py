@@ -169,6 +169,17 @@ def test_cut_rejects_an_observable_of_another_width(workdir, capsys, label, per_
     assert err == f"error: observable width {len(label)} != plan width 3\n"
 
 
+def test_cut_per_subcircuit_rows_hold_a_label_and_a_group_count(workdir):
+    tmp, circ, obs, _, _ = workdir
+    out = tmp / "ps.json"
+    assert main(["cut", circ, obs, "--max-qubits", "1", "--per-subcircuit",
+                 "--out", str(out)]) == EXIT_OK
+    results = read_json(out)["results"]
+    rows = results["cost"]["per_subcircuit"]
+    assert len(rows) == results["plan"]["num_subcircuits"] == 3
+    assert all(row.keys() == {"label", "groups"} for row in rows)
+
+
 def test_cut_requires_a_constraint(workdir):
     _, circ, obs, _, _ = workdir
     with pytest.raises(SystemExit):
@@ -607,6 +618,45 @@ def test_an_overflowing_observable_is_a_one_line_input_error(tmp_path, capsys, c
     captured = capsys.readouterr()
     assert (rc, captured.out, captured.err) == (
         EXIT_INPUT, "", "error: the coefficients' 1-norm overflows to a non-finite number\n")
+
+
+# h then rz(0.7) on each of two qubits: <XX> = cos(0.7)^2
+_SCALED_QASM = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' \
+    "h q[0];\nh q[1];\nrz(0.7) q[0];\nrz(0.7) q[1];\n"
+
+
+def _verify_scaled(tmp_path, coeff, *flags):
+    """verify on _SCALED_QASM with the observable ``coeff XX``: exit code and results."""
+    (tmp_path / "s.qasm").write_text(_SCALED_QASM)
+    (tmp_path / "s.obs").write_text(f"{coeff} XX\n")
+    out = tmp_path / "s.json"
+    rc = main(["verify", str(tmp_path / "s.qasm"), str(tmp_path / "s.obs"), *flags,
+               "--out", str(out)])
+    return rc, read_json(out)["results"]
+
+
+@pytest.mark.parametrize("coeff", ["1e10", "1e20"])
+def test_verify_accepts_a_hermitian_observable_of_large_scale(tmp_path, coeff):
+    # The imaginary residue grows with the coefficients (about 6e-8 at 1e10),
+    # so an absolute bound refused this observable with exit 2. Its exact and
+    # reconstructed values agree to the last bits; whether that is within the
+    # absolute --tolerance decides the exit code.
+    rc, results = _verify_scaled(tmp_path, coeff)
+    exact = results["exact_expectation"]
+    assert exact == pytest.approx(float(coeff) * math.cos(0.7) ** 2, rel=1e-14)
+    assert results["abs_delta"] <= 1e-14 * exact
+    assert rc == (EXIT_OK if results["within_tolerance"] else EXIT_FAIL)
+
+
+def test_verify_of_a_large_scale_observable_keeps_the_absolute_tolerance(tmp_path):
+    # The grouped reconstruction misses the 5.8e9 value by a few last bits:
+    # above the default --tolerance 1e-9, below 1e-3.
+    rc, results = _verify_scaled(tmp_path, "1e10", "--qwc-max", "8")
+    assert (rc, results["within_tolerance"]) == (EXIT_FAIL, False)
+    assert 1e-9 < results["abs_delta"] < 1e-3
+    for flags in ([], ["--qwc-max", "8"]):
+        rc, results = _verify_scaled(tmp_path, "1e10", *flags, "--tolerance", "1e-3")
+        assert (rc, results["within_tolerance"]) == (EXIT_OK, True)
 
 
 def test_a_report_with_a_non_finite_number_is_not_written(workdir, capsys, monkeypatch):

@@ -99,10 +99,10 @@ def test_cost_per_subcircuit_mode():
     plan = find_cuts(circ)
     obs = weight_z_observable(3, 1)
     report = cost(plan, obs, circ)
-    # One cut gate; each part holds one of its ends and its own Z words
-    # (a part's restriction of another part's term is the identity word).
-    assert report.per_subcircuit == per_subcircuit_costs(plan, obs, circ)
-    assert [(g_i, eta) for _, g_i, eta in report.per_subcircuit] == [(1, 9), (1, 9)]
+    # One cut gate; each part holds its own Z words (a part's restriction
+    # of another part's term is the identity word).
+    assert report.per_subcircuit == per_subcircuit_costs(plan, obs)
+    assert [g_i for _, g_i in report.per_subcircuit] == [1, 1]
 
 
 def _heis19():
@@ -112,9 +112,9 @@ def _heis19():
 
 
 def test_cost_per_subcircuit_matches_mask_reference():
-    # Rows read off the extraction equal the plan's own masks and cut
-    # incidence: on seeded circuits with bounded and unbounded plans, on
-    # heis19 split into parts of at most 6, 8 and 10 wires.
+    # Rows read off the extraction equal the plan's own masks: on seeded
+    # circuits with bounded and unbounded plans, on heis19 split into parts
+    # of at most 6, 8 and 10 wires.
     # test_wire_cut_order_does_not_matter covers two wire cuts on one qubit.
     cases = []
     for trial in range(8):
@@ -127,13 +127,15 @@ def test_cost_per_subcircuit_matches_mask_reference():
     heis19 = _heis19()
     obs19 = random_observable(19, np.random.default_rng(78), max_weight=4, num_terms=12)
     cases += [(heis19, find_cuts(heis19, max_qubits=b), obs19) for b in (6, 8, 10)]
-    etas = set()
+    ends = set()  # each part's (gate-cut ends, wire-cut ends)
     for circ, plan, obs in cases:
-        rows = cost(plan, obs, circ).per_subcircuit
-        assert rows == per_subcircuit_costs(plan, obs, circ)
-        etas.update(eta for _, _, eta in rows)
+        assert cost(plan, obs, circ).per_subcircuit == per_subcircuit_costs(plan, obs)
+        for sub in extract_subcircuits(circ, plan, obs).subcircuits:
+            cuts = [op.cut for op in sub.ops if isinstance(op, SubOp)]
+            gate_ends = sum(c < plan.kg for c in cuts)
+            ends.add((gate_ends, len(cuts) - gate_ends))
     # parts with gate-cut ends only, wire-cut ends only, both, and none
-    assert {1, 9, 16} <= etas and any(eta % 144 == 0 for eta in etas)
+    assert {(0, 0), (1, 0), (0, 1)} <= ends and any(g and w for g, w in ends)
 
 
 def test_cost_per_subcircuit_rejects_a_circuit_the_plan_does_not_fit():
@@ -745,7 +747,7 @@ def test_wire_cut_order_does_not_matter():
         for plan in plans
     ]
     assert seen[0] == seen[1]
-    assert seen[0][3].per_subcircuit == per_subcircuit_costs(plans[0], obs, circ)
+    assert seen[0][3].per_subcircuit == per_subcircuit_costs(plans[0], obs)
     assert seen[0][0] == ((0, 0), (3, 1), (5, 0))
     assert seen[0][1] == [0, 0, 0, 1, 1, 0, 0]
     assert seen[0][4] == pytest.approx(uncut_expectation(circ, obs), abs=1e-9)

@@ -229,6 +229,18 @@ def test_reconstruct_single_wire_cut():
     assert rec.value == pytest.approx(uncut_expectation(circ, obs, factors), abs=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e10, 1e20])
+def test_reconstruct_accepts_a_hermitian_observable_of_large_scale(scale):
+    # h then rz(0.7) on each of two uncut parts: <XX> = cos(0.7)^2. The
+    # contraction leaves an imaginary residue of about 2e-17 of the value,
+    # which an absolute bound of 1e-9 refused.
+    circ = Circuit(2, (Gate("h", (0,)), Gate("h", (1,)), Gate("rz", (0,), angle=0.7),
+                       Gate("rz", (1,), angle=0.7)))
+    obs = Observable.from_labels([(scale, "XX")])
+    rec = cut_and_reconstruct(circ, find_cuts(circ), obs)
+    assert rec.value == pytest.approx(scale * np.cos(0.7) ** 2, rel=1e-14)
+
+
 def test_reconstruct_rejects_a_factor_list_of_the_wrong_length():
     circ = Circuit(2, (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rz", (1,), angle=0.9)))
     ext = extract_subcircuits(circ, CutPlan(2, (0, 0), ((0, 2, 1),), (), 2),

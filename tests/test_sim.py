@@ -113,6 +113,20 @@ def test_non_hermitian_rejected():
         expectation(zero_state(1), obs)
 
 
+# h then rz(0.7) on each of two qubits: <XX> = cos(0.7)^2
+SCALED_CIRCUIT = Circuit(2, (Gate("h", (0,)), Gate("h", (1,)), Gate("rz", (0,), angle=0.7),
+                             Gate("rz", (1,), angle=0.7)))
+
+
+@pytest.mark.parametrize("scale", [1e10, 1e20])
+def test_a_hermitian_observable_of_large_scale_is_accepted(scale):
+    # Rounding leaves an imaginary residue of about 1e-17 of the value, which
+    # an absolute bound of 1e-10 refused.
+    obs = Observable.from_labels([(scale, "XX")])
+    value = expectation(simulate(SCALED_CIRCUIT), obs)
+    assert value == pytest.approx(scale * math.cos(0.7) ** 2, rel=1e-14)
+
+
 def test_random_product_factors_normalized():
     rng = np.random.default_rng(5)
     for f in random_product_factors(4, rng):
@@ -175,7 +189,7 @@ def _random_kernel_circuit(n: int, num_gates: int, rng: np.random.Generator) -> 
     return Circuit(n, tuple(head + body + tail))
 
 
-# n = 9 and up exceed the small-state matmul path; 16 spans several blocks.
+# 16 spans several blocks.
 KERNEL_WIDTHS = [1, 2, 3, 5, 9, 10, 16]
 
 
@@ -321,6 +335,21 @@ def test_stacked_simulate_matches_each_row(n):
             assert abs(np.linalg.norm(row) - np.linalg.norm(psi)) < KERNEL_TOL
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (2, 2, 2), (0, 8)])
+def test_simulate_refuses_an_initial_array_of_another_shape(shape):
+    # 8 amplitudes in another shape, and a stack of no states
+    with pytest.raises(SimulationError, match="^initial state size does not match circuit width$"):
+        simulate(Circuit(3, (Gate("h", (0,)),)), np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(8,), (1, 8), (3, 8)])
+def test_simulate_takes_one_state_or_a_stack_of_them(shape):
+    initial, flipped = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    initial[..., 0] = flipped[..., 1] = 1.0
+    out = simulate(Circuit(3, (Gate("x", (0,)),)), initial)
+    assert out.shape == shape and np.array_equal(out, flipped)
+
+
 def test_stacked_simulate_rejects_a_kernel_that_scales_one_row(monkeypatch):
     kernel = sim._kernel_1q
 
@@ -389,7 +418,7 @@ def _block_circuit(n: int, rng: np.random.Generator) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
-# 4 and 5 take the small-state path; 16 slices along every axis of the pair view.
+# 16 slices along every axis of the pair view.
 BLOCK_WIDTHS = [4, 5, 9, 16]
 
 
