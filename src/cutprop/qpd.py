@@ -14,14 +14,19 @@ exact expectations (no shot noise), indexed by its cuts' term choices and
 the observable term, and contracts the tables with the cut coefficients in
 one einsum, so the value matches the uncut circuit to solver precision. A
 part's table comes from one breadth-first walk over a stack of branch
-states: each gate run is one ``simulate`` call on the whole stack, and each
-leaf one ``pauli_expectations`` call. A cut end stacks its branches while
+states: each gate run is one ``simulate`` call on the whole stack, or, once
+the walk takes at least 2^n rows through it in all, one unitary built from
+the identity stack and applied as one matrix product per stack. Each leaf
+is one ``pauli_expectations`` call. A cut end stacks its branches while
 the stack fits one simulator block (``sim._BLOCK`` amplitudes, 512 KiB):
-a smaller stack saves no memory that matters and only multiplies the
-``simulate`` calls. A wire cut's measured wire idles after the cut, so its
-letter never touches the stack: it joins the words at the leaf. A wire
-that no gate and no cut end of its part touches never leaves its initial
-state, so it stays out of the walk and adds one factor per word. Every
+a smaller stack saves no memory that matters and only multiplies the calls
+per gate run. Each cut end's consecutive matrices are multiplied into one
+2x2 in the term tables themselves, so a cut end applies at most a matrix,
+an mzsign and a matrix, and the channel checks run those very lists. A
+wire cut's measured wire idles after the cut, so its letter never touches
+the stack: it joins the words at the leaf. A wire that no gate and no cut
+end of its part touches never leaves its initial state, so it stays out of
+the walk and adds one factor per word. Every
 decomposition is checked against a dense channel oracle before first use,
 once per process, through the walk's own cut-end and leaf code: all seeded
 states go through each term as one stack. The uncut reference value
@@ -44,8 +49,8 @@ from .paulis import _MASKS, Observable, _from_rows, _limbs, _mask_ints, _pack_ma
 # apply_gate and apply_pauli are unused here, but the benchmark's tracer
 # wraps them in this module (perfbench/spans.py), so the imports stay.
 from .sim import apply_1q, apply_gate, apply_pauli, expectation  # noqa: F401
-from .sim import (_BLOCK, GATE_1Q, SimulationError, pauli_expectations, product_state,
-                  rz_matrix, simulate)
+from .sim import (_BLOCK, GATE_1Q, SimulationError, apply_images, pauli_expectations,
+                  product_state, rz_matrix, simulate)
 
 _S2 = 1.0 / math.sqrt(2.0)
 
@@ -117,6 +122,17 @@ def wirecut_terms() -> tuple[QpdTerm, ...]:
     )
 
 
+def _composed(instrs: tuple) -> tuple:
+    """A cut end's instructions, each run of consecutive matrices multiplied into one."""
+    out: list[tuple] = []
+    for instr in instrs:
+        if instr[0] == "u" and out and out[-1][0] == "u":
+            _, name, m = out.pop()
+            instr = _U(f"{name} {instr[1]}", instr[2] @ m)
+        out.append(instr)
+    return tuple(out)
+
+
 def _cz_terms() -> list[tuple[float, tuple, tuple, str]]:
     # CZ = (S (x) S) o Lambda with Lambda the channel of exp(i*pi/4 Z(x)Z);
     # Lambda splits into identity/ZZ parts plus four rotation-measurement
@@ -134,7 +150,10 @@ def _cz_terms() -> list[tuple[float, tuple, tuple, str]]:
 
 
 def gatecut_terms(kind: str) -> tuple[QpdTerm, ...]:
-    """Six-term local decomposition of a cut CZ or CX channel."""
+    """Six-term local decomposition of a cut CZ or CX channel.
+
+    Each end's consecutive matrices are multiplied into one (``_composed``).
+    """
     if kind == "cz":
         rows = _cz_terms()
     elif kind == "cx":
@@ -144,7 +163,8 @@ def gatecut_terms(kind: str) -> tuple[QpdTerm, ...]:
         ]
     else:
         raise QpdError(f"no quasi-probability decomposition for gate kind {kind!r}")
-    return tuple(QpdTerm(c, a, b, f"{c:+g} {label}") for c, a, b, label in rows)
+    return tuple(QpdTerm(c, _composed(a), _composed(b), f"{c:+g} {label}")
+                 for c, a, b, label in rows)
 
 
 # --- cut-end instructions ---------------------------------------------------
@@ -369,6 +389,15 @@ def _part_table(sub, cut_terms, initial_factors):
     summed by path. Returns the table and the cut of each of its leading
     axes, in op order.
 
+    A tall gate run, one that the walk takes at least 2^n rows through in
+    all (counted before the walk, from each end's instruction lists and
+    their mzsign doublings), costs less as a unitary: one ``simulate`` call
+    on the 2^n-row identity stack, on first use, and one matrix product per
+    (sub-)stack (``apply_images``). The count does not depend on
+    STACK_BYTES, so every sub-walk of a split makes the same choice and the
+    bound moves no value. A unitary larger than one simulator block (parts
+    over 7 qubits) is not built.
+
     An idle wire, one with no gate in any run and no cut end, stays in its
     initial factor phi on every branch, so it adds one factor per word,
     <phi|P|phi> of the word's letter P there. The walk runs on the other
@@ -414,18 +443,32 @@ def _part_table(sub, cut_terms, initial_factors):
     shape += [len(letters) for _, letters in measured] + [len(sub.words)]
     table = np.zeros(math.prod(shape), dtype=complex)
     leaf_xs, leaf_zs = _leaf_masks(xs, zs, measured)
+    # Each end multiplies the rows by its growth; tall runs map to their
+    # unitaries, built on first use.
+    growth = {i: sum(1 << sum(instr[0] == "mzsign" for instr in instrs) for instrs in lists)
+              for i, (_, lists) in ends.items()}
+    rows, unitaries = 1, {}
+    for i, op in enumerate(ops):
+        rows *= growth.get(i, 1)
+        if isinstance(op, Circuit) and rows >= 1 << op.n and 4**op.n <= _BLOCK:
+            unitaries[i] = None
+
+    def run(i: int, states: np.ndarray) -> np.ndarray:
+        if i not in unitaries:
+            return simulate(ops[i], states)
+        if unitaries[i] is None:
+            unitaries[i] = simulate(ops[i], np.eye(1 << ops[i].n, dtype=complex))
+        return apply_images(states, unitaries[i])
 
     def walk(start: int, stack: _Stack) -> None:
         for i in range(start, len(ops)):
             if i not in ends:  # a gate run, or a measure end, read at the leaf
                 if isinstance(ops[i], Circuit):
-                    stack = stack._replace(states=simulate(ops[i], stack.states))
+                    stack = stack._replace(states=run(i, stack.states))
                 continue
             wire, lists = ends[i]
             grown = [stack._replace(paths=stack.paths * len(lists) + k) for k in range(len(lists))]
-            rows = sum(len(stack.paths) << sum(instr[0] == "mzsign" for instr in instrs)
-                       for instrs in lists)
-            if rows * stack.states[0].nbytes > STACK_BYTES:
+            if len(stack.paths) * growth[i] * stack.states[0].nbytes > STACK_BYTES:
                 for part, instrs in zip(grown, lists):
                     walk(i + 1, _apply_endpoint(part, instrs, wire))
                 return

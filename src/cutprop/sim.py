@@ -23,10 +23,12 @@ the one gate loop, for whole circuits, for the reconstruction walk's gate
 runs and, through ``apply_gate``, for a single gate.
 The kernels, ``simulate`` and ``pauli_expectations`` also take a stack of
 states, shape (rows, 2^n), so the walk evolves all of its branches in one
-call and evaluates the same words on every row: one gather and one
-row-wise product per word, for one state or a stack alike. ``apply_1q``
-applies the walk's cut-end matrices to a copy, because the walk shares
-states between branches.
+call and evaluates the same words on every row: one gather per distinct x
+and one row-wise product per distinct word, for one state or a stack alike.
+``apply_images`` takes a stack through a circuit given as the images of
+the basis states, one matrix product, for a gate run that many branches
+share. ``apply_1q`` applies the walk's cut-end matrices to a copy, because
+the walk shares states between branches.
 """
 
 from __future__ import annotations
@@ -387,24 +389,33 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
         block.close(state, pending)
     for q, u in pending.items():
         _kernel_1q(state, np.array(u, dtype=complex), q)
+    _check_drift(state, expected_norms)
+    return state
+
+
+def _check_drift(state: np.ndarray, expected_norms: np.ndarray) -> None:
+    """Refuse a state or stack whose rows' norms moved by more than 1e-10."""
     norms = _norms(state)
     drift = np.abs(norms - expected_norms)
     if not drift.max() <= 1e-10:  # a NaN drift fails too
         row = int(drift.argmax())
         raise SimulationError(f"state norm drifted from {expected_norms[row]} to {norms[row]}")
-    return state
 
 
-def _word_values(states: np.ndarray, x: int, z: int) -> np.ndarray:
-    """<psi|P|psi> for each row psi of states and the word P = (x, z).
+def apply_images(stack: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """A stack of states, shape (rows, 2^n), taken through a circuit given by its images.
 
-    A function of its own, so that one word's index and amplitude arrays are
-    freed before the next word's are made.
+    ``images`` is ``simulate(circuit, identity)``: its row k holds the
+    circuit's image of basis state k, so the stack's image is one matrix
+    product, ``stack @ images``, under ``simulate``'s norm-drift check. A
+    one-row product would take numpy's matrix-vector path, whose sums can
+    differ in the last bits from the same row's inside a taller product, so
+    a lone row is multiplied as two.
     """
-    amps = _apply_word(states, x, z)
-    # sum psi * conj(P psi) per row, the conjugate of <psi|P|psi>
-    np.conjugate(amps, out=amps)
-    return np.matmul(states[:, None, :], amps[:, :, None]).ravel().conj()
+    rows = stack if len(stack) > 1 else np.repeat(stack, 2, axis=0)
+    out = np.matmul(rows, images)[: len(stack)]
+    _check_drift(out, _norms(stack))
+    return out
 
 
 def pauli_expectations(state: np.ndarray, xs, zs) -> np.ndarray:
@@ -412,14 +423,69 @@ def pauli_expectations(state: np.ndarray, xs, zs) -> np.ndarray:
 
     ``state`` is one state, or a stack of shape (rows, 2^n); xs and zs hold
     one mask per word, shared by every row, and the result has shape
-    (words,) or (rows, words). Each word is one gather over every row and
-    one row-wise product.
+    (words,) or (rows, words). Masks of different counts, or wider than the
+    state, are refused. Each distinct word is evaluated once, and the stack
+    is gathered once per distinct x (``_x_values``).
     """
+    if len(xs) != len(zs):
+        raise SimulationError(f"{len(xs)} x masks for {len(zs)} z masks")
     states = state.reshape(-1, state.shape[-1])
-    out = np.empty((len(states), len(xs)), dtype=complex)
-    for j, (x, z) in enumerate(zip(xs, zs)):
-        out[:, j] = _word_values(states, int(x), int(z))
-    return out.reshape(*state.shape[:-1], len(xs))
+    n = states.shape[-1].bit_length() - 1
+    distinct: dict[tuple[int, int], int] = {}  # word -> its row of values
+    inverse = []
+    for x, z in zip(xs, zs):
+        x, z = int(x), int(z)
+        if (x | z) >> n:  # a negative mask too
+            raise SimulationError(f"Pauli word masks ({x}, {z}) do not fit {n} qubits")
+        inverse.append(distinct.setdefault((x, z), len(distinct)))
+    by_x: dict[int, list[tuple[int, int]]] = {}
+    for (x, z), row in distinct.items():
+        by_x.setdefault(x, []).append((z, row))
+    values = np.empty((len(distinct), len(states)), dtype=complex)
+    for x, words in by_x.items():
+        _x_values(states, x, words, values)
+    np.conjugate(values, out=values)
+    return values.T[:, inverse].reshape(*state.shape[:-1], len(xs))
+
+
+def _x_values(states: np.ndarray, x: int, words: list[tuple[int, int]], values: np.ndarray) -> None:
+    """Fill rows of values with the conjugates of <psi|P|psi> for the words P = (x, z) of one x.
+
+    ``words`` holds each z with its row. The stack is gathered and
+    conjugated once, conj(psi[b XOR x]), and each word multiplies the
+    gather by its factor (``_conj_word``). A function of its own, so that
+    the gather is freed before the next x's is made.
+    """
+    index, _ = _index_tables(states.shape[-1])
+    gathered = states.take(index ^ x, axis=-1)
+    np.conjugate(gathered, out=gathered)
+    for z, row in words:
+        # sum psi * conj(P psi) per row, the conjugate of <psi|P|psi>
+        np.matmul(states[:, None, :], _conj_word(gathered, x, z)[:, :, None],
+                  out=values[row, :, None, None])
+
+
+def _conj_word(gathered: np.ndarray, x: int, z: int) -> np.ndarray:
+    """conj(P psi) per row for P = (x, z), given gathered = conj(psi[b XOR x]).
+
+    With m = popcount(x & z),
+    (P psi)[b] = i^m (-1)^popcount((b XOR x) & z) psi[b XOR x]
+               = (-i)^m (-1)^popcount(b & z) psi[b XOR x],
+    so conj(P psi) is the gather times one factor, i^m (-1)^popcount(b & z).
+    Every entry of that factor is +-1 or +-i, so each product is exact and
+    the sum over it is the one ``np.vdot`` forms with P|psi>.
+    """
+    if not z:
+        return gathered
+    index, sign = _index_tables(gathered.shape[-1])
+    factor = sign.take(index & z).astype(complex)
+    k = (x & z).bit_count() % 4
+    if k:
+        factor *= (1j) ** k
+    if len(gathered) > 1:
+        return gathered * factor
+    factor *= gathered[0]  # one row's product is the factor's size: form it in place
+    return factor[None]
 
 
 def expectation(state: np.ndarray, obs: Observable) -> float:

@@ -27,7 +27,7 @@ from cutprop.qpd import (
     verify_wirecut_identity,
     wirecut_terms,
 )
-from cutprop.sim import SimulationError, expectation, product_state, simulate
+from cutprop.sim import SimulationError, apply_images, expectation, product_state, simulate
 
 import oracles
 from oracles import PAULI, perfbench_inputs, random_observable, random_product_factors
@@ -567,12 +567,19 @@ def test_one_byte_bound_simulates_as_many_states_as_the_reference(monkeypatch):
     # of one path, as the depth-first walk does. The reference also branches
     # on each letter measured at a wire cut, which the stack walk reads only
     # at the leaf, so its branches count only where every measured letter is I.
+    # A tall gate run takes the branches through its unitary, which it builds
+    # once by simulating the identity stack; those rows are no branch's.
     monkeypatch.setattr(qpd, "STACK_BYTES", 1)
-    stack_rows, reference_letters = [], []
+    stack_rows, reference_letters, identities = [], [], []
 
     def counting_stack(circuit, initial, _simulate=qpd.simulate):
-        stack_rows.append(len(initial))
+        is_identity = np.array_equal(initial, np.eye(len(initial)))
+        (identities if is_identity else stack_rows).append(len(initial))
         return _simulate(circuit, initial)
+
+    def counting_images(stack, images, _apply=qpd.apply_images):
+        stack_rows.append(len(stack))
+        return _apply(stack, images)
 
     def counting_reference(circuit, initial, _simulate=oracles.simulate):
         frame = sys._getframe(1)
@@ -582,6 +589,7 @@ def test_one_byte_bound_simulates_as_many_states_as_the_reference(monkeypatch):
         return _simulate(circuit, initial)
 
     monkeypatch.setattr(qpd, "simulate", counting_stack)
+    monkeypatch.setattr(qpd, "apply_images", counting_images)
     monkeypatch.setattr(oracles, "simulate", counting_reference)
     for ext, factors in list(_walk_cases())[:3]:
         _tables(qpd._part_table, ext, factors)
@@ -589,6 +597,7 @@ def test_one_byte_bound_simulates_as_many_states_as_the_reference(monkeypatch):
     unmeasured = reference_letters.count((0, 0))
     assert sum(stack_rows) == unmeasured < len(reference_letters)
     assert len(stack_rows) < unmeasured
+    assert identities
 
 
 def _recon_extractions(workdir):
@@ -600,14 +609,15 @@ def _recon_extractions(workdir):
                                                  parse_observable(Path(obs).read_text()))
 
 
-# (simulate calls, stacked rows) of one reconstruction per plan. At the
-# default bound a stack fills one simulator block; at 64 KiB the (3,0),
-# (4,0) and (2,1) walks split more ends over the same rows.
+# (simulate calls, stacked rows) of one reconstruction per plan. A gate run
+# that the walk takes at least 2^n rows through is one unitary, built by
+# simulating the 2^n-row identity stack once, so the split of the (3,0),
+# (4,0) and (2,1) walks at 64 KiB adds matrix products, not simulate calls.
 _RECON_STACKS = {
-    None: {"recon-g2-w0": (6, 86), "recon-g3-w0": (8, 518), "recon-g4-w0": (18, 3110),
-           "recon-g1-w1": (6, 51), "recon-g2-w1": (8, 308)},
-    1 << 16: {"recon-g2-w0": (6, 86), "recon-g3-w0": (16, 518), "recon-g4-w0": (66, 3110),
-              "recon-g1-w1": (6, 51), "recon-g2-w1": (12, 308)},
+    None: {"recon-g2-w0": (6, 78), "recon-g3-w0": (8, 142), "recon-g4-w0": (10, 206),
+           "recon-g1-w1": (6, 51), "recon-g2-w1": (8, 156)},
+    1 << 16: {"recon-g2-w0": (6, 78), "recon-g3-w0": (8, 142), "recon-g4-w0": (10, 206),
+              "recon-g1-w1": (6, 51), "recon-g2-w1": (8, 156)},
 }
 
 
@@ -632,6 +642,62 @@ def test_recon_plans_stack_up_to_one_simulator_block(monkeypatch, tmp_path):
         assert got == want
     # The bound moves no value, not even in the last bit.
     assert all(len(v) == 1 for v in values.values())
+
+
+def test_a_split_walk_builds_each_tall_runs_unitary_once(monkeypatch, tmp_path):
+    # At 64 KiB the (4,0) walk splits its stack at each part's last cut end,
+    # so the gate run after it reaches several sub-stacks. It takes all of
+    # them through one unitary, built by one simulate call on the identity.
+    monkeypatch.setattr(qpd, "STACK_BYTES", 1 << 16)
+    ext = dict(_recon_extractions(tmp_path))["recon-g4-w0"]
+    factors = [PREP_STATES["0"]] * ext.plan.n
+    cut_terms = [gatecut_terms(kind) for kind in ext.gate_cut_infos]
+    calls, products = [], []
+
+    def counting(circuit, initial, _simulate=qpd.simulate):
+        calls.append((circuit, np.array_equal(initial, np.eye(len(initial)))))
+        return _simulate(circuit, initial)
+
+    def counting_images(stack, images):
+        products.append(images)
+        return apply_images(stack, images)
+
+    monkeypatch.setattr(qpd, "simulate", counting)
+    for sub in ext.subcircuits:
+        calls.clear()
+        got, axes = qpd._part_table(sub, cut_terms, factors)
+        want, want_axes = oracles.part_table(sub, cut_terms, factors)
+        assert axes == want_axes and got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+        runs = [id(circuit) for circuit, _ in calls]  # each call's circuit is still alive
+        assert len(runs) == len(set(runs))  # no gate run is simulated twice
+        built = sum(identity for _, identity in calls)
+        with monkeypatch.context() as patch:
+            patch.setattr(qpd, "apply_images", counting_images)
+            products.clear()
+            qpd._part_table(sub, cut_terms, factors)
+            distinct = len({id(images) for images in products})
+        assert 0 < built == distinct < len(products)
+
+
+def test_a_unitary_larger_than_one_block_is_not_built(monkeypatch, tmp_path):
+    # With one simulator block below 4^5 amplitudes, the 5-qubit parts' tall
+    # runs are simulated on their stacks: no identity stack, no matrix product.
+    monkeypatch.setattr(qpd, "_BLOCK", 4**5 - 1)
+    ext = dict(_recon_extractions(tmp_path))["recon-g4-w0"]
+    factors = [PREP_STATES["0"]] * ext.plan.n
+    identities = []
+
+    def counting(circuit, initial, _simulate=qpd.simulate):
+        identities.append(np.array_equal(initial, np.eye(len(initial))))
+        return _simulate(circuit, initial)
+
+    monkeypatch.setattr(qpd, "simulate", counting)
+    monkeypatch.setattr(qpd, "apply_images", None)
+    for (got, _), (want, _) in zip(_tables(qpd._part_table, ext, factors),
+                                   _tables(oracles.part_table, ext, factors)):
+        assert np.abs(got - want).max() < 1e-12
+    assert identities and not any(identities)
 
 
 # --- the light-cone oracle and idle wires -----------------------------------------

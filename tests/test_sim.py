@@ -363,6 +363,26 @@ def test_stacked_simulate_rejects_a_kernel_that_scales_one_row(monkeypatch):
         simulate(circ, _stack(3, np.random.default_rng(73)))
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_apply_images_is_the_circuit_on_every_row(n):
+    rng = np.random.default_rng((211, n))
+    circ = _random_kernel_circuit(n, 30, rng)
+    images = simulate(circ, np.eye(1 << n, dtype=complex))
+    stack = _stack(n, rng, rows=7)
+    out = sim.apply_images(stack, images)
+    for row, psi in zip(out, stack):
+        assert np.abs(row - einsum_simulate(circ, psi)).max() < KERNEL_TOL
+        # a lone row gets the bits it gets inside the taller product
+        assert np.array_equal(sim.apply_images(psi[None], images)[0], row)
+
+
+def test_apply_images_rejects_a_matrix_that_scales_the_rows():
+    images = simulate(Circuit(2, (Gate("h", (0,)), Gate("cx", (0, 1)))), np.eye(4, dtype=complex))
+    stack = _stack(2, np.random.default_rng(223), rows=3)
+    with pytest.raises(SimulationError, match="norm drifted"):
+        sim.apply_images(stack, 1.001 * images)
+
+
 @pytest.mark.parametrize("n", [2, 5])
 def test_stacked_pauli_expectations_with_shared_words(n):
     rng = np.random.default_rng((79, n))
@@ -604,41 +624,62 @@ def test_two_block_brickwork_is_one_4x4_pass_per_entangling_gate(monkeypatch):
 # --- one state's Pauli expectations ------------------------------------------
 
 
+@pytest.mark.parametrize("xs, zs", [([0, 1, 2], [1]), ([1], [0, 1]), ([4], [0]), ([0], [4]),
+                                     ([-1], [0])])
+def test_pauli_expectations_refuses_masks_that_do_not_fit(xs, zs):
+    # mask lists of different lengths, and masks wider than the 2-qubit state
+    with pytest.raises(SimulationError, match="masks"):
+        pauli_expectations(zero_state(2), xs, zs)
+
+
+def _word_sets(n, rng, count):
+    """(xs, zs) of random words, and of words that share their x: all with
+    x = 0, all on one nonzero x with Y letters among them, and one word repeated."""
+    xs = [int(x) for x in rng.integers(0, 1 << n, size=count)]
+    zs = [int(z) for z in rng.integers(0, 1 << n, size=count)]
+    x = (1 << n) - 1  # every z overlaps it: a Y letter on each of its set bits
+    return [
+        (xs, zs),
+        ([0] * count, zs),
+        ([x] * count, [z | (k & 1) for k, z in enumerate(zs)]),
+        ([xs[0]] * count, [zs[0]] * count),
+    ]
+
+
 @pytest.mark.parametrize("n", [1, 5, 10])
 def test_one_state_expectations_match_per_word_vdot_and_the_stacked_path(n):
     rng = np.random.default_rng((107, n))
     stack = _stack(n, rng, rows=3)
-    xs = [int(x) for x in rng.integers(0, 1 << n, size=12)]
-    zs = [int(z) for z in rng.integers(0, 1 << n, size=12)]
-    stacked = pauli_expectations(stack, xs, zs)
-    for psi, row in zip(stack, stacked):
-        got = pauli_expectations(psi, xs, zs)
-        words = [PauliString(n, x, z) for x, z in zip(xs, zs)]
-        # the same sums as a loop of apply_pauli and np.vdot, to the last bit
-        assert np.array_equal(got, [np.vdot(psi, apply_pauli(psi, w)) for w in words])
-        assert np.array_equal(got, row)
-        # a stack of one row takes the same path
-        one_row = pauli_expectations(psi[None], xs, zs)
-        assert one_row.shape == (1, 12) and np.array_equal(one_row[0], got)
+    for xs, zs in _word_sets(n, rng, 12):
+        stacked = pauli_expectations(stack, xs, zs)
+        for psi, row in zip(stack, stacked):
+            got = pauli_expectations(psi, xs, zs)
+            words = [PauliString(n, x, z) for x, z in zip(xs, zs)]
+            # the same sums as a loop of apply_pauli and np.vdot, to the last bit
+            assert np.array_equal(got, [np.vdot(psi, apply_pauli(psi, w)) for w in words])
+            assert np.array_equal(got, row)
+            # a stack of one row takes the same path
+            one_row = pauli_expectations(psi[None], xs, zs)
+            assert one_row.shape == (1, 12) and np.array_equal(one_row[0], got)
 
 
 def test_expectations_hold_one_word_at_a_time():
     # Each word gathers one state-sized copy, P|psi>, with two int64 index
     # arrays and one int8 sign array; keeping the copy or an index array
     # alive into the next word's would raise the peak by half a state or more.
+    # Words that share an x share one gather, which must not outlive them.
     n = 17
     rng = np.random.default_rng(109)
     psi = random_state(n, rng)
-    xs = [int(x) for x in rng.integers(0, 1 << n, size=5)]
-    zs = [int(z) for z in rng.integers(0, 1 << n, size=5)]
-    obs = Observable.from_terms(n, [(0.3, PauliString(n, x, z)) for x, z in zip(xs, zs)])
     bound = psi.nbytes + (8 + 8 + 1) * psi.size + (64 << 10)
     sim._index_tables(psi.size)  # the cached tables are not a word's
-    for run in (lambda: pauli_expectations(psi, xs, zs), lambda: expectation(psi, obs)):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+    for xs, zs in _word_sets(n, rng, 5):
+        obs = Observable.from_terms(n, [(0.3, PauliString(n, x, z)) for x, z in zip(xs, zs)])
+        for run in (lambda: pauli_expectations(psi, xs, zs), lambda: expectation(psi, obs)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
