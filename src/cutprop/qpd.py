@@ -22,7 +22,8 @@ the stack fits one simulator block (``sim._BLOCK`` amplitudes, 512 KiB):
 a smaller stack saves no memory that matters and only multiplies the calls
 per gate run. Each cut end's consecutive matrices are multiplied into one
 2x2 in the term tables themselves, so a cut end applies at most a matrix,
-an mzsign and a matrix, and the channel checks run those very lists. A
+an mzsign and a matrix, and the channel checks run those very lists,
+built once per process for each kind. A
 wire cut's measured wire idles after the cut, so its letter never touches
 the stack: it joins the words at the leaf. A wire that no gate and no cut
 end of its part touches never leaves its initial state, so it stays out of
@@ -35,6 +36,7 @@ simulates only the observable's backward light cone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -84,8 +86,14 @@ PREP_STATES: dict[str, np.ndarray] = {
 # or |s><0| at a wire cut's prep end, whose wire idles in |0> until its cut),
 # ("mzsign",) is the sign-weighted Z measurement Pi0 rho Pi0 - Pi1 rho Pi1,
 # and ("measure", Pauli letter) is a wire cut's measure end, read at the leaf.
-_U = lambda name, m: ("u", name, m)
 _MZ = ("mzsign",)
+
+
+def _U(name: str, m: np.ndarray) -> tuple:
+    """A matrix instruction on a read-only copy of m: the cached term tables share it."""
+    m = np.array(m, dtype=complex)
+    m.flags.writeable = False
+    return ("u", name, m)
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,9 @@ class QpdTerm:
     label: str
 
 
+@functools.cache
 def wirecut_terms() -> tuple[QpdTerm, ...]:
-    """Measure-and-prepare identity-channel decomposition (8 terms)."""
+    """Measure-and-prepare identity-channel decomposition (8 terms), built once per process."""
     spec = [
         (0.5, "I", "0"),
         (0.5, "I", "1"),
@@ -149,8 +158,9 @@ def _cz_terms() -> list[tuple[float, tuple, tuple, str]]:
     ]
 
 
+@functools.cache
 def gatecut_terms(kind: str) -> tuple[QpdTerm, ...]:
-    """Six-term local decomposition of a cut CZ or CX channel.
+    """Six-term local decomposition of a cut CZ or CX channel, built once per process.
 
     Each end's consecutive matrices are multiplied into one (``_composed``).
     """
@@ -369,7 +379,7 @@ def _onto(wires: Sequence[int], ops: Sequence, xs: Sequence[int], zs: Sequence[i
 
 # The (x, z) masks of I, X, Z and Y: a word's letter on wire w reads entry
 # (x >> w & 1) | (z >> w & 1) << 1 of their values.
-_LETTER_XS, _LETTER_ZS = (0, 1, 0, 1), (0, 0, 1, 1)
+_LETTER_XS, _LETTER_ZS = zip(*(_MASKS[p] for p in "IXZY"))
 
 
 def _part_table(sub, cut_terms, initial_factors):
@@ -589,7 +599,10 @@ def uncut_expectation(
     letters, so its factor of the initial product state drops out (each is
     still checked). When the cone holds every wire, its gates run on the
     circuit's own width, and when it holds every gate too, the circuit runs as given.
+    The simulator's width cap applies to the cone, not to the circuit.
     """
+    if obs.n != circuit.n:
+        raise SimulationError(f"observable width {obs.n} != circuit width {circuit.n}")
     if initial_factors is not None:
         if len(initial_factors) != circuit.n:
             raise SimulationError("initial state size does not match circuit width")

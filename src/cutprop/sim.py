@@ -3,7 +3,8 @@
 This is the verification oracle for the whole pipeline: every transformed
 circuit/observable pair is checked against it. Width is capped (default 20
 qubits, override with the QCUT_SIM_LIMIT environment variable) because the
-state is a dense 2^n complex vector.
+state is a dense 2^n complex vector; ``simulate`` and ``product_state``
+refuse a wider state before allocating it.
 
 Basis convention: index bit q (LSB = qubit 0) holds qubit q, so amplitudes
 are ordered |...q2 q1 q0>.
@@ -58,6 +59,12 @@ def sim_limit() -> int:
         raise SimulationError(f"QCUT_SIM_LIMIT must be an integer, got {value!r}") from None
 
 
+def _check_width(n: int) -> None:
+    """Refuse a state of n qubits above the cap, before it is allocated."""
+    if n > sim_limit():
+        raise SimulationError(f"{n} qubits exceeds the simulator cap {sim_limit()}")
+
+
 _S2 = 1.0 / math.sqrt(2.0)
 GATE_1Q = {
     "h": np.array([[_S2, _S2], [_S2, -_S2]], dtype=complex),
@@ -94,6 +101,7 @@ def _check_norm(norm: float) -> None:
 
 def product_state(factors: list[np.ndarray]) -> np.ndarray:
     """Tensor product of single-qubit states; factors[q] belongs to qubit q."""
+    _check_width(len(factors))
     state = np.array([1.0 + 0j])
     for f in factors:
         f = np.asarray(f, dtype=complex)
@@ -332,12 +340,7 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     refused. The gates are unitary, so each row must keep its input's norm,
     which is below 1 for a projected branch of the reconstruction walk.
     """
-    limit = sim_limit()
-    if circuit.n > limit:
-        raise SimulationError(
-            f"{circuit.n} qubits exceeds the simulator cap {limit} "
-            "(set QCUT_SIM_LIMIT to raise it)"
-        )
+    _check_width(circuit.n)
     size = 1 << circuit.n
     if initial is None:
         state = zero_state(circuit.n)

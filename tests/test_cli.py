@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutprop import backprop, qpd
+from cutprop import backprop, cli, qpd
 from cutprop.circuits import Circuit, Gate, emit_qasm, lower_rotations
 from cutprop.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from cutprop.generators import (
@@ -770,6 +770,69 @@ def test_oversized_qpd_plan_is_refused_before_simulating(workdir, capsys, monkey
     assert "combinations" in err and err.count("\n") == 1
 
 
+def _chain_24(tmp):
+    """A 24-qubit circuit, h on every qubit, a cx chain and rz on qubit 0, and
+    the observables Z on qubit 0 (a cone of 2 qubits), 0.5 X + 0.5 Y there,
+    and Z on qubit 23 (a cone of all 24)."""
+    gates = [Gate("h", (q,)) for q in range(24)]
+    gates += [Gate("cx", (q, q + 1)) for q in range(23)] + [Gate("rz", (0,), angle=0.3)]
+    circ = tmp / "chain24.qasm"
+    circ.write_text(emit_qasm(Circuit(24, tuple(gates))))
+    observables = {}
+    for name, text in (("z0", "1 Z" + "I" * 23), ("xy0", f"0.5 X{'I' * 23}\n0.5 Y{'I' * 23}"),
+                       ("z23", "1 " + "I" * 23 + "Z")):
+        observables[name] = tmp / f"{name}.txt"
+        observables[name].write_text(text + "\n")
+    return str(circ), {name: str(path) for name, path in observables.items()}
+
+
+def test_a_width_bounded_plan_of_a_circuit_over_the_cap_verifies(tmp_path, capsys, monkeypatch):
+    # The cap applies to what is simulated: the light cone and each part's
+    # walked wires, not the 24-qubit circuit.
+    monkeypatch.delenv("QCUT_SIM_LIMIT", raising=False)
+    circ, observables = _chain_24(tmp_path)
+    plan_path, out = tmp_path / "plan.json", tmp_path / "v.json"
+    argv = ["cut", circ, observables["z0"], "--max-qubits", "12", "--plan-out", str(plan_path)]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    plan = read_json(plan_path)
+    assert read_json(out)["results"]["cost"]["gate_cuts"] == 1
+    assert sorted(plan["labels"].count(label) for label in set(plan["labels"])) == [12, 12]
+    for name in ("z0", "xy0"):
+        assert main(["verify", circ, observables[name], "--plan", str(plan_path),
+                     "--out", str(out)]) == EXIT_OK
+        results = read_json(out)["results"]
+        assert results["within_tolerance"] is True and results["abs_delta"] <= 1e-9, name
+
+    # A cone over the cap is refused by the oracle, which runs before any search.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("searched before the oracle refused the cone")
+
+    monkeypatch.setattr(cli, "find_cuts", must_not_run)
+    monkeypatch.setattr(cli, "backpropagate", must_not_run)
+    for mode in (["--plan", str(plan_path)], [], ["--qwc-max", "2"]):
+        capsys.readouterr()
+        rc = main(["verify", circ, observables["z23"], *mode])
+        assert (rc, capsys.readouterr().err) == (
+            EXIT_INPUT, "error: 24 qubits exceeds the simulator cap 20\n"), mode
+
+
+@pytest.mark.parametrize("mode", [[], ["--qwc-max", "2"], ["--plan"]])
+@pytest.mark.parametrize("label", ["ZZ", "ZZZZZ"])
+def test_verify_refuses_an_observable_of_another_width(workdir, capsys, mode, label):
+    # The oracle runs first, so every mode refuses it with the oracle's line.
+    tmp, circ, obs, _, _ = workdir
+    if mode == ["--plan"]:
+        plan_path = tmp / "plan.json"
+        assert main(["cut", circ, obs, "--bipartition", "--plan-out", str(plan_path)]) == EXIT_OK
+        mode = ["--plan", str(plan_path)]
+    wrong = tmp / f"{label}.txt"
+    wrong.write_text(f"1.0 {label}\n")
+    capsys.readouterr()
+    rc = main(["verify", circ, str(wrong), *mode])
+    assert (rc, capsys.readouterr().err) == (
+        EXIT_INPUT, f"error: observable width {len(label)} != circuit width 3\n")
+
+
 # --- property: plan input -------------------------------------------------------
 
 _PROPERTY_CIRCUIT = Circuit(
@@ -936,3 +999,46 @@ def test_circuit_and_observable_text_property(property_files, texts):
         assert rc in (EXIT_OK, EXIT_FAIL, EXIT_INPUT)
         if rc == EXIT_OK:
             assert _all_finite(json.loads(out.read_text(), parse_constant=_reject_constant))
+
+
+# --- property: valid inputs verify ------------------------------------------------
+
+_GATE_KINDS = ("h", "s", "sdg", "x", "y", "z", "sx", "sxdg", "rz", "cx", "cz")
+
+
+@st.composite
+def _valid_circuit_and_observable(draw):
+    """A circuit of 2-9 qubits and 1-60 gates, and an observable of 1-4 terms
+    with coefficients of order one."""
+    n = draw(st.integers(2, 9))
+    gates = []
+    for _ in range(draw(st.integers(1, 60))):
+        kind = draw(st.sampled_from(_GATE_KINDS))
+        q = draw(st.integers(0, n - 1))
+        if kind in ("cx", "cz"):
+            p = draw(st.integers(0, n - 1).filter(lambda p: p != q))
+            gates.append(Gate(kind, (q, p)))
+        elif kind == "rz":
+            gates.append(Gate(kind, (q,), angle=draw(st.floats(-4, 4))))
+        else:
+            gates.append(Gate(kind, (q,)))
+    coeffs = st.tuples(st.sampled_from((-1, 1)), st.floats(0.1, 2)).map(lambda t: t[0] * t[1])
+    words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(coeffs, words), min_size=1, max_size=4))
+    obs_text = "".join(f"{c!r} {w}\n" for c, w in terms)
+    return emit_qasm(Circuit(n, tuple(gates))), obs_text, draw(st.integers(1, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_valid_circuit_and_observable())
+def test_valid_inputs_verify_within_tolerance_property(property_files, case):
+    # Valid inputs of order-one scale verify in each mode: exit 0 and within
+    # tolerance, never a failed check.
+    qasm, obs_text, k = case
+    tmp = property_files[0]
+    circ, obs, out = tmp / "valid.qasm", tmp / "valid.txt", tmp / "valid.json"
+    circ.write_text(qasm)
+    obs.write_text(obs_text)
+    for mode in ([], ["--qwc-max", str(k)], ["--qwc-max", "3", "--trunc-eps", "1e-3"]):
+        assert main(["verify", str(circ), str(obs), *mode, "--out", str(out)]) == EXIT_OK, mode
+        assert read_json(out)["results"]["within_tolerance"] is True, mode

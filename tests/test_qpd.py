@@ -80,6 +80,17 @@ def test_gatecut_unsupported_kind():
         gatecut_terms("rot")
 
 
+def test_term_tables_are_built_once_per_process_and_read_only():
+    # Reconstruction, the report and the channel checks share one table per
+    # kind, so no caller may write to its matrices.
+    for build in (wirecut_terms, lambda: gatecut_terms("cz"), lambda: gatecut_terms("cx")):
+        terms = build()
+        assert build() is terms
+        matrices = [instr[2] for t in terms for end in (t.left_op, t.right_op)
+                    for instr in end if instr[0] == "u"]
+        assert matrices and not any(m.flags.writeable for m in matrices)
+
+
 # --- stacked channel checks against the per-state reference ------------------------
 
 _CHECK_SEEDS = [11, 13, 0, 2024]
@@ -764,6 +775,52 @@ def test_cone_oracle_checks_the_factors_of_wires_outside_the_cone(factor):
     assert light_cone(circ, obs)[1] == (0,)
     with pytest.raises(SimulationError):
         uncut_expectation(circ, obs, [PREP_STATES["0"], factor])
+
+
+@pytest.mark.parametrize("label", ["IIIZ", "ZZ", "XX", "ZZII"])
+def test_cone_oracle_refuses_an_observable_of_another_width(label):
+    circ = Circuit(3, (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("h", (2,))))
+    with pytest.raises(SimulationError) as info:
+        uncut_expectation(circ, Observable.from_labels([(1.0, label)]))
+    assert str(info.value) == f"observable width {len(label)} != circuit width 3"
+
+
+def _part_over_the_cap(idle: bool):
+    """A 4-qubit circuit cut at its last cz into parts of wires 0-2 and wire 3.
+
+    Part 0 walks all three of its wires, or, with ``idle``, wires 0 and 1
+    only: no gate touches wire 2.
+    """
+    gates = [Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rz", (1,), angle=0.4)]
+    if not idle:
+        gates += [Gate("cx", (1, 2)), Gate("h", (2,))]
+    gates += [Gate("h", (3,)), Gate("cz", (1, 3))]
+    circ = Circuit(4, tuple(gates))
+    plan = CutPlan.from_dict({"n": 4, "labels": [0, 0, 0, 1], "gate_cuts": [len(gates) - 1],
+                              "wire_cuts": [], "num_subcircuits": 2})
+    obs = Observable.from_labels([(0.5, "XZII"), (0.5, "IXIY")])
+    return circ, extract_subcircuits(circ, plan, obs), obs
+
+
+def test_a_part_over_the_cap_is_refused_before_its_state_is_built(monkeypatch):
+    _, ext, _ = _part_over_the_cap(idle=False)
+    monkeypatch.setenv("QCUT_SIM_LIMIT", "2")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("simulated a part over the cap")
+
+    monkeypatch.setattr(qpd, "simulate", must_not_run)
+    with pytest.raises(SimulationError) as info:
+        reconstruct(ext)
+    assert str(info.value) == "3 qubits exceeds the simulator cap 2"
+
+
+def test_the_cap_counts_a_parts_walked_wires_only(monkeypatch):
+    # Part 0 holds three wires, but its idle wire stays out of the walk.
+    circ, ext, obs = _part_over_the_cap(idle=True)
+    exact = uncut_expectation(circ, obs)
+    monkeypatch.setenv("QCUT_SIM_LIMIT", "2")
+    assert reconstruct(ext).exact_value == pytest.approx(exact, abs=1e-12)
 
 
 def test_cone_oracle_matches_the_einsum_reference():

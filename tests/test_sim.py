@@ -107,6 +107,19 @@ def test_width_limit(monkeypatch):
     simulate(Circuit(4, ()))
 
 
+def test_product_state_over_the_cap_is_refused_before_it_is_built():
+    limit = sim.sim_limit()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError) as info:
+            product_state([np.array([1.0, 0.0])] * (limit + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{limit + 1} qubits exceeds the simulator cap {limit}"
+    assert peak < 1 << 20
+
+
 def test_non_hermitian_rejected():
     obs = Observable(1, (type(Observable.from_labels([(1.0, "Z")]).terms[0])(1j, PauliString(1, 0, 1)),))
     with pytest.raises(SimulationError):
