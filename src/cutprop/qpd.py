@@ -26,12 +26,13 @@ an mzsign and a matrix, and the channel checks run those very lists,
 built once per process for each kind. A
 wire cut's measured wire idles after the cut, so its letter never touches
 the stack: it joins the words at the leaf. A wire that no gate and no cut
-end of its part touches never leaves its initial state, so it stays out of
-the walk and adds one factor per word. Every
+end of its part touches stays in |0>, so it stays out of the walk, and
+a word with X or Y there is worth 0. Every
 decomposition is checked against a dense channel oracle before first use,
 once per process, through the walk's own cut-end and leaf code: all seeded
-states go through each term as one stack. The uncut reference value
-simulates only the observable's backward light cone.
+states go through each term as one stack. The circuit starts in |0...0>,
+and the uncut reference value simulates only the observable's backward
+light cone from there.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ from .circuits import Circuit, Gate
 from .cutting import CutPlan, Extraction, _move_bits, extract_subcircuits
 from .paulis import _MASKS, Observable, _from_rows, _limbs, _mask_ints, _pack_masks, canonicalize
 
-# apply_gate and apply_pauli are unused here, but the benchmark's tracer
-# wraps them in this module (perfbench/spans.py), so the imports stay.
-from .sim import apply_1q, apply_gate, apply_pauli, expectation  # noqa: F401
-from .sim import (_BLOCK, GATE_1Q, SimulationError, apply_images, pauli_expectations,
-                  product_state, rz_matrix, simulate)
+# apply_gate, apply_pauli and product_state are unused here, but the
+# benchmark's tracer wraps them in this module, so the imports stay: traced
+# by perfbench/spans.py (ROADMAP item 7).
+from .sim import apply_1q, apply_gate, apply_pauli, expectation, product_state  # noqa: F401
+from .sim import (_BLOCK, GATE_1Q, SimulationError, _check_width, apply_images,
+                  pauli_expectations, rz_matrix, simulate, zero_state)
 
 _S2 = 1.0 / math.sqrt(2.0)
 
@@ -335,17 +337,13 @@ def verify_gatecut_channel(kind: str, num_states: int = 100, seed: int = 13,
     return _worst(f"{kind} gate-cut channel", _gatecut_distances(kind, states), tol)
 
 
-_verified: set[str] = set()
-
-
+@functools.cache
 def _ensure_verified(kind: str) -> None:
-    if kind in _verified:
-        return
+    """Check one cut kind's decomposition, once per process (a failed check is not cached)."""
     if kind == "wire":
         verify_wirecut_identity(num_states=20)
     else:
         verify_gatecut_channel(kind, num_states=20)
-    _verified.add(kind)
 
 
 # --- reconstruction -------------------------------------------------------
@@ -377,12 +375,18 @@ def _onto(wires: Sequence[int], ops: Sequence, xs: Sequence[int], zs: Sequence[i
     return moved, _move_bits(xs, local.items()), _move_bits(zs, local.items())
 
 
-# The (x, z) masks of I, X, Z and Y: a word's letter on wire w reads entry
-# (x >> w & 1) | (z >> w & 1) << 1 of their values.
-_LETTER_XS, _LETTER_ZS = zip(*(_MASKS[p] for p in "IXZY"))
+def _walked_wires(sub) -> list[int]:
+    """A part's wires that a gate or a cut end touches, in order: the wires its walk simulates."""
+    busy: set[int] = set()
+    for op in sub.ops:
+        if isinstance(op, Circuit):
+            busy.update(q for g in op.gates for q in g.qubits)
+        else:
+            busy.add(op.wire)
+    return sorted(busy)
 
 
-def _part_table(sub, cut_terms, initial_factors):
+def _part_table(sub, cut_terms, walked):
     """One part's values, indexed by [incident cuts' term choices..., observable term].
 
     A breadth-first walk of the op stream: one ``simulate`` call takes the
@@ -408,29 +412,17 @@ def _part_table(sub, cut_terms, initial_factors):
     bound moves no value. A unitary larger than one simulator block (parts
     over 7 qubits) is not built.
 
-    An idle wire, one with no gate in any run and no cut end, stays in its
-    initial factor phi on every branch, so it adds one factor per word,
-    <phi|P|phi> of the word's letter P there. The walk runs on the other
-    wires only, and the word axis is multiplied by those factors.
+    An idle wire, one with no gate in any run and no cut end (not in
+    ``walked``, from ``_walked_wires``), stays in |0> on every branch, so a
+    word with X or Y (its x bit) on one is worth 0. The walk runs on the
+    walked wires only, and the word axis is multiplied by that 0/1 mask.
     """
-    factors = [initial_factors[q] if seg == 0 else PREP_STATES["0"]
-               for q, seg in sub.wire_origin]
     ops, xs, zs = sub.ops, [w.x for w in sub.words], [w.z for w in sub.words]
-    busy: set[int] = set()
-    for op in ops:
-        if isinstance(op, Circuit):
-            busy.update(q for g in op.gates for q in g.qubits)
-        else:
-            busy.add(op.wire)
-    word_factors = None
-    if len(busy) < sub.n:
-        word_factors = np.ones(len(xs), dtype=complex)
-        for w in sorted(set(range(sub.n)) - busy):
-            values = pauli_expectations(product_state([factors[w]]), _LETTER_XS, _LETTER_ZS)
-            word_factors *= values[[(x >> w & 1) | (z >> w & 1) << 1 for x, z in zip(xs, zs)]]
-        kept = sorted(busy)
-        ops, xs, zs = _onto(kept, ops, xs, zs)
-        factors = [factors[w] for w in kept]
+    word_mask = None
+    if len(walked) < sub.n:
+        idle = (1 << sub.n) - 1 - sum(1 << w for w in walked)
+        word_mask = np.array([not x & idle for x in xs], dtype=complex)
+        ops, xs, zs = _onto(walked, ops, xs, zs)
     ends: dict[int, tuple] = {}  # op index -> (wire, distinct instruction lists)
     measured: list[tuple] = []  # per measure end: (wire, distinct letters)
     letter_axes: list[int] = []  # the measure ends' places among the cut axes
@@ -488,10 +480,10 @@ def _part_table(sub, cut_terms, initial_factors):
         cells = stack.paths[:, None] * len(leaf_xs) + np.arange(len(leaf_xs))
         np.add.at(table, cells, stack.weights[:, None] * values)
 
-    walk(0, _root(product_state(factors)))
+    walk(0, _root(zero_state(len(walked))))
     table = table.reshape(shape)
-    if word_factors is not None:
-        table *= word_factors
+    if word_mask is not None:
+        table *= word_mask
     table = np.moveaxis(table, range(len(ends), len(axes)), letter_axes)
     for axis, choice in enumerate(choices):
         table = table.take(choice, axis=axis)
@@ -507,18 +499,18 @@ def _snapped(values: np.ndarray) -> np.ndarray:
 
 def reconstruct(
     extraction: Extraction,
-    initial_factors: list[np.ndarray] | None = None,
     shots: int | None = None,
     sample_seed: int = 0,
 ) -> ReconstructionResult:
-    """Recombine exact subcircuit expectations across all QPD term choices.
+    """Recombine exact subcircuit expectations across all QPD term choices, from |0...0>.
 
     A part's value depends only on the term choices of the cuts it touches,
     so the sum over the 6^kg * 8^kw combinations factorises: one
     ``np.einsum`` contracts each part's table (``_part_table``) with every
     cut's coefficient vector and the observable's term coefficients, in a
     fixed order, so reruns are bit-identical. Plans above
-    MAX_QPD_COMBINATIONS are refused before anything is simulated.
+    MAX_QPD_COMBINATIONS, and plans with a part whose walked wires pass the
+    simulator cap, are refused before anything is simulated or checked.
 
     ``shots`` switches ``value`` to a demonstration mode that replaces each
     table entry v with a binomial estimate (outcomes are +-1-valued, so v is
@@ -531,10 +523,6 @@ def reconstruct(
     plan = extraction.plan
     if shots is not None and shots < 1:
         raise QpdError("shots must be positive")
-    if initial_factors is None:
-        initial_factors = [PREP_STATES["0"]] * plan.n
-    elif len(initial_factors) != plan.n:
-        raise QpdError(f"{len(initial_factors)} initial factors for {plan.n} qubits")
     # Cut c < kg is gate cut c; cut kg + j is wire cut j.
     cut_terms = [gatecut_terms(kind) for kind in extraction.gate_cut_infos]
     cut_terms += [wirecut_terms()] * len(extraction.wire_cut_infos)
@@ -542,14 +530,20 @@ def reconstruct(
     if num_combos > MAX_QPD_COMBINATIONS:
         raise QpdError(f"plan needs {num_combos} QPD combinations (6^kg * 8^kw), "
                        f"more than the limit {MAX_QPD_COMBINATIONS}")
+    walked = [_walked_wires(sub) for sub in extraction.subcircuits]
+    for label, wires in zip(plan.parts, walked):
+        try:
+            _check_width(len(wires))
+        except SimulationError as exc:
+            raise SimulationError(f"part {label}: {exc}") from None
     for kind in set(extraction.gate_cut_infos):
         _ensure_verified(kind)
     if extraction.wire_cut_infos:
         _ensure_verified("wire")
 
     term_axis = len(cut_terms)
-    tables, axes = zip(*(_part_table(sub, cut_terms, initial_factors)
-                         for sub in extraction.subcircuits))
+    tables, axes = zip(*(_part_table(sub, cut_terms, wires)
+                         for sub, wires in zip(extraction.subcircuits, walked)))
     coefficients: list = []
     for c, terms in enumerate(cut_terms):
         coefficients += [np.array([t.coefficient for t in terms]), [c]]
@@ -579,34 +573,23 @@ def reconstruct(
     )
 
 
-def cut_and_reconstruct(
-    circuit: Circuit,
-    plan: CutPlan,
-    obs: Observable,
-    initial_factors: list[np.ndarray] | None = None,
-) -> ReconstructionResult:
+def cut_and_reconstruct(circuit: Circuit, plan: CutPlan, obs: Observable) -> ReconstructionResult:
     """extract_subcircuits + reconstruct in one call."""
-    return reconstruct(extract_subcircuits(circuit, plan, obs), initial_factors)
+    return reconstruct(extract_subcircuits(circuit, plan, obs))
 
 
-def uncut_expectation(
-    circuit: Circuit, obs: Observable, initial_factors: list[np.ndarray] | None = None
-) -> float:
-    """The dense-simulation reference value for the same inputs.
+def uncut_expectation(circuit: Circuit, obs: Observable) -> float:
+    """The dense-simulation reference value for the same inputs, from |0...0>.
 
     Only the observable's backward light cone (``backprop.light_cone``) is
     simulated, on the cone's wires. Every other wire carries only I
-    letters, so its factor of the initial product state drops out (each is
-    still checked). When the cone holds every wire, its gates run on the
-    circuit's own width, and when it holds every gate too, the circuit runs as given.
-    The simulator's width cap applies to the cone, not to the circuit.
+    letters, so it drops out. When the cone holds every wire, its gates run
+    on the circuit's own width, and when it holds every gate too, the
+    circuit runs as given. The simulator's width cap applies to the cone,
+    not to the circuit.
     """
     if obs.n != circuit.n:
         raise SimulationError(f"observable width {obs.n} != circuit width {circuit.n}")
-    if initial_factors is not None:
-        if len(initial_factors) != circuit.n:
-            raise SimulationError("initial state size does not match circuit width")
-        initial_factors = [product_state([factor]) for factor in initial_factors]
     obs = canonicalize(obs)
     cone, wires = light_cone(circuit, obs)
     if len(wires) < circuit.n:
@@ -614,7 +597,4 @@ def uncut_expectation(
         limbs = _limbs(len(wires))
         obs = _from_rows(len(wires), _pack_masks(xs, limbs), _pack_masks(zs, limbs),
                          obs.coeffs, True)
-    initial = None
-    if initial_factors is not None:
-        initial = product_state([initial_factors[q] for q in wires])
-    return expectation(simulate(cone, initial), obs)
+    return expectation(simulate(cone), obs)

@@ -3,8 +3,8 @@
 This is the verification oracle for the whole pipeline: every transformed
 circuit/observable pair is checked against it. Width is capped (default 20
 qubits, override with the QCUT_SIM_LIMIT environment variable) because the
-state is a dense 2^n complex vector; ``simulate`` and ``product_state``
-refuse a wider state before allocating it.
+state is a dense 2^n complex vector; ``simulate``, ``zero_state`` and
+``product_state`` refuse a wider state before allocating it.
 
 Basis convention: index bit q (LSB = qubit 0) holds qubit q, so amplitudes
 are ordered |...q2 q1 q0>.
@@ -89,6 +89,7 @@ def rz_matrix(theta: float) -> np.ndarray:
 
 
 def zero_state(n: int) -> np.ndarray:
+    _check_width(n)
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
     return state

@@ -42,8 +42,10 @@ one seeded state at a time (``seeded_pure_states``), each term one branch
 list through ``apply_endpoint``, a measured letter's value one ``np.vdot``
 and every trace distance one ``eigvalsh``, as the reference for the
 stacked channel checks.
-``random_observable`` and ``random_product_factors`` make seeded test inputs,
-and ``perfbench_inputs`` loads the benchmark's input generators.
+``random_observable`` and ``random_product_factors`` make seeded test inputs;
+``product_layer`` prepares those factors from |0...0> with gates, and
+``after`` puts it before a circuit and moves a plan's cuts past it.
+``perfbench_inputs`` loads the benchmark's input generators.
 """
 
 import ast
@@ -51,7 +53,7 @@ import importlib.util
 import math
 import re
 import sys
-
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 from typing import Sequence
@@ -69,6 +71,7 @@ from cutprop.circuits import (
     _clifford_quarter_turns,
 )
 from cutprop.cutting import (
+    CutPlan,
     cost,
     find_cuts,
     total_executions,
@@ -89,7 +92,7 @@ from cutprop.paulis import (
 )
 from cutprop.paulis import canonicalize as package_canonicalize
 from cutprop.qpd import PREP_STATES
-from cutprop.sim import apply_1q, apply_pauli, product_state, simulate
+from cutprop.sim import apply_1q, apply_pauli, simulate, zero_state
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -528,7 +531,7 @@ def _vdot_expectations(state, xs, zs):
     )
 
 
-def part_table(sub, cut_terms, initial_factors):
+def part_table(sub, cut_terms):
     """One part's values, indexed by [incident cuts' term choices..., observable term].
 
     A depth-first walk of the op stream evolves every branch through each
@@ -536,10 +539,8 @@ def part_table(sub, cut_terms, initial_factors):
     distinct instruction list, so every shared prefix is simulated once.
     Each leaf evaluates the part's observable words, extended by the
     letters measured on its path. Returns the table and the cut of each of
-    its leading axes, in op order.
+    its leading axes, in op order. Every wire starts in |0>.
     """
-    factors = [initial_factors[q] if seg == 0 else PREP_STATES["0"]
-               for q, seg in sub.wire_origin]
     ends: dict[int, tuple] = {}  # op index -> (wire, instructions and key per term)
     axes: list[int] = []
     for i, op in enumerate(sub.ops):
@@ -563,7 +564,7 @@ def part_table(sub, cut_terms, initial_factors):
         xs, zs = [w.x | letters[0] for w in sub.words], [w.z | letters[1] for w in sub.words]
         return sum(w * _vdot_expectations(s, xs, zs) for w, s in branches)
 
-    return walk(0, [(1.0 + 0j, product_state(factors))], (0, 0)), axes
+    return walk(0, [(1.0 + 0j, zero_state(sub.n))], (0, 0)), axes
 
 
 def seeded_pure_states(num_states: int, dim: int, seed: int) -> list[np.ndarray]:
@@ -621,6 +622,38 @@ def random_product_factors(n: int, rng: np.random.Generator) -> list[np.ndarray]
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         factors.append(v / np.linalg.norm(v))
     return factors
+
+
+def product_layer(n: int, rng: np.random.Generator, qubits: Sequence[int] | None = None) -> Circuit:
+    """h, rz(theta), h, rz(phi) on each of ``qubits`` (every qubit by default).
+
+    From |0>, a qubit's four gates prepare (cos(theta/2), e^{i(phi - pi/2)}
+    sin(theta/2)): the factor ``random_product_factors(n, rng)`` draws for
+    it, up to a global phase. The layer draws just what that draws, so a
+    test's later draws do not move. A qubit left out stays in |0>.
+    """
+    gates: list[Gate] = []
+    for q, (a, b) in enumerate(random_product_factors(n, rng)):
+        if qubits is None or q in qubits:
+            theta = 2 * math.atan2(abs(b), abs(a))
+            phi = float(np.angle(b) - np.angle(a)) + math.pi / 2
+            gates += [Gate("h", (q,)), Gate("rz", (q,), angle=theta), Gate("h", (q,)),
+                      Gate("rz", (q,), angle=phi)]
+    return Circuit(n, tuple(gates))
+
+
+def after(layer: Circuit, circuit: Circuit, plan: CutPlan | None = None):
+    """``layer`` then ``circuit``, and ``plan`` with its cuts moved past the layer.
+
+    Every gate-cut index and wire-cut position grows by the layer's gate
+    count, so the plan cuts the same gates and wires. Returns the circuit
+    and the plan (None when none is given).
+    """
+    shift = len(layer.gates)
+    if plan is not None:
+        plan = replace(plan, gate_cuts=tuple(t + shift for t in plan.gate_cuts),
+                       wire_cuts=tuple((q, pos + shift, label) for q, pos, label in plan.wire_cuts))
+    return Circuit(circuit.n, layer.gates + circuit.gates), plan
 
 
 def random_observable(

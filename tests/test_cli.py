@@ -803,10 +803,19 @@ def test_a_width_bounded_plan_of_a_circuit_over_the_cap_verifies(tmp_path, capsy
         results = read_json(out)["results"]
         assert results["within_tolerance"] is True and results["abs_delta"] <= 1e-9, name
 
-    # A cone over the cap is refused by the oracle, which runs before any search.
     def must_not_run(*args, **kwargs):
-        raise AssertionError("searched before the oracle refused the cone")
+        raise AssertionError("ran past the width check")
 
+    # Plain verify searches without a width bound and puts 21 qubits in part
+    # 0: refused by name, before any channel check or walk.
+    with monkeypatch.context() as patch:
+        patch.setattr(qpd, "_ensure_verified", must_not_run)
+        patch.setattr(qpd, "_part_table", must_not_run)
+        capsys.readouterr()
+        assert main(["verify", circ, observables["z0"]]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: part 0: 21 qubits exceeds the simulator cap 20\n"
+
+    # A cone over the cap is refused by the oracle, which runs before any search.
     monkeypatch.setattr(cli, "find_cuts", must_not_run)
     monkeypatch.setattr(cli, "backpropagate", must_not_run)
     for mode in (["--plan", str(plan_path)], [], ["--qwc-max", "2"]):

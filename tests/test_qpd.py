@@ -15,7 +15,7 @@ from cutprop.generators import (
     random_circuit,
     weight_z_observable,
 )
-from cutprop.paulis import Observable, PauliString, canonicalize, parse_observable
+from cutprop.paulis import Observable, canonicalize, parse_observable
 from cutprop.qpd import (
     PREP_STATES,
     QpdError,
@@ -27,10 +27,10 @@ from cutprop.qpd import (
     verify_wirecut_identity,
     wirecut_terms,
 )
-from cutprop.sim import SimulationError, apply_images, expectation, product_state, simulate
+from cutprop.sim import SimulationError, apply_images, expectation, simulate, zero_state
 
 import oracles
-from oracles import PAULI, perfbench_inputs, random_observable, random_product_factors
+from oracles import PAULI, after, perfbench_inputs, product_layer, random_observable
 
 
 # --- decomposition tables -------------------------------------------------------
@@ -193,7 +193,7 @@ def test_each_kind_is_checked_once_per_process(monkeypatch, tmp_path):
         checked.append(kind)
         return gate(kind, *args, **kwargs)
 
-    monkeypatch.setattr(qpd, "_verified", set())
+    qpd._ensure_verified.cache_clear()
     monkeypatch.setattr(qpd, "verify_wirecut_identity", count_wire)
     monkeypatch.setattr(qpd, "verify_gatecut_channel", count_gate)
     warm = perfbench_inputs().warmup_command(tmp_path)  # a cz, a cx and a wire cut
@@ -223,10 +223,10 @@ def test_reconstruct_single_cz_gate_cut():
     circ = Circuit(2, (Gate("h", (0,)), Gate("h", (1,)), Gate("cz", (0, 1)), Gate("rz", (0,), angle=0.4)))
     plan = CutPlan(2, (0, 1), (), (2,), 2)
     obs = Observable.from_labels([(1.0, "ZZ")])
-    factors = random_product_factors(2, rng)
-    rec = cut_and_reconstruct(circ, plan, obs, factors)
+    circ, plan = after(product_layer(2, rng), circ, plan)
+    rec = cut_and_reconstruct(circ, plan, obs)
     assert rec.num_combinations == 6
-    assert rec.value == pytest.approx(uncut_expectation(circ, obs, factors), abs=1e-10)
+    assert rec.value == pytest.approx(uncut_expectation(circ, obs), abs=1e-10)
 
 
 def test_reconstruct_single_wire_cut():
@@ -234,10 +234,10 @@ def test_reconstruct_single_wire_cut():
     circ = Circuit(2, (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rz", (1,), angle=0.9), Gate("h", (0,))))
     plan = CutPlan(2, (0, 0), ((0, 2, 1),), (), 2)
     obs = Observable.from_labels([(0.7, "XZ"), (0.3, "ZI")])
-    factors = random_product_factors(2, rng)
-    rec = cut_and_reconstruct(circ, plan, obs, factors)
+    circ, plan = after(product_layer(2, rng), circ, plan)
+    rec = cut_and_reconstruct(circ, plan, obs)
     assert rec.num_combinations == 8
-    assert rec.value == pytest.approx(uncut_expectation(circ, obs, factors), abs=1e-10)
+    assert rec.value == pytest.approx(uncut_expectation(circ, obs), abs=1e-10)
 
 
 @pytest.mark.parametrize("scale", [1e10, 1e20])
@@ -250,16 +250,6 @@ def test_reconstruct_accepts_a_hermitian_observable_of_large_scale(scale):
     obs = Observable.from_labels([(scale, "XX")])
     rec = cut_and_reconstruct(circ, find_cuts(circ), obs)
     assert rec.value == pytest.approx(scale * np.cos(0.7) ** 2, rel=1e-14)
-
-
-def test_reconstruct_rejects_a_factor_list_of_the_wrong_length():
-    circ = Circuit(2, (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rz", (1,), angle=0.9)))
-    ext = extract_subcircuits(circ, CutPlan(2, (0, 0), ((0, 2, 1),), (), 2),
-                              weight_z_observable(2, 1))
-    factors = random_product_factors(3, np.random.default_rng(5))
-    for wrong in (factors[:1], factors):
-        with pytest.raises(QpdError, match=f"{len(wrong)} initial factors for 2 qubits"):
-            reconstruct(ext, wrong)
 
 
 def test_reconstruct_combination_count_is_literal():
@@ -288,9 +278,9 @@ def test_reconstruct_matches_oracle_on_random_instances():
         circ = lower_rotations(random_circuit(n, int(rng.integers(6, 18)), rng, p_two_qubit=0.3))
         plan = find_cuts(circ)
         obs = random_observable(n, rng, max_weight=3)
-        factors = random_product_factors(n, rng)
-        rec = cut_and_reconstruct(circ, plan, obs, factors)
-        worst = max(worst, abs(rec.value - uncut_expectation(circ, obs, factors)))
+        circ, plan = after(product_layer(n, rng), circ, plan)
+        rec = cut_and_reconstruct(circ, plan, obs)
+        worst = max(worst, abs(rec.value - uncut_expectation(circ, obs)))
     assert worst < 1e-9
 
 
@@ -311,16 +301,14 @@ def test_backprop_then_cut_then_reconstruct_pipeline():
         n = int(rng.integers(4, 7))
         circ = lower_rotations(random_circuit(n, 18, rng, p_two_qubit=0.3))
         obs = random_observable(n, rng, max_weight=2)
-        factors = random_product_factors(n, rng)
+        layer = product_layer(n, rng)
         bp = backpropagate(circ, obs, max_qwc_groups=4)
-        exact = uncut_expectation(circ, obs, factors)
+        exact = uncut_expectation(after(layer, circ)[0], obs)
         if bp.fully_absorbed:
-            from cutprop.sim import expectation, product_state
-
-            value = expectation(product_state(factors), bp.evolved_obs)
+            value = uncut_expectation(layer, bp.evolved_obs)
         else:
-            plan = find_cuts(bp.reduced_circuit)
-            value = cut_and_reconstruct(bp.reduced_circuit, plan, bp.evolved_obs, factors).value
+            reduced, plan = after(layer, bp.reduced_circuit, find_cuts(bp.reduced_circuit))
+            value = cut_and_reconstruct(reduced, plan, bp.evolved_obs).value
         worst = max(worst, abs(value - exact))
     assert worst < 1e-9
 
@@ -398,12 +386,11 @@ def test_reconstruct_multiway_plan():
     circ = Circuit(6, gates)
     plan = find_cuts(circ, max_qubits=2)
     assert plan.num_subcircuits >= 3
-    rng = np.random.default_rng(5)
-    factors = random_product_factors(6, rng)
+    circ, plan = after(product_layer(6, np.random.default_rng(5)), circ, plan)
     obs = weight_z_observable(6, 1)
-    rec = cut_and_reconstruct(circ, plan, obs, factors)
+    rec = cut_and_reconstruct(circ, plan, obs)
     assert rec.num_combinations == 6**plan.kg * 8**plan.kw
-    assert rec.value == pytest.approx(uncut_expectation(circ, obs, factors), abs=1e-9)
+    assert rec.value == pytest.approx(uncut_expectation(circ, obs), abs=1e-9)
 
 
 def test_reconstruct_part_with_every_cut_end():
@@ -416,17 +403,16 @@ def test_reconstruct_part_with_every_cut_end():
         Gate("cx", (3, 0)), Gate("cx", (0, 2)), Gate("rz", (2,), angle=0.7),
         Gate("sx", (1,)), Gate("cz", (1, 3)),
     )
-    circ = Circuit(4, gates)
     plan = CutPlan(4, (0, 0, 1, 1), ((1, 6, 1), (2, 8, 0)), (4, 7), 2)
+    circ, plan = after(product_layer(4, np.random.default_rng(7)), Circuit(4, gates), plan)
     obs = Observable.from_labels([(0.4, "ZXYZ"), (0.3, "XIZY"), (0.5, "IZXX"), (0.2, "ZZZZ")])
     ext = extract_subcircuits(circ, plan, obs)
     ends = [[(op.cut, op.side) for op in sub.ops if not isinstance(op, Circuit)]
             for sub in ext.subcircuits]
     assert ends == [[(0, 0), (2, 0), (1, 1), (3, 1)], [(0, 1), (2, 1), (1, 0), (3, 0)]]
-    factors = random_product_factors(4, np.random.default_rng(7))
-    rec = reconstruct(ext, factors)
+    rec = reconstruct(ext)
     assert rec.num_combinations == 6**2 * 8**2
-    assert rec.value == pytest.approx(uncut_expectation(circ, obs, factors), abs=1e-10)
+    assert rec.value == pytest.approx(uncut_expectation(circ, obs), abs=1e-10)
 
 
 # --- the stack walk against the depth-first reference -----------------------------
@@ -443,7 +429,8 @@ def _with_rotations(circ: Circuit, rng: np.random.Generator) -> Circuit:
 
 
 def _walk_cases():
-    """Seeded (extraction, initial factors) pairs covering every cut-end kind."""
+    """Seeded extractions covering every cut-end kind, each circuit after a
+    ``product_layer`` but one (every idle wire stays in |0>)."""
     rng = np.random.default_rng(131)
     # Gate-cut ends of cz and cx in both roles and both wire-cut ends, in
     # both parts, with a 2-qubit rotation in a run of each part.
@@ -456,14 +443,16 @@ def _walk_cases():
     )
     obs = Observable.from_labels([(0.4, "ZXYZ"), (0.3, "XIZY"), (0.5, "IZXX"), (0.2, "ZZZZ")])
     plan = CutPlan(4, (0, 0, 1, 1), ((1, 6, 1), (2, 8, 0)), (4, 7), 2)
-    yield extract_subcircuits(Circuit(4, gates), plan, obs), random_product_factors(4, rng)
+    circ, plan = after(product_layer(4, rng), Circuit(4, gates), plan)
+    yield extract_subcircuits(circ, plan, obs)
     # Three parts, one without a cut end: qubits 3 and 4 never meet 0-2.
     gates = (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("cz", (1, 2)), Gate("h", (3,)),
              Gate("rot", (3, 4), angle=0.8, axis="XZ"), Gate("cx", (2, 0)), Gate("sx", (4,)))
     circ, plan = Circuit(5, gates), CutPlan(5, (0, 0, 1, 2, 2), (), (2, 5), 3)
     validate_plan(circ, plan)
     obs = random_observable(5, rng, max_weight=3)
-    yield extract_subcircuits(circ, plan, obs), random_product_factors(5, rng)
+    circ, plan = after(product_layer(5, rng), circ, plan)
+    yield extract_subcircuits(circ, plan, obs)
     # Searched plans of seeded circuits, with rotations inside the runs.
     for trial in range(5):
         n = int(rng.integers(4, 7))
@@ -474,8 +463,9 @@ def _walk_cases():
         if 6**plan.kg * 8**plan.kw > 6**3 * 8:
             continue
         obs = random_observable(n, rng, max_weight=3)
-        factors = [PREP_STATES["0"]] * n if trial == 0 else random_product_factors(n, rng)
-        yield extract_subcircuits(circ, plan, obs), factors
+        if trial:
+            circ, plan = after(product_layer(n, rng), circ, plan)
+        yield extract_subcircuits(circ, plan, obs)
     # Seeded bipartitions with one wire cut each.
     made = 0
     while made < 4:
@@ -488,8 +478,9 @@ def _walk_cases():
         if plan.num_subcircuits != 2 or 6**plan.kg * 8**plan.kw > 6**3 * 8:
             continue
         made += 1
-        yield (extract_subcircuits(circ, plan, random_observable(n, rng, max_weight=3)),
-               random_product_factors(n, rng))
+        obs = random_observable(n, rng, max_weight=3)
+        circ, plan = after(product_layer(n, rng), circ, plan)
+        yield extract_subcircuits(circ, plan, obs)
     # Seeded bipartitions, with a gate cut and a wire cut, whose parts each
     # hold idle wires (no gate, no cut end) that carry X, Y and Z letters.
     made = 0
@@ -512,19 +503,24 @@ def _walk_cases():
         on_idle = dict(zip(idle, "XYZ"))
         terms.append((0.5, "".join(on_idle.get(w, "I") for w in range(n))))
         made += 1
-        yield (extract_subcircuits(circ, plan, Observable.from_labels(terms)),
-               random_product_factors(n, rng))
+        circ, plan = after(product_layer(n, rng, active), circ, plan)
+        yield extract_subcircuits(circ, plan, Observable.from_labels(terms))
 
 
-def _tables(part_table, ext, factors):
+def _walk(sub, cut_terms):
+    """The package's part table, walked on the part's walked wires."""
+    return qpd._part_table(sub, cut_terms, qpd._walked_wires(sub))
+
+
+def _tables(part_table, ext):
     cut_terms = [gatecut_terms(kind) for kind in ext.gate_cut_infos]
     cut_terms += [wirecut_terms()] * len(ext.wire_cut_infos)
-    return [part_table(sub, cut_terms, factors) for sub in ext.subcircuits]
+    return [part_table(sub, cut_terms) for sub in ext.subcircuits]
 
 
 def test_walk_cases_cover_every_cut_end():
     seen = set()
-    for ext, _ in _walk_cases():
+    for ext in _walk_cases():
         for sub in ext.subcircuits:
             ends = [op for op in sub.ops if not isinstance(op, Circuit)]
             if not ends:
@@ -554,8 +550,7 @@ def test_walk_cases_cover_every_cut_end():
 
 @pytest.fixture(scope="module")
 def reference_tables():
-    return [(ext, factors, _tables(oracles.part_table, ext, factors))
-            for ext, factors in _walk_cases()]
+    return [(ext, _tables(oracles.part_table, ext)) for ext in _walk_cases()]
 
 
 # None keeps the default bound (one simulator block), which few of these
@@ -565,9 +560,8 @@ def reference_tables():
 def test_part_tables_match_depth_first_reference(monkeypatch, reference_tables, stack_bytes):
     if stack_bytes is not None:
         monkeypatch.setattr(qpd, "STACK_BYTES", stack_bytes)
-    for ext, factors, reference in reference_tables:
-        for (got, axes), (want, want_axes) in zip(_tables(qpd._part_table, ext, factors),
-                                                  reference):
+    for ext, reference in reference_tables:
+        for (got, axes), (want, want_axes) in zip(_tables(_walk, ext), reference):
             assert axes == want_axes
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-13
@@ -602,9 +596,9 @@ def test_one_byte_bound_simulates_as_many_states_as_the_reference(monkeypatch):
     monkeypatch.setattr(qpd, "simulate", counting_stack)
     monkeypatch.setattr(qpd, "apply_images", counting_images)
     monkeypatch.setattr(oracles, "simulate", counting_reference)
-    for ext, factors in list(_walk_cases())[:3]:
-        _tables(qpd._part_table, ext, factors)
-        _tables(oracles.part_table, ext, factors)
+    for ext in list(_walk_cases())[:3]:
+        _tables(_walk, ext)
+        _tables(oracles.part_table, ext)
     unmeasured = reference_letters.count((0, 0))
     assert sum(stack_rows) == unmeasured < len(reference_letters)
     assert len(stack_rows) < unmeasured
@@ -661,7 +655,6 @@ def test_a_split_walk_builds_each_tall_runs_unitary_once(monkeypatch, tmp_path):
     # them through one unitary, built by one simulate call on the identity.
     monkeypatch.setattr(qpd, "STACK_BYTES", 1 << 16)
     ext = dict(_recon_extractions(tmp_path))["recon-g4-w0"]
-    factors = [PREP_STATES["0"]] * ext.plan.n
     cut_terms = [gatecut_terms(kind) for kind in ext.gate_cut_infos]
     calls, products = [], []
 
@@ -676,8 +669,8 @@ def test_a_split_walk_builds_each_tall_runs_unitary_once(monkeypatch, tmp_path):
     monkeypatch.setattr(qpd, "simulate", counting)
     for sub in ext.subcircuits:
         calls.clear()
-        got, axes = qpd._part_table(sub, cut_terms, factors)
-        want, want_axes = oracles.part_table(sub, cut_terms, factors)
+        got, axes = _walk(sub, cut_terms)
+        want, want_axes = oracles.part_table(sub, cut_terms)
         assert axes == want_axes and got.shape == want.shape
         assert np.abs(got - want).max() < 1e-12
         runs = [id(circuit) for circuit, _ in calls]  # each call's circuit is still alive
@@ -686,7 +679,7 @@ def test_a_split_walk_builds_each_tall_runs_unitary_once(monkeypatch, tmp_path):
         with monkeypatch.context() as patch:
             patch.setattr(qpd, "apply_images", counting_images)
             products.clear()
-            qpd._part_table(sub, cut_terms, factors)
+            _walk(sub, cut_terms)
             distinct = len({id(images) for images in products})
         assert 0 < built == distinct < len(products)
 
@@ -696,7 +689,6 @@ def test_a_unitary_larger_than_one_block_is_not_built(monkeypatch, tmp_path):
     # runs are simulated on their stacks: no identity stack, no matrix product.
     monkeypatch.setattr(qpd, "_BLOCK", 4**5 - 1)
     ext = dict(_recon_extractions(tmp_path))["recon-g4-w0"]
-    factors = [PREP_STATES["0"]] * ext.plan.n
     identities = []
 
     def counting(circuit, initial, _simulate=qpd.simulate):
@@ -705,8 +697,7 @@ def test_a_unitary_larger_than_one_block_is_not_built(monkeypatch, tmp_path):
 
     monkeypatch.setattr(qpd, "simulate", counting)
     monkeypatch.setattr(qpd, "apply_images", None)
-    for (got, _), (want, _) in zip(_tables(qpd._part_table, ext, factors),
-                                   _tables(oracles.part_table, ext, factors)):
+    for (got, _), (want, _) in zip(_tables(_walk, ext), _tables(oracles.part_table, ext)):
         assert np.abs(got - want).max() < 1e-12
     assert identities and not any(identities)
 
@@ -714,10 +705,9 @@ def test_a_unitary_larger_than_one_block_is_not_built(monkeypatch, tmp_path):
 # --- the light-cone oracle and idle wires -----------------------------------------
 
 
-def _dense(circ, obs, factors=None):
+def _dense(circ, obs):
     """The unpruned dense value: every gate, on every wire."""
-    initial = None if factors is None else product_state(factors)
-    return expectation(simulate(circ, initial), canonicalize(obs))
+    return expectation(simulate(circ), canonicalize(obs))
 
 
 def test_cone_oracle_matches_the_whole_circuit_on_every_suite():
@@ -727,8 +717,8 @@ def test_cone_oracle_matches_the_whole_circuit_on_every_suite():
 
 
 def _cone_cases():
-    """Seeded circuits with 1- and 2-qubit rotations, low-weight observables
-    and random product initial factors."""
+    """Seeded circuits with 1- and 2-qubit rotations, each after a
+    ``product_layer``, and low-weight observables."""
     rng = np.random.default_rng(139)
     for _ in range(24):
         n = int(rng.integers(2, 10))
@@ -736,45 +726,35 @@ def _cone_cases():
         a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
         rot = Gate("rot", (a, b), angle=float(rng.uniform(-3, 3)), axis="XY")
         circ = Circuit(n, circ.gates + (rot,))
-        yield circ, random_observable(n, rng, max_weight=2, num_terms=3), random_product_factors(n, rng)
+        obs = random_observable(n, rng, max_weight=2, num_terms=3)
+        yield after(product_layer(n, rng), circ)[0], obs
 
 
 def test_cone_oracle_matches_the_whole_circuit_on_seeded_circuits():
     pruned = 0
-    for circ, obs, factors in _cone_cases():
-        got = uncut_expectation(circ, obs, factors)
-        assert abs(got - _dense(circ, obs, factors)) < 1e-12
+    for circ, obs in _cone_cases():
+        assert abs(uncut_expectation(circ, obs) - _dense(circ, obs)) < 1e-12
         pruned += len(light_cone(circ, obs)[1]) < circ.n
     assert pruned >= 8
 
 
 def test_cone_oracle_of_an_identity_observable():
     # The cone of an all-I observable holds no wire: its value is the
-    # identity's coefficient, whatever the circuit and the initial state.
-    circ, _, factors = next(_cone_cases())
+    # identity's coefficient, whatever the circuit.
+    circ, _ = next(_cone_cases())
     obs = Observable.from_labels([(0.7, "I" * circ.n)])
     assert light_cone(circ, obs) == (Circuit(circ.n), ())
-    assert uncut_expectation(circ, obs, factors) == pytest.approx(0.7, abs=1e-15)
-    assert abs(uncut_expectation(circ, obs, factors) - _dense(circ, obs, factors)) < 1e-12
+    assert uncut_expectation(circ, obs) == pytest.approx(0.7, abs=1e-15)
+    assert abs(uncut_expectation(circ, obs) - _dense(circ, obs)) < 1e-12
 
 
 def test_cone_oracle_of_every_wire_runs_the_circuit_as_given():
     # A cone that holds every gate and wire simulates the circuit itself:
     # the value is the unpruned one, bit for bit.
-    for circ, _, factors in _cone_cases():
+    for circ, _ in _cone_cases():
         obs = Observable.from_labels([(0.5, "Z" * circ.n), (0.25, "X" * circ.n)])
         assert light_cone(circ, obs)[0] is circ
-        assert uncut_expectation(circ, obs, factors) == _dense(circ, obs, factors)
-
-
-@pytest.mark.parametrize("factor", [np.ones(3), np.zeros(2), np.array([np.nan, 1.0])])
-def test_cone_oracle_checks_the_factors_of_wires_outside_the_cone(factor):
-    # Z on qubit 0 after h on each qubit: the cone holds wire 0 only.
-    circ = Circuit(2, (Gate("h", (0,)), Gate("h", (1,))))
-    obs = Observable.from_terms(2, [(1.0, PauliString(2, 0, 1))])
-    assert light_cone(circ, obs)[1] == (0,)
-    with pytest.raises(SimulationError):
-        uncut_expectation(circ, obs, [PREP_STATES["0"], factor])
+        assert uncut_expectation(circ, obs) == _dense(circ, obs)
 
 
 @pytest.mark.parametrize("label", ["IIIZ", "ZZ", "XX", "ZZII"])
@@ -785,34 +765,42 @@ def test_cone_oracle_refuses_an_observable_of_another_width(label):
     assert str(info.value) == f"observable width {len(label)} != circuit width 3"
 
 
-def _part_over_the_cap(idle: bool):
+def _part_over_the_cap(idle: bool, mirrored: bool = False):
     """A 4-qubit circuit cut at its last cz into parts of wires 0-2 and wire 3.
 
     Part 0 walks all three of its wires, or, with ``idle``, wires 0 and 1
-    only: no gate touches wire 2.
+    only: no gate touches wire 2. ``mirrored`` reverses the qubits, so part
+    1 holds wires 1-3 and part 0 wire 0.
     """
     gates = [Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rz", (1,), angle=0.4)]
     if not idle:
         gates += [Gate("cx", (1, 2)), Gate("h", (2,))]
     gates += [Gate("h", (3,)), Gate("cz", (1, 3))]
+    labels, words = [0, 0, 0, 1], ["XZII", "IXIY"]
+    if mirrored:
+        gates = [replace(g, qubits=tuple(3 - q for q in g.qubits)) for g in gates]
+        labels, words = [0, 1, 1, 1], [w[::-1] for w in words]
     circ = Circuit(4, tuple(gates))
-    plan = CutPlan.from_dict({"n": 4, "labels": [0, 0, 0, 1], "gate_cuts": [len(gates) - 1],
+    plan = CutPlan.from_dict({"n": 4, "labels": labels, "gate_cuts": [len(gates) - 1],
                               "wire_cuts": [], "num_subcircuits": 2})
-    obs = Observable.from_labels([(0.5, "XZII"), (0.5, "IXIY")])
+    obs = Observable.from_labels([(0.5, w) for w in words])
     return circ, extract_subcircuits(circ, plan, obs), obs
 
 
 def test_a_part_over_the_cap_is_refused_before_its_state_is_built(monkeypatch):
-    _, ext, _ = _part_over_the_cap(idle=False)
-    monkeypatch.setenv("QCUT_SIM_LIMIT", "2")
-
+    # Part 0 or part 1 over the cap: refused by name before any channel
+    # check, and before any part is walked.
     def must_not_run(*args, **kwargs):
-        raise AssertionError("simulated a part over the cap")
+        raise AssertionError("a plan with a part over the cap reached the walk")
 
-    monkeypatch.setattr(qpd, "simulate", must_not_run)
-    with pytest.raises(SimulationError) as info:
-        reconstruct(ext)
-    assert str(info.value) == "3 qubits exceeds the simulator cap 2"
+    monkeypatch.setenv("QCUT_SIM_LIMIT", "2")
+    for name in ("_ensure_verified", "_part_table", "zero_state", "simulate"):
+        monkeypatch.setattr(qpd, name, must_not_run)
+    for label in (0, 1):
+        _, ext, _ = _part_over_the_cap(idle=False, mirrored=bool(label))
+        with pytest.raises(SimulationError) as info:
+            reconstruct(ext)
+        assert str(info.value) == f"part {label}: 3 qubits exceeds the simulator cap 2"
 
 
 def test_the_cap_counts_a_parts_walked_wires_only(monkeypatch):
@@ -826,9 +814,9 @@ def test_the_cap_counts_a_parts_walked_wires_only(monkeypatch):
 def test_cone_oracle_matches_the_einsum_reference():
     # The reference applies every gate, one at a time and out of place, to
     # the whole register.
-    for circ, obs, factors in _cone_cases():
+    for circ, obs in _cone_cases():
         if len(light_cone(circ, obs)[1]) < circ.n:
             break
-    psi = oracles.einsum_simulate(circ, product_state(factors))
+    psi = oracles.einsum_simulate(circ, zero_state(circ.n))
     want = np.vdot(psi, oracles.obs_matrix(obs) @ psi).real
-    assert abs(uncut_expectation(circ, obs, factors) - want) < 1e-12
+    assert abs(uncut_expectation(circ, obs) - want) < 1e-12

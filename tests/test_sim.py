@@ -107,17 +107,26 @@ def test_width_limit(monkeypatch):
     simulate(Circuit(4, ()))
 
 
-def test_product_state_over_the_cap_is_refused_before_it_is_built():
+def _refused_before_it_is_built(build):
+    """build(n) one qubit over the cap raises the cap's line, having traced under 1 MB."""
     limit = sim.sim_limit()
     tracemalloc.start()
     try:
         with pytest.raises(SimulationError) as info:
-            product_state([np.array([1.0, 0.0])] * (limit + 1))
+            build(limit + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert str(info.value) == f"{limit + 1} qubits exceeds the simulator cap {limit}"
     assert peak < 1 << 20
+
+
+def test_product_state_over_the_cap_is_refused_before_it_is_built():
+    _refused_before_it_is_built(lambda n: product_state([np.array([1.0, 0.0])] * n))
+
+
+def test_zero_state_over_the_cap_is_refused_before_it_is_built():
+    _refused_before_it_is_built(zero_state)
 
 
 def test_non_hermitian_rejected():
