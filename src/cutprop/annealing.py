@@ -15,8 +15,7 @@ each step, which decays factorially fast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,32 +41,38 @@ class AnnealError(ValueError):
 MAX_LOG_ENTRIES = 100_000
 
 
-@dataclass(frozen=True)
-class SAConfig:
-    bound_lower: int = 1
-    bound_upper: int = 40
-    step_size: int = 4
-    t0: float = 10.0
-    num_iters: int = 20
-    restarts: int = 5
-    seed: int = 0
+class _SAConfigFields(NamedTuple):
+    bound_lower: int
+    bound_upper: int
+    step_size: int
+    t0: float
+    num_iters: int
+    restarts: int
+    seed: int
 
-    def __post_init__(self):
-        if self.bound_lower < 1:
+
+class SAConfig(_SAConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, bound_lower: int = 1, bound_upper: int = 40, step_size: int = 4,
+                t0: float = 10.0, num_iters: int = 20, restarts: int = 5, seed: int = 0):
+        if bound_lower < 1:
             raise AnnealError("bound_lower must be >= 1")
-        if self.bound_lower > self.bound_upper:
+        if bound_lower > bound_upper:
             raise AnnealError("bound_lower must not exceed bound_upper")
-        if self.num_iters < 1:
+        if num_iters < 1:
             raise AnnealError("num_iters must be >= 1")
-        if self.restarts < 1:
+        if restarts < 1:
             raise AnnealError("restarts must be >= 1")
-        if (self.num_iters + 1) * self.restarts > MAX_LOG_ENTRIES:
+        if (num_iters + 1) * restarts > MAX_LOG_ENTRIES:
             raise AnnealError(
                 f"(iters + 1) * restarts must be <= {MAX_LOG_ENTRIES}, "
-                f"got {(self.num_iters + 1) * self.restarts}"
+                f"got {(num_iters + 1) * restarts}"
             )
-        if self.seed < 0 or self.step_size < 0:
+        if seed < 0 or step_size < 0:
             raise AnnealError("seed and step_size must be >= 0")
+        return tuple.__new__(
+            cls, (bound_lower, bound_upper, step_size, t0, num_iters, restarts, seed))
 
 
 class ObjectiveEvaluator:
@@ -134,12 +139,11 @@ def accept_move(delta: float, temperature: float, rng: np.random.Generator) -> b
     return bool(rng.random() < math.exp(-delta / temperature))
 
 
-@dataclass
-class AnnealResult:
+class AnnealResult(NamedTuple):
     w_opt: int
     opt_num_circuits: int
     cache: dict[int, int]
-    iterations: list[dict] = field(default_factory=list)
+    iterations: list[dict]
     seed: tuple | int = 0
 
 
@@ -196,8 +200,7 @@ def anneal(
     return AnnealResult(w_opt, opt_num_circuits, cache, log, (config.seed, run_index))
 
 
-@dataclass
-class ParallelAnnealResult:
+class ParallelAnnealResult(NamedTuple):
     w_opt: int
     opt_num_circuits: int
     cache: dict[int, int]
@@ -222,8 +225,7 @@ def parallel_anneal(
     return ParallelAnnealResult(best.w_opt, best.opt_num_circuits, shared, runs)
 
 
-@dataclass
-class OptimizeResult:
+class OptimizeResult(NamedTuple):
     w_opt: int | None  # None when vanilla cutting is at least as good
     chosen_cost: int
     sa_cost: int

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -269,8 +269,7 @@ def truncate(obs: Observable, budget: float) -> tuple[Observable, float]:
     return rest, float(mass[dropped - 1])
 
 
-@dataclass(frozen=True)
-class BackpropResult:
+class BackpropResult(NamedTuple):
     reduced_circuit: Circuit
     evolved_obs: Observable
     slices_absorbed: int
@@ -285,7 +284,11 @@ class BackpropResult:
     # (k, reduced circuit, observable, truncation accrued) after k absorbed
     # slices, for each k < slices_absorbed whose group_history entry is a new
     # maximum: a smaller budget can stop only there.
-    stops: tuple[tuple[int, Circuit, Observable, float], ...] = field(repr=False)
+    stops: tuple[tuple[int, Circuit, Observable, float], ...]
+
+    def __repr__(self) -> str:  # without the stops
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"BackpropResult({fields})"
 
     def at_budget(self, w: int) -> BackpropResult:
         """The result of the same backpropagation with the smaller budget w.

@@ -11,8 +11,7 @@ from __future__ import annotations
 import ast
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .paulis import PauliString, letter_masks
 
@@ -36,8 +35,14 @@ class QasmError(CircuitError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass(frozen=True)
-class Gate:
+class _GateFields(NamedTuple):
+    kind: str
+    qubits: tuple[int, ...]
+    angle: float | None
+    axis: str | None
+
+
+class Gate(_GateFields):
     """One gate application.
 
     ``axis`` is only set for kind "rot" and holds the Pauli letters aligned
@@ -45,33 +50,37 @@ class Gate:
     For "cx", qubits are (control, target).
     """
 
-    kind: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
-    axis: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind in CLIFFORD_1Q:
-            ok = len(self.qubits) == 1 and self.angle is None and self.axis is None
-        elif self.kind == "rz":
-            ok = len(self.qubits) == 1 and self.angle is not None and self.axis is None
-        elif self.kind in CLIFFORD_2Q:
-            ok = len(self.qubits) == 2 and self.angle is None and self.axis is None
-        elif self.kind == "rot":
+    def __new__(cls, kind: str, qubits: tuple[int, ...], angle: float | None = None,
+                axis: str | None = None):
+        self = tuple.__new__(cls, (kind, qubits, angle, axis))
+        if kind in CLIFFORD_1Q:
+            ok = len(qubits) == 1 and angle is None and axis is None
+        elif kind == "rz":
+            ok = len(qubits) == 1 and angle is not None and axis is None
+        elif kind in CLIFFORD_2Q:
+            ok = len(qubits) == 2 and angle is None and axis is None
+        elif kind == "rot":
             ok = (
-                self.angle is not None
-                and self.axis is not None
-                and len(self.axis) == len(self.qubits) >= 1
-                and all(ch in "XYZ" for ch in self.axis)
+                angle is not None
+                and axis is not None
+                and len(axis) == len(qubits) >= 1
+                and all(ch in "XYZ" for ch in axis)
             )
         else:
-            raise CircuitError(f"unknown gate kind {self.kind!r}")
+            raise CircuitError(f"unknown gate kind {kind!r}")
         if not ok:
-            raise CircuitError(f"malformed {self.kind} gate: {self}")
-        if len(set(self.qubits)) != len(self.qubits):
+            raise CircuitError(f"malformed {kind} gate: {self}")
+        if len(set(qubits)) != len(qubits):
             raise CircuitError(f"repeated qubit in {self}")
-        if any(q < 0 for q in self.qubits):
+        if any(q < 0 for q in qubits):
             raise CircuitError(f"negative qubit index in {self}")
+        return self
+
+    def _moved(self, qubits: tuple[int, ...]) -> "Gate":
+        """This gate on the images of its qubits under an injective map to wires >= 0, unchecked."""
+        return tuple.__new__(Gate, (self.kind, qubits, self.angle, self.axis))
 
     def is_clifford(self) -> bool:
         if self.kind in CLIFFORD_1Q or self.kind in CLIFFORD_2Q:
@@ -93,18 +102,23 @@ def _clifford_quarter_turns(angle: float) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class Circuit:
+class _CircuitFields(NamedTuple):
     n: int
-    gates: tuple[Gate, ...] = ()
+    gates: tuple[Gate, ...]
 
-    def __post_init__(self):
-        for g in self.gates:
-            if max(g.qubits) >= self.n:
-                raise CircuitError(f"gate {g} exceeds width {self.n}")
+
+class Circuit(_CircuitFields):
+    __slots__ = ()
+
+    def __new__(cls, n: int, gates: tuple[Gate, ...] = ()):
+        for g in gates:
+            if max(g.qubits) >= n:
+                raise CircuitError(f"gate {g} exceeds width {n}")
+        return tuple.__new__(cls, (n, gates))
 
     def prefix(self, stop: int) -> "Circuit":
-        return Circuit(self.n, self.gates[:stop])
+        # _replace skips __new__, so the gates, checked once, are not checked again.
+        return self._replace(gates=self.gates[:stop])
 
 
 def _layer_ranges(gates: Sequence[Gate], start: int, stop: int) -> Iterator[tuple[int, int]]:

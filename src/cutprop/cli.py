@@ -273,6 +273,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "plan": None if plan is None else plan.to_dict(),
         "exact_expectation": exact,
         "abs_delta": delta,
+        # abs_delta on the observable's scale, its coefficients' 1-norm (at least 1)
+        "rel_delta": delta / max(1.0, sum(map(abs, obs.coeffs.tolist()))),
         "tolerance": args.tolerance,
         "truncation_bound": trunc_bound,
         "within_tolerance": ok,

@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress, count, groupby
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,15 +54,18 @@ def _json_int(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class CutPlan:
-    """Partition labels plus the cut lists that realize them."""
-
+class _CutPlanFields(NamedTuple):
     n: int
     labels: tuple[int, ...]  # label of each qubit's first segment
     wire_cuts: tuple[tuple[int, int, int], ...]  # (qubit, position, new_label)
     gate_cuts: tuple[int, ...]  # indices of cut 2-qubit gates
     num_subcircuits: int
+
+
+class CutPlan(_CutPlanFields):
+    """Partition labels plus the cut lists that realize them."""
+
+    # No __slots__: the cached properties live in __dict__, which == and hash ignore.
 
     @cached_property
     def _timelines(self) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -131,8 +133,7 @@ class CutPlan:
             raise CutError(f"malformed cut plan: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     kg: int
     kw: int
     groups: int
@@ -156,13 +157,30 @@ def total_executions(kg: int, kw: int, groups: int) -> int:
     return groups * GATE_CUT_FACTOR**kg * WIRE_CUT_FACTOR**kw
 
 
+def _wire_cuts_at(plan: CutPlan) -> dict[int, list[tuple[int, int]]]:
+    """Wire-cut position -> the (qubit, segment) wires that start there, in qubit order."""
+    cuts_at: dict[int, list[tuple[int, int]]] = {}
+    for q in range(plan.n):
+        for k, (start, _) in enumerate(plan.segments(q)[1:], start=1):
+            cuts_at.setdefault(start, []).append((q, k))
+    return cuts_at
+
+
 def _crossing_gates(circuit: Circuit, plan: CutPlan) -> list[int]:
-    """Indices of the gates whose qubits sit in segments with different labels."""
-    return [
-        t
-        for t, g in enumerate(circuit.gates)
-        if len({plan.segment_label(q, t) for q in g.qubits}) > 1
-    ]
+    """Indices of the gates whose qubits sit in segments with different labels.
+
+    One walk in gate order keeps each qubit's current label and moves it
+    on at the qubit's wire-cut positions.
+    """
+    label = list(plan.labels)
+    cuts_at = _wire_cuts_at(plan)
+    crossing = []
+    for t, g in enumerate(circuit.gates):
+        for q, k in cuts_at.get(t, ()):
+            label[q] = plan.segments(q)[k][1]
+        if len(g.qubits) > 1 and len({label[q] for q in g.qubits}) > 1:
+            crossing.append(t)
+    return crossing
 
 
 def validate_plan(circuit: Circuit, plan: CutPlan) -> None:
@@ -583,8 +601,7 @@ def _build_plan(
         gate_cuts=(),
         num_subcircuits=0,
     )
-    return replace(
-        plan,
+    return plan._replace(
         gate_cuts=tuple(_crossing_gates(circuit, plan)),
         num_subcircuits=len(plan.parts),
     )
@@ -593,8 +610,7 @@ def _build_plan(
 # --- subcircuit extraction ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubOp:
+class SubOp(NamedTuple):
     """One cut end in a subcircuit's op stream.
 
     ``cut`` is the global cut index that ``reconstruct`` contracts over:
@@ -610,8 +626,7 @@ class SubOp:
     wire: int
 
 
-@dataclass(frozen=True)
-class Subcircuit:
+class Subcircuit(NamedTuple):
     """One part: its op stream on ``n`` local wires, and its observable words.
 
     Each op is a cut end (a ``SubOp``) or a run of the part's gates, as a
@@ -627,8 +642,7 @@ class Subcircuit:
     words: tuple[PauliString, ...]
 
 
-@dataclass(frozen=True)
-class Extraction:
+class Extraction(NamedTuple):
     """A plan's parts, with each gate cut's gate kind and each wire cut's qubit.
 
     Both are in cut order: gate cut c has cut index c, wire cut j ``plan.kg + j``.
@@ -662,50 +676,47 @@ def extract_subcircuits(circuit: Circuit, plan: CutPlan, obs: Observable) -> Ext
     local_index = {  # (qubit, segment) -> (part label, local wire)
         wire: (label, i) for label, wires in plan.parts.items() for i, wire in enumerate(wires)
     }
-    wirecuts_at: dict[int, list[tuple[int, int]]] = {}  # position -> [(qubit, segment)]
-    for q in range(plan.n):
-        for k, (start, _) in enumerate(plan.segments(q)[1:], start=1):
-            wirecuts_at.setdefault(start, []).append((q, k))
+    wirecuts_at = _wire_cuts_at(plan)
 
     stream: dict[int, list[Gate | SubOp]] = {label: [] for label in plan.parts}
     gate_cut_infos: list[str] = []
     wire_cut_infos: list[int] = []
+    # Each qubit's (part label, local wire) at the walk's gate; its final one after the walk.
+    current = [local_index[q, 0] for q in range(plan.n)]
 
-    def emit_ends(cut: int, wires) -> None:
-        for side, wire in enumerate(wires):
-            label, local = local_index[wire]
+    def emit_ends(cut: int, ends) -> None:
+        for side, (label, local) in enumerate(ends):
             stream[label].append(SubOp(cut, side, local))
 
     def emit_wire_cuts(pos: int) -> None:
         for q, k in wirecuts_at.get(pos, ()):
             # Wire cuts are numbered after every gate cut.
-            emit_ends(plan.kg + len(wire_cut_infos), ((q, k - 1), (q, k)))
+            emit_ends(plan.kg + len(wire_cut_infos), (current[q], local_index[q, k]))
             wire_cut_infos.append(q)
+            current[q] = local_index[q, k]
 
     for t, g in enumerate(circuit.gates):
-        emit_wire_cuts(t)
-        wires = [plan.wire_at(q, t) for q in g.qubits]
-        labels = {local_index[w][0] for w in wires}
-        if len(labels) == 1:
-            local_qubits = tuple(local_index[w][1] for w in wires)
-            stream[labels.pop()].append(Gate(g.kind, local_qubits, angle=g.angle, axis=g.axis))
+        if t in wirecuts_at:
+            emit_wire_cuts(t)
+        labels, wires = zip(*[current[q] for q in g.qubits])
+        if len(set(labels)) == 1:
+            stream[labels[0]].append(g._moved(wires))
         else:  # validate_plan made every crossing gate a listed 2-qubit cut
-            emit_ends(len(gate_cut_infos), wires)
+            emit_ends(len(gate_cut_infos), zip(labels, wires))
             gate_cut_infos.append(g.kind)
     emit_wire_cuts(len(circuit.gates))
 
-    final = [local_index[plan.wire_at(q, len(circuit.gates))] for q in range(plan.n)]
     term_xs, term_zs = _mask_ints(obs.x), _mask_ints(obs.z)
     subcircuits = []
     for label, wires in plan.parts.items():
         m = len(wires)
         ops: list[Circuit | SubOp] = []
         for is_gate, group in groupby(stream[label], key=lambda op: isinstance(op, Gate)):
-            if is_gate:
-                ops.append(Circuit(m, tuple(group)))
+            if is_gate:  # _make skips __new__: the moved gates act on wires below m
+                ops.append(Circuit._make((m, tuple(group))))
             else:
                 ops.extend(group)
-        moves = [(q, i) for q, (final_label, i) in enumerate(final) if final_label == label]
+        moves = [(q, i) for q, (final_label, i) in enumerate(current) if final_label == label]
         words = [PauliString(m, x, z)
                  for x, z in zip(_move_bits(term_xs, moves), _move_bits(term_zs, moves))]
         subcircuits.append(Subcircuit(n=m, ops=tuple(ops), wire_origin=wires, words=tuple(words)))

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,20 +44,24 @@ def letter_masks(letters: str, qubits: Iterable[int]) -> tuple[int, int]:
     return x, z
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """An n-qubit Pauli word in symplectic (x, z) mask form."""
-
+class _PauliStringFields(NamedTuple):
     n: int
     x: int
     z: int
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise PauliError(f"negative qubit count {self.n}")
-        mask = (1 << self.n) - 1
-        if self.x & ~mask or self.z & ~mask:
+
+class PauliString(_PauliStringFields):
+    """An n-qubit Pauli word in symplectic (x, z) mask form."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, x: int, z: int):
+        if n < 0:
+            raise PauliError(f"negative qubit count {n}")
+        mask = (1 << n) - 1
+        if x & ~mask or z & ~mask:
             raise PauliError("mask has bits beyond the qubit count")
+        return tuple.__new__(cls, (n, x, z))
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
@@ -95,8 +98,7 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return ((p.x & q.z) ^ (p.z & q.x)).bit_count() % 2 == 0
 
 
-@dataclass(frozen=True)
-class PauliTerm:
+class PauliTerm(NamedTuple):
     coeff: complex
     word: PauliString
 

@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .backprop import light_cone
-from .circuits import Circuit, Gate
+from .circuits import Circuit
 from .cutting import CutPlan, Extraction, _move_bits, extract_subcircuits
 from .paulis import _MASKS, Observable, _from_rows, _limbs, _mask_ints, _pack_masks, canonicalize
 
@@ -98,8 +97,7 @@ def _U(name: str, m: np.ndarray) -> tuple:
     return ("u", name, m)
 
 
-@dataclass(frozen=True)
-class QpdTerm:
+class QpdTerm(NamedTuple):
     """One term of a cut's decomposition: a coefficient and each end's instructions.
 
     ``left_op`` is the instruction tuple of the end with side 0 (a cut
@@ -349,8 +347,7 @@ def _ensure_verified(kind: str) -> None:
 # --- reconstruction -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     value: float  # the finite-shot estimate when shots were given, else exact_value
     num_combinations: int
     num_subexperiments: int
@@ -362,14 +359,15 @@ def _onto(wires: Sequence[int], ops: Sequence, xs: Sequence[int], zs: Sequence[i
 
     Wire ``wires[i]`` becomes wire i: each run is rebuilt on the new width
     and each cut end's wire renumbered. Every op must act on listed wires
-    only; a word's letters on the other wires are dropped. Returns the ops,
+    only; a word's letters on the other wires are dropped. The map is
+    injective, so the moved gates are not checked again. Returns the ops,
     xs and zs.
     """
     local = {w: i for i, w in enumerate(wires)}
     moved = [
-        Circuit(len(wires), tuple(Gate(g.kind, tuple(local[q] for q in g.qubits),
-                                       angle=g.angle, axis=g.axis) for g in op.gates))
-        if isinstance(op, Circuit) else replace(op, wire=local[op.wire])
+        Circuit._make((len(wires), tuple(g._moved(tuple([local[q] for q in g.qubits]))
+                                         for g in op.gates)))
+        if isinstance(op, Circuit) else op._replace(wire=local[op.wire])
         for op in ops
     ]
     return moved, _move_bits(xs, local.items()), _move_bits(zs, local.items())

@@ -53,7 +53,6 @@ import importlib.util
 import math
 import re
 import sys
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 from typing import Sequence
@@ -651,7 +650,7 @@ def after(layer: Circuit, circuit: Circuit, plan: CutPlan | None = None):
     """
     shift = len(layer.gates)
     if plan is not None:
-        plan = replace(plan, gate_cuts=tuple(t + shift for t in plan.gate_cuts),
+        plan = plan._replace(gate_cuts=tuple(t + shift for t in plan.gate_cuts),
                        wire_cuts=tuple((q, pos + shift, label) for q, pos, label in plan.wire_cuts))
     return Circuit(circuit.n, layer.gates + circuit.gates), plan
 

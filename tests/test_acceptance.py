@@ -7,13 +7,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from cutprop.annealing import SAConfig, accept_move, anneal, optimize_budget
 from cutprop.backprop import backpropagate
 from cutprop.circuits import lower_rotations
 from cutprop.cli import main
-from cutprop.cutting import cost, find_cuts, total_executions
+from cutprop.cutting import find_cuts, total_executions
 from cutprop.generators import (
     HEISENBERG_H,
     HEISENBERG_J,

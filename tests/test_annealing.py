@@ -108,16 +108,18 @@ def test_accept_move_zero_temperature():
 
 
 def test_config_validation():
-    with pytest.raises(AnnealError):
-        SAConfig(bound_lower=0)
-    with pytest.raises(AnnealError):
-        SAConfig(bound_lower=5, bound_upper=2)
-    with pytest.raises(AnnealError):
-        SAConfig(num_iters=0)
-    with pytest.raises(AnnealError):
-        SAConfig(seed=-1)
-    with pytest.raises(AnnealError):
-        SAConfig(step_size=-3)
+    cases = [
+        ({"bound_lower": 0}, "bound_lower must be >= 1"),
+        ({"bound_lower": 5, "bound_upper": 2}, "bound_lower must not exceed bound_upper"),
+        ({"num_iters": 0}, "num_iters must be >= 1"),
+        ({"restarts": 0}, "restarts must be >= 1"),
+        ({"seed": -1}, "seed and step_size must be >= 0"),
+        ({"step_size": -3}, "seed and step_size must be >= 0"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(AnnealError) as info:
+            SAConfig(**kwargs)
+        assert str(info.value) == message
 
 
 def test_iteration_log_is_capped():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -356,7 +355,7 @@ def test_grouping_carried_through_a_1q_clifford_stays_valid():
         obs = random_observable(n, rng, max_weight=n, num_terms=int(rng.integers(10, 121)))
         groups = group_qwc(obs)
         for gate in _CLIFFORDS_1Q:
-            gate = dataclasses.replace(gate, qubits=(int(rng.integers(n)),))
+            gate = gate._replace(qubits=(int(rng.integers(n)),))
             image = [
                 [conjugate_gate(Observable.from_terms(n, [(1.0, obs.terms[i].word)]), gate)
                  .terms[0].word for i in group]
@@ -485,8 +484,8 @@ def test_width_mismatch_rejected():
 
 
 def _assert_fields_equal(kept, fresh, where):
-    for f in dataclasses.fields(fresh):
-        assert getattr(kept, f.name) == getattr(fresh, f.name), (*where, f.name)
+    for name in fresh._fields:
+        assert getattr(kept, name) == getattr(fresh, name), (*where, name)
 
 
 @pytest.mark.parametrize("suite", ["vqe6", "qaoa3", "random"])

@@ -32,6 +32,25 @@ def test_gate_validation():
         Circuit(2, (Gate("h", (5,)),))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Gate("h", (0, 1)),
+     "malformed h gate: Gate(kind='h', qubits=(0, 1), angle=None, axis=None)"),
+    (lambda: Gate("rot", (0, 1), 0.5, "X"),
+     "malformed rot gate: Gate(kind='rot', qubits=(0, 1), angle=0.5, axis='X')"),
+    (lambda: Gate("cx", (1, 1)),
+     "repeated qubit in Gate(kind='cx', qubits=(1, 1), angle=None, axis=None)"),
+    (lambda: Gate("rz", (-1,), 0.5),
+     "negative qubit index in Gate(kind='rz', qubits=(-1,), angle=0.5, axis=None)"),
+    (lambda: Gate("foo", (0,)), "unknown gate kind 'foo'"),
+    (lambda: Circuit(3, (Gate("rot", (0, 3), 0.25, "XZ"),)),
+     "gate Gate(kind='rot', qubits=(0, 3), angle=0.25, axis='XZ') exceeds width 3"),
+])
+def test_gate_and_circuit_rejections_name_the_gate(build, message):
+    with pytest.raises(CircuitError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_rz_clifford_classification():
     assert Gate("rz", (0,), angle=math.pi / 2).is_clifford()
     assert Gate("rz", (0,), angle=7 * math.pi / 2).is_clifford()

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutprop import backprop, cli, qpd
+from cutprop.annealing import SAConfig
 from cutprop.circuits import Circuit, Gate, emit_qasm, lower_rotations
 from cutprop.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
+from cutprop.cutting import CostReport, CutPlan, SubOp
 from cutprop.generators import (
     HEISENBERG_H,
     HEISENBERG_J,
@@ -21,7 +23,7 @@ from cutprop.generators import (
     heisenberg_trotter,
     weight_z_observable,
 )
-from cutprop.paulis import Observable, format_observable
+from cutprop.paulis import Observable, PauliString, PauliTerm, format_observable
 
 from oracles import qwc_groups
 
@@ -421,13 +423,47 @@ def test_missing_file_is_input_error(workdir, capsys):
     assert rc == EXIT_INPUT
 
 
-def _fresh_process(cwd, *argv) -> subprocess.CompletedProcess:
-    """``python -m cutprop.cli argv`` in a new process, with this checkout's src."""
+def _fresh_python(cwd, *args) -> subprocess.CompletedProcess:
+    """``python args`` in a new process, with this checkout's src."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-m", "cutprop.cli", *argv], cwd=cwd,
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def _fresh_process(cwd, *argv) -> subprocess.CompletedProcess:
+    """``python -m cutprop.cli argv`` in a new process, with this checkout's src."""
+    return _fresh_python(cwd, "-m", "cutprop.cli", *argv)
+
+
+_COLD_IMPORT = """
+import sys
+import numpy
+before = set(sys.modules)
+import cutprop.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cold_start_defines_records_without_dataclasses(tmp_path):
+    # cutprop's records are NamedTuples, cheap to define in every fresh
+    # process: importing the CLI after numpy adds no dataclasses module. The
+    # modules numpy itself imports are left out, so this holds on any numpy.
+    done = _fresh_python(tmp_path, "-c", _COLD_IMPORT)
+    assert done.returncode == 0, done.stderr
+    added = done.stdout.split()
+    assert "cutprop.cli" in added and "dataclasses" not in added
+    # They stay immutable and hashable, and keep the dataclass repr.
+    gate = Gate("rz", (1,), 0.3)
+    assert repr(gate) == "Gate(kind='rz', qubits=(1,), angle=0.3, axis=None)"
+    records = [gate, Circuit(2, (gate,)), PauliString(2, 1, 2),
+               PauliTerm(0.5, PauliString(1, 0, 1)), CutPlan(2, (0, 1), (), (), 2),
+               CostReport(0, 0, 1, 1), SubOp(0, 1, 0), SAConfig()]
+    for record in records:
+        assert hash(record) == hash(tuple(record))
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
 
 
 def test_module_entry_point_exit_codes(tmp_path):
@@ -654,6 +690,8 @@ def test_verify_of_a_large_scale_observable_keeps_the_absolute_tolerance(tmp_pat
     rc, results = _verify_scaled(tmp_path, "1e10", "--qwc-max", "8")
     assert (rc, results["within_tolerance"]) == (EXIT_FAIL, False)
     assert 1e-9 < results["abs_delta"] < 1e-3
+    # ...but not on the observable's scale: the 1-norm is 1e10.
+    assert results["rel_delta"] == results["abs_delta"] / 1e10 < 1e-15
     for flags in ([], ["--qwc-max", "8"]):
         rc, results = _verify_scaled(tmp_path, "1e10", *flags, "--tolerance", "1e-3")
         assert (rc, results["within_tolerance"]) == (EXIT_OK, True)

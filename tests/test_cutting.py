@@ -1,11 +1,12 @@
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cutprop.circuits import Circuit, Gate, lower_rotations
+from cutprop.circuits import Circuit, Gate, lower_rotations, parse_qasm
 import cutprop.cutting as cutting
 from cutprop.cli import _bench_instances
 from cutprop.cutting import (
@@ -30,12 +31,13 @@ from cutprop.generators import (
     random_circuit,
     weight_z_observable,
 )
-from cutprop.paulis import Observable, PauliString, canonicalize
-from cutprop.qpd import cut_and_reconstruct, uncut_expectation
+from cutprop.paulis import Observable, PauliString, canonicalize, parse_observable
+from cutprop.qpd import _onto, _walked_wires, cut_and_reconstruct, uncut_expectation
 from oracles import (
     crossing_count,
     interaction_graph,
     per_subcircuit_costs,
+    perfbench_inputs,
     random_observable,
     refine_wire_cuts,
 )
@@ -814,6 +816,39 @@ def test_extract_emits_maximal_gate_runs_in_circuit_order():
                 assert all(run.gates and run.n == sub.n for run in runs)
                 assert [g for run in runs for g in run.gates] == expected[label]
     assert wire_cuts and parts >= 3
+
+
+def _moved_gate_cases(workdir):
+    """(circuit, plan, observable): the benchmark's five planted recon plans at
+    seed 0, read back from the files its verify commands read, then the
+    seeded random plans of the maximal-runs test above."""
+    for command in perfbench_inputs().recon_commands(0, workdir):
+        _, circuit, obs, _, plan, *_ = command.argv
+        yield (parse_qasm(Path(circuit).read_text()),
+               CutPlan.from_dict(json.loads(Path(plan).read_text())),
+               parse_observable(Path(obs).read_text()))
+    for trial in range(6):
+        circ = lower_rotations(random_circuit(6, 18, np.random.default_rng((141, trial))))
+        for plan in (find_cuts(circ), find_cuts(circ, max_qubits=2)):
+            yield circ, plan, weight_z_observable(6, 1)
+
+
+def test_moved_gates_pass_the_checks_they_skip(tmp_path):
+    # extract_subcircuits and qpd._onto move gates onto a part's wires
+    # without Gate's or Circuit's checks: every moved gate equals the checked
+    # Gate of its fields, and every run rebuilds through Circuit(...).
+    moved = 0
+    for circ, plan, obs in _moved_gate_cases(tmp_path):
+        for sub in extract_subcircuits(circ, plan, obs).subcircuits:
+            walked = _walked_wires(sub)
+            onto, _, _ = _onto(walked, sub.ops, [], [])
+            runs = [op for op in (*sub.ops, *onto) if isinstance(op, Circuit)]
+            for run in runs:
+                assert type(run) is Circuit and Circuit(run.n, run.gates) == run
+                for g in run.gates:
+                    assert type(g) is Gate and g == Gate(g.kind, g.qubits, g.angle, g.axis)
+                    moved += 1
+    assert moved > 2 * 5 * 250
 
 
 def test_extract_subobservables_tensor_back():

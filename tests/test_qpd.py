@@ -1,6 +1,5 @@
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +101,8 @@ def _swapped(terms, first: str, second: str, field: str):
     i, j = (next(k for k, t in enumerate(terms) if t.label.endswith(name))
             for name in (first, second))
     terms = list(terms)
-    terms[i], terms[j] = (replace(terms[i], **{field: getattr(terms[j], field)}),
-                          replace(terms[j], **{field: getattr(terms[i], field)}))
+    terms[i], terms[j] = (terms[i]._replace(**{field: getattr(terms[j], field)}),
+                          terms[j]._replace(**{field: getattr(terms[i], field)}))
     return tuple(terms)
 
 
@@ -778,7 +777,7 @@ def _part_over_the_cap(idle: bool, mirrored: bool = False):
     gates += [Gate("h", (3,)), Gate("cz", (1, 3))]
     labels, words = [0, 0, 0, 1], ["XZII", "IXIY"]
     if mirrored:
-        gates = [replace(g, qubits=tuple(3 - q for q in g.qubits)) for g in gates]
+        gates = [g._replace(qubits=tuple(3 - q for q in g.qubits)) for g in gates]
         labels, words = [0, 1, 1, 1], [w[::-1] for w in words]
     circ = Circuit(4, tuple(gates))
     plan = CutPlan.from_dict({"n": 4, "labels": labels, "gate_cuts": [len(gates) - 1],
