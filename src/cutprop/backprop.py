@@ -8,8 +8,9 @@ into cos(theta)*O + i*sin(theta)*P*O. A Clifford gate is a product of
 quarter-turn rotations, at which that split is exact and maps each term to
 one term. So each Clifford kind's rotations are run once, on every word of
 its 1 or 2 qubits, into a table from a row's letters on the gate's qubits
-to new letters and a phase: a Clifford gate is one lookup and one merge,
-while ``rz`` and ``rot`` gates rotate and merge. The conjugation and
+to new letters and a phase: a Clifford gate permutes the rows, one lookup
+and one sort, while ``rz`` and ``rot`` gates rotate, reading the rows'
+letters on the axis's qubits only, and merge. The conjugation and
 truncation run on the observable's arrays (uint64 x and z limbs and a
 complex128 coefficient array) and return new canonical observables; no
 term object is built. Each coefficient rounds as the per-term loops in
@@ -30,16 +31,15 @@ from .paulis import (
     Observable,
     PauliString,
     _from_rows,
-    _limbs,
     _magnitudes,
     _mask_ints,
     _pack_masks,
     canonicalize,
-    commutes,  # traced by perfbench/spans.py (ROADMAP item 7), no longer called here
+    commutes,  # builds _ANTICOMMUTES; also traced by perfbench/spans.py (ROADMAP item 7)
     group_qwc,
     letter_masks,
     merge_rows,
-    multiply,  # traced by perfbench/spans.py (ROADMAP item 7), no longer called here
+    multiply,  # builds _PRODUCT_PHASES; also traced by perfbench/spans.py (ROADMAP item 7)
 )
 
 
@@ -63,52 +63,43 @@ _ROTATIONS = {
     "cx": (("ZI", 1), ("IX", 1), ("ZX", -1)),
 }
 
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
-_PARITY_FOLDS = tuple(np.uint64(shift) for shift in (32, 16, 8, 4, 2, 1))
 _ONE = np.uint64(1)
 _PHASE_VALUES = np.array(_PHASES)
 
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    """Set bits in each row of a C-contiguous (k, limbs) uint64 array."""
-    return _BYTE_POPCOUNT[masks.view(np.uint8)].sum(axis=1)
-
-
-def _anticommuting(x: np.ndarray, z: np.ndarray, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
-    """Indices of the rows whose word anticommutes with the axis (ax, az).
-
-    The symplectic product's parity: XOR the limbs together, then fold the
-    64 bits of the result onto its lowest one.
-    """
-    fold = np.bitwise_xor.reduce((x & az) ^ (z & ax), axis=1)
-    for shift in _PARITY_FOLDS:
-        fold ^= fold >> shift
-    return np.flatnonzero(fold & np.uint64(1))
+# The 1-qubit words by letter code x | z << 1. The tables are indexed by
+# (axis letter code, word letter code): e in axis * word = i**e * (axis ^
+# word), and whether the two letters anticommute.
+_LETTER_WORDS = [PauliString(1, code & 1, code >> 1) for code in range(4)]
+_PRODUCT_PHASES = np.array([[_PHASES.index(multiply(a, w)[0]) for w in _LETTER_WORDS]
+                            for a in _LETTER_WORDS])
+_ANTICOMMUTES = np.array([[not commutes(a, w) for w in _LETTER_WORDS] for a in _LETTER_WORDS])
 
 
-def _product_phases(ax: np.ndarray, az: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """e in 0..3 per row, where axis * word = i**e * (axis ^ word).
-
-    Each qubit gives +i for XY, YZ and ZX (axis letter first) and -i for YX,
-    ZY and XZ, as in ``paulis.multiply``.
-    """
-    px, py, pz = ax & ~az, ax & az, ~ax & az
-    qx, qy, qz = x & ~z, x & z, ~x & z
-    plus = (px & qy) | (py & qz) | (pz & qx)
-    minus = (py & qx) | (pz & qy) | (px & qz)
-    return (_popcount(plus) - _popcount(minus)) & 3
+def _letter_codes(x: np.ndarray, z: np.ndarray, qubits) -> list[np.ndarray]:
+    """Each row's letter code x | z << 1 on each of the qubits, one uint64 array a qubit."""
+    places = [(q // 64, np.uint64(q % 64)) for q in qubits]
+    return [(x[:, k] >> b & _ONE) | (z[:, k] >> b & _ONE) << _ONE for k, b in places]
 
 
-def _rotate(rows: tuple, ax: np.ndarray, az: np.ndarray, angle: float) -> tuple | None:
+def _rotate(rows: tuple, axis: PauliString, angle: float) -> tuple | None:
     """Rows after conjugating by exp(-i*angle/2 * axis), before merging; None if unchanged.
 
     Commuting rows pass through; each anticommuting row becomes its
     cos(angle) row followed by its i*sin(angle)*axis*word row, as a per-term
     loop would list them, so merging sums duplicates in that order. A
-    quarter turn has cos or sin exactly 0 and keeps one of the two.
+    quarter turn has cos or sin exactly 0 and keeps one of the two. Only
+    the axis's support qubits are read: a row anticommutes when an odd
+    number of them anticommute letter by letter, and the product's phase
+    is the sum of their letters' phases.
     """
     x, z, coeffs = rows
-    anti = _anticommuting(x, z, ax, az)
+    support = [q for q in range(axis.n) if (axis.x | axis.z) >> q & 1]
+    letters = [axis.x >> q & 1 | (axis.z >> q & 1) << 1 for q in support]
+    codes = _letter_codes(x, z, support)
+    odd = np.zeros(len(coeffs), dtype=bool)
+    for a, code in zip(letters, codes):
+        odd ^= _ANTICOMMUTES[a][code]
+    anti = np.flatnonzero(odd)
     if not len(anti):
         return None
     k = _clifford_quarter_turns(angle)
@@ -121,9 +112,10 @@ def _rotate(rows: tuple, ax: np.ndarray, az: np.ndarray, angle: float) -> tuple 
         # Each factor is the Python product 1j * s * phase, so the row's
         # coefficient rounds as the per-term loop's 1j * s * phase * coeff.
         factors = np.array([1j * s * phase for phase in _PHASES])
-        qx, qz = x[anti], z[anti]
-        sx, sz = qx ^ ax, qz ^ az
-        scoeffs = factors[_product_phases(ax, az, qx, qz)] * coeffs[anti]
+        ax, az = (_pack_masks([mask], x.shape[1])[0] for mask in (axis.x, axis.z))
+        sx, sz = x[anti] ^ ax, z[anti] ^ az
+        phases = sum(_PRODUCT_PHASES[a][code[anti]] for a, code in zip(letters, codes))
+        scoeffs = factors[phases & 3] * coeffs[anti]
     if not c:
         x, z = x.copy(), z.copy()
         x[anti], z[anti], coeffs[anti] = sx, sz, scoeffs
@@ -150,12 +142,10 @@ def _conjugate(obs: Observable, rotations: list[tuple[PauliString, float]]) -> O
     Runs on the observable's arrays and merges after every rotation. A
     canonical input that no rotation changes is returned as it is.
     """
-    limbs = _limbs(obs.n)
     rows = (obs.x, obs.z, obs.coeffs)
     changed = False
     for axis, angle in rotations:
-        ax, az = _pack_masks([axis.x], limbs)[0], _pack_masks([axis.z], limbs)[0]
-        rotated = _rotate(rows, ax, az, angle)
+        rotated = _rotate(rows, axis, angle)
         # A raw input is merged at its first rotation, whether it changed or not.
         if rotated is not None or not (obs.canonical or changed):
             rows = merge_rows(*(rotated or rows))
@@ -196,8 +186,10 @@ def conjugate_gate(obs: Observable, gate: Gate) -> Observable:
 
     A Clifford kind rewrites each row's letters on the gate's qubits and
     multiplies its coefficient by a phase, both looked up in the kind's
-    table, then merges once: the map is one to one on words, so the merge
-    sums nothing, and its 0j start clears any signed zero the phase left.
+    table. On canonical rows that map is a permutation: the words are
+    distinct and stay distinct, and no magnitude changes, so no row can
+    merge or drop. One sort puts the rows back in order, and adding 0j
+    clears any signed zero the phase left, as a merge's 0j start does.
     Any other gate is its rotation about ``axis_word``.
     """
     if gate.kind not in _ROTATIONS:
@@ -206,18 +198,21 @@ def conjugate_gate(obs: Observable, gate: Gate) -> Observable:
         obs = canonicalize(obs)
     new_codes, phases = _clifford_table(gate.kind)
     x, z = obs.x, obs.z
-    places = [(k, np.uint64(b)) for k, b in (divmod(q, 64) for q in gate.qubits)]
     code = np.zeros(len(obs), dtype=np.uint64)
-    for j, (k, b) in enumerate(places):
-        code |= ((x[:, k] >> b & _ONE) | (z[:, k] >> b & _ONE) << _ONE) << np.uint64(2 * j)
+    for j, letter in enumerate(_letter_codes(x, z, gate.qubits)):
+        code |= letter << np.uint64(2 * j)
     flip, phase = new_codes[code] ^ code, phases[code]
     if not (flip.any() or phase.any()):
         return obs
     x, z = x.copy(), z.copy()
-    for j, (k, b) in enumerate(places):
-        x[:, k] ^= (flip >> np.uint64(2 * j) & _ONE) << b
-        z[:, k] ^= (flip >> np.uint64(2 * j + 1) & _ONE) << b
-    return _from_rows(obs.n, *merge_rows(x, z, _PHASE_VALUES[phase] * obs.coeffs), True)
+    for j, q in enumerate(gate.qubits):
+        k, b = divmod(q, 64)
+        x[:, k] ^= (flip >> np.uint64(2 * j) & _ONE) << np.uint64(b)
+        z[:, k] ^= (flip >> np.uint64(2 * j + 1) & _ONE) << np.uint64(b)
+    # lexsort's last key is its primary one, as in merge_rows.
+    order = np.lexsort((*z.T, *x.T))
+    coeffs = _PHASE_VALUES[phase[order]] * obs.coeffs[order] + 0j
+    return _from_rows(obs.n, x[order], z[order], coeffs, True)
 
 
 def light_cone(circuit: Circuit, obs: Observable) -> tuple[Circuit, tuple[int, ...]]:

@@ -264,15 +264,15 @@ def _conflict_matrix(obs: Observable) -> np.ndarray:
     """Boolean m x m matrix, True where two terms do not commute qubit-wise.
 
     A = [X | Y | Z] holds each term's one-hot letters per qubit and
-    B = [S - X | S - Y | S - Z] its support S minus each letter, so
-    (A B^T)_ij counts the qubits where terms i and j both act with
-    different letters: one float32 product per block of rows. Every entry
-    is an integer of at most n, so float32 holds it exactly.
+    B = [z | x^z | x] its support minus each letter (S - X = z, S - Y =
+    x^z, S - Z = x), so (A B^T)_ij counts the qubits where terms i and j
+    both act with different letters: one float32 product per block of
+    rows. Every entry is an integer of at most n, so float32 holds it
+    exactly.
     """
     x, z = _bits(obs.x, obs.n), _bits(obs.z, obs.n)
-    letters = (x > z, x & z, z > x)
-    a = np.concatenate(letters, axis=1).astype(np.float32)
-    b = np.concatenate([(x | z) - one for one in letters], axis=1).astype(np.float32)
+    a = np.concatenate((x > z, x & z, z > x), axis=1, dtype=np.float32)
+    b = np.concatenate((z, x ^ z, x), axis=1, dtype=np.float32)
     m = len(a)
     conflict = np.empty((m, m), dtype=bool)
     for start in range(0, m, _ROW_BLOCK):

@@ -1,15 +1,18 @@
-"""The committed report corpus: 33 CLI commands and their expected reports.
+"""The committed report corpus: 36 CLI commands and their expected reports.
 
 ``write_inputs`` writes every input file into the working directory and
 returns one (name, argv) pair per command, with every path relative, so
 a report's ``flags`` do not depend on where it ran. The commands are the
 benchmark's ``recon`` verifies at seeds 0 and 1 and its two ``absorb``
-backprops (inputs from ``perfbench/inputs.py``), ``bench --large`` for
-every suite at seeds 0, 1, 2 and 15, and a 4-qubit circuit with a cz cut,
-a cx cut and a wire cut under ``verify --plan --shots 200``, plain
-``verify``, ``verify --qwc-max 2``, ``verify --qwc-max 3 --trunc-eps
-1e-3`` and ``cut --max-qubits 2 --per-subcircuit``. ``reports/<name>.json``
-holds each report as the CLI wrote it.
+backprops (inputs from ``perfbench/inputs.py``); three more backprops of
+the ``absorb`` circuit at ``--qwc-max 40``: ``zz-edges`` sliced per gate
+and per layer, and ``z6`` with ``--trunc-eps 1e-3``, which drops terms;
+``bench --large`` for every suite at seeds 0, 1, 2 and 15; and a 4-qubit
+circuit with a cz cut, a cx cut and a wire cut under ``verify --plan
+--shots 200``, plain ``verify``, ``verify --qwc-max 2``, ``verify
+--qwc-max 3 --trunc-eps 1e-3`` and ``cut --max-qubits 2
+--per-subcircuit``. ``reports/<name>.json`` holds each report as the CLI
+wrote it.
 
 ``tests/test_corpus.py`` reruns the commands and compares each report as
 parsed JSON (``mismatches``): strings, integers and booleans exactly, and
@@ -66,8 +69,17 @@ def write_inputs() -> list[tuple[str, list[str]]]:
             commands.append((f"verify-{command.label}-seed{seed}", command.argv))
     workdir = Path("absorb")
     workdir.mkdir()
+    absorb = {}
     for command in inputs.absorb_commands(0, workdir):
-        commands.append((f"backprop-{Path(command.observable_path).stem}", command.argv))
+        name = f"backprop-{Path(command.observable_path).stem}"
+        absorb[name] = command.argv[:3]
+        commands.append((name, command.argv))
+    zz, z6 = absorb["backprop-absorb-zz-edges"], absorb["backprop-absorb-z6"]
+    commands += [
+        ("backprop-absorb-zz-edges-per-gate", [*zz, "--qwc-max", "40", "--slice", "per-gate"]),
+        ("backprop-absorb-zz-edges-per-layer", [*zz, "--qwc-max", "40", "--slice", "per-layer"]),
+        ("backprop-absorb-z6-qwc40-trunc", [*z6, "--qwc-max", "40", "--trunc-eps", "1e-3"]),
+    ]
     for suite in ("vqe6", "heis19", "qaoa3", "random"):
         for seed in (0, 1, 2, 15):
             argv = ["bench", "--suite", suite, "--large", "--seed", str(seed)]

@@ -549,13 +549,16 @@ def kernel_qubits(n):
     return sorted({q for q in (0, 1, 2, 62, 63, 64, 65, 127, 128, n - 1) if q < n})
 
 
-def kernel_observable(n, rng, size=40, canonical=True):
-    """Random words on a few qubits (limb edges likely), some repeated, mixed coefficients."""
-    active = kernel_qubits(n)
+def kernel_observable(n, rng, size=40, canonical=True, active=None, weight=3):
+    """Random words on ``weight`` of the active qubits, some repeated, mixed coefficients.
+
+    The active qubits default to ``kernel_qubits``, limb edges among them.
+    """
+    active = active or kernel_qubits(n)
     terms = []
     for _ in range(size):
         x = z = 0
-        for q in rng.choice(active, size=min(len(active), 3), replace=False):
+        for q in rng.choice(active, size=min(len(active), weight), replace=False):
             letter = int(rng.integers(0, 4))
             x |= (letter in (1, 2)) << int(q)
             z |= (letter in (2, 3)) << int(q)
@@ -606,6 +609,30 @@ def test_conjugate_rotation_matches_the_per_term_reference_bit_for_bit():
             got = _conjugate(obs, [(axis, angle)])
             want = conjugate_rotation_terms(obs, axis, angle)
             assert exact_terms(got) == exact_terms(want), (n, angle)
+
+
+def wide_rotation(n, weight, angle, rng):
+    """A rot gate of this weight: as many limb-edge qubits as fit, then random ones, every letter."""
+    edges = sorted({q for q in (0, 62, 63, 64, 65, 127, 128, n - 1) if q < n})
+    picked = [int(q) for q in rng.permutation(edges)[:weight]]
+    picked += [int(q) for q in rng.permutation(n) if q not in picked][: weight - len(picked)]
+    axis = "".join(rng.permutation(list(("XYZ" * n)[:weight])))
+    return Gate("rot", tuple(picked), angle=angle, axis=axis)
+
+
+@pytest.mark.parametrize("n", [19, 65, 130])
+def test_wide_rotation_axes_match_the_per_term_reference_bit_for_bit(n):
+    # kernel_gates' axes stop at weight 3; these run from 4 to n, at quarter
+    # turns and generic angles, each across every limb edge below n.
+    rng = np.random.default_rng((n, 40))
+    for weight in sorted({4, 5, 9, n // 2, n - 1, n}):
+        for angle in KERNEL_ANGLES:
+            gate = wide_rotation(n, weight, angle, rng)
+            active = sorted(set(gate.qubits) | set(kernel_qubits(n)))
+            obs = kernel_observable(n, rng, active=active, weight=len(active) // 2)
+            got = conjugate_gate(obs, gate)
+            want = conjugate_rotation_terms(obs, gate.axis_word(n), angle)
+            assert exact_terms(got) == exact_terms(want), gate
 
 
 def test_conjugation_merges_duplicates_and_drops_cancelled_terms():
