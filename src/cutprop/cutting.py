@@ -308,29 +308,34 @@ class _Bipartitioner:
         # unbounded bisection with an idle wire takes the shortcut; a connected one keys on all.
         self._refined: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
         # (wire, its and its partners' label bits, partner cuts, own cut) -> (new cut, kg
-        # change): one wire sweep. It pays in the connected unbounded bisection too.
+        # change): one wire sweep. It pays in an unbounded search that no single cut settles too.
         self._swept: dict[tuple[int, int, tuple[int, ...], int], tuple[int, int]] = {}
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """The connected components of the 2-qubit-gate graph, a gate-free wire alone.
+        """The connected components of the 2-qubit-gate graph, a gate-free wire alone."""
+        return self.components_without()
+
+    def components_without(self, wire: int = -1, pair: tuple[int, int] = (-1, -1)):
+        """The components once ``wire`` and the gates between the wires of ``pair`` are gone.
 
         One breadth-first walk: each component starts at its smallest wire
         and lists its wires in visiting order, neighbours in wire order, and
         the components follow in order of their smallest wire.
         """
-        seen = [False] * self.n
+        seen = [w == wire for w in range(self.n)]
+        u, v = pair
         components = []
         for start in range(self.n):
             if seen[start]:
                 continue
             seen[start] = True
             order = [start]
-            for v in order:  # the list is the queue: it grows while it is read
-                for w in sorted({partner for _, partner in self.by_wire[v]}):
-                    if not seen[w]:
-                        seen[w] = True
-                        order.append(w)
+            for a in order:  # the list is the queue: it grows while it is read
+                for b in sorted({partner for _, partner in self.by_wire[a]}):
+                    if not seen[b] and (a, b) != (u, v) and (b, a) != (u, v):
+                        seen[b] = True
+                        order.append(b)
             components.append(tuple(order))
         return tuple(components)
 
@@ -509,14 +514,65 @@ def _search_annealed(problem: _Bipartitioner, max_side, seed: int):
     return _best_feasible(problem, (labels for _, labels, _, _ in ranked), max_side)
 
 
-def _solve_bipartition(problem: _Bipartitioner, max_side, seed: int):
-    if max_side is None and len(problem.components) > 1:
-        # Every bisection costs at least 1, and one component alone costs 1,
-        # with no cut. The last component (the largest smallest wire) alone
-        # on side 1 is the lexicographically smallest such labeling, the one
-        # the exhaustive search returns.
-        last = set(problem.components[-1])
-        return _evaluate_labeling(problem, tuple(int(w in last) for w in range(problem.n)), None)
+def _sides(n: int, ones) -> tuple[int, ...]:
+    """The labeling with the wires ``ones`` on side 1, flipped so that wire 0 is on side 0."""
+    return tuple(int((w in ones) != (0 in ones)) for w in range(n))
+
+
+def _one_gate_labelings(problem: _Bipartitioner):
+    """The sides of each wire pair joined by one gate whose removal splits the wires."""
+    joined = Counter((min(u, v), max(u, v)) for _, u, v in problem.gates2q)  # cz(1, 0) too
+    for pair, c in joined.items():
+        if c == 1 and len(halves := problem.components_without(pair=pair)) == 2:
+            yield _sides(problem.n, set(halves[1]))
+
+
+def _one_wire_labelings(problem: _Bipartitioner):
+    """The labelings that one cut of a wire w separates.
+
+    At each of w's gates where no component left without w meets w both
+    before and after, w and the components it met before make one side.
+    """
+    for w, *_ in problem.sweeps:  # the cuttable wires with two or more gates
+        parts = problem.components_without(w)
+        part_of = {v: i for i, part in enumerate(parts) for v in part}
+        met = [part_of[p] for _, p in problem.by_wire[w]]  # in time order
+        last = {part: j for j, part in enumerate(met)}
+        reach = 0
+        for j in range(1, len(met)):
+            reach = max(reach, last[met[j - 1]])
+            if reach < j:
+                yield _sides(problem.n, {v for part in set(met[j:]) for v in parts[part]})
+
+
+def _settle_bisection(problem: _Bipartitioner, single_cut: bool = True):
+    """The exhaustive search's unbounded answer when it costs 1 or, with
+    ``single_cut``, 9 or 16; else None.
+
+    Every bisection costs at least 1, and one component alone costs 1: the
+    last one (the largest smallest wire) alone on side 1 is the smallest
+    such labeling. A connected wire set cuts a gate or a wire, and
+    9 < 16 < 9², so a labeling priced 9 is optimal, and one priced 16 when
+    none is. Every labeling that one gate cut or one wire cut realizes is a
+    candidate, priced as the exhaustive search prices it.
+    """
+    if len(problem.components) > 1:
+        return _evaluate_labeling(problem, _sides(problem.n, set(problem.components[-1])), None)
+    if not single_cut:
+        return None
+    for level, labelings in ((GATE_CUT_FACTOR, _one_gate_labelings(problem)),
+                             (WIRE_CUT_FACTOR, _one_wire_labelings(problem))):
+        priced = (_evaluate_labeling(problem, labels, None) for labels in labelings)
+        if best := min((key for key in priced if key[0] == level), default=None):
+            return best
+    return None
+
+
+def _solve_bipartition(problem: _Bipartitioner, max_side, seed: int, single_cut: bool = True):
+    """The cheapest labeling found: settled without a search when it is unbounded
+    and ``_settle_bisection`` answers, else exhaustive up to 14 wires and annealed above."""
+    if max_side is None and (settled := _settle_bisection(problem, single_cut)):
+        return settled
     if problem.n <= EXHAUSTIVE_LIMIT:
         return _search_exhaustive(problem, max_side)
     return _search_annealed(problem, max_side, seed)
@@ -537,9 +593,11 @@ def find_cuts(
     bound holds globally); it is exhaustive up to 14 wires and annealed
     above, with seed ``seed + i`` at pass i. It takes the cheapest labeling
     whose sides fit ``max_qubits``, else the cheapest one. An unbounded
-    bisection of wires whose 2-qubit gates leave two or more connected
-    components needs no search: it puts the component with the largest
-    smallest wire alone on side 1, at cost 1. The new part of pass i gets
+    bisection that cuts nothing (its 2-qubit gates leave two or more
+    connected components) needs no search; without ``max_qubits``, neither
+    does one that costs 9 or 16: a walk of its 2-qubit-gate graph finds
+    each labeling that one gate cut or one wire cut realizes, and returns
+    the exhaustive search's answer, at any width. The new part of pass i gets
     label i + 1. A circuit on fewer than 2 qubits needs no cut: its plan is
     the one-part plan.
     """
@@ -564,9 +622,10 @@ def find_cuts(
         cuttable = [len(plan.segments(q)) == 1 for q, _ in wires]
         problem = _Bipartitioner(len(wires), local_gates, cuttable)
         # With no side bound every bisection of two or more wires is
-        # feasible, so the fallback always returns one.
+        # feasible, so the fallback always returns one. It settles no single
+        # cut: the smallest one would peel a chain's last qubit, pass by pass.
         best = _solve_bipartition(problem, max_qubits, seed + i) or _solve_bipartition(
-            problem, None, seed + i
+            problem, None, seed + i, single_cut=False
         )
         _, sides, cut_items, _ = best
         labels = list(plan.labels)

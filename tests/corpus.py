@@ -23,15 +23,25 @@ prints each field that moved; with ``--write`` it rewrites the expected
 files. A change that moves a report runs it and names each changed field::
 
     PYTHONPATH=src python tests/corpus.py [--write]
+
+As a script it pins BLAS to one thread before numpy loads, as
+``perfbench/run.py`` does: the dense oracle's last bits follow the thread
+count, so the reports are written, and compare byte for byte, under that
+setting.
 """
 
 from __future__ import annotations
+
+import os
+
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import contextlib
 import io
 import json
 import math
-import os
 import sys
 import tempfile
 from pathlib import Path

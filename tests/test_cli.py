@@ -844,14 +844,15 @@ def test_a_width_bounded_plan_of_a_circuit_over_the_cap_verifies(tmp_path, capsy
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran past the width check")
 
-    # Plain verify searches without a width bound and puts 21 qubits in part
-    # 0: refused by name, before any channel check or walk.
+    # Plain verify searches without a width bound, and the chain's one-gate
+    # cut with the lowest labels splits off qubit 23, so part 0 holds 23
+    # qubits: refused by name, before any channel check or walk.
     with monkeypatch.context() as patch:
         patch.setattr(qpd, "_ensure_verified", must_not_run)
         patch.setattr(qpd, "_part_table", must_not_run)
         capsys.readouterr()
         assert main(["verify", circ, observables["z0"]]) == EXIT_INPUT
-        assert capsys.readouterr().err == "error: part 0: 21 qubits exceeds the simulator cap 20\n"
+        assert capsys.readouterr().err == "error: part 0: 23 qubits exceeds the simulator cap 20\n"
 
     # A cone over the cap is refused by the oracle, which runs before any search.
     monkeypatch.setattr(cli, "find_cuts", must_not_run)

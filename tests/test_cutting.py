@@ -14,6 +14,7 @@ from cutprop.cutting import (
     CutPlan,
     _Bipartitioner,
     _search_exhaustive,
+    _settle_bisection,
     _solve_bipartition,
     _two_qubit_gates,
     cost,
@@ -425,20 +426,20 @@ def _record_bisections(monkeypatch) -> tuple[list, list[int]]:
 
 
 def test_heis19_bench_search_refines_each_pattern_once(heis19_bench_searches, monkeypatch):
-    # The seed-0 row's six cut searches price 1,091 labelings and refine
-    # 1,091 distinct (passes, linked labels) patterns: five of the six
-    # bisections are disconnected and price one labeling each, and the
-    # sixth has no idle wire. The sixth's 1,086 refinements run 341
-    # distinct wire sweeps.
+    # The seed-0 row's six cut searches price 12 labelings and refine 12
+    # distinct (passes, linked labels) patterns: five of the six bisections
+    # are disconnected and price one labeling each, and the sixth, which has
+    # no idle wire and no one-gate cut, prices its 7 one-wire-cut
+    # candidates. Those 7 refinements run 47 distinct wire sweeps.
     _, searched, calls = heis19_bench_searches
     problems, priced = _record_bisections(monkeypatch)
     for b, kwargs in calls:
         circuit, plan = searched[b]
         assert find_cuts(circuit, **kwargs) == plan
     assert len(problems) == 6
-    assert priced == [1091]
-    assert sum(len(p._refined) for p in problems) == 1091
-    assert [len(p._swept) for p in problems] == [3, 341, 8, 8, 7, 6]
+    assert priced == [12]
+    assert sum(len(p._refined) for p in problems) == 12
+    assert [len(p._swept) for p in problems] == [3, 47, 8, 8, 7, 6]
 
 
 def test_bounded_heis19_search_refines_each_pattern_once(monkeypatch):
@@ -456,8 +457,9 @@ def test_bounded_heis19_search_refines_each_pattern_once(monkeypatch):
 def test_heis19_bench_shortcut_answers_five_of_six_searches(heis19_bench_searches,
                                                             monkeypatch):
     # Five of the seed-0 row's six bisections are disconnected and take the
-    # shortcut; only the 450-gate leftover, whose 2-qubit gates join all 19
-    # wires, runs the annealed search. A count of searches, not a speed-up.
+    # shortcut; the 450-gate leftover, whose 2-qubit gates join all 19
+    # wires, is settled by its one-wire cuts, so no search anneals. A count
+    # of searches, not a speed-up.
     _, searched, calls = heis19_bench_searches
     solved, annealed = [], []
     solve, anneal = cutting._solve_bipartition, cutting._search_annealed
@@ -477,7 +479,7 @@ def test_heis19_bench_shortcut_answers_five_of_six_searches(heis19_bench_searche
         assert find_cuts(circuit, **kwargs) == plan
     assert len(solved) == 6
     assert sum(len(p.components) > 1 for p in solved) == 5
-    assert [len(p.components) for p in annealed] == [1]
+    assert annealed == []
 
 
 def _disconnected_problems():
@@ -536,6 +538,110 @@ def test_disconnected_heis19_leftover_shortcut_equals_the_exhaustive_search():
     assert got == _search_exhaustive(problem, None) == (1, (0,) * 18 + (1,), (), True)
 
 
+def _connected_problems(count):
+    """Seeded bisections of 4-10 wires whose 2-qubit gates join every wire:
+    random pairs, neighbours on a line, two halves that rarely meet, or two
+    halves that meet only through one wire, which meets one half and then
+    the other; one in three with wires frozen as at a recursion level."""
+    rng = np.random.default_rng(44)
+    for trial in itertools.count():
+        n, style = int(rng.integers(4, 11)), trial % 4
+        half = [int(2 * q < n) for q in range(n)]
+        mover = int(rng.integers(n))
+        gates2q, t, size = [], 0, int(rng.integers(n, 3 * n)) + n * (style == 3)
+        while len(gates2q) < size:
+            t += int(rng.integers(1, 3))
+            if style == 1:  # a line, each gate either way round
+                u = int(rng.integers(0, n - 1))
+                u, v = (u, u + 1) if rng.random() < 0.5 else (u + 1, u)
+            elif style == 3 and rng.random() < 0.5:  # half 1 in the first half of the gates
+                phase = int(2 * len(gates2q) < size)
+                others = [q for q in range(n) if q != mover and half[q] == phase]
+                u, v = mover, int(rng.choice(others))
+            else:
+                u, v = (int(q) for q in rng.choice(n, size=2, replace=False))
+                if style == 3 and (mover in (u, v) or half[u] != half[v]):
+                    continue
+                if style == 2 and half[u] != half[v] and rng.random() < 0.85:
+                    continue
+            gates2q.append((t, u, v))
+        cuttable = [bool(c) for c in rng.random(n) > 0.2] if trial % 3 == 0 else None
+        problem = _Bipartitioner(n, gates2q, cuttable)
+        if len(problem.components) == 1:
+            yield problem
+            count -= 1
+            if not count:
+                return
+
+
+def test_settled_bisection_is_the_exhaustive_search_answer():
+    # The check answers exactly when the exhaustive optimum is 9 or 16 (a
+    # connected bisection cuts something), and its answer is that optimum's
+    # key: cost, labels, cuts and feasibility.
+    optima = Counter()
+    for problem in _connected_problems(300):
+        got, want = _settle_bisection(problem), _search_exhaustive(problem, None)
+        optima[want[0]] += 1
+        assert got == (want if want[0] <= 16 else None), problem.gates2q
+    assert optima[9] > 100 and optima[16] > 50 and optima[81] + optima[144] > 100
+
+
+def test_a_pair_joined_both_ways_round_is_not_a_one_gate_cut():
+    # cz(0, 1) and cz(1, 0) join wires 0 and 1 twice, so only the pair (1, 2)
+    # is joined by one gate.
+    problem = _Bipartitioner(3, [(0, 0, 1), (1, 1, 0), (2, 1, 2)])
+    assert list(cutting._one_gate_labelings(problem)) == [(0, 0, 1)]
+
+
+def _two_cluster(n, seed):
+    """3n cz gates, each between the two halves with probability 0.08 and
+    inside a random half otherwise, with an h on the higher qubit after each."""
+    rng = np.random.default_rng((n, seed))
+    gates = []
+    for _ in range(3 * n):
+        if rng.random() < 0.08:
+            u, v = int(rng.integers(0, n // 2)), int(rng.integers(n // 2, n))
+        else:
+            lo, hi = (0, n // 2) if rng.random() < 0.5 else (n // 2, n)
+            u, v = (int(q) for q in rng.choice(np.arange(lo, hi), size=2, replace=False))
+        gates += [Gate("cz", (u, v)), Gate("h", (max(u, v),))]
+    return Circuit(n, tuple(gates))
+
+
+def _h_cz_chain(n):
+    gates = (g for q in range(n - 1) for g in (Gate("h", (q,)), Gate("cz", (q, q + 1))))
+    return Circuit(n, tuple(gates))
+
+
+def test_one_gate_cuts_the_walk_missed_are_settled(monkeypatch):
+    # The annealed walk cut these for 144 executions where one gate cut
+    # suffices; a 150-qubit h+cz chain took it seconds. None of them walks now.
+    def must_not_run(*args):
+        raise AssertionError("annealed a bisection that one cut settles")
+
+    monkeypatch.setattr(cutting, "_search_annealed", must_not_run)
+    for circ, gate_cut in ((_random_dense(16, 3), 82), (_two_cluster(21, 0), 124),
+                           (_h_cz_chain(150), 297)):
+        plan = find_cuts(circ, seed=0)
+        assert (plan.gate_cuts, plan.wire_cuts) == ((gate_cut,), ())
+
+
+def test_the_fallback_of_a_bounded_pass_settles_no_single_cut():
+    # At max_qubits=8 no bisection of a 32-qubit h+cz chain fits, so each
+    # pass falls back to an unbounded search. The smallest single cut would
+    # peel the chain's last qubit pass by pass: 17 gate cuts in place of the
+    # search's 6 (3 suffice).
+    assert find_cuts(_h_cz_chain(32), max_qubits=8, seed=0).kg == 6
+
+
+def test_an_optimum_of_two_gate_cuts_is_left_to_the_walk():
+    # No single cut separates _random_dense(16, 2): the check returns
+    # nothing and the annealed walk finds two gate cuts (81).
+    problem = _Bipartitioner(16, _two_qubit_gates(_random_dense(16, 2)))
+    assert len(problem.components) == 1 and _settle_bisection(problem) is None
+    assert find_cuts(_random_dense(16, 2), seed=0).kg == 2
+
+
 # Leftover gate count -> (the one qubit labelled 1, wire cuts) of each plan
 # the heis19 seed-0 bench row's budget search chose.
 HEIS19_SEED0_PLANS = {
@@ -584,7 +690,8 @@ def _random_dense(n, trial):
 
 def test_find_cuts_pinned_plans():
     # Plans written out in full, so any change in what the search picks
-    # shows here: the exhaustive path, the annealed path at two seeds, and
+    # shows here: one-gate and one-wire cuts settled by the check, the
+    # annealed path at two seeds on a circuit the check leaves to it, and
     # recursive bisection.
     heis19 = _heis19()
     cases = [
@@ -592,14 +699,19 @@ def test_find_cuts_pinned_plans():
          ((0, 0, 1, 0, 0, 0, 0, 0, 0, 0), ((7, 36, 1),), ())),
         (_random_dense(13, 2), None, 0,
          ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), ((1, 54, 1),), ())),
+        # Settled at any seed: one gate cut, which the walk missed at seed 0.
         (_random_dense(16, 3), None, 0,
-         ((0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0), ((9, 38, 0),), (36,))),
+         ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0), (), (82,))),
         (_random_dense(16, 3), None, 1,
          ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0), (), (82,))),
+        (_random_dense(16, 2), None, 0,
+         ((0,) * 14 + (1, 1), (), (57, 59))),
+        (_random_dense(16, 2), None, 1,
+         ((0,) * 12 + (1, 0, 0, 0), (), (32, 62))),
         (heis19, None, 0,
          ((0,) * 18 + (1,), ((17, 380, 1),), ())),
         (heis19, None, 1,
-         ((0,) * 13 + (1, 1) + (0,) * 4, ((14, 317, 0),), ())),
+         ((0,) * 18 + (1,), ((17, 380, 1),), ())),
         (_random_dense(7, 3), 2, 0,
          ((0, 1, 5, 0, 4, 2, 6), ((3, 8, 5), (4, 1, 6), (5, 9, 3)),
           (0, 7, 8, 9, 10, 11, 23, 25))),
@@ -660,7 +772,8 @@ def test_constraint_errors():
 
 
 def test_annealed_search_path():
-    # above the exhaustive width limit; a chain still cuts with one gate
+    # above the exhaustive width limit; a chain still cuts with one gate,
+    # which the check settles before any walk
     circ = ladder(16)
     plan = find_cuts(circ, seed=7)
     validate_plan(circ, plan)
@@ -919,8 +1032,9 @@ def test_plan_split_graph_components_respect_parts():
 
 
 def test_annealed_search_finds_known_community_cut():
-    # two dense 8/9-qubit blocks joined by a single interaction: the
-    # annealed path (width > 14) must find the one-gate-cut partition
+    # two dense 8/9-qubit blocks joined by a single interaction: above the
+    # exhaustive width (> 14) the search must find the one-gate-cut
+    # partition, which the check settles before any walk
     gates = []
     for block in (range(0, 8), range(8, 17)):
         qubits = list(block)
