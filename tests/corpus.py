@@ -1,4 +1,4 @@
-"""The committed report corpus: 36 CLI commands and their expected reports.
+"""The committed report corpus: 40 CLI commands and their expected reports.
 
 ``write_inputs`` writes every input file into the working directory and
 returns one (name, argv) pair per command, with every path relative, so
@@ -10,9 +10,13 @@ and per layer, and ``z6`` with ``--trunc-eps 1e-3``, which drops terms;
 ``bench --large`` for every suite at seeds 0, 1, 2 and 15; and a 4-qubit
 circuit with a cz cut, a cx cut and a wire cut under ``verify --plan
 --shots 200``, plain ``verify``, ``verify --qwc-max 2``, ``verify
---qwc-max 3 --trunc-eps 1e-3`` and ``cut --max-qubits 2
---per-subcircuit``. ``reports/<name>.json`` holds each report as the CLI
-wrote it.
+--qwc-max 3 --trunc-eps 1e-3``, ``cut --max-qubits 2 --per-subcircuit``
+and ``optimize``; the lowered heis19 circuit (Z on its first 6 qubits, as
+the CI step writes it) under ``cut --max-qubits 10``, a bounded annealed
+search, and ``--max-qubits 5``, where most passes hold more than twice the
+bound; and ``cut --bipartition`` of a dense 16-qubit random circuit that
+no single cut splits, an unbounded annealed search. ``reports/<name>.json``
+holds each report as the CLI wrote it.
 
 ``tests/test_corpus.py`` reruns the commands and compares each report as
 parsed JSON (``mismatches``): strings, integers and booleans exactly, and
@@ -46,7 +50,19 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from cutprop import cli
+from cutprop.circuits import emit_qasm, lower_rotations
+from cutprop.generators import (
+    HEISENBERG_H,
+    HEISENBERG_J,
+    first_k_z_observable,
+    heavy_hex_19_edges,
+    heisenberg_trotter,
+    random_circuit,
+)
+from cutprop.paulis import format_observable
 from oracles import perfbench_inputs
 
 REPORTS = Path(__file__).resolve().parent / "reports"
@@ -104,6 +120,20 @@ def write_inputs() -> list[tuple[str, list[str]]]:
         ("verify-w4-qwc2", ["verify", *files, "--qwc-max", "2"]),
         ("verify-w4-qwc3-trunc", ["verify", *files, "--qwc-max", "3", "--trunc-eps", "1e-3"]),
         ("cut-w4-max2-per-subcircuit", ["cut", *files, "--max-qubits", "2", "--per-subcircuit"]),
+        ("optimize-w4", ["optimize", *files]),
+    ]
+    # The lowered heis19 circuit, written as the CI step writes it.
+    heis19 = heisenberg_trotter(list(heavy_hex_19_edges()), HEISENBERG_J, HEISENBERG_H,
+                                t=0.2, steps=1)
+    Path("h19.qasm").write_text(emit_qasm(lower_rotations(heis19)))
+    Path("h19.obs").write_text(format_observable(first_k_z_observable(19, 6)))
+    dense = random_circuit(16, 25, np.random.default_rng((404, 16, 2)), p_two_qubit=0.9)
+    Path("dense16.qasm").write_text(emit_qasm(lower_rotations(dense)))
+    Path("dense16.obs").write_text("1 Z" + "I" * 15 + "\n")
+    commands += [
+        ("cut-h19-max10", ["cut", "h19.qasm", "h19.obs", "--max-qubits", "10"]),
+        ("cut-h19-max5", ["cut", "h19.qasm", "h19.obs", "--max-qubits", "5"]),
+        ("cut-dense16-bipartition", ["cut", "dense16.qasm", "dense16.obs", "--bipartition"]),
     ]
     return commands
 

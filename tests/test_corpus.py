@@ -10,7 +10,7 @@ import corpus
 def test_every_report_of_the_corpus_is_reproduced(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = corpus.write_inputs()
-    assert len(commands) == 36
+    assert len(commands) == 40
     assert sorted(p.stem for p in corpus.REPORTS.glob("*.json")) == sorted(n for n, _ in commands)
     for name, argv in commands:
         code, text = corpus.run(argv)
