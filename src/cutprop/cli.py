@@ -252,7 +252,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.qwc_max is not None:
         bp = backpropagate(circuit, obs, args.qwc_max, args.trunc_eps, args.slice)
         work_circuit, work_obs = bp.reduced_circuit, bp.evolved_obs
-        trunc_bound = bp.slices_absorbed * args.trunc_eps
+        # Each dropped term is a Pauli word of norm 1, so the dropped mass bounds |delta|.
+        trunc_bound = bp.truncation_error_accrued
         pipeline = {
             "mode": "backprop+cut",
             "slices_absorbed": bp.slices_absorbed,

@@ -84,9 +84,6 @@ class CutPlan(_CutPlanFields):
         """The (qubit, segment index) wire that gate index t acts on."""
         return (q, bisect_right(self.segments(q), t, key=itemgetter(0)) - 1)
 
-    def segment_label(self, q: int, t: int) -> int:
-        return self.segments(q)[self.wire_at(q, t)[1]][1]
-
     @cached_property
     def parts(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Part label -> its (qubit, segment index) wires.
@@ -299,8 +296,8 @@ class _Bipartitioner:
                 mask = sum(1 << p for p in (w, *partners))
                 self.sweeps.append((w, timeline[0], tuple(timeline[1:]), partners, mask))
                 self._uncut[w] = (self.never,) * len(partners)
-        # Each wire pair's 2-qubit gate count: the starting kg sums one per crossing pair.
-        self._pairs = tuple(Counter((u, v) for _, u, v in self.gates2q).items())
+        # Each unordered wire pair's gate count: the starting kg sums one per crossing pair.
+        self._pairs = tuple(Counter((min(u, v), max(u, v)) for _, u, v in self.gates2q).items())
         # Each wire's label bit, 0 for a wire without a 2-qubit gate: only
         # the linked wires' labels reach a refinement.
         self._bits = [1 << w if timeline else 0 for w, timeline in enumerate(self.by_wire)]
@@ -521,8 +518,7 @@ def _sides(n: int, ones) -> tuple[int, ...]:
 
 def _one_gate_labelings(problem: _Bipartitioner):
     """The sides of each wire pair joined by one gate whose removal splits the wires."""
-    joined = Counter((min(u, v), max(u, v)) for _, u, v in problem.gates2q)  # cz(1, 0) too
-    for pair, c in joined.items():
+    for pair, c in problem._pairs:
         if c == 1 and len(halves := problem.components_without(pair=pair)) == 2:
             yield _sides(problem.n, set(halves[1]))
 
@@ -545,21 +541,27 @@ def _one_wire_labelings(problem: _Bipartitioner):
                 yield _sides(problem.n, {v for part in set(met[j:]) for v in parts[part]})
 
 
-def _settle_bisection(problem: _Bipartitioner, single_cut: bool = True):
-    """The exhaustive search's unbounded answer when it costs 1 or, with
-    ``single_cut``, 9 or 16; else None.
+def _zero_cut(problem: _Bipartitioner):
+    """The exhaustive search's unbounded answer when its wires are not connected, else None.
 
     Every bisection costs at least 1, and one component alone costs 1: the
     last one (the largest smallest wire) alone on side 1 is the smallest
-    such labeling. A connected wire set cuts a gate or a wire, and
-    9 < 16 < 9², so a labeling priced 9 is optimal, and one priced 16 when
-    none is. Every labeling that one gate cut or one wire cut realizes is a
-    candidate, priced as the exhaustive search prices it.
+    such labeling.
     """
     if len(problem.components) > 1:
         return _evaluate_labeling(problem, _sides(problem.n, set(problem.components[-1])), None)
-    if not single_cut:
-        return None
+    return None
+
+
+def _one_cut(problem: _Bipartitioner):
+    """The exhaustive search's unbounded answer for a connected wire set when
+    it costs 9 or 16, else None.
+
+    A connected wire set cuts a gate or a wire, and 9 < 16 < 9², so a
+    labeling priced 9 is optimal, and one priced 16 when none is. Every
+    labeling that one gate cut or one wire cut realizes is a candidate,
+    priced as the exhaustive search prices it.
+    """
     for level, labelings in ((GATE_CUT_FACTOR, _one_gate_labelings(problem)),
                              (WIRE_CUT_FACTOR, _one_wire_labelings(problem))):
         priced = (_evaluate_labeling(problem, labels, None) for labels in labelings)
@@ -568,14 +570,26 @@ def _settle_bisection(problem: _Bipartitioner, single_cut: bool = True):
     return None
 
 
-def _solve_bipartition(problem: _Bipartitioner, max_side, seed: int, single_cut: bool = True):
-    """The cheapest labeling found: settled without a search when it is unbounded
-    and ``_settle_bisection`` answers, else exhaustive up to 14 wires and annealed above."""
-    if max_side is None and (settled := _settle_bisection(problem, single_cut)):
-        return settled
-    if problem.n <= EXHAUSTIVE_LIMIT:
-        return _search_exhaustive(problem, max_side)
-    return _search_annealed(problem, max_side, seed)
+def _solve_bipartition(problem: _Bipartitioner, max_side, seed: int):
+    """The cheapest labeling found whose sides fit ``max_side``, else the cheapest one.
+
+    Exhaustive up to 14 wires, annealed above. Unbounded, the search runs
+    when ``_zero_cut`` and ``_one_cut`` do not answer. Bounded, it runs only
+    on at most 2 * max_side wires, since a cut wire counts on both sides.
+    With no labeling that fits, the answer is the unbounded one without
+    ``_one_cut``, whose smallest single cut would peel a chain's last qubit,
+    pass by pass.
+    """
+    def search(bound):
+        if problem.n <= EXHAUSTIVE_LIMIT:
+            return _search_exhaustive(problem, bound)
+        return _search_annealed(problem, bound, seed)
+
+    if max_side is None:
+        return _zero_cut(problem) or _one_cut(problem) or search(None)
+    if problem.n <= 2 * max_side and (best := search(max_side)):
+        return best
+    return _zero_cut(problem) or search(None)
 
 
 def find_cuts(
@@ -587,19 +601,17 @@ def find_cuts(
 
     Starting from the one-part plan, each pass bisects one part: the whole
     register first, then, with ``max_qubits`` set, the lowest-labelled part
-    that still holds more than ``max_qubits`` wires. A bisection searches
-    0/1 labelings of the part's (qubit, segment) wires, with at most one
-    wire cut per qubit (qubits cut at an earlier pass are frozen, so the
-    bound holds globally); it is exhaustive up to 14 wires and annealed
-    above, with seed ``seed + i`` at pass i. It takes the cheapest labeling
-    whose sides fit ``max_qubits``, else the cheapest one. An unbounded
-    bisection that cuts nothing (its 2-qubit gates leave two or more
-    connected components) needs no search; without ``max_qubits``, neither
-    does one that costs 9 or 16: a walk of its 2-qubit-gate graph finds
-    each labeling that one gate cut or one wire cut realizes, and returns
-    the exhaustive search's answer, at any width. The new part of pass i gets
-    label i + 1. A circuit on fewer than 2 qubits needs no cut: its plan is
-    the one-part plan.
+    that still holds more than ``max_qubits`` wires. ``_solve_bipartition``
+    decides each pass in one call, with seed ``seed + i`` at pass i: it
+    labels the part's (qubit, segment) wires 0/1, with at most one wire cut
+    per qubit (qubits cut at an earlier pass are frozen, so the bound holds
+    globally), and takes the cheapest labeling whose sides fit
+    ``max_qubits`` or, when none does, the cheapest one. A part of more
+    than 2 * max_qubits wires has none. An unbounded bisection that costs
+    1 or, without ``max_qubits``, 9 or 16 needs no search: a walk of its
+    2-qubit-gate graph finds the exhaustive search's answer, at any width.
+    The new part of pass i gets label i + 1. A circuit on fewer than 2
+    qubits needs no cut: its plan is the one-part plan.
     """
     if max_qubits is not None and max_qubits < 1:
         raise CutError("max_qubits must be positive")
@@ -621,13 +633,7 @@ def find_cuts(
                 local_gates.append((t, index[wu], index[wv]))
         cuttable = [len(plan.segments(q)) == 1 for q, _ in wires]
         problem = _Bipartitioner(len(wires), local_gates, cuttable)
-        # With no side bound every bisection of two or more wires is
-        # feasible, so the fallback always returns one. It settles no single
-        # cut: the smallest one would peel a chain's last qubit, pass by pass.
-        best = _solve_bipartition(problem, max_qubits, seed + i) or _solve_bipartition(
-            problem, None, seed + i, single_cut=False
-        )
-        _, sides, cut_items, _ = best
+        _, sides, cut_items, _ = _solve_bipartition(problem, max_qubits, seed + i)
         labels = list(plan.labels)
         cuts = {q: segs[1] for q in range(plan.n) if len(segs := plan.segments(q)) > 1}
         for (q, k), side in zip(wires, sides):

@@ -192,11 +192,7 @@ def apply_pauli(state: np.ndarray, word: PauliString) -> np.ndarray:
     P|b> = i^(#Y) * (-1)^popcount(b & z) * |b XOR x>, so the amplitude at
     output index c is sourced from c XOR x with that phase.
     """
-    return _apply_word(state, word.x, word.z)
-
-
-def _apply_word(state: np.ndarray, x: int, z: int) -> np.ndarray:
-    """P|psi> for the word P = (x, z), given as two Python ints."""
+    x, z = word.x, word.z
     index, sign = _index_tables(state.shape[-1])
     src = index ^ x
     out = state.take(src, axis=-1).astype(complex, copy=False)

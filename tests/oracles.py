@@ -45,6 +45,8 @@ stacked channel checks.
 ``random_observable`` and ``random_product_factors`` make seeded test inputs;
 ``product_layer`` prepares those factors from |0...0> with gates, and
 ``after`` puts it before a circuit and moves a plan's cuts past it.
+``segment_label`` reads a qubit's label at a gate index off its segment
+list, without ``CutPlan.wire_at``.
 ``perfbench_inputs`` loads the benchmark's input generators.
 """
 
@@ -792,6 +794,11 @@ def per_arg_parse_qasm(text: str) -> Circuit:
     if reg_name is None:
         raise QasmError("missing qreg declaration", 1)
     return Circuit(width, tuple(gates))
+
+
+def segment_label(plan: CutPlan, q: int, t: int) -> int:
+    """The label of qubit q's segment that gate index t acts on."""
+    return [label for start, label in plan.segments(q) if start <= t][-1]
 
 
 def perfbench_inputs():

@@ -361,6 +361,46 @@ def test_verify_truncation_budget(workdir):
     assert res["abs_delta"] <= res["tolerance"] + res["truncation_bound"]
 
 
+# The rz(0.1) splits the evolved term in two, and --trunc-eps 0.15 drops the
+# sin(0.1) part; the budget of one group stops before the rz(0.7), so a plan
+# is reconstructed.
+_TRUNCATING_QASM = "\n".join([
+    "OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[3];", "h q[0];", "rz(0.7) q[2];",
+    "cx q[0],q[1];", "cx q[1],q[2];", "rz(0.1) q[2];", "sx q[2];", "",
+])
+
+
+def test_verify_truncation_bound_is_the_mass_dropped(workdir, monkeypatch):
+    tmp, circ, obs, _, _ = workdir
+    out = tmp / "none.json"
+    assert main(["verify", circ, obs, "--qwc-max", "2", "--trunc-eps", "0.003",
+                 "--out", str(out)]) == EXIT_OK
+    res = read_json(out)["results"]
+    assert res["pipeline"]["truncation_error_accrued"] == 0.0
+    assert res["truncation_bound"] == 0.0
+    circ, obs = tmp / "trunc.qasm", tmp / "trunc.obs"
+    circ.write_text(_TRUNCATING_QASM)
+    obs.write_text("1 IIZ\n")
+    argv = ["verify", str(circ), str(obs), "--qwc-max", "1", "--trunc-eps", "0.15"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    res = read_json(out)["results"]
+    accrued = res["pipeline"]["truncation_error_accrued"]
+    assert res["plan"] is not None and not res["pipeline"]["fully_absorbed"]
+    assert res["truncation_bound"] == accrued == pytest.approx(math.sin(0.1))
+    # A reconstruction off by twice the allowance fails the verdict.
+    reconstruct = cli.reconstruct
+
+    def shifted(*args, **kwargs):
+        rec = reconstruct(*args, **kwargs)
+        return rec._replace(exact_value=rec.exact_value + 2 * (res["tolerance"] + accrued))
+
+    monkeypatch.setattr(cli, "reconstruct", shifted)
+    assert main([*argv, "--out", str(out)]) == EXIT_FAIL
+    failed = read_json(out)["results"]
+    assert failed["within_tolerance"] is False
+    assert failed["abs_delta"] > failed["tolerance"] + failed["truncation_bound"]
+
+
 # --- bench ------------------------------------------------------------------------
 
 

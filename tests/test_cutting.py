@@ -13,10 +13,11 @@ from cutprop.cutting import (
     CutError,
     CutPlan,
     _Bipartitioner,
+    _one_cut,
     _search_exhaustive,
-    _settle_bisection,
     _solve_bipartition,
     _two_qubit_gates,
+    _zero_cut,
     cost,
     SubOp,
     extract_subcircuits,
@@ -41,6 +42,7 @@ from oracles import (
     perfbench_inputs,
     random_observable,
     refine_wire_cuts,
+    segment_label,
 )
 
 
@@ -444,14 +446,40 @@ def test_heis19_bench_search_refines_each_pattern_once(heis19_bench_searches, mo
 
 def test_bounded_heis19_search_refines_each_pattern_once(monkeypatch):
     # A bounded search is where the refinement cache pays: on the first 41
-    # gates at max_qubits=6 it prices 57,577 labelings but refines 69
-    # patterns, which run 96 distinct wire sweeps.
+    # gates at max_qubits=6 it prices 4,017 labelings but refines 15
+    # patterns, which run 33 distinct wire sweeps. The passes over 13 to 19
+    # wires, more than 2 * 6, search no bounded labeling.
     (_, heis19, _), = _bench_instances("heis19", 0)
     problems, priced = _record_bisections(monkeypatch)
     find_cuts(heis19.prefix(41), max_qubits=6, seed=0)
-    assert priced == [57577]
-    assert sum(len(p._refined) for p in problems) == 69
-    assert sum(len(p._swept) for p in problems) == 96
+    assert priced == [4017]
+    assert sum(len(p._refined) for p in problems) == 15
+    assert sum(len(p._swept) for p in problems) == 33
+
+
+def test_no_bounded_search_runs_where_no_labeling_fits(monkeypatch):
+    # Two sides of max_side wires hold at most 2 * max_side wires, a cut
+    # wire on both, so a bounded search runs only on that many; a wider
+    # part falls back to the unbounded answer at once.
+    calls = []
+    exhaustive, annealed = cutting._search_exhaustive, cutting._search_annealed
+
+    def recording_exhaustive(problem, max_side):
+        calls.append((problem.n, max_side))
+        return exhaustive(problem, max_side)
+
+    def recording_annealed(problem, max_side, seed):
+        calls.append((problem.n, max_side))
+        return annealed(problem, max_side, seed)
+
+    monkeypatch.setattr(cutting, "_search_exhaustive", recording_exhaustive)
+    monkeypatch.setattr(cutting, "_search_annealed", recording_annealed)
+    for circ, bound in ((_heis19(), 5), (_heis19(), 4), (_h_cz_chain(50), 12)):
+        calls.clear()
+        find_cuts(circ, max_qubits=bound, seed=0)
+        bounded = [n for n, max_side in calls if max_side is not None]
+        assert bounded and all(n <= 2 * bound for n in bounded), (bound, calls)
+        assert any(max_side is None for _, max_side in calls), (bound, calls)
 
 
 def test_heis19_bench_shortcut_answers_five_of_six_searches(heis19_bench_searches,
@@ -524,7 +552,7 @@ def test_disconnected_bisection_shortcut_equals_the_exhaustive_search():
             continue
         disconnected += 1
         got = _solve_bipartition(problem, None, 0)
-        assert got == _search_exhaustive(problem, None)
+        assert got == _zero_cut(problem) == _search_exhaustive(problem, None)
         assert got[0] == 1 and got[2] == ()
     assert disconnected >= 40
 
@@ -580,7 +608,7 @@ def test_settled_bisection_is_the_exhaustive_search_answer():
     # key: cost, labels, cuts and feasibility.
     optima = Counter()
     for problem in _connected_problems(300):
-        got, want = _settle_bisection(problem), _search_exhaustive(problem, None)
+        got, want = _one_cut(problem), _search_exhaustive(problem, None)
         optima[want[0]] += 1
         assert got == (want if want[0] <= 16 else None), problem.gates2q
     assert optima[9] > 100 and optima[16] > 50 and optima[81] + optima[144] > 100
@@ -638,7 +666,8 @@ def test_an_optimum_of_two_gate_cuts_is_left_to_the_walk():
     # No single cut separates _random_dense(16, 2): the check returns
     # nothing and the annealed walk finds two gate cuts (81).
     problem = _Bipartitioner(16, _two_qubit_gates(_random_dense(16, 2)))
-    assert len(problem.components) == 1 and _settle_bisection(problem) is None
+    assert len(problem.components) == 1 and _zero_cut(problem) is None
+    assert _one_cut(problem) is None
     assert find_cuts(_random_dense(16, 2), seed=0).kg == 2
 
 
@@ -692,7 +721,8 @@ def test_find_cuts_pinned_plans():
     # Plans written out in full, so any change in what the search picks
     # shows here: one-gate and one-wire cuts settled by the check, the
     # annealed path at two seeds on a circuit the check leaves to it, and
-    # recursive bisection.
+    # recursive bisection: heis19 at 8, 5 and 4 wires makes (12, 3), (30, 17)
+    # and (41, 17) cuts, and a 50-qubit h+cz chain at 12 wires 6 gate cuts.
     heis19 = _heis19()
     cases = [
         (_random_dense(10, 1), None, 0,
@@ -724,6 +754,31 @@ def test_find_cuts_pinned_plans():
         (_random_dense(16, 3), 8, 1,
          ((0, 0, 0, 3, 3, 3, 3, 0, 0, 3, 0, 0, 1, 2, 3, 3), ((1, 91, 3), (5, 104, 0)),
           (1, 3, 33, 34, 80, 82))),
+        # Passes over more than twice the bound fall back to the unbounded answer.
+        (heis19, 8, 0,
+         ((0, 0, 0, 0, 0, 0, 4, 0, 0, 4, 4, 4, 4, 2, 2, 4, 4, 3, 1),
+          ((14, 317, 4), (16, 359, 3), (17, 380, 1)),
+          (107, 109, 116, 118, 123, 125, 191, 193, 200, 202, 207, 209))),
+        (heis19, 5, 0,
+         ((0, 8, 9, 10, 11, 15, 12, 16, 17, 14, 7, 13, 6, 2, 2, 5, 4, 3, 1),
+          ((0, 11, 14), (1, 4, 18), (2, 25, 19), (3, 46, 20), (4, 67, 20), (5, 88, 14),
+           (6, 109, 20), (7, 130, 14), (8, 172, 14), (9, 254, 6), (10, 214, 20),
+           (11, 151, 20), (12, 275, 5), (14, 317, 5), (15, 338, 4), (16, 359, 3),
+           (17, 380, 1)),
+          (2, 4, 11, 13, 18, 20, 23, 25, 32, 34, 39, 41, 44, 46, 53, 55, 60, 62, 65, 86, 107,
+           128, 149, 170, 212, 214, 221, 223, 228, 230))),
+        (heis19, 4, 0,
+         ((0, 8, 9, 10, 11, 15, 12, 16, 17, 22, 7, 13, 6, 2, 2, 5, 4, 3, 1),
+          ((0, 11, 14), (1, 4, 18), (2, 25, 19), (3, 46, 20), (4, 67, 21), (5, 88, 14),
+           (6, 109, 22), (7, 130, 14), (8, 172, 14), (9, 254, 6), (10, 214, 22),
+           (11, 151, 22), (12, 275, 5), (14, 317, 5), (15, 338, 4), (16, 359, 3),
+           (17, 380, 1)),
+          (2, 4, 11, 13, 18, 20, 23, 25, 32, 34, 39, 41, 44, 46, 53, 55, 60, 62, 65, 67, 74,
+           76, 81, 83, 86, 107, 109, 116, 118, 123, 125, 128, 149, 170, 191, 193, 200, 202,
+           207, 209, 212))),
+        (_h_cz_chain(50), 12, 0,
+         ((0,) * 12 + (5,) * 5 + (4,) * 8 + (3,) + (2,) * 2 + (1,) * 12 + (6,) * 10, (),
+          (23, 33, 49, 51, 55, 79))),
     ]
     for circ, max_qubits, seed, expected in cases:
         plan = find_cuts(circ, max_qubits=max_qubits, seed=seed)
@@ -743,7 +798,7 @@ def test_max_qubits_recursive_split():
     validate_plan(circ, plan)
     sizes = {}
     for q in range(6):
-        for seg_label in {plan.segment_label(q, t) for t in range(len(circ.gates) + 1)}:
+        for seg_label in {segment_label(plan, q, t) for t in range(len(circ.gates) + 1)}:
             sizes.setdefault(seg_label, set()).add(q)
     assert all(len(v) <= 2 for v in sizes.values())
     assert plan.num_subcircuits >= 3
@@ -854,7 +909,7 @@ def test_wire_cut_order_does_not_matter():
     seen = [
         (
             plan.segments(0),
-            [plan.segment_label(0, t) for t in range(len(circ.gates) + 1)],
+            [segment_label(plan, 0, t) for t in range(len(circ.gates) + 1)],
             plan.segments(0)[-1][1],
             cost(plan, obs, circ),
             cut_and_reconstruct(circ, plan, obs).value,
@@ -914,7 +969,7 @@ def test_extract_emits_maximal_gate_runs_in_circuit_order():
             for t, g in enumerate(circ.gates):
                 if t in plan.gate_cuts:
                     continue
-                label = plan.segment_label(g.qubits[0], t)
+                label = segment_label(plan, g.qubits[0], t)
                 local = tuple(plan.parts[label].index(plan.wire_at(q, t)) for q in g.qubits)
                 expected[label].append(Gate(g.kind, local, angle=g.angle, axis=g.axis))
             ext = extract_subcircuits(circ, plan, weight_z_observable(6, 1))
@@ -1009,8 +1064,8 @@ def test_plan_split_graph_components_respect_parts():
                 adj[wu].add(wv)
                 adj[wv].add(wu)
         def wire_label(q, seg):
-            return plan.labels[q] if seg == 0 else plan.segment_label(
-                q, cuts_by_qubit[q][seg - 1]
+            return plan.labels[q] if seg == 0 else segment_label(
+                plan, q, cuts_by_qubit[q][seg - 1]
             )
 
         seen = set()
