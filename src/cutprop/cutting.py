@@ -310,18 +310,13 @@ class _Bipartitioner:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """The connected components of the 2-qubit-gate graph, a gate-free wire alone."""
-        return self.components_without()
-
-    def components_without(self, wire: int = -1, pair: tuple[int, int] = (-1, -1)):
-        """The components once ``wire`` and the gates between the wires of ``pair`` are gone.
+        """The connected components of the 2-qubit-gate graph, a gate-free wire alone.
 
         One breadth-first walk: each component starts at its smallest wire
         and lists its wires in visiting order, neighbours in wire order, and
         the components follow in order of their smallest wire.
         """
-        seen = [w == wire for w in range(self.n)]
-        u, v = pair
+        seen = [False] * self.n
         components = []
         for start in range(self.n):
             if seen[start]:
@@ -330,7 +325,7 @@ class _Bipartitioner:
             order = [start]
             for a in order:  # the list is the queue: it grows while it is read
                 for b in sorted({partner for _, partner in self.by_wire[a]}):
-                    if not seen[b] and (a, b) != (u, v) and (b, a) != (u, v):
+                    if not seen[b]:
                         seen[b] = True
                         order.append(b)
             components.append(tuple(order))
@@ -452,6 +447,7 @@ def _best_feasible(problem: _Bipartitioner, labelings, max_side):
 
 
 def _search_exhaustive(problem: _Bipartitioner, max_side):
+    """Every labeling, wire 0 on side 0: exhaustive over labels, heuristic over cut positions."""
     n = problem.n
     labelings = (
         tuple(((bits >> (q - 1)) & 1) if q else 0 for q in range(n))
@@ -516,31 +512,6 @@ def _sides(n: int, ones) -> tuple[int, ...]:
     return tuple(int((w in ones) != (0 in ones)) for w in range(n))
 
 
-def _one_gate_labelings(problem: _Bipartitioner):
-    """The sides of each wire pair joined by one gate whose removal splits the wires."""
-    for pair, c in problem._pairs:
-        if c == 1 and len(halves := problem.components_without(pair=pair)) == 2:
-            yield _sides(problem.n, set(halves[1]))
-
-
-def _one_wire_labelings(problem: _Bipartitioner):
-    """The labelings that one cut of a wire w separates.
-
-    At each of w's gates where no component left without w meets w both
-    before and after, w and the components it met before make one side.
-    """
-    for w, *_ in problem.sweeps:  # the cuttable wires with two or more gates
-        parts = problem.components_without(w)
-        part_of = {v: i for i, part in enumerate(parts) for v in part}
-        met = [part_of[p] for _, p in problem.by_wire[w]]  # in time order
-        last = {part: j for j, part in enumerate(met)}
-        reach = 0
-        for j in range(1, len(met)):
-            reach = max(reach, last[met[j - 1]])
-            if reach < j:
-                yield _sides(problem.n, {v for part in set(met[j:]) for v in parts[part]})
-
-
 def _zero_cut(problem: _Bipartitioner):
     """The exhaustive search's unbounded answer when its wires are not connected, else None.
 
@@ -554,20 +525,48 @@ def _zero_cut(problem: _Bipartitioner):
 
 
 def _one_cut(problem: _Bipartitioner):
-    """The exhaustive search's unbounded answer for a connected wire set when
-    it costs 9 or 16, else None.
+    """The unbounded answer for a connected wire set when it costs 9 or 16, else None.
 
-    A connected wire set cuts a gate or a wire, and 9 < 16 < 9², so a
-    labeling priced 9 is optimal, and one priced 16 when none is. Every
-    labeling that one gate cut or one wire cut realizes is a candidate,
-    priced as the exhaustive search prices it.
+    A connected wire set cuts a gate or a wire, and 9 < 16 < 9², so one gate
+    cut is optimal when one suffices, and one wire cut when none does. Each
+    is a bridge of the segment graph, whose node 2j + s is the s-th end of
+    gate j, joined to the gate's other end and to its wire's previous and
+    next ends. One iterative depth-first search finds every bridge (Tarjan,
+    IPL 1974). Its far side is the subtree below it: when its lower end
+    closes, the nodes discovered since that end. A gate bridge cuts its
+    gate; a wire bridge on a cuttable wire cuts the wire before its later
+    end's gate. Each wire takes its first end's side; the smallest key wins.
     """
-    for level, labelings in ((GATE_CUT_FACTOR, _one_gate_labelings(problem)),
-                             (WIRE_CUT_FACTOR, _one_wire_labelings(problem))):
-        priced = (_evaluate_labeling(problem, labels, None) for labels in labelings)
-        if best := min((key for key in priced if key[0] == level), default=None):
-            return best
-    return None
+    gates, n = problem.gates2q, problem.n
+    wire = [q for _, u, v in gates for q in (u, v)]  # node -> its wire
+    ends = [[] for _ in range(n)]  # each wire's nodes in time order
+    for a, w in enumerate(wire):
+        ends[w].append(a)
+    adjacent = [[a ^ 1] for a in range(len(wire))]
+    for chain in ends:
+        for i, a in enumerate(chain):
+            adjacent[a] += chain[max(i - 1, 0):i] + chain[i + 1:i + 2]
+    disc = [0] + [-1] * (len(wire) - 1)  # node 0 is the root, its own parent
+    low, tick = disc[:], count(1)
+    keys = []  # one per bridge
+    stack = [(0, 0, iter(adjacent[0]))]
+    while stack:
+        a, parent, rest = stack[-1]
+        for b in rest:
+            if disc[b] < 0:
+                disc[b] = low[b] = next(tick)
+                stack.append((b, a, iter(adjacent[b])))
+                break
+            if b != parent:  # the graph has no parallel edges
+                low[a] = min(low[a], disc[b])
+        else:
+            stack.pop()
+            low[parent] = min(low[parent], low[a])
+            if low[a] > disc[parent] and (parent == a ^ 1 or problem.cuttable[wire[a]]):
+                cut = () if parent == a ^ 1 else ((wire[a], gates[max(a, parent) // 2][0]),)
+                far = {w for w, chain in enumerate(ends) if disc[chain[0]] >= disc[a]}
+                keys.append((total_executions(not cut, len(cut), 1), _sides(n, far), cut, True))
+    return min(keys, default=None)
 
 
 def _solve_bipartition(problem: _Bipartitioner, max_side, seed: int):
@@ -577,8 +576,7 @@ def _solve_bipartition(problem: _Bipartitioner, max_side, seed: int):
     when ``_zero_cut`` and ``_one_cut`` do not answer. Bounded, it runs only
     on at most 2 * max_side wires, since a cut wire counts on both sides.
     With no labeling that fits, the answer is the unbounded one without
-    ``_one_cut``, whose smallest single cut would peel a chain's last qubit,
-    pass by pass.
+    ``_one_cut``: a single cut would peel a chain's last qubit a pass.
     """
     def search(bound):
         if problem.n <= EXHAUSTIVE_LIMIT:
@@ -607,11 +605,13 @@ def find_cuts(
     per qubit (qubits cut at an earlier pass are frozen, so the bound holds
     globally), and takes the cheapest labeling whose sides fit
     ``max_qubits`` or, when none does, the cheapest one. A part of more
-    than 2 * max_qubits wires has none. An unbounded bisection that costs
-    1 or, without ``max_qubits``, 9 or 16 needs no search: a walk of its
-    2-qubit-gate graph finds the exhaustive search's answer, at any width.
-    The new part of pass i gets label i + 1. A circuit on fewer than 2
-    qubits needs no cut: its plan is the one-part plan.
+    than 2 * max_qubits wires has none. The exhaustive search is
+    exhaustive over labels and heuristic over cut positions. An unbounded
+    bisection that costs 1 or, without ``max_qubits``, 9 or 16 needs no
+    search, at any width: its single cuts are the bridges of its segment
+    graph, which one depth-first search finds. The new part of pass i gets
+    label i + 1. A circuit on fewer than 2 qubits needs no cut: its plan is
+    the one-part plan.
     """
     if max_qubits is not None and max_qubits < 1:
         raise CutError("max_qubits must be positive")

@@ -4,7 +4,9 @@ The dense-matrix references are built directly from 2x2 matrices and
 Kronecker products, independently of the package's simulator and Pauli
 algebra, so the two sides of every comparison are computed by different
 code. ``crossing_count`` recounts a bipartition's crossing gates from
-scratch, as the reference for the cut search's running count.
+scratch, as the reference for the cut search's running count, and
+``single_cut_brute_force`` prices every labeling with at most one wire
+cut through it, as the reference for the settled single cuts.
 ``objective`` composes the public pipeline stages directly, as the
 reference for the annealer's single-pass objective evaluator.
 ``per_subcircuit_costs`` masks the observable to each part's qubits, as
@@ -243,6 +245,29 @@ def crossing_count(gates2q, labels, cuts) -> int:
         lv = labels[v] ^ (1 if v in cuts and t >= cuts[v] else 0)
         k += lu != lv
     return k
+
+
+def single_cut_brute_force(problem):
+    """A bisection's cheapest key with at most one wire cut, when it costs 16 or less, else None.
+
+    Every labeling with wire 0 on side 0 is priced, with ``crossing_count``,
+    uncut and with each interior cut of each cuttable wire: one before each
+    of its 2-qubit gates but the first. The key is (cost, labels, cut items,
+    True), the smallest of the cheapest cost.
+    """
+    n, gates2q = problem.n, problem.gates2q
+    options = [()]
+    for w in range(n):
+        times = [t for t, u, v in gates2q if w in (u, v)]
+        options += [((w, t),) for t in times[1:] if problem.cuttable[w]]
+    best = None
+    for bits in range(1, 1 << (n - 1)):
+        labels = tuple((bits >> (w - 1)) & 1 if w else 0 for w in range(n))
+        for cuts in options:
+            kg = crossing_count(gates2q, labels, dict(cuts))
+            key = (total_executions(kg, len(cuts), 1), labels, cuts, True)
+            best = key if best is None else min(best, key)
+    return best if best is not None and best[0] <= 16 else None
 
 
 def refine_wire_cuts(problem, labels, max_passes: int = 8) -> tuple[dict[int, int], int]:

@@ -43,6 +43,7 @@ from oracles import (
     random_observable,
     refine_wire_cuts,
     segment_label,
+    single_cut_brute_force,
 )
 
 
@@ -428,20 +429,20 @@ def _record_bisections(monkeypatch) -> tuple[list, list[int]]:
 
 
 def test_heis19_bench_search_refines_each_pattern_once(heis19_bench_searches, monkeypatch):
-    # The seed-0 row's six cut searches price 12 labelings and refine 12
+    # The seed-0 row's six cut searches price 5 labelings and refine 5
     # distinct (passes, linked labels) patterns: five of the six bisections
     # are disconnected and price one labeling each, and the sixth, which has
-    # no idle wire and no one-gate cut, prices its 7 one-wire-cut
-    # candidates. Those 7 refinements run 47 distinct wire sweeps.
+    # no idle wire and no one-gate cut, prices none: a bridge of its segment
+    # graph is its one wire cut, so it runs no wire sweep.
     _, searched, calls = heis19_bench_searches
     problems, priced = _record_bisections(monkeypatch)
     for b, kwargs in calls:
         circuit, plan = searched[b]
         assert find_cuts(circuit, **kwargs) == plan
     assert len(problems) == 6
-    assert priced == [12]
-    assert sum(len(p._refined) for p in problems) == 12
-    assert [len(p._swept) for p in problems] == [3, 47, 8, 8, 7, 6]
+    assert priced == [5]
+    assert sum(len(p._refined) for p in problems) == 5
+    assert [len(p._swept) for p in problems] == [3, 0, 8, 8, 7, 6]
 
 
 def test_bounded_heis19_search_refines_each_pattern_once(monkeypatch):
@@ -602,23 +603,60 @@ def _connected_problems(count):
                 return
 
 
-def test_settled_bisection_is_the_exhaustive_search_answer():
-    # The check answers exactly when the exhaustive optimum is 9 or 16 (a
-    # connected bisection cuts something), and its answer is that optimum's
-    # key: cost, labels, cuts and feasibility.
-    optima = Counter()
+def test_settled_bisection_is_the_single_cut_brute_force_answer():
+    # The bridge search answers exactly when one gate cut (9) or one wire cut
+    # (16) separates the wires, with the brute force's key: cost, labels,
+    # cuts and feasibility, on every problem of at most 8 wires. On all 300
+    # it is never worse than the exhaustive search, whose cut positions come
+    # from a descent that can miss the one wire cut.
+    optima, small = Counter(), 0
     for problem in _connected_problems(300):
-        got, want = _one_cut(problem), _search_exhaustive(problem, None)
-        optima[want[0]] += 1
-        assert got == (want if want[0] <= 16 else None), problem.gates2q
+        got, searched = _one_cut(problem), _search_exhaustive(problem, None)
+        optima[searched[0]] += 1
+        if problem.n <= 8:
+            small += 1
+            assert got == single_cut_brute_force(problem), problem.gates2q
+        if searched[0] <= 16:
+            assert got is not None and got <= searched, problem.gates2q
+    assert small > 200
     assert optima[9] > 100 and optima[16] > 50 and optima[81] + optima[144] > 100
 
 
 def test_a_pair_joined_both_ways_round_is_not_a_one_gate_cut():
-    # cz(0, 1) and cz(1, 0) join wires 0 and 1 twice, so only the pair (1, 2)
-    # is joined by one gate.
+    # cz(0, 1) and cz(1, 0) join wires 0 and 1 twice, so only the gate
+    # between wires 1 and 2 is a one-gate cut; it beats wire 1's one cut.
     problem = _Bipartitioner(3, [(0, 0, 1), (1, 1, 0), (2, 1, 2)])
-    assert list(cutting._one_gate_labelings(problem)) == [(0, 0, 1)]
+    assert _one_cut(problem) == (9, (0, 0, 1), (), True)
+
+
+def test_a_single_cut_on_a_frozen_wire_is_not_settled():
+    # Wire 1 meets wire 0 twice and then wire 2 twice, so only a cut of
+    # wire 1 before gate 2 separates them; frozen, it leaves two gate cuts.
+    gates2q = [(0, 0, 1), (1, 1, 0), (2, 1, 2), (3, 2, 1)]
+    assert _one_cut(_Bipartitioner(3, gates2q)) == (16, (0, 0, 1), ((1, 2),), True)
+    frozen = _Bipartitioner(3, gates2q, [True, False, True])
+    assert _one_cut(frozen) is None
+    assert _search_exhaustive(frozen, None)[0] == 81
+
+
+def _missed_wire_cut_circuits():
+    """Two seeded random circuits whose one wire cut the descent missed:
+    it priced the 6-qubit one at 144 and the 15-qubit one at 81."""
+    rng = np.random.default_rng((777, 6, 4))
+    yield lower_rotations(random_circuit(6, int(rng.integers(6, 30)), rng,
+                                         p_two_qubit=float(rng.uniform(0.5, 1.0))))
+    rng = np.random.default_rng((779, 15, 9))
+    yield lower_rotations(random_circuit(15, int(rng.integers(30, 60)), rng, p_two_qubit=0.9))
+
+
+def test_one_wire_cuts_the_descent_missed_are_settled():
+    for circ, wire_cut in zip(_missed_wire_cut_circuits(), ((4, 35, 0), (4, 32, 0))):
+        plan = find_cuts(circ, seed=0)
+        validate_plan(circ, plan)
+        assert (plan.gate_cuts, plan.wire_cuts) == ((), (wire_cut,))
+        obs = weight_z_observable(circ.n, 2)
+        assert cut_and_reconstruct(circ, plan, obs).exact_value == pytest.approx(
+            uncut_expectation(circ, obs), abs=1e-12)
 
 
 def _two_cluster(n, seed):
